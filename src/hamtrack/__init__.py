@@ -11,12 +11,12 @@ from .metrics import EvalReport, clear_mot, evaluate, idf1, iou
 from .synthgen import (ConfidenceRegime, GeneratedScenario, ObjectSpec,
                        OcclusionEvent, ScenarioSpec, generate, parse_scenario,
                        regime_stats, validate_scenario)
-from .tracker import FrameResult, Track, Tracker, run_sequence
+from .tracker import FrameResult, Tracker, run_sequence
 
 __all__ = [
     "AppearanceDescriptor", "AppearanceMemory", "BBox", "ConfidenceRegime",
     "Detection", "EvalReport", "FrameResult", "GeneratedScenario",
-    "HistoryEntry", "ObjectSpec", "OcclusionEvent", "ScenarioSpec", "Track",
+    "HistoryEntry", "ObjectSpec", "OcclusionEvent", "ScenarioSpec",
     "Tracker", "TrackerConfig", "baseline_appearance", "clear_mot",
     "config_from_mapping", "evaluate", "generate", "ham", "history_weights",
     "idf1", "iou", "maybe_store_history", "parse_kv_text", "parse_scenario",

@@ -66,15 +66,17 @@ def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
     n, m = len(pred_pos), len(boxes)
     values = np.zeros((n, m))
     if n and m:
-        sigma = cfg.sigma()
-        sigma_inv = np.linalg.inv(sigma)
-        centers = np.array([b.center() for b in boxes])
-        for i in range(n):
-            d = centers - np.asarray(pred_pos[i], dtype=float)
-            maha = np.einsum("kj,jl,kl->k", d, sigma_inv, d)
-            motion = np.exp(-cfg.eta * maha)
-            for j, box in enumerate(boxes):
-                values[i, j] = shape_affinity(pred_wh[i], box, cfg.xi) * motion[j]
+        pos = np.asarray(pred_pos, dtype=float).reshape(n, 1, 2)
+        wh = np.asarray(pred_wh, dtype=float).reshape(n, 1, 2)
+        if np.any(wh <= 0):
+            raise ValueError("predicted sizes must be positive")
+        obs = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes])
+        centers, sizes = obs[:, :2], obs[:, 2:]
+        d = (centers - pos).reshape(n * m, 2)
+        maha = np.einsum("kj,jl,kl->k", d, np.linalg.inv(cfg.sigma()), d).reshape(n, m)
+        rel = np.abs(wh - sizes) / (wh + sizes)
+        shape = np.exp(-cfg.xi * (rel[..., 1] + rel[..., 0]))
+        values = shape * np.exp(-cfg.eta * maha)
     gate_mask = values > cfg.tau_asc
     return AffinityMatrix(values=values, gate_mask=gate_mask)
 

@@ -16,6 +16,9 @@ EMBEDDING = "embedding"
 
 _NORM_TOL = 1e-9
 
+# Uninformed Kalman velocity prior, as a multiple of object height.
+VEL_PRIOR_SCALE = 10.0
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -125,6 +128,10 @@ class Detection:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
         if not math.isfinite(self.confidence):
             raise ValueError("detection confidence must be finite")
+        cx, cy = self.bbox.center()
+        vel_std = VEL_PRIOR_SCALE * self.bbox.h  # the Kalman velocity prior
+        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(vel_std * vel_std)):
+            raise ValueError(f"detection box is too large to track: {self.bbox}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,6 @@ class TrackerConfig:
                       the match affinity) or a numeric literal for a fixed weight
     confirm_hits      consecutive matches before a track is confirmed
     max_age           consecutive misses a confirmed track survives
-    iou_eval          IoU threshold used by the evaluator
     process_noise     Kalman process noise std, as a fraction of object height
     measurement_noise Kalman measurement noise std, as a fraction of object height
     conf_decay        multiplicative decay of recent-match confidence per miss
@@ -172,7 +178,6 @@ class TrackerConfig:
     alpha_mode: str = "affinity"
     confirm_hits: int = 3
     max_age: int = 10
-    iou_eval: float = 0.5
     process_noise: float = 0.05
     measurement_noise: float = 0.1
     conf_decay: float = 0.9
@@ -231,8 +236,6 @@ def validate_config(cfg: TrackerConfig) -> list[str]:
         errors.append("confirm_hits must be >= 1")
     if cfg.max_age < 1:
         errors.append("max_age must be >= 1")
-    if not 0.0 < cfg.iou_eval <= 1.0:
-        errors.append("iou_eval out of (0,1]")
     if not (math.isfinite(cfg.process_noise) and cfg.process_noise >= 0):
         errors.append("process_noise must be >= 0")
     if not (math.isfinite(cfg.measurement_noise) and cfg.measurement_noise >= 0):

@@ -65,10 +65,10 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
         h = _parse_float(parts[5], lineno, "h")
         conf = _parse_float(parts[6], lineno, "confidence")
         try:
-            bbox = BBox(x, y, w, h)
+            det = Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        grouped[frame].append(Detection(frame=frame, bbox=bbox, confidence=conf))
+        grouped[frame].append(det)
     return dict(sorted(grouped.items()))
 
 

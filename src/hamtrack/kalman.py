@@ -3,17 +3,19 @@
 Each track carries two independent 4-state filters over dt = 1 frame:
 motion on the box center [cx, cy, vx, vy] and shape on the box size
 [w, h, dw, dh]. Both use the same linear model, so the operations here are
-shared; only the initialization differs.
+shared; only the initialization differs. Every operation runs on one filter
+or on a stack of them: means (..., 4) and covariances (..., 4, 4), with the
+noise arguments broadcast over the leading axes.
 
 Noise is expressed as standard deviations in pixels. Callers typically scale
 them by the current object height so near and far objects behave alike.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import BBox
+from .core import VEL_PRIOR_SCALE, BBox
 
 F = np.array([[1.0, 0.0, 1.0, 0.0],
               [0.0, 1.0, 0.0, 1.0],
@@ -22,119 +24,104 @@ F = np.array([[1.0, 0.0, 1.0, 0.0],
 H = np.array([[1.0, 0.0, 0.0, 0.0],
               [0.0, 1.0, 0.0, 0.0]])
 
-_SYM_TOL = 1e-9
 
-# Uninformed velocity prior, as a multiple of object height.
-VEL_PRIOR_SCALE = 10.0
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """State estimate: 4-vector mean and symmetric PSD 4x4 covariance."""
+class KalmanState(NamedTuple):
+    """Means (..., 4) and symmetric PSD covariances (..., 4, 4)."""
 
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (4,) or cov.shape != (4, 4):
-            raise ValueError(f"expected mean (4,) and cov (4,4), got {mean.shape}, {cov.shape}")
-        if np.abs(cov - cov.T).max() > _SYM_TOL:
-            raise ValueError("covariance is not symmetric")
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+    def at(self, index) -> "KalmanState":
+        """The filters at ``index`` of the leading axes."""
+        return KalmanState(self.mean[index], self.cov[index])
 
 
-def _state(mean: np.ndarray, cov: np.ndarray) -> KalmanState:
-    return KalmanState(mean, (cov + cov.T) / 2.0)
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
-def _init(observed: tuple[float, float], scale: float,
-          pos_std: float | None, vel_std: float | None) -> KalmanState:
-    if pos_std is None:
-        pos_std = 0.1 * scale
-    if vel_std is None:
-        vel_std = VEL_PRIOR_SCALE * scale
-    mean = np.array([observed[0], observed[1], 0.0, 0.0])
-    cov = np.diag([pos_std ** 2, pos_std ** 2, vel_std ** 2, vel_std ** 2])
-    return _state(mean, cov)
+def _diag(pair_std, rate_std) -> np.ndarray:
+    """Diagonal covariances: ``pair_std`` on the observed pair, ``rate_std`` on the rates."""
+    # float_power rounds as Python's float ``**`` (libm pow); x * x can differ in the last bit.
+    pair_var, rate_var = np.float_power(pair_std, 2), np.float_power(rate_std, 2)
+    var = np.stack(np.broadcast_arrays(pair_var, pair_var, rate_var, rate_var), axis=-1)
+    return var[..., None] * np.eye(4)
 
 
-def init_motion(bbox: BBox, pos_std: float | None = None,
-                vel_std: float | None = None) -> KalmanState:
+def init(observed, scale, pos_std=None) -> KalmanState:
+    """New filters on an observed pair (..., 2), with rates at zero.
+
+    ``scale`` (the object height) sets the rate spread, ``VEL_PRIOR_SCALE``
+    times it, and the default spread on the pair, a tenth of it.
+    """
+    observed = np.asarray(observed, dtype=float)
+    lead = observed.shape[:-1]
+    pos_std = 0.1 * scale if pos_std is None else pos_std
+    cov = _diag(np.broadcast_to(pos_std, lead), np.broadcast_to(VEL_PRIOR_SCALE * scale, lead))
+    return KalmanState(np.concatenate([observed, np.zeros_like(observed)], axis=-1), cov)
+
+
+def init_motion(bbox: BBox, pos_std: float | None = None) -> KalmanState:
     """New motion filter centered on the box; velocity starts at zero."""
-    return _init(bbox.center(), bbox.h, pos_std, vel_std)
+    return init(bbox.center(), bbox.h, pos_std)
 
 
-def init_shape(bbox: BBox, pos_std: float | None = None,
-               vel_std: float | None = None) -> KalmanState:
-    """New shape filter on (w, h); size rates start at zero."""
-    return _init((bbox.w, bbox.h), bbox.h, pos_std, vel_std)
+def predict(state: KalmanState, process_std=0.0) -> KalmanState:
+    """One-frame constant-velocity prediction: F x, F P F' + Q.
+
+    Q is diagonal, ``process_std`` on the observed pair and half of it on the rates.
+    """
+    cov = F @ state.cov @ F.T + _diag(process_std, np.divide(process_std, 2.0))
+    return KalmanState(state.mean @ F.T, (cov + _transpose(cov)) / 2.0)
 
 
-def process_noise_cov(process_std: float) -> np.ndarray:
-    """Process noise: ``process_std`` on the observed pair, half on the rates."""
-    s = process_std
-    return np.diag([s ** 2, s ** 2, (s / 2.0) ** 2, (s / 2.0) ** 2])
+def _gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
+    """Kalman gain P H' inv(S) for each filter."""
+    try:
+        return _transpose(np.linalg.solve(_transpose(S), _transpose(PHt)))
+    except np.linalg.LinAlgError:
+        if S.ndim > 2:
+            # Solve the stack filter by filter, so only the singular ones fall back.
+            rows = [_gain(s, p) for s, p in zip(S.reshape(-1, 2, 2), PHt.reshape(-1, 4, 2))]
+            return np.reshape(rows, PHt.shape)
+        # Singular innovation covariance: the state is already exactly known
+        # in the measured subspace; the pseudo-inverse yields a zero gain there.
+        return PHt @ np.linalg.pinv(S)
 
 
-def predict(state: KalmanState, process_std: float = 0.0) -> KalmanState:
-    """One-frame constant-velocity prediction: F x, F P F' + Q."""
-    mean = F @ state.mean
-    cov = F @ state.cov @ F.T + process_noise_cov(process_std)
-    return _state(mean, cov)
-
-
-def update(state: KalmanState, measurement, measurement_std: float = 0.0) -> KalmanState:
-    """Correct a predicted state with a 2-vector measurement of the observed pair.
+def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
+    """Correct predicted states with measurements (..., 2) of the observed pair.
 
     Uses the Joseph-form covariance update, which stays PSD for any gain and
     keeps the matrix symmetric over long operation sequences.
     """
     z = np.asarray(measurement, dtype=float)
-    if z.shape != (2,) or not np.all(np.isfinite(z)):
-        raise ValueError(f"measurement must be a finite 2-vector, got {measurement!r}")
-    R = np.eye(2) * measurement_std ** 2
+    if z.shape != state.mean.shape[:-1] + (2,) or not np.all(np.isfinite(z)):
+        raise ValueError(f"measurement must be finite pairs matching the state, "
+                         f"got {measurement!r}")
+    R = np.eye(2) * np.float_power(measurement_std, 2)[..., None, None]
     P = state.cov
     S = H @ P @ H.T + R
     PHt = P @ H.T
-    try:
-        K = np.linalg.solve(S.T, PHt.T).T
-    except np.linalg.LinAlgError:
-        # Singular innovation covariance: the state is already exactly known
-        # in the measured subspace; the pseudo-inverse yields a zero gain there.
-        K = PHt @ np.linalg.pinv(S)
-    innovation = z - H @ state.mean
-    mean = state.mean + K @ innovation
+    K = _gain(S, PHt)
+    innovation = z - state.mean @ H.T
+    mean = state.mean + (K @ innovation[..., None])[..., 0]
     ikh = np.eye(4) - K @ H
-    cov = ikh @ P @ ikh.T + K @ R @ K.T
-    return _state(mean, cov)
+    cov = ikh @ P @ _transpose(ikh) + K @ R @ _transpose(K)
+    return KalmanState(mean, (cov + _transpose(cov)) / 2.0)
 
 
 def position(state: KalmanState) -> np.ndarray:
-    return state.mean[:2].copy()
-
-
-def velocity(state: KalmanState) -> np.ndarray:
-    return state.mean[2:].copy()
+    return state.mean[..., :2].copy()
 
 
 def clamped_wh(state: KalmanState) -> np.ndarray:
     """Shape-state size floored at 1 px, since affinities divide by it."""
-    return np.maximum(state.mean[:2], 1.0)
+    return np.maximum(state.mean[..., :2], 1.0)
 
 
 def predicted_box(motion: KalmanState, shape: KalmanState) -> BBox:
-    """Box implied by the two filters' current means."""
+    """Box implied by one track's two filters' current means."""
     cx, cy = position(motion)
     w, h = clamped_wh(shape)
     return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
-
-
-def is_finite(state: KalmanState) -> bool:
-    return bool(np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.cov)))

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .core import Detection, TrackerConfig
+from .core import TrackerConfig
 
 RECENT_FRAMES = 10
 
@@ -37,7 +37,7 @@ def normal_cdf(x: float, mu: float = 0.0, sd: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SadfState:
-    """Running confidence statistics plus the threshold last applied.
+    """Running confidence statistics.
 
     ``recent`` holds the raw per-frame confidence lists of at most the last 10
     frames. ``all_count/all_mean/all_m2`` are Welford accumulators over every
@@ -50,7 +50,6 @@ class SadfState:
     all_mean: float = 0.0
     all_m2: float = 0.0
     t: int = 0
-    tau_t: Optional[float] = None
 
     def recent_values(self) -> list[float]:
         return [c for frame in self.recent for c in frame]
@@ -152,7 +151,3 @@ def threshold(state: SadfState, cfg: TrackerConfig) -> float:
     w = cfg.rho ** state.t
     return (1.0 - w) * tau_sa + w * cfg.tau_const
 
-
-def filter_detections(detections: Sequence[Detection], tau_t: float) -> list[Detection]:
-    """Keep detections with confidence >= tau_t, preserving order."""
-    return [d for d in detections if d.confidence >= tau_t]

@@ -9,35 +9,78 @@ boxes. Processing is strictly sequential per sequence; independent sequences
 can run in parallel with separate ``Tracker`` instances.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import kalman, sadf
 from .affinity import build_sm_matrix, fuse_appearance, gate_values
-from .appearance import (AppearanceMemory, Scorer, decay_confidence,
-                         maybe_store_history, score_descriptors)
+from .appearance import (AppearanceMemory, decay_confidence, maybe_store_history,
+                         score_descriptors)
 from .association import associate
 from .core import AppearanceDescriptor, BBox, Detection, TrackerConfig
 
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
+# Index of each track's motion and shape filter in the table's stacked state.
+MOTION, SHAPE = 0, 1
 
 # frame, ordinal within the frame's raw detections -> descriptor
 DescriptorSource = Callable[[int, int], AppearanceDescriptor]
 
 
-@dataclass
-class Track:
-    """One tracked object: filters, appearance memory, and lifecycle counters."""
+def _observed_pairs(boxes: Sequence[BBox]) -> np.ndarray:
+    """What the motion and shape filters observe of each box: (k, 2, 2)."""
+    return np.array([(b.center(), (b.w, b.h)) for b in boxes]).reshape(len(boxes), 2, 2)
 
-    id: int
-    motion: kalman.KalmanState
-    shape: kalman.KalmanState
-    appearance: Optional[AppearanceMemory]
-    last_box: BBox
-    status: str = TENTATIVE
-    hit_streak: int = 1
-    misses: int = 0
+
+@dataclass
+class TrackTable:
+    """Live tracks, one row each, in birth order (hence ascending id).
+
+    ``mean`` (N, 2, 4) and ``cov`` (N, 2, 4, 4) stack every track's motion
+    and shape Kalman filters. ``hits`` counts consecutive matches and
+    ``misses`` consecutive misses, so ``misses == 0`` marks the rows matched
+    or born this frame. The list columns are row-aligned with the arrays;
+    ``memories`` holds None for every row when appearance is off.
+    """
+
+    ids: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    hits: np.ndarray
+    misses: np.ndarray
+    confirmed: np.ndarray
+    last_boxes: list[BBox]
+    memories: list[Optional[AppearanceMemory]]
+
+    @classmethod
+    def born(cls, first_id: int, boxes: Sequence[BBox],
+             descriptors: Sequence[Optional[AppearanceDescriptor]],
+             cfg: TrackerConfig) -> "TrackTable":
+        """Tentative tracks started on ``boxes``, with consecutive ids."""
+        n = len(boxes)
+        observed = _observed_pairs(boxes)
+        heights = observed[:, SHAPE, 1:]
+        mean, cov = kalman.init(observed, heights, pos_std=cfg.measurement_noise * heights)
+        memories = [None if d is None else AppearanceMemory(recent=d) for d in descriptors]
+        return cls(np.arange(first_id, first_id + n), mean, cov, np.ones(n, dtype=int),
+                   np.zeros(n, dtype=int), np.full(n, cfg.confirm_hits <= 1),
+                   list(boxes), memories)
+
+    @property
+    def filters(self) -> kalman.KalmanState:
+        return kalman.KalmanState(self.mean, self.cov)
+
+    def select(self, keep: np.ndarray) -> "TrackTable":
+        """The rows where ``keep`` is true."""
+        rows = np.flatnonzero(keep)
+        return TrackTable(*([col[r] for r in rows] if isinstance(col, list) else col[rows]
+                            for col in vars(self).values()))
+
+    def append(self, other: "TrackTable") -> "TrackTable":
+        """This table's rows followed by ``other``'s."""
+        return TrackTable(*(a + b if isinstance(a, list) else np.concatenate([a, b])
+                            for a, b in zip(vars(self).values(), vars(other).values())))
 
 
 @dataclass(frozen=True)
@@ -69,18 +112,16 @@ class Tracker:
     ``descriptor_source`` supplies appearance descriptors lazily; it is only
     consulted for detections that survive filtering and that do not already
     carry a descriptor. With ``use_appearance=False`` the tracker runs on
-    shape and motion alone.
+    shape and motion alone. The live tracks are ``table``.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None,
-                 scorer: Scorer = score_descriptors,
                  descriptor_source: Optional[DescriptorSource] = None,
                  use_appearance: bool = True):
         self.cfg = cfg if cfg is not None else TrackerConfig()
-        self.scorer = scorer
         self.descriptor_source = descriptor_source
         self.use_appearance = use_appearance
-        self.tracks: list[Track] = []
+        self.table = TrackTable.born(1, [], [], self.cfg)
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
         self._last_frame = 0
@@ -109,7 +150,6 @@ class Tracker:
                 self.sadf_state, (d.confidence for d in detections), self.sadf_state.t + 1)
             tau_sa = sadf.adaptive_cutoff(self.sadf_state, cfg)
             tau_t = sadf.threshold(self.sadf_state, cfg)
-            self.sadf_state = replace(self.sadf_state, tau_t=tau_t)
         kept = [k for k, d in enumerate(detections) if d.confidence >= tau_t]
         return kept, tau_sa, tau_t
 
@@ -131,89 +171,61 @@ class Tracker:
             descriptors = [self._descriptor_for(frame, kept_ordinals[j], det)
                            for j, det in enumerate(survivors)]
 
-        for track in self.tracks:
-            scale = float(kalman.clamped_wh(track.shape)[1])
-            process_std = cfg.process_noise * scale
-            track.motion = kalman.predict(track.motion, process_std)
-            track.shape = kalman.predict(track.shape, process_std)
+        table = self.table
+        process_std = cfg.process_noise * kalman.clamped_wh(table.filters)[:, SHAPE, 1:]
+        table.mean, table.cov = kalman.predict(table.filters, process_std)
 
-        pred_pos = [kalman.position(t.motion) for t in self.tracks]
-        pred_wh = [kalman.clamped_wh(t.shape) for t in self.tracks]
         boxes = [d.bbox for d in survivors]
-        sm = build_sm_matrix(pred_pos, pred_wh, boxes, cfg)
+        pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
+        sm = build_sm_matrix(table.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
-            memories = [t.appearance for t in self.tracks]
-            final = fuse_appearance(sm, memories, descriptors, self.scorer,
+            final = fuse_appearance(sm, table.memories, descriptors, score_descriptors,
                                     use_ham=cfg.use_ham)
         else:
             final = gate_values(sm)
         assignment = associate(final, cfg.tau_asc)
 
-        matched_this_frame: set[int] = set()
+        rows = [ti for ti, _, _ in assignment.matches]
+        z = _observed_pairs([boxes[dj] for _, dj, _ in assignment.matches])
+        table.mean[rows], table.cov[rows] = kalman.update(
+            table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
         for ti, dj, affinity in assignment.matches:
-            track = self.tracks[ti]
-            det = survivors[dj]
-            meas_std = cfg.measurement_noise * det.bbox.h
-            track.motion = kalman.update(track.motion, det.bbox.center(), meas_std)
-            track.shape = kalman.update(track.shape, (det.bbox.w, det.bbox.h), meas_std)
-            track.last_box = det.bbox
-            track.hit_streak += 1
-            track.misses = 0
+            table.last_boxes[ti] = boxes[dj]
             if self.use_appearance:
-                track.appearance = maybe_store_history(
-                    track.appearance, descriptors[dj], affinity, frame, cfg)
-            if track.status == TENTATIVE and track.hit_streak >= cfg.confirm_hits:
-                track.status = CONFIRMED
-            matched_this_frame.add(track.id)
+                table.memories[ti] = maybe_store_history(
+                    table.memories[ti], descriptors[dj], affinity, frame, cfg)
+        table.hits[rows] += 1
+        table.misses[rows] = 0
+        table.confirmed[rows] |= table.hits[rows] >= cfg.confirm_hits
 
-        dead: list[Track] = []
-        for ti in assignment.unmatched_tracks:
-            track = self.tracks[ti]
-            track.misses += 1
-            track.hit_streak = 0
-            if self.use_appearance and track.appearance is not None:
-                track.appearance = decay_confidence(track.appearance, cfg.conf_decay)
-            if track.status == TENTATIVE or track.misses > cfg.max_age:
-                dead.append(track)
-        if dead:
-            gone = {t.id for t in dead}
-            self.tracks = [t for t in self.tracks if t.id not in gone]
+        missed = list(assignment.unmatched_tracks)
+        table.misses[missed] += 1
+        table.hits[missed] = 0
+        if self.use_appearance:
+            for ti in missed:
+                table.memories[ti] = decay_confidence(table.memories[ti], cfg.conf_decay)
+        dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
 
-        births = 0
-        for dj in assignment.unmatched_detections:
-            det = survivors[dj]
-            memory = None
-            if self.use_appearance:
-                memory = AppearanceMemory(recent=descriptors[dj], recent_conf=1.0)
-            pos_std = cfg.measurement_noise * det.bbox.h
-            track = Track(
-                id=self._next_id,
-                motion=kalman.init_motion(det.bbox, pos_std=pos_std),
-                shape=kalman.init_shape(det.bbox, pos_std=pos_std),
-                appearance=memory,
-                last_box=det.bbox,
-            )
-            self._next_id += 1
-            if track.hit_streak >= cfg.confirm_hits:
-                track.status = CONFIRMED
-            self.tracks.append(track)
-            matched_this_frame.add(track.id)
-            births += 1
+        new = assignment.unmatched_detections
+        table = table.select(~dead).append(TrackTable.born(
+            self._next_id, [boxes[dj] for dj in new], [descriptors[dj] for dj in new], cfg))
+        self._next_id += len(new)
+        self.table = table
 
         outputs = []
         startup = self._frame_count <= cfg.confirm_hits
-        for track in self.tracks:
-            if track.id in matched_this_frame:
-                if track.status == CONFIRMED or startup:
-                    outputs.append((track.id, track.last_box))
-            elif cfg.emit_predicted and track.status == CONFIRMED:
-                outputs.append((track.id, kalman.predicted_box(track.motion, track.shape)))
-        outputs.sort(key=lambda item: item[0])
+        for r, track_id in enumerate(table.ids.tolist()):
+            if table.misses[r] == 0:
+                if table.confirmed[r] or startup:
+                    outputs.append((track_id, table.last_boxes[r]))
+            elif cfg.emit_predicted and table.confirmed[r]:
+                outputs.append((track_id, kalman.predicted_box(
+                    table.filters.at((r, MOTION)), table.filters.at((r, SHAPE)))))
 
         diag = FrameDiagnostics(
-            births=births,
-            deaths=len(dead),
-            n_tracks=len(self.tracks),
+            births=len(new),
+            deaths=int(dead.sum()),
+            n_tracks=len(table.ids),
             n_raw=len(detections),
             n_kept=len(survivors),
             total_pairs=int(sm.values.size),
@@ -227,7 +239,6 @@ class Tracker:
 
 def run_sequence(detections_by_frame: Mapping[int, Sequence[Detection]],
                  cfg: TrackerConfig | None = None,
-                 scorer: Scorer = score_descriptors,
                  descriptor_source: Optional[DescriptorSource] = None,
                  use_appearance: bool = True,
                  n_frames: Optional[int] = None) -> list[FrameResult]:
@@ -236,7 +247,7 @@ def run_sequence(detections_by_frame: Mapping[int, Sequence[Detection]],
     Frames run from 1 through ``n_frames`` (default: the highest frame seen in
     the input). Equivalent to calling ``Tracker.step`` once per frame.
     """
-    tracker = Tracker(cfg=cfg, scorer=scorer, descriptor_source=descriptor_source,
+    tracker = Tracker(cfg=cfg, descriptor_source=descriptor_source,
                       use_appearance=use_appearance)
     last = n_frames if n_frames is not None else (
         max(detections_by_frame) if detections_by_frame else 0)

@@ -74,5 +74,5 @@ def track_scenario(spec: ScenarioSpec, cfg: TrackerConfig):
     results = run_sequence(dets, cfg, descriptor_source=lambda f, o: emb[(f, o)],
                            n_frames=spec.n_frames)
     hyp_by_frame = {fr.frame: list(fr.tracks) for fr in results}
-    report = evaluate(gt_by_frame, hyp_by_frame, cfg.iou_eval)
+    report = evaluate(gt_by_frame, hyp_by_frame, 0.5)
     return results, report

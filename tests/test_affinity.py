@@ -89,18 +89,21 @@ class TestBuildSmMatrix:
         assert not sm.gate_mask[0, 0]
 
     def test_values_match_scalar_ops(self):
+        # np.exp and math.exp may differ in the last bit, hence a tolerance.
         rng = np.random.default_rng(5)
-        cfg = TrackerConfig()
-        boxes = [BBox(*rng.uniform(10, 200, size=2), *rng.uniform(10, 60, size=2))
-                 for _ in range(4)]
-        pos = [rng.uniform(0, 250, size=2) for _ in range(3)]
-        wh = [rng.uniform(10, 70, size=2) for _ in range(3)]
-        sm = build_sm_matrix(pos, wh, boxes, cfg)
-        for i in range(3):
-            for j, box in enumerate(boxes):
-                expected = (shape_affinity(wh[i], box, cfg.xi)
-                            * motion_affinity(pos[i], box.center(), cfg.sigma(), cfg.eta))
-                assert sm.values[i, j] == pytest.approx(expected, rel=1e-12)
+        cfg = TrackerConfig(sigma_xy=4000.0)
+        for n, m in ((3, 4), (6, 2), (1, 5), (5, 1), (1, 1)):
+            boxes = [BBox(*rng.uniform(10, 200, size=2), *rng.uniform(10, 60, size=2))
+                     for _ in range(m)]
+            pos = [rng.uniform(0, 250, size=2) for _ in range(n)]
+            wh = [rng.uniform(10, 70, size=2) for _ in range(n)]
+            sm = build_sm_matrix(pos, wh, boxes, cfg)
+            assert sm.values.shape == (n, m)
+            for i in range(n):
+                for j, box in enumerate(boxes):
+                    expected = (shape_affinity(wh[i], box, cfg.xi)
+                                * motion_affinity(pos[i], box.center(), cfg.sigma(), cfg.eta))
+                    assert sm.values[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import hamtrack
 from hamtrack.cli import main
 
 
@@ -101,6 +106,20 @@ class TestTrack:
                    "--out", str(tmp_path / "res.txt")])
         assert rc == 1
         assert "absent.txt" in capsys.readouterr().err
+
+    def test_untrackably_large_box_exits_1_without_traceback(self, tmp_path):
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,0,0,1e160,1e160,50,-1,-1,-1\n")
+        src = str(Path(hamtrack.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamtrack.cli", "track", "--det", str(det),
+             "--out", str(tmp_path / "res.txt")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_set_value_is_config_error(self, scenario_dir, capsys):
         rc, _ = self.run_track(scenario_dir, "--set", "beta=1.5")

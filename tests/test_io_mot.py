@@ -44,6 +44,18 @@ class TestParseDetFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_det_file("1,-1,10,20,0,60,45.0,-1,-1,-1\n")
 
+    @pytest.mark.parametrize("row", [
+        "1,-1,0,0,1e160,1e160,50,-1,-1,-1",
+        "1,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1",
+    ], ids=["velocity_prior_overflows", "center_overflows"])
+    def test_untrackably_large_box_reports_line(self, row):
+        with pytest.raises(ValueError, match="line 2: detection box is too large"):
+            parse_det_file("1,-1,10,20,30,60,45.0,-1,-1,-1\n" + row + "\n")
+
+    def test_large_trackable_box_accepted(self):
+        out = parse_det_file("1,-1,0,0,1e150,1e150,50,-1,-1,-1\n")
+        assert out[1][0].bbox.h == 1e150
+
 
 class TestParseGtFile:
     def test_seven_fields_enough(self):

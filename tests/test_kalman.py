@@ -18,12 +18,12 @@ class TestInit:
         np.testing.assert_allclose(st.mean, [5.0, 10.0, 0.0, 0.0])
 
     def test_shape_starts_at_size(self):
-        st = kalman.init_shape(BBox(0, 0, 10, 20))
+        st = kalman.init((10.0, 20.0), 20.0)
         np.testing.assert_allclose(st.mean, [10.0, 20.0, 0.0, 0.0])
 
     def test_cov_symmetric_psd(self):
         for st in (kalman.init_motion(BBox(3, 4, 17, 31)),
-                   kalman.init_shape(BBox(3, 4, 17, 31))):
+                   kalman.init((17.0, 31.0), 31.0)):
             np.testing.assert_allclose(st.cov, st.cov.T)
             assert np.all(np.linalg.eigvalsh(st.cov) >= 0)
 
@@ -125,7 +125,7 @@ class TestProperties:
             st = kalman.update(st, truth, 0.0)
             if k >= 2:
                 np.testing.assert_allclose(kalman.position(st), truth, atol=1e-9)
-                np.testing.assert_allclose(kalman.velocity(st), v, atol=1e-9)
+                np.testing.assert_allclose(st.mean[2:], v, atol=1e-9)
 
     def test_covariance_stays_symmetric_over_long_sequences(self):
         rng = np.random.default_rng(11)
@@ -145,3 +145,73 @@ class TestProperties:
         shape = kalman.KalmanState(np.array([20.0, 10.0, 0.0, 0.0]), np.eye(4))
         box = kalman.predicted_box(motion, shape)
         assert (box.x, box.y, box.w, box.h) == (40.0, 35.0, 20.0, 10.0)
+
+
+def stack(states):
+    return kalman.KalmanState(np.array([s.mean for s in states]),
+                              np.array([s.cov for s in states]))
+
+
+def assert_rows_match(batched, singles):
+    """Row k of a batched result equals the one-filter result k, to 1e-12 relative."""
+    for k, single in enumerate(singles):
+        for got, want in ((batched.mean[k], single.mean), (batched.cov[k], single.cov)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+
+class TestBatched:
+    """One call over many filters against one call per filter."""
+
+    def test_predict_matches_single_filter_calls(self):
+        rng = np.random.default_rng(21)
+        states = [random_state(rng) for _ in range(60)]
+        stds = rng.uniform(0.0, 3.0, size=60)
+        batched = kalman.predict(stack(states), stds)
+        assert_rows_match(batched, [kalman.predict(s, float(q)) for s, q in zip(states, stds)])
+
+    def test_update_matches_single_filter_calls(self):
+        rng = np.random.default_rng(22)
+        states = [random_state(rng) for _ in range(60)]
+        z = rng.normal(size=(60, 2)) * 30
+        stds = rng.uniform(0.1, 3.0, size=60)
+        batched = kalman.update(stack(states), z, stds)
+        assert_rows_match(batched, [kalman.update(s, z[k], float(stds[k]))
+                                    for k, s in enumerate(states)])
+
+    def test_two_leading_axes(self):
+        # The tracker's layout: (tracks, [motion, shape]), one std per track.
+        rng = np.random.default_rng(23)
+        states = [random_state(rng) for _ in range(60)]
+        grid = stack(states)
+        grid = kalman.KalmanState(grid.mean.reshape(30, 2, 4), grid.cov.reshape(30, 2, 4, 4))
+        stds = rng.uniform(0.1, 3.0, size=(30, 1))
+        z = rng.normal(size=(30, 2, 2)) * 30
+        updated = kalman.update(kalman.predict(grid, stds), z, stds)
+        flat = kalman.KalmanState(updated.mean.reshape(60, 4), updated.cov.reshape(60, 4, 4))
+        singles = [kalman.update(kalman.predict(s, float(stds[k // 2, 0])), z[k // 2, k % 2],
+                                 float(stds[k // 2, 0]))
+                   for k, s in enumerate(states)]
+        assert_rows_match(flat, singles)
+
+    def test_singular_innovation_row_falls_back_alone(self):
+        rng = np.random.default_rng(24)
+        states = [random_state(rng) for _ in range(50)]
+        # Row 7 knows its position exactly; with zero measurement noise its
+        # innovation covariance is singular.
+        states[7] = kalman.KalmanState(np.array([3.0, 4.0, 1.0, -1.0]),
+                                       np.diag([0.0, 0.0, 2.0, 2.0]))
+        z = rng.normal(size=(50, 2)) * 30
+        stds = np.full(50, 0.0)
+        batched = kalman.update(stack(states), z, stds)
+        singles = [kalman.update(s, z[k], 0.0) for k, s in enumerate(states)]
+        assert_rows_match(batched, singles)
+        # The pseudo-inverse gives zero gain: the exactly known row stays put.
+        np.testing.assert_array_equal(batched.mean[7], states[7].mean)
+
+    def test_init_over_many_boxes(self):
+        boxes = [BBox(3, 4, 17, 31), BBox(100, 50, 40, 90)]
+        observed = np.array([b.center() for b in boxes])
+        heights = np.array([b.h for b in boxes])
+        batched = kalman.init(observed, heights)
+        assert_rows_match(batched, [kalman.init_motion(b) for b in boxes])

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hamtrack.core import BBox, Detection, TrackerConfig
+from hamtrack.core import TrackerConfig
 from hamtrack.sadf import (SadfState, adaptive_cutoff, all_moments, normal_cdf,
-                           observe_frame, filter_detections, solve_tau_sa,
-                           threshold)
-
-
-def det(conf, frame=1):
-    return Detection(frame=frame, bbox=BBox(0, 0, 10, 10), confidence=conf)
+                           observe_frame, solve_tau_sa, threshold)
 
 
 def observe_stream(frames):
@@ -151,22 +146,6 @@ class TestThreshold:
         state = observe_stream([[40.0, 42.0]] + [[]] * 10)
         assert state.recent_values() == []
         assert adaptive_cutoff(state, cfg) is not None
-
-
-class TestFilterDetections:
-    def test_very_low_threshold_keeps_all(self):
-        dets = [det(c) for c in (1.0, -5.0, 100.0)]
-        assert filter_detections(dets, -1e18) == dets
-
-    def test_all_below_threshold(self):
-        assert filter_detections([det(1.0), det(2.0)], 50.0) == []
-
-    def test_keeps_at_threshold_and_preserves_order(self):
-        dets = [det(10.0), det(27.0), det(30.0)]
-        kept = filter_detections(dets, 27.47)
-        assert [d.confidence for d in kept] == [30.0]
-        kept2 = filter_detections(dets, 27.0)
-        assert [d.confidence for d in kept2] == [27.0, 30.0]
 
 
 class TestConvergence:

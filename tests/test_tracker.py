@@ -57,6 +57,18 @@ class TestStepBasics:
         with pytest.raises(ValueError, match="frame"):
             tracker.step(1, [det(2, 50.0)])
 
+    def test_const_filter_keeps_at_threshold_and_preserves_order(self):
+        dets = [det(1, x, conf=c) for x, c in ((50.0, 10.0), (200.0, 27.0), (350.0, 30.0))]
+        for tau, kept in ((-1e18, [50.0, 200.0, 350.0]), (27.0, [200.0, 350.0]),
+                          (27.47, [350.0]), (50.0, [])):
+            cfg = TrackerConfig(filter_mode="const", tau_const=tau)
+            out = Tracker(cfg, use_appearance=False).step(1, dets)
+            assert out.diagnostics.tau_t == tau
+            assert out.diagnostics.n_kept == out.diagnostics.births == len(kept)
+            # ids follow the kept detections' order
+            assert [tid for tid, _ in out.tracks] == list(range(1, len(kept) + 1))
+            assert [box.x for _, box in out.tracks] == kept
+
     def test_missing_descriptor_source_rejected(self):
         tracker = Tracker(NO_FILTER, use_appearance=True)
         with pytest.raises(ValueError, match="descriptor"):
@@ -80,7 +92,7 @@ class TestLifecycle:
         tracker = Tracker(NO_FILTER, use_appearance=False)
         for f in range(1, 8):
             tracker.step(f, dets.get(f, []))
-        assert tracker.tracks == []
+        assert len(tracker.table.ids) == 0
 
     def test_confirmed_track_survives_max_age_misses(self):
         cfg = dataclasses.replace(NO_FILTER, max_age=5)
@@ -90,9 +102,9 @@ class TestLifecycle:
             tracker.step(f, dets[f])
         for f in range(11, 16):  # 5 misses: still alive
             tracker.step(f, [])
-            assert len(tracker.tracks) == 1
+            assert len(tracker.table.ids) == 1
         tracker.step(16, [])  # 6th miss exceeds max_age
-        assert tracker.tracks == []
+        assert len(tracker.table.ids) == 0
 
     def test_track_rematches_within_max_age_keeping_id(self):
         frames = [f for f in range(1, 30) if f not in (12, 13, 14)]
@@ -110,7 +122,9 @@ class TestLifecycle:
             dets = [det(f, float(rng.uniform(0, 600)), float(rng.uniform(0, 400)))
                     for _ in range(rng.integers(0, 4))]
             tracker.step(f, dets)
-            seen.extend(t.id for t in tracker.tracks)
+            seen.extend(tracker.table.ids.tolist())
+            table = tracker.table  # every column keeps one row per track
+            assert {len(col) for col in vars(table).values()} == {len(table.ids)}
         # every id maps to exactly one birth
         assert len(set(seen)) == max(seen)
 
@@ -148,12 +162,12 @@ class TestAppearanceIntegration:
         tracker = Tracker(NO_FILTER)
         for f in range(1, 6):
             tracker.step(f, dets[f])
-        track = tracker.tracks[0]
-        before_recent = track.appearance.recent
-        before_hist = track.appearance.history
-        before_conf = track.appearance.recent_conf
+        memory = tracker.table.memories[0]
+        before_recent = memory.recent
+        before_hist = memory.history
+        before_conf = memory.recent_conf
         tracker.step(6, [])
-        after = tracker.tracks[0].appearance
+        after = tracker.table.memories[0]
         assert after.recent is before_recent
         assert after.history == before_hist
         assert after.recent_conf == pytest.approx(before_conf * 0.9)
@@ -162,9 +176,9 @@ class TestAppearanceIntegration:
         a, _ = self.descriptors()
         tracker = Tracker(NO_FILTER)
         tracker.step(1, [det(1, 50.0, descriptor=a)])
-        assert tracker.tracks[0].appearance.recent_conf == 1.0
+        assert tracker.table.memories[0].recent_conf == 1.0
         tracker.step(2, [det(2, 54.0, descriptor=a)])
-        conf = tracker.tracks[0].appearance.recent_conf
+        conf = tracker.table.memories[0].recent_conf
         assert 0.9 < conf <= 1.0  # perfect appearance, near-perfect shape/motion
 
     def test_history_grows_only_above_tau_conf(self):
@@ -172,10 +186,9 @@ class TestAppearanceIntegration:
         tracker = Tracker(NO_FILTER)
         tracker.step(1, [det(1, 50.0, descriptor=a)])
         tracker.step(2, [det(2, 54.0, descriptor=b)])  # orthogonal: affinity ~0.5
-        track = tracker.tracks[0]
-        assert track.appearance.history == ()
+        assert tracker.table.memories[0].history == ()
         tracker.step(3, [det(3, 58.0, descriptor=b)])  # matches recent now
-        assert len(tracker.tracks[0].appearance.history) == 1
+        assert len(tracker.table.memories[0].history) == 1
 
 
 class TestDeterminismAndEquivalence:
