@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hamtrack.core import TrackerConfig
+from hamtrack.core import BBox, Detection, TrackerConfig
 from hamtrack.sadf import (SadfState, adaptive_cutoff, all_moments, normal_cdf,
                            observe_frame, solve_tau_sa, threshold)
+from hamtrack.tracker import Tracker
 
 
 def observe_stream(frames):
@@ -146,6 +147,32 @@ class TestThreshold:
         state = observe_stream([[40.0, 42.0]] + [[]] * 10)
         assert state.recent_values() == []
         assert adaptive_cutoff(state, cfg) is not None
+
+
+def const_filter(confs, tau):
+    """Confidences the tracker's constant filter keeps from one frame, in track-id order."""
+    dets = [Detection(frame=1, bbox=BBox(50.0 + 150.0 * k, 100.0, 30.0, 60.0), confidence=c)
+            for k, c in enumerate(confs)]
+    out = Tracker(TrackerConfig(filter_mode="const", tau_const=tau),
+                  use_appearance=False).step(1, dets)
+    assert out.diagnostics.tau_t == tau
+    assert out.diagnostics.n_kept == out.diagnostics.births == len(out.tracks)
+    # every kept detection is born, and ids follow the kept detections' order
+    assert [tid for tid, _ in out.tracks] == list(range(1, len(out.tracks) + 1))
+    by_x = {d.bbox.x: d.confidence for d in dets}
+    return [by_x[box.x] for _, box in out.tracks]
+
+
+class TestFilterDetections:
+    def test_very_low_threshold_keeps_all(self):
+        assert const_filter([1.0, -5.0, 100.0], -1e18) == [1.0, -5.0, 100.0]
+
+    def test_all_below_threshold(self):
+        assert const_filter([1.0, 2.0], 50.0) == []
+
+    def test_keeps_at_threshold_and_preserves_order(self):
+        assert const_filter([10.0, 27.0, 30.0], 27.47) == [30.0]
+        assert const_filter([10.0, 27.0, 30.0], 27.0) == [27.0, 30.0]
 
 
 class TestConvergence:

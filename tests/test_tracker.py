@@ -57,18 +57,6 @@ class TestStepBasics:
         with pytest.raises(ValueError, match="frame"):
             tracker.step(1, [det(2, 50.0)])
 
-    def test_const_filter_keeps_at_threshold_and_preserves_order(self):
-        dets = [det(1, x, conf=c) for x, c in ((50.0, 10.0), (200.0, 27.0), (350.0, 30.0))]
-        for tau, kept in ((-1e18, [50.0, 200.0, 350.0]), (27.0, [200.0, 350.0]),
-                          (27.47, [350.0]), (50.0, [])):
-            cfg = TrackerConfig(filter_mode="const", tau_const=tau)
-            out = Tracker(cfg, use_appearance=False).step(1, dets)
-            assert out.diagnostics.tau_t == tau
-            assert out.diagnostics.n_kept == out.diagnostics.births == len(kept)
-            # ids follow the kept detections' order
-            assert [tid for tid, _ in out.tracks] == list(range(1, len(kept) + 1))
-            assert [box.x for _, box in out.tracks] == kept
-
     def test_missing_descriptor_source_rejected(self):
         tracker = Tracker(NO_FILTER, use_appearance=True)
         with pytest.raises(ValueError, match="descriptor"):
