@@ -7,10 +7,10 @@ from .appearance import (AppearanceMemory, HistoryEntry, baseline_appearance,
                          update_histogram)
 from .core import (AppearanceDescriptor, BBox, Detection, TrackerConfig,
                    config_from_mapping, parse_kv_text, validate_config)
-from .metrics import EvalReport, clear_mot, evaluate, idf1, iou
+from .metrics import EvalReport, clear_mot, evaluate, idf1
 from .synthgen import (ConfidenceRegime, GeneratedScenario, ObjectSpec,
                        OcclusionEvent, ScenarioSpec, generate, parse_scenario,
-                       regime_stats, validate_scenario)
+                       validate_scenario)
 from .tracker import FrameResult, Tracker, run_sequence
 
 __all__ = [
@@ -19,8 +19,8 @@ __all__ = [
     "HistoryEntry", "ObjectSpec", "OcclusionEvent", "ScenarioSpec",
     "Tracker", "TrackerConfig", "baseline_appearance", "clear_mot",
     "config_from_mapping", "evaluate", "generate", "ham", "history_weights",
-    "idf1", "iou", "maybe_store_history", "parse_kv_text", "parse_scenario",
-    "regime_stats", "run_sequence", "score_descriptors", "score_embedding",
+    "idf1", "maybe_store_history", "parse_kv_text", "parse_scenario",
+    "run_sequence", "score_descriptors", "score_embedding",
     "score_histogram", "update_histogram", "validate_config",
     "validate_scenario",
 ]

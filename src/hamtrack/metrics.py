@@ -8,7 +8,6 @@ between a ground-truth object's consecutive matches (IDSw). IDF1 instead
 matches whole trajectories, scoring identity consistency.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -38,14 +37,25 @@ class EvalReport:
                 f"{self.fp},{self.fn},{self.gt_total}")
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection area over union area."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.w * a.h + b.w * b.h - inter)
+def _columns(boxes: Sequence[BBox]) -> np.ndarray:
+    """x, y, w and h of the boxes as four rows."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes]).reshape(-1, 4).T
+
+
+def iou_matrix(a_boxes: Sequence[BBox], b_boxes: Sequence[BBox]) -> np.ndarray:
+    """Intersection area over union area of every pair: (len(a_boxes), len(b_boxes)).
+
+    Pairs that do not overlap, edges touching included, score 0. Overlapping
+    boxes whose areas overflow a double score NaN, which passes no threshold.
+    """
+    ax, ay, aw, ah = _columns(a_boxes)[:, :, None]
+    bx, by, bw, bh = _columns(b_boxes)[:, None, :]
+    with np.errstate(all="ignore"):
+        ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = ix * iy
+        ious = inter / (aw * ah + bw * bh - inter)
+    return np.where((ix <= 0) | (iy <= 0), 0.0, ious)
 
 
 @dataclass(frozen=True)
@@ -67,31 +77,22 @@ def clear_mot(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
         gts = list(gt_by_frame.get(frame, ()))
         hyps = list(hyp_by_frame.get(frame, ()))
         gt_total += len(gts)
-        hyp_index: dict[int, int] = {}
-        for k, (hid, _) in enumerate(hyps):
-            hyp_index.setdefault(hid, k)
+        ious = iou_matrix([box for _, box in gts], [box for _, box in hyps])
+        # The first row of each hypothesis id.
+        hyp_index = {hid: k for k, (hid, _) in reversed(list(enumerate(hyps)))}
         pairs: list[tuple[int, int]] = []
         used_h: set[int] = set()
-        matched_g: set[int] = set()
         # Keep last frame's pairing wherever it still overlaps enough.
-        for g, (gid, gbox) in enumerate(gts):
-            hid = last_match.get(gid)
-            if hid is None or hid not in hyp_index:
-                continue
-            k = hyp_index[hid]
-            if k not in used_h and iou(gbox, hyps[k][1]) >= iou_threshold:
+        for g, (gid, _) in enumerate(gts):
+            k = hyp_index.get(last_match.get(gid))
+            if k is not None and k not in used_h and ious[g, k] >= iou_threshold:
                 pairs.append((g, k))
                 used_h.add(k)
-                matched_g.add(g)
-        rest_g = [g for g in range(len(gts)) if g not in matched_g]
-        rest_h = [k for k in range(len(hyps)) if k not in used_h]
+        rest_g = sorted(set(range(len(gts))) - {g for g, _ in pairs})
+        rest_h = sorted(set(range(len(hyps))) - used_h)
         if rest_g and rest_h:
-            grid = np.zeros((len(rest_g), len(rest_h)))
-            for a, g in enumerate(rest_g):
-                for b, k in enumerate(rest_h):
-                    v = iou(gts[g][1], hyps[k][1])
-                    if v >= iou_threshold:
-                        grid[a, b] = v
+            sub = ious[np.ix_(rest_g, rest_h)]
+            grid = np.where(sub >= iou_threshold, sub, 0.0)
             for a, b in hungarian_max(grid):
                 if grid[a, b] >= iou_threshold:
                     pairs.append((rest_g[a], rest_h[b]))
@@ -126,31 +127,21 @@ def idf1(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
     the total number of overlapping frames (IoU at or above the threshold) is
     maximal; those frames are the identity true positives.
     """
-    gt_traj: dict[int, dict[int, BBox]] = defaultdict(dict)
-    hyp_traj: dict[int, dict[int, BBox]] = defaultdict(dict)
-    for frame, items in gt_by_frame.items():
-        for gid, box in items:
-            gt_traj[gid][frame] = box
-    for frame, items in hyp_by_frame.items():
-        for hid, box in items:
-            hyp_traj[hid][frame] = box
-    gt_ids = sorted(gt_traj)
-    hyp_ids = sorted(hyp_traj)
-    gt_frames = sum(len(t) for t in gt_traj.values())
-    hyp_frames = sum(len(t) for t in hyp_traj.values())
+    # id -> box per frame; a repeated id keeps its last box.
+    gt_frames = {frame: dict(items) for frame, items in gt_by_frame.items()}
+    hyp_frames = {frame: dict(items) for frame, items in hyp_by_frame.items()}
+    gt_row = {gid: a for a, gid in enumerate(sorted(set().union(*gt_frames.values())))}
+    hyp_col = {hid: b for b, hid in enumerate(sorted(set().union(*hyp_frames.values())))}
     idtp = 0
-    if gt_ids and hyp_ids:
-        overlap = np.zeros((len(gt_ids), len(hyp_ids)))
-        for a, gid in enumerate(gt_ids):
-            traj = gt_traj[gid]
-            for b, hid in enumerate(hyp_ids):
-                other = hyp_traj[hid]
-                common = traj.keys() & other.keys()
-                overlap[a, b] = sum(
-                    1 for f in common if iou(traj[f], other[f]) >= iou_threshold)
+    if gt_row and hyp_col:
+        overlap = np.zeros((len(gt_row), len(hyp_col)))
+        for frame in gt_frames.keys() & hyp_frames.keys():
+            gts, hyps = gt_frames[frame], hyp_frames[frame]
+            overlap[np.ix_([gt_row[i] for i in gts], [hyp_col[i] for i in hyps])] += (
+                iou_matrix(list(gts.values()), list(hyps.values())) >= iou_threshold)
         idtp = int(sum(overlap[a, b] for a, b in hungarian_max(overlap)))
-    idfp = hyp_frames - idtp
-    idfn = gt_frames - idtp
+    idfp = sum(map(len, hyp_frames.values())) - idtp
+    idfn = sum(map(len, gt_frames.values())) - idtp
     denom = 2 * idtp + idfp + idfn
     score = (2 * idtp / denom) if denom else 1.0
     return IdentityScores(idtp=idtp, idfp=idfp, idfn=idfn, idf1=score)

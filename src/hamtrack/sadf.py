@@ -139,15 +139,16 @@ def adaptive_cutoff(state: SadfState, cfg: TrackerConfig) -> Optional[float]:
     return solve_tau_sa(mu10, sd10, mu_all, sd_all, cfg.beta, cfg.p_d)
 
 
-def threshold(state: SadfState, cfg: TrackerConfig) -> float:
+def threshold(state: SadfState, cfg: TrackerConfig, tau_sa: Optional[float] = None) -> float:
     """Blend of the adaptive and constant cutoffs: (1 - rho^t)*tau_sa + rho^t*tau_const.
 
-    Until any confidence has been observed there is nothing to adapt to and
-    the constant applies alone.
+    ``tau_sa`` is ``adaptive_cutoff(state, cfg)``, computed here unless the
+    caller already has it. Until any confidence has been observed there is
+    nothing to adapt to and the constant applies alone.
     """
-    tau_sa = adaptive_cutoff(state, cfg)
-    if tau_sa is None:
+    if state.all_count == 0:
         return cfg.tau_const
+    if tau_sa is None:
+        tau_sa = adaptive_cutoff(state, cfg)
     w = cfg.rho ** state.t
     return (1.0 - w) * tau_sa + w * cfg.tau_const
-

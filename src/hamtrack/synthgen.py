@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BBox, parse_kv_text
-from .metrics import iou
+from .metrics import iou_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -289,24 +289,25 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
         if spec.merge_prob > 0 and len(visible) > 1:
             merged_away: set[int] = set()
             merged: list[tuple[BBox, float, np.ndarray]] = []
-            for a in range(len(visible)):
-                for b in range(a + 1, len(visible)):
-                    if iou(visible[a][1], visible[b][1]) <= 0:
-                        continue
-                    u = rng.uniform()
-                    if u >= spec.merge_prob or a in merged_away or b in merged_away:
-                        continue
-                    merged_away.update((a, b))
-                    ba, ca, va = entries[a]
-                    bb, cb, vb = entries[b]
-                    x0 = min(ba.x, bb.x)
-                    y0 = min(ba.y, bb.y)
-                    x1 = max(ba.x + ba.w, bb.x + bb.w)
-                    y1 = max(ba.y + ba.h, bb.y + bb.h)
-                    blend = (va + vb) / 2.0
-                    blend = blend / float(np.linalg.norm(blend))
-                    merged.append((BBox(x0, y0, x1 - x0, y1 - y0), (ca + cb) / 2.0, blend))
-                    out.n_merges += 1
+            boxes = [box for _, box in visible]
+            # Overlapping pairs a < b, in row-major order. A NaN IoU (areas
+            # overflowing a double) counts as overlap: only <= 0 rules a pair out.
+            overlapping = np.triu(~(iou_matrix(boxes, boxes) <= 0), k=1)
+            for a, b in np.argwhere(overlapping).tolist():
+                u = rng.uniform()
+                if u >= spec.merge_prob or a in merged_away or b in merged_away:
+                    continue
+                merged_away.update((a, b))
+                ba, ca, va = entries[a]
+                bb, cb, vb = entries[b]
+                x0 = min(ba.x, bb.x)
+                y0 = min(ba.y, bb.y)
+                x1 = max(ba.x + ba.w, bb.x + bb.w)
+                y1 = max(ba.y + ba.h, bb.y + bb.h)
+                blend = (va + vb) / 2.0
+                blend = blend / float(np.linalg.norm(blend))
+                merged.append((BBox(x0, y0, x1 - x0, y1 - y0), (ca + cb) / 2.0, blend))
+                out.n_merges += 1
             entries = [e for k, e in enumerate(entries) if k not in merged_away] + merged
 
         if spec.fragment_prob > 0:
@@ -345,16 +346,6 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
             out.frames[frame] = img
 
     return out
-
-
-def regime_stats(det_rows, first_frame: int, last_frame: int) -> tuple[float, float]:
-    """Mean and population std of detection confidences in [first, last]."""
-    confs = [conf for frame, _, _, conf in det_rows if first_frame <= frame <= last_frame]
-    if not confs:
-        raise ValueError(f"no detections in frames [{first_frame}, {last_frame}]")
-    mean = sum(confs) / len(confs)
-    var = sum((c - mean) ** 2 for c in confs) / len(confs)
-    return mean, math.sqrt(max(var, 0.0))
 
 
 _SCALAR_FIELDS = {

@@ -9,6 +9,7 @@ boxes. Processing is strictly sequential per sequence; independent sequences
 can run in parallel with separate ``Tracker`` instances.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -26,6 +27,17 @@ MOTION, SHAPE = 0, 1
 
 # frame, ordinal within the frame's raw detections -> descriptor
 DescriptorSource = Callable[[int, int], AppearanceDescriptor]
+
+
+@contextmanager
+def _kalman_arithmetic(frame: int):
+    """Raise a ValueError naming the frame where Kalman arithmetic overflows or goes invalid."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"frame {frame}: Kalman state overflows ({exc}); boxes or "
+                         f"noise settings are too large to track") from None
 
 
 def _observed_pairs(boxes: Sequence[BBox]) -> np.ndarray:
@@ -149,7 +161,7 @@ class Tracker:
             self.sadf_state = sadf.observe_frame(
                 self.sadf_state, (d.confidence for d in detections), self.sadf_state.t + 1)
             tau_sa = sadf.adaptive_cutoff(self.sadf_state, cfg)
-            tau_t = sadf.threshold(self.sadf_state, cfg)
+            tau_t = sadf.threshold(self.sadf_state, cfg, tau_sa)
         kept = [k for k, d in enumerate(detections) if d.confidence >= tau_t]
         return kept, tau_sa, tau_t
 
@@ -172,8 +184,9 @@ class Tracker:
                            for j, det in enumerate(survivors)]
 
         table = self.table
-        process_std = cfg.process_noise * kalman.clamped_wh(table.filters)[:, SHAPE, 1:]
-        table.mean, table.cov = kalman.predict(table.filters, process_std)
+        with _kalman_arithmetic(frame):
+            process_std = cfg.process_noise * kalman.clamped_wh(table.filters)[:, SHAPE, 1:]
+            table.mean, table.cov = kalman.predict(table.filters, process_std)
 
         boxes = [d.bbox for d in survivors]
         pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
@@ -187,8 +200,9 @@ class Tracker:
 
         rows = [ti for ti, _, _ in assignment.matches]
         z = _observed_pairs([boxes[dj] for _, dj, _ in assignment.matches])
-        table.mean[rows], table.cov[rows] = kalman.update(
-            table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
+        with _kalman_arithmetic(frame):
+            table.mean[rows], table.cov[rows] = kalman.update(
+                table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
         for ti, dj, affinity in assignment.matches:
             table.last_boxes[ti] = boxes[dj]
             if self.use_appearance:
@@ -207,8 +221,10 @@ class Tracker:
         dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
 
         new = assignment.unmatched_detections
-        table = table.select(~dead).append(TrackTable.born(
-            self._next_id, [boxes[dj] for dj in new], [descriptors[dj] for dj in new], cfg))
+        with _kalman_arithmetic(frame):
+            born = TrackTable.born(self._next_id, [boxes[dj] for dj in new],
+                                   [descriptors[dj] for dj in new], cfg)
+        table = table.select(~dead).append(born)
         self._next_id += len(new)
         self.table = table
 

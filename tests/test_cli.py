@@ -36,6 +36,21 @@ object.1.waypoints = 1:60,300; 30:400,300
     return out_dir
 
 
+def cli_process(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so stderr holds exactly what a user would see."""
+    src = str(Path(hamtrack.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "hamtrack.cli", *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def assert_clean_error(proc: subprocess.CompletedProcess, code: int) -> None:
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 class TestGenerate:
     def test_outputs_exist(self, scenario_dir):
         for name in ("gt.txt", "det.txt", "embeddings.csv"):
@@ -110,16 +125,33 @@ class TestTrack:
     def test_untrackably_large_box_exits_1_without_traceback(self, tmp_path):
         det = tmp_path / "det.txt"
         det.write_text("1,-1,0,0,1e160,1e160,50,-1,-1,-1\n")
-        src = str(Path(hamtrack.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "hamtrack.cli", "track", "--det", str(det),
-             "--out", str(tmp_path / "res.txt")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
+        proc = cli_process("track", "--det", str(det), "--out", str(tmp_path / "res.txt"))
+        assert_clean_error(proc, 1)
         assert "line 1" in proc.stderr
-        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("setting", ["measurement_noise=1e200", "process_noise=1e200"])
+    def test_overflowing_noise_exits_1_without_warnings(self, tmp_path, setting):
+        bundle = resources.files("hamtrack") / "scenarios" / "occlusion.scn"
+        occ = tmp_path / "occ"
+        assert main(["generate", "--spec", str(bundle), "--out", str(occ)]) == 0
+        proc = cli_process("track", "--det", str(occ / "det.txt"),
+                           "--embeddings", str(occ / "embeddings.csv"),
+                           "--set", setting, "--out", str(tmp_path / "res.txt"))
+        assert_clean_error(proc, 1)
+        assert "Kalman state overflows" in proc.stderr
+        assert not (tmp_path / "res.txt").exists()
+
+    def test_kalman_overflow_on_huge_boxes_exits_1_without_warnings(self, tmp_path):
+        # 1e153 boxes pass the det-file check, but their predicted covariance
+        # overflows once their velocity prior is added to the position term.
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{f},-1,{f * 1e152!r},0,1e153,1e153,50,-1,-1,-1\n"
+                               for f in range(1, 30) if f % 7))
+        proc = cli_process("track", "--det", str(det), "--filter", "none",
+                           "--out", str(tmp_path / "res.txt"))
+        assert_clean_error(proc, 1)
+        assert proc.stderr.startswith("error: frame 2: Kalman state overflows")
+        assert not (tmp_path / "res.txt").exists()
 
     def test_bad_set_value_is_config_error(self, scenario_dir, capsys):
         rc, _ = self.run_track(scenario_dir, "--set", "beta=1.5")

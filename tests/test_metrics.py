@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hamtrack.core import BBox
-from hamtrack.metrics import clear_mot, evaluate, idf1, iou
+from hamtrack.metrics import clear_mot, evaluate, idf1, iou_matrix
 
 
 def box(x=0.0, y=0.0, w=10.0, h=10.0):
@@ -22,6 +24,20 @@ def merge(*frame_dicts):
     return out
 
 
+def scalar_iou(a: BBox, b: BBox) -> float:
+    """Reference IoU of one pair, in the operation order iou_matrix must match."""
+    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.w * a.h + b.w * b.h - inter)
+
+
+def iou(a: BBox, b: BBox) -> float:
+    return float(iou_matrix([a], [b])[0, 0])
+
+
 class TestIou:
     def test_identical(self):
         assert iou(box(), box()) == pytest.approx(1.0)
@@ -35,6 +51,47 @@ class TestIou:
 
     def test_touching_edges(self):
         assert iou(box(0, 0, 10, 10), box(10, 0, 10, 10)) == 0.0
+
+    @pytest.mark.parametrize("n_a, n_b", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side(self, n_a, n_b):
+        out = iou_matrix([box()] * n_a, [box()] * n_b)
+        assert out.shape == (n_a, n_b)
+
+    def test_matches_scalar_reference_exactly(self):
+        # Coordinates on a coarse grid make touching edges, shared edges and
+        # containment common; the fractional part makes general overlaps.
+        rng = np.random.default_rng(17)
+
+        def boxes(n):
+            out = []
+            for _ in range(n):
+                x, y = rng.integers(0, 6, 2) + rng.choice([0.0, 0.5, rng.random()])
+                w, h = rng.integers(1, 5, 2) + rng.choice([0.0, 0.25, rng.random()])
+                out.append(box(x, y, w, h))
+            return out
+
+        kinds = {"touch": 0, "contain": 0, "disjoint": 0, "empty": 0}
+        for _ in range(600):
+            a, b = boxes(rng.integers(0, 6)), boxes(rng.integers(0, 6))
+            out = iou_matrix(a, b)
+            assert out.shape == (len(a), len(b))
+            kinds["empty"] += not (a and b)
+            for i, p in enumerate(a):
+                for j, q in enumerate(b):
+                    ref = scalar_iou(p, q)
+                    assert out[i, j] == ref, (p, q)
+                    touch = p.x + p.w == q.x or q.x + q.w == p.x
+                    kinds["touch"] += touch
+                    kinds["disjoint"] += ref == 0.0 and not touch
+                    kinds["contain"] += (p.x <= q.x and p.y <= q.y and q.x + q.w <= p.x + p.w
+                                         and q.y + q.h <= p.y + p.h and p != q)
+        assert min(kinds.values()) > 20, kinds
+
+    def test_overflowing_areas_score_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = iou_matrix([box(0, 0, 1e200, 1e200)], [box(1e199, 0, 1e200, 1e200)])
+        assert np.isnan(out[0, 0])
 
 
 class TestClearMot:
@@ -106,6 +163,24 @@ class TestClearMot:
         out = clear_mot(gt, relabeled, 0.5)
         assert (out.fp, out.fn, out.idsw) == (base.fp, base.fn, base.idsw)
 
+    def test_repeated_id_in_a_frame_counts_every_row(self):
+        # gt id 1 twice in frame 1: both rows are ground truth and match in
+        # row order, so id 1 goes 5 -> 6 (a switch). In frame 2 hyp id 5 is
+        # there twice: gt 1 takes its first row back (a switch), the other
+        # row is an FP.
+        gt = {1: [(1, box(0, 0)), (1, box(50, 0))], 2: [(1, box(0, 0))]}
+        hyp = {1: [(5, box(0, 0)), (6, box(50, 0))], 2: [(5, box(0, 0)), (5, box(1, 0))]}
+        out = clear_mot(gt, hyp, 0.5)
+        assert (out.gt_total, out.fp, out.fn, out.idsw) == (3, 1, 0, 2)
+
+    def test_repeated_hypothesis_id_continues_on_its_first_row(self):
+        # In frame 2, gt 1 keeps hyp 5 through 5's first row (IoU 2/3),
+        # which leaves gt 2 only the second row, below the threshold.
+        gt = {1: [(1, box(0))], 2: [(1, box(0)), (2, box(6))]}
+        hyp = {1: [(5, box(0))], 2: [(5, box(2)), (5, box(0))]}
+        out = clear_mot(gt, hyp, 0.3)
+        assert (out.gt_total, out.fp, out.fn, out.idsw) == (3, 1, 1, 0)
+
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError):
             clear_mot({}, {1: [(1, box())]}, 0.5)
@@ -154,6 +229,16 @@ class TestIdf1:
         assert out.idfp == 3
 
 
+    def test_repeated_id_keeps_its_last_box(self):
+        # gt 1 is at x=0 and x=50 in frame 1, hyp 7 at x=0 and x=90 in
+        # frame 3; only the last box of each counts, so they overlap in
+        # frame 2 alone.
+        gt = {1: [(1, box(0)), (1, box(50))], 2: [(1, box(0))], 3: [(1, box(0))]}
+        hyp = {1: [(7, box(0))], 2: [(7, box(0))], 3: [(7, box(0)), (7, box(90))]}
+        out = idf1(gt, hyp, 0.5)
+        assert (out.idtp, out.idfp, out.idfn) == (1, 2, 2)
+
+
 class TestEvaluate:
     def test_report_identities(self):
         rng = np.random.default_rng(5)
@@ -180,3 +265,16 @@ class TestEvaluate:
         gt = track_frames(1, range(1, 11))
         report = evaluate(gt, gt, 0.5)
         assert report.summary_csv() == "1.000,1.000,0,0,0,10"
+
+    @pytest.mark.parametrize("threshold, fp_fn", [(0.5, (1, 1)), (0.0, (0, 0))])
+    def test_overlapping_overflowing_boxes(self, threshold, fp_fn):
+        # Areas of 1e400 overflow and the pair's IoU is NaN. It never counts
+        # for IDF1; CLEAR-MOT still pairs it at threshold 0, where every
+        # remaining pair is eligible.
+        gt = {1: [(1, box(0, 0, 1e200, 1e200))]}
+        hyp = {1: [(2, box(1e199, 0, 1e200, 1e200))]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(gt, hyp, threshold)
+        assert (report.fp, report.fn) == fp_fn
+        assert (report.idsw, report.idtp, report.idfp, report.idfn) == (0, 0, 1, 1)

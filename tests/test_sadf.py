@@ -148,6 +148,25 @@ class TestThreshold:
         assert state.recent_values() == []
         assert adaptive_cutoff(state, cfg) is not None
 
+    def test_precomputed_cutoff_gives_the_same_threshold(self):
+        cfg = TrackerConfig(tau_const=30.0)
+        state = observe_stream([[55.0, 61.0, 48.0], [52.0]])
+        tau_sa = adaptive_cutoff(state, cfg)
+        assert threshold(state, cfg, tau_sa) == threshold(state, cfg)
+        assert threshold(SadfState(), cfg, None) == 30.0
+
+    def test_tracker_solves_for_the_cutoff_once_per_frame(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hamtrack.sadf.adaptive_cutoff",
+                            lambda *args: calls.append(1) or adaptive_cutoff(*args))
+        trk = Tracker(TrackerConfig(filter_mode="sadf"), use_appearance=False)
+        for frame in range(1, 6):
+            box = BBox(10.0 * frame, 100.0, 30.0, 60.0)
+            out = trk.step(frame, [Detection(frame=frame, bbox=box, confidence=40.0 + frame)])
+            assert out.diagnostics.tau_t == threshold(
+                trk.sadf_state, trk.cfg, out.diagnostics.tau_sa)
+        assert len(calls) == 5
+
 
 def const_filter(confs, tau):
     """Confidences the tracker's constant filter keeps from one frame, in track-id order."""

@@ -4,7 +4,7 @@ import pytest
 from hamtrack.io_mot import write_embedding_file, write_mot_rows
 from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent,
                                ScenarioSpec, Xoshiro256StarStar, generate,
-                               parse_scenario, regime_stats, validate_scenario)
+                               parse_scenario, validate_scenario)
 from scenario_utils import crossing_spec, line_spec
 
 
@@ -110,21 +110,10 @@ class TestGenerate:
             regimes=(ConfidenceRegime(1, 61.7, 5.0), ConfidenceRegime(501, 21.9, 5.0)),
         )
         out = generate(spec)
-        mean1, _ = regime_stats(out.det_rows, 1, 500)
-        mean2, _ = regime_stats(out.det_rows, 501, 1000)
-        assert mean1 == pytest.approx(61.7, abs=0.5)
-        assert mean2 == pytest.approx(21.9, abs=0.5)
-
-    def test_regime_stats_constant(self):
-        out = generate(line_spec(conf_mean=45.0, conf_std=0.0))
-        mean, std = regime_stats(out.det_rows, 1, 40)
-        assert mean == pytest.approx(45.0)
-        assert std == 0.0
-
-    def test_regime_stats_empty_span(self):
-        out = generate(line_spec())
-        with pytest.raises(ValueError):
-            regime_stats(out.det_rows, 900, 999)
+        first = [conf for frame, _, _, conf in out.det_rows if frame <= 500]
+        second = [conf for frame, _, _, conf in out.det_rows if frame > 500]
+        assert np.mean(first) == pytest.approx(61.7, abs=0.5)
+        assert np.mean(second) == pytest.approx(21.9, abs=0.5)
 
     def test_frames_rendered_with_object_colors(self):
         spec = line_spec(n_frames=5)
