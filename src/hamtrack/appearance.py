@@ -80,10 +80,7 @@ def score_embedding(a: AppearanceDescriptor, b: AppearanceDescriptor) -> float:
 
 def score_descriptors(a: AppearanceDescriptor, b: AppearanceDescriptor) -> float:
     """Default scorer: dispatch on descriptor kind."""
-    _check_pair(a, b)
-    if a.kind == HISTOGRAM:
-        return score_histogram(a, b)
-    return score_embedding(a, b)
+    return score_histogram(a, b) if a.kind == HISTOGRAM else score_embedding(a, b)
 
 
 def update_histogram(prev: AppearanceDescriptor, matched: AppearanceDescriptor,

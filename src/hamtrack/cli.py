@@ -10,7 +10,6 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import TrackerConfig, config_from_mapping, parse_kv_text, validate_config
@@ -19,60 +18,44 @@ from .io_mot import (frame_image_name, histogram_from_patch, parse_det_file,
                      write_embedding_file, write_mot_rows, write_ppm,
                      write_result_file)
 from .metrics import evaluate
-from .synthgen import generate, parse_scenario, validate_scenario
+from .synthgen import generate, parse_scenario
 from .tracker import run_sequence
 
 
-class _InputError(Exception):
-    """Problem with an input/output file; exits 1."""
+class _ConfigError(ValueError):
+    """Problem with configuration or scenario values; exits 2.
 
-
-class _ConfigError(Exception):
-    """Problem with configuration or scenario values; exits 2."""
-
-
-@dataclass
-class RunManifest:
-    """Record of one tracking run: inputs, effective config, outputs, totals.
-
-    The config snapshot reflects exactly what ran (file values plus flag
-    overrides), so a run can be reproduced from its manifest alone.
+    Every other ValueError, and a RuntimeError, is an input/output problem
+    and exits 1.
     """
 
-    sequence: str
-    inputs: dict
-    appearance: str
-    config: dict
-    outputs: dict
-    duration_sec: float
-    totals: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+def _load(path: str, parse, error: type[ValueError] = ValueError):
+    """``parse`` of the text of the file at ``path``.
 
-
-def _read_text(path: str) -> str:
+    A file that cannot be read exits 1; one that cannot be decoded or parsed
+    raises ``error`` (exit 1, or 2 for ``_ConfigError``) prefixed by the path.
+    """
     try:
-        return Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _load_config(args) -> TrackerConfig:
     cfg = TrackerConfig()
     if args.config:
-        text = _read_text(args.config)
-        try:
-            cfg = config_from_mapping(parse_kv_text(text), cfg)
-        except ValueError as exc:
-            raise _ConfigError(f"{args.config}: {exc}") from None
+        cfg = _load(args.config, lambda text: config_from_mapping(parse_kv_text(text)),
+                    _ConfigError)
     for item in args.set or ():
         if "=" not in item:
             raise _ConfigError(f"--set expects key=value, got {item!r}")
@@ -97,10 +80,7 @@ def _descriptor_source(mode: str, args, dets_by_frame):
     if mode == "embed":
         if not args.embeddings:
             raise _ConfigError("--appearance embed requires --embeddings")
-        try:
-            table = parse_embedding_file(_read_text(args.embeddings))
-        except ValueError as exc:
-            raise _InputError(f"{args.embeddings}: {exc}") from None
+        table = _load(args.embeddings, parse_embedding_file)
 
         def from_table(frame: int, ordinal: int):
             try:
@@ -147,17 +127,11 @@ def cmd_track(args) -> int:
     mode = args.appearance
     if mode is None:
         mode = "embed" if args.embeddings else ("hist" if args.frames_dir else "none")
-    try:
-        dets_by_frame = parse_det_file(_read_text(args.det))
-    except ValueError as exc:
-        raise _InputError(f"{args.det}: {exc}") from None
+    dets_by_frame = _load(args.det, parse_det_file)
     source = _descriptor_source(mode, args, dets_by_frame)
     started = time.perf_counter()
-    try:
-        results = run_sequence(dets_by_frame, cfg, descriptor_source=source,
-                               use_appearance=(mode != "none"))
-    except (ValueError, RuntimeError) as exc:
-        raise _InputError(str(exc)) from None
+    results = run_sequence(dets_by_frame, cfg, descriptor_source=source,
+                           use_appearance=(mode != "none"))
     duration = time.perf_counter() - started
     _write_text(args.out, write_result_file(results))
     if args.trace:
@@ -172,59 +146,48 @@ def cmd_track(args) -> int:
         "gated_pairs": sum(fr.diagnostics.gated_pairs for fr in results),
         "appearance_evals": sum(fr.diagnostics.appearance_evals for fr in results),
     }
-    manifest = RunManifest(
-        sequence=args.name or Path(args.det).resolve().parent.name,
-        inputs={
+    # The config snapshot is what ran (file values plus flag overrides), so
+    # the run can be reproduced from its manifest alone.
+    manifest = {
+        "sequence": args.name or Path(args.det).resolve().parent.name,
+        "inputs": {
             "det": str(args.det),
             "embeddings": str(args.embeddings) if args.embeddings else None,
             "frames_dir": str(args.frames_dir) if args.frames_dir else None,
             "config": str(args.config) if args.config else None,
         },
-        appearance=mode,
-        config=dataclasses.asdict(cfg),
-        outputs={"result": str(args.out),
-                 "trace": str(args.trace) if args.trace else None},
-        duration_sec=round(duration, 6),
-        totals=totals,
-    )
+        "appearance": mode,
+        "config": dataclasses.asdict(cfg),
+        "outputs": {"result": str(args.out),
+                    "trace": str(args.trace) if args.trace else None},
+        "duration_sec": round(duration, 6),
+        "totals": totals,
+    }
     manifest_path = args.manifest or (str(args.out) + ".manifest.json")
-    _write_text(manifest_path, manifest.to_json())
+    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"tracked {totals['frames']} frames -> {args.out} "
           f"({totals['boxes']} boxes, {duration:.2f}s)", file=sys.stderr)
     return 0
 
 
 def cmd_eval(args) -> int:
-    try:
-        gt = parse_gt_file(_read_text(args.gt))
-    except ValueError as exc:
-        raise _InputError(f"{args.gt}: {exc}") from None
-    try:
-        hyp = parse_gt_file(_read_text(args.result))
-    except ValueError as exc:
-        raise _InputError(f"{args.result}: {exc}") from None
-    try:
-        report = evaluate(gt, hyp, args.iou)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    print(report.summary_csv())
+    gt = _load(args.gt, parse_gt_file)
+    hyp = _load(args.result, parse_gt_file)
+    print(evaluate(gt, hyp, args.iou).summary_csv())
     return 0
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = parse_scenario(_read_text(args.spec))
-    except ValueError as exc:
-        raise _ConfigError(f"{args.spec}: {exc}") from None
-    problems = validate_scenario(spec)
-    if problems:
-        raise _ConfigError(f"{args.spec}: " + "; ".join(problems))
-    scenario = generate(spec, with_frames=args.frames)
+    def parse_and_generate(text: str):
+        spec = parse_scenario(text)
+        return spec, generate(spec, with_frames=args.frames)
+
+    spec, scenario = _load(args.spec, parse_and_generate, _ConfigError)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _InputError(f"cannot create {out_dir}: {exc}") from None
+        raise ValueError(f"cannot create {out_dir}: {exc}") from None
     _write_text(str(out_dir / "gt.txt"), write_mot_rows(scenario.gt_rows))
     _write_text(str(out_dir / "det.txt"), write_mot_rows(scenario.det_rows))
     _write_text(str(out_dir / "embeddings.csv"),
@@ -236,7 +199,7 @@ def cmd_generate(args) -> int:
             try:
                 (frames_dir / frame_image_name(frame)).write_bytes(write_ppm(image))
             except OSError as exc:
-                raise _InputError(f"cannot write frame {frame}: {exc}") from None
+                raise ValueError(f"cannot write frame {frame}: {exc}") from None
     print(f"generated {len(scenario.gt_rows)} gt rows, {len(scenario.det_rows)} "
           f"det rows -> {out_dir}", file=sys.stderr)
     return 0
@@ -286,12 +249,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _ConfigError) else 1
 
 
 if __name__ == "__main__":

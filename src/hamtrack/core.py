@@ -22,7 +22,7 @@ VEL_PRIOR_SCALE = 10.0
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box with strictly positive size."""
+    """Axis-aligned box with strictly positive size and area."""
 
     x: float
     y: float
@@ -37,6 +37,8 @@ class BBox:
             object.__setattr__(self, name, v)
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"bbox size must be positive, got w={self.w}, h={self.h}")
+        if self.w * self.h == 0:
+            raise ValueError(f"bbox area underflows to 0: w={self.w}, h={self.h}")
 
     @property
     def cx(self) -> float:
@@ -103,7 +105,10 @@ class AppearanceDescriptor:
     def embedding(cls, values, normalize: bool = False) -> "AppearanceDescriptor":
         arr = np.asarray(values, dtype=float)
         if normalize:
-            norm = float(np.linalg.norm(arr))
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(arr))
+            if norm == math.inf and np.all(np.isfinite(arr)):
+                raise ValueError("cannot normalize: vector norm overflows a double")
             if arr.size == 0 or not math.isfinite(norm) or norm <= 0:
                 raise ValueError("cannot normalize: vector has zero or non-finite norm")
             arr = arr / norm

@@ -14,7 +14,7 @@ detection's position within its frame in the detection file.
 
 import math
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,51 +24,73 @@ HIST_BINS_PER_CHANNEL = 8
 HIST_SIZE = HIST_BINS_PER_CHANNEL ** 3
 
 
-def _split_row(line: str, lineno: int) -> list[str]:
-    parts = [p.strip() for p in line.split(",")]
-    if any(p == "" for p in parts):
-        raise ValueError(f"line {lineno}: empty field in {line!r}")
-    return parts
-
-
-def _parse_float(value: str, lineno: int, what: str) -> float:
+def _float(value: str, what: str) -> float:
     try:
         v = float(value)
     except ValueError:
-        raise ValueError(f"line {lineno}: bad {what}: {value!r}") from None
+        raise ValueError(f"bad {what}: {value!r}") from None
     if not math.isfinite(v):
-        raise ValueError(f"line {lineno}: non-finite {what}: {value!r}")
+        raise ValueError(f"non-finite {what}: {value!r}")
     return v
 
 
-def _parse_frame(value: str, lineno: int) -> int:
-    frame = int(_parse_float(value, lineno, "frame"))
+def _whole(value: str, what: str) -> int:
+    """A whole number written in any float notation: ``3``, ``3.0`` and ``3e0`` alike."""
+    v = _float(value, what)
+    if not v.is_integer():
+        raise ValueError(f"{what} is not a whole number: {value!r}")
+    return int(v)
+
+
+def _frame(value: str) -> int:
+    frame = _whole(value, "frame")
     if frame < 1:
-        raise ValueError(f"line {lineno}: frame must be >= 1, got {frame}")
+        raise ValueError(f"frame must be >= 1, got {frame}")
     return frame
+
+
+def _frame_box(parts: list[str], with_id: bool = False):
+    """``(frame, id, x, y, w, h)`` from fields 0-5; the id is None unless ``with_id``."""
+    frame = _frame(parts[0])
+    obj_id = _whole(parts[1], "id") if with_id else None
+    return (frame, obj_id, _float(parts[2], "x"), _float(parts[3], "y"),
+            _float(parts[4], "w"), _float(parts[5], "h"))
+
+
+def _read_rows(lines: Sequence[str], add_row: Callable[[list[str]], None],
+               n_fields: int, at_least: bool = False, note: str = "",
+               start: int = 1) -> None:
+    """Pass the stripped fields of every non-blank line to ``add_row``.
+
+    Lines are numbered from ``start``; a field-count mismatch, an empty field
+    or any ValueError from ``add_row`` is raised again as ``line N: ...``.
+    """
+    for lineno, raw in enumerate(lines, start):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            if "" in parts:
+                raise ValueError(f"empty field in {line!r}")
+            if len(parts) != n_fields and not (at_least and len(parts) > n_fields):
+                raise ValueError(f"expected {'at least ' if at_least else ''}{n_fields} "
+                                 f"fields{note}, got {len(parts)}")
+            add_row(parts)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse_det_file(text: str) -> dict[int, list[Detection]]:
     """Detections grouped by frame; within-frame file order is preserved."""
     grouped: dict[int, list[Detection]] = defaultdict(list)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = _split_row(line, lineno)
-        if len(parts) != 10:
-            raise ValueError(f"line {lineno}: expected 10 fields, got {len(parts)}")
-        frame = _parse_frame(parts[0], lineno)
-        x = _parse_float(parts[2], lineno, "x")
-        y = _parse_float(parts[3], lineno, "y")
-        w = _parse_float(parts[4], lineno, "w")
-        h = _parse_float(parts[5], lineno, "h")
-        conf = _parse_float(parts[6], lineno, "confidence")
-        try:
-            det = Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        grouped[frame].append(det)
+
+    def add_row(parts: list[str]) -> None:
+        frame, _, x, y, w, h = _frame_box(parts)
+        conf = _float(parts[6], "confidence")
+        grouped[frame].append(Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf))
+
+    _read_rows(text.splitlines(), add_row, 10)
     return dict(sorted(grouped.items()))
 
 
@@ -79,27 +101,13 @@ def parse_gt_file(text: str) -> dict[int, list[tuple[int, BBox]]]:
     seventh field are skipped.
     """
     grouped: dict[int, list[tuple[int, BBox]]] = defaultdict(list)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = _split_row(line, lineno)
-        if len(parts) < 7:
-            raise ValueError(f"line {lineno}: expected at least 7 fields, got {len(parts)}")
-        frame = _parse_frame(parts[0], lineno)
-        obj_id = int(_parse_float(parts[1], lineno, "id"))
-        x = _parse_float(parts[2], lineno, "x")
-        y = _parse_float(parts[3], lineno, "y")
-        w = _parse_float(parts[4], lineno, "w")
-        h = _parse_float(parts[5], lineno, "h")
-        flag = _parse_float(parts[6], lineno, "flag")
-        if flag == 0:
-            continue
-        try:
-            bbox = BBox(x, y, w, h)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        grouped[frame].append((obj_id, bbox))
+
+    def add_row(parts: list[str]) -> None:
+        frame, obj_id, x, y, w, h = _frame_box(parts, with_id=True)
+        if _float(parts[6], "flag") != 0:
+            grouped[frame].append((obj_id, BBox(x, y, w, h)))
+
+    _read_rows(text.splitlines(), add_row, 7, at_least=True)
     return dict(sorted(grouped.items()))
 
 
@@ -192,11 +200,7 @@ def frame_image_name(frame: int) -> str:
 def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescriptor]:
     """Load per-detection embeddings keyed by (frame, within-frame ordinal)."""
     lines = text.splitlines()
-    header_at = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header_at = lineno
-            break
+    header_at = next((n for n, raw in enumerate(lines, start=1) if raw.strip()), None)
     if header_at is None:
         raise ValueError("empty embedding file")
     header = lines[header_at - 1].strip()
@@ -209,27 +213,19 @@ def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescripto
     if dim < 1:
         raise ValueError(f"line {header_at}: dimension must be >= 1")
     table: dict[tuple[int, int], AppearanceDescriptor] = {}
-    for lineno, raw in enumerate(lines[header_at:], start=header_at + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = _split_row(line, lineno)
-        if len(parts) != 2 + dim:
-            raise ValueError(
-                f"line {lineno}: expected {2 + dim} fields for dim={dim}, got {len(parts)}")
-        frame = _parse_frame(parts[0], lineno)
-        ordinal = int(_parse_float(parts[1], lineno, "ordinal"))
+
+    def add_row(parts: list[str]) -> None:
+        frame = _frame(parts[0])
+        ordinal = _whole(parts[1], "ordinal")
         if ordinal < 0:
-            raise ValueError(f"line {lineno}: ordinal must be >= 0")
-        key = (frame, ordinal)
-        if key in table:
-            raise ValueError(f"line {lineno}: duplicate embedding for frame {frame}, "
-                             f"ordinal {ordinal}")
-        vec = [_parse_float(p, lineno, "component") for p in parts[2:]]
-        try:
-            table[key] = AppearanceDescriptor.embedding(vec, normalize=True)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError("ordinal must be >= 0")
+        if (frame, ordinal) in table:
+            raise ValueError(f"duplicate embedding for frame {frame}, ordinal {ordinal}")
+        vec = [_float(p, "component") for p in parts[2:]]
+        table[(frame, ordinal)] = AppearanceDescriptor.embedding(vec, normalize=True)
+
+    _read_rows(lines[header_at:], add_row, 2 + dim, note=f" for dim={dim}",
+               start=header_at + 1)
     return table
 
 

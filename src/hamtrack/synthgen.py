@@ -17,7 +17,7 @@ uniforms; the sine branch is discarded).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -148,9 +148,8 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
         errors.append("n_frames must be >= 1")
     if spec.canvas_w < 8 or spec.canvas_h < 8:
         errors.append("canvas must be at least 8x8")
-    for name in ("fp_rate",):
-        if getattr(spec, name) < 0:
-            errors.append(f"{name} must be >= 0")
+    if spec.fp_rate < 0:
+        errors.append("fp_rate must be >= 0")
     for name in ("merge_prob", "fragment_prob", "corrupt_blend"):
         if not 0.0 <= getattr(spec, name) <= 1.0:
             errors.append(f"{name} out of [0,1]")
@@ -232,10 +231,14 @@ def _corrupting_event(spec: ScenarioSpec, obj_idx: int, frame: int) -> Optional[
 
 
 def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario:
-    """Produce the scenario deterministically for the spec's seed."""
+    """Produce the scenario deterministically for the spec's seed.
+
+    An invalid spec raises a ValueError listing every problem
+    ``validate_scenario`` finds, joined by ``"; "``.
+    """
     problems = validate_scenario(spec)
     if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+        raise ValueError("; ".join(problems))
     rng = Xoshiro256StarStar(spec.seed)
     bases = [rng.unit_vector(spec.embed_dim) for _ in spec.objects]
     colors = [tuple(int(32 + rng.uniform() * 192) for _ in range(3))
@@ -348,14 +351,6 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
     return out
 
 
-_SCALAR_FIELDS = {
-    "seed": int, "n_frames": int, "canvas_w": int, "canvas_h": int,
-    "fp_rate": float, "merge_prob": float, "fragment_prob": float,
-    "jitter_std": float, "embed_dim": int, "embed_noise_std": float,
-    "corrupt_frames": int, "corrupt_blend": float,
-}
-
-
 def _parse_waypoints(raw: str, key: str) -> tuple[tuple[int, float, float], ...]:
     points = []
     for part in raw.split(";"):
@@ -376,15 +371,16 @@ def _parse_waypoints(raw: str, key: str) -> tuple[tuple[int, float, float], ...]
 def parse_scenario(text: str) -> ScenarioSpec:
     """Build a spec from `key = value` text (see the bundled .scn files)."""
     mapping = parse_kv_text(text)
+    scalar_types = {f.name: f.type for f in fields(ScenarioSpec) if f.type in (int, float)}
     scalars = {}
     groups: dict[str, dict[int, dict[str, str]]] = {"object": {}, "event": {}, "regime": {}}
     for key, raw in mapping.items():
         parts = key.split(".")
         if len(parts) == 1:
-            if key not in _SCALAR_FIELDS:
+            if key not in scalar_types:
                 raise ValueError(f"unknown scenario key: {key}")
             try:
-                scalars[key] = _SCALAR_FIELDS[key](raw)
+                scalars[key] = scalar_types[key](raw)
             except ValueError:
                 raise ValueError(f"{key}: cannot parse {raw!r}") from None
         elif len(parts) == 3 and parts[0] in groups:
@@ -397,10 +393,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         else:
             raise ValueError(f"unknown scenario key: {key}")
 
-    def take(kind: str, index: int, attrs: dict[str, str], attr: str, conv, default=None):
+    def take(kind: str, index: int, attrs: dict[str, str], attr: str, conv):
         if attr not in attrs:
-            if default is not None:
-                return default
             raise ValueError(f"{kind}.{index}.{attr} is required")
         raw = attrs[attr]
         try:

@@ -20,7 +20,7 @@ from .affinity import build_sm_matrix, fuse_appearance, gate_values
 from .appearance import (AppearanceMemory, decay_confidence, maybe_store_history,
                          score_descriptors)
 from .association import associate
-from .core import AppearanceDescriptor, BBox, Detection, TrackerConfig
+from .core import AppearanceDescriptor, BBox, Detection, TrackerConfig, validate_config
 
 # Index of each track's motion and shape filter in the table's stacked state.
 MOTION, SHAPE = 0, 1
@@ -124,13 +124,17 @@ class Tracker:
     ``descriptor_source`` supplies appearance descriptors lazily; it is only
     consulted for detections that survive filtering and that do not already
     carry a descriptor. With ``use_appearance=False`` the tracker runs on
-    shape and motion alone. The live tracks are ``table``.
+    shape and motion alone. The live tracks are ``table``. An invalid ``cfg``
+    raises a ValueError listing every problem ``validate_config`` finds.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None,
                  descriptor_source: Optional[DescriptorSource] = None,
                  use_appearance: bool = True):
         self.cfg = cfg if cfg is not None else TrackerConfig()
+        problems = validate_config(self.cfg)
+        if problems:
+            raise ValueError("invalid tracker config: " + "; ".join(problems))
         self.descriptor_source = descriptor_source
         self.use_appearance = use_appearance
         self.table = TrackTable.born(1, [], [], self.cfg)

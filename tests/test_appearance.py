@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamtrack import appearance
 from hamtrack.appearance import (AppearanceMemory, HistoryEntry,
                                  baseline_appearance, decay_confidence, ham,
                                  history_weights, maybe_store_history,
@@ -54,6 +55,18 @@ class TestScorers:
     def test_dispatch(self):
         assert score_descriptors(H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
         assert score_descriptors(E([1.0, 0.0]), E([1.0, 0.0])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("a,b", [(H([0.2, 0.8]), H([0.6, 0.4])),
+                                     (E([0.6, 0.8]), E([1.0, 0.0]))])
+    def test_dispatch_checks_the_pair_once(self, a, b, monkeypatch):
+        checks = []
+        original = appearance._check_pair
+        monkeypatch.setattr(appearance, "_check_pair",
+                            lambda *args: checks.append(args) or original(*args))
+        expected = score_histogram(a, b) if a.kind == "histogram" else score_embedding(a, b)
+        checks.clear()
+        assert score_descriptors(a, b) == expected
+        assert len(checks) == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

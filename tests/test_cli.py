@@ -1,11 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamtrack
 from hamtrack.cli import main
@@ -89,7 +95,17 @@ event.0.end = 50
 """)
         rc = main(["generate", "--spec", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "event.0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad}: event.0 span outside [1, 10]\n"
+        assert not (tmp_path / "x").exists()
+
+
+    def test_generation_failure_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "wild.scn"
+        spec.write_text("n_frames = 3\njitter_std = 1e308\nobject.0.w = 10\n"
+                        "object.0.h = 10\nobject.0.waypoints = 1:50,50; 3:60,60\n")
+        rc = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {spec}: bbox field x is not finite: -inf\n"
 
 
 class TestTrack:
@@ -152,6 +168,33 @@ class TestTrack:
         assert_clean_error(proc, 1)
         assert proc.stderr.startswith("error: frame 2: Kalman state overflows")
         assert not (tmp_path / "res.txt").exists()
+
+    def test_fractional_frame_exits_1_naming_the_line(self, tmp_path, capsys):
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,10,20,30,60,45,-1,-1,-1\n1.9,-1,10,20,30,60,45,-1,-1,-1\n")
+        rc = main(["track", "--det", str(det), "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {det}: line 2: frame is not a whole number: '1.9'\n")
+        assert not (tmp_path / "res.txt").exists()
+
+    def test_overflowing_embedding_norm_exits_1_without_warnings(self, tmp_path):
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,10,20,30,60,45,-1,-1,-1\n")
+        emb = tmp_path / "e.txt"
+        emb.write_text("dim=2\n10,40,1e308,1\n")
+        proc = cli_process("track", "--det", str(det), "--embeddings", str(emb),
+                           "--out", str(tmp_path / "res.txt"))
+        assert_clean_error(proc, 1)
+        assert proc.stderr == (f"error: {emb}: line 2: cannot normalize: "
+                               f"vector norm overflows a double\n")
+
+    def test_undecodable_config_is_config_error(self, scenario_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"xi = \xff\n")
+        rc, _ = self.run_track(scenario_dir, "--config", str(cfg))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: 'utf-8' codec can't decode")
 
     def test_bad_set_value_is_config_error(self, scenario_dir, capsys):
         rc, _ = self.run_track(scenario_dir, "--set", "beta=1.5")
@@ -229,8 +272,86 @@ class TestEval:
         assert parts[0] == "0.000"  # MOTA = 1 - FN/GT with FN == GT
         assert parts[4] == parts[5] == "60"
 
+    def test_box_area_that_underflows_exits_1(self, tmp_path, capsys):
+        gt = tmp_path / "g.txt"
+        gt.write_text("1,1,0,0,1e-170,1e-170,1,-1,-1,-1\n")
+        rc = main(["eval", "--gt", str(gt), "--result", str(gt)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {gt}: line 1: bbox area underflows to 0: "
+                                f"w=1e-170, h=1e-170\n")
+
+    def test_fractional_id_exits_1_naming_the_line(self, tmp_path, capsys):
+        gt = tmp_path / "g.txt"
+        gt.write_text("1,2.7,10,20,30,60,1,-1,-1,-1\n")
+        rc = main(["eval", "--gt", str(gt), "--result", str(gt)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt}: line 1: id is not a whole number: '2.7'\n")
+
     def test_missing_gt(self, tmp_path, capsys):
         rc = main(["eval", "--gt", str(tmp_path / "gone.txt"),
                    "--result", str(tmp_path / "alsogone.txt")])
         assert rc == 1
         assert "gone.txt" in capsys.readouterr().err
+
+
+# Field text a det, gt or embedding row may hold. Three in four are plain
+# numbers, so that whole files parse often enough to be tracked and scored;
+# the rest are whole numbers in float notation, fractions, NaN and infinities,
+# sizes whose area underflows or whose Kalman state overflows, and words.
+ODD_FIELD = st.one_of(
+    st.floats(-50.0, 400.0).map(repr),
+    st.sampled_from(["3.0", "3e0", "1.9", "2.7", "-0.5", "-0.0", "nan", "inf", "-inf",
+                     "1e-170", "1e308", "1e160", "abc", ""]))
+FIELD = st.sampled_from([1, 1, 1, 0]).flatmap(
+    lambda plain: st.integers(1, 400).map(str) if plain else ODD_FIELD)
+# Frames stay at 50 or below: `track` steps every frame from 1 up to the
+# highest one, at about 0.45 ms per empty frame, so a single row at frame
+# 200000 takes more than a minute.
+FRAME = st.sampled_from([1, 1, 1, 0]).flatmap(
+    lambda plain: st.integers(1, 50).map(str) if plain else st.sampled_from(
+        ["-1", "0", "3.0", "3e0", "1.9", "0.5", "nan", "inf", "abc", ""]))
+
+
+def text_rows(min_rest: int, max_rest: int, header: str = ""):
+    """Files of a frame field plus ``min_rest``..``max_rest`` more fields per row, with blank lines."""
+    row = st.builds(lambda frame, rest: ",".join([frame, *rest]),
+                    FRAME, st.lists(FIELD, min_size=min_rest, max_size=max_rest))
+    return st.lists(st.one_of(row, st.just("")), max_size=5).map(
+        lambda lines: header + "".join(line + "\n" for line in lines))
+
+
+def run_main(argv: list[str]) -> int:
+    """``main(argv)``, asserting the CLI contract on its exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err.getvalue()
+    if rc != 0:
+        assert err.getvalue().startswith("error: ")
+    return rc
+
+
+@given(det=text_rows(8, 10), gt=text_rows(5, 8), emb=text_rows(2, 4, header="dim=2\n"),
+       filter_mode=st.sampled_from(["sadf", "const", "none"]))
+@settings(max_examples=80, deadline=None)
+def test_generated_inputs_keep_the_exit_contract(det, gt, emb, filter_mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "det.txt").write_text(det)
+        (d / "gt.txt").write_text(gt)
+        # Every row of one.txt has an embedding unless a generated row breaks the file.
+        (d / "e.txt").write_text(emb.replace("dim=2\n", "dim=2\n1,0,1,0\n2,0,0,1\n"))
+        (d / "one.txt").write_text("1,-1,10,20,30,60,45,-1,-1,-1\n2,-1,12,20,30,60,45,-1,-1,-1\n")
+        run_main(["track", "--det", str(d / "det.txt"), "--filter", filter_mode,
+                  "--out", str(d / "res.txt")])
+        run_main(["track", "--det", str(d / "one.txt"), "--embeddings", str(d / "e.txt"),
+                  "--out", str(d / "res_e.txt")])
+        run_main(["eval", "--gt", str(d / "gt.txt"), "--result", str(d / "det.txt")])
+        run_main(["eval", "--gt", str(d / "gt.txt"), "--result", str(d / "gt.txt")])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ class TestBBox:
     def test_rejects_nonpositive_size(self, w, h):
         with pytest.raises(ValueError):
             BBox(0, 0, w, h)
+
+    @pytest.mark.parametrize("w,h", [(1e-170, 1e-170), (1e-300, 1e-30), (5e-324, 0.1)])
+    def test_rejects_area_that_underflows(self, w, h):
+        with pytest.raises(ValueError, match="bbox area underflows to 0"):
+            BBox(0, 0, w, h)
+
+    def test_tiny_area_above_zero_accepted(self):
+        box = BBox(0, 0, 1e-160, 1e-160)
+        assert box.w * box.h > 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite(self, bad):
@@ -73,6 +83,13 @@ class TestAppearanceDescriptor:
             AppearanceDescriptor.histogram([0.0, 0.0], normalize=True)
         with pytest.raises(ValueError):
             AppearanceDescriptor.embedding([0.0, 0.0], normalize=True)
+
+    @pytest.mark.parametrize("values", [[1e308, 1.0], [1e200, 1e200]])
+    def test_overflowing_norm_named_without_warnings(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="vector norm overflows a double"):
+                AppearanceDescriptor.embedding(values, normalize=True)
 
     def test_values_read_only(self):
         d = AppearanceDescriptor.histogram([0.5, 0.5])

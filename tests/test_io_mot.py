@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ class TestParseDetFile:
         with pytest.raises(ValueError, match="line 2: detection box is too large"):
             parse_det_file("1,-1,10,20,30,60,45.0,-1,-1,-1\n" + row + "\n")
 
+    @pytest.mark.parametrize("frame", ["3", "3.0", "3e0", "+3", "30e-1"])
+    def test_whole_frame_in_any_notation(self, frame):
+        assert list(parse_det_file(f"{frame},-1,10,20,30,60,45.0,-1,-1,-1\n")) == [3]
+
+    @pytest.mark.parametrize("frame", ["1.9", "0.5", "2.000001"])
+    def test_fractional_frame_reports_line(self, frame):
+        with pytest.raises(ValueError,
+                           match=rf"^line 2: frame is not a whole number: '{frame}'$"):
+            parse_det_file(f"1,-1,10,20,30,60,45.0,-1,-1,-1\n{frame},-1,1,1,5,5,1,-1,-1,-1\n")
+
+    def test_area_that_underflows_reports_line(self):
+        with pytest.raises(ValueError, match="^line 1: bbox area underflows to 0"):
+            parse_det_file("1,-1,0,0,1e-170,1e-170,1,-1,-1,-1\n")
+
     def test_large_trackable_box_accepted(self):
         out = parse_det_file("1,-1,0,0,1e150,1e150,50,-1,-1,-1\n")
         assert out[1][0].bbox.h == 1e150
@@ -73,6 +89,24 @@ class TestParseGtFile:
     def test_six_fields_rejected(self):
         with pytest.raises(ValueError, match="at least 7"):
             parse_gt_file("1,3,10,20,30,60\n")
+
+    @pytest.mark.parametrize("frame,obj_id", [("3", "2"), ("3.0", "2.0"), ("3e0", "2e0")])
+    def test_whole_frame_and_id_in_any_notation(self, frame, obj_id):
+        assert parse_gt_file(f"{frame},{obj_id},10,20,30,60,1\n") == {
+            3: [(2, BBox(10, 20, 30, 60))]}
+
+    @pytest.mark.parametrize("row,what", [("1.9,2,10,20,30,60,1", "frame '1.9'"),
+                                          ("1,2.7,10,20,30,60,1", "id '2.7'"),
+                                          ("1,-0.5,10,20,30,60,1", "id '-0.5'")])
+    def test_fractional_frame_or_id_reports_line(self, row, what):
+        name, value = what.split()
+        with pytest.raises(ValueError,
+                           match=f"^line 1: {name} is not a whole number: {value}$"):
+            parse_gt_file(row + "\n")
+
+    def test_area_that_underflows_reports_line(self):
+        with pytest.raises(ValueError, match="^line 2: bbox area underflows to 0"):
+            parse_gt_file("1,1,0,0,10,10,1\n1,1,0,0,1e-170,1e-170,1,-1,-1,-1\n")
 
 
 class TestWriteResultFile:
@@ -217,6 +251,26 @@ class TestEmbeddingFile:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_embedding_file("dim=2\n1,0,0,0\n")
+
+    @pytest.mark.parametrize("frame,ordinal", [("2.0", "1e0"), ("2e0", "1.0"), ("2", "1")])
+    def test_whole_frame_and_ordinal_in_any_notation(self, frame, ordinal):
+        assert set(parse_embedding_file(f"dim=2\n{frame},{ordinal},1,0\n")) == {(2, 1)}
+
+    @pytest.mark.parametrize("row,what", [("2.5,0,1,0", "frame '2.5'"),
+                                          ("1,0.5,1,0", "ordinal '0.5'"),
+                                          ("1,-0.5,1,0", "ordinal '-0.5'")])
+    def test_fractional_frame_or_ordinal_reports_line(self, row, what):
+        name, value = what.split()
+        with pytest.raises(ValueError,
+                           match=f"^line 3: {name} is not a whole number: {value}$"):
+            parse_embedding_file("dim=2\n\n" + row + "\n")
+
+    def test_overflowing_norm_reports_line_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^line 2: cannot normalize: vector norm "
+                                                 "overflows a double$"):
+                parse_embedding_file("dim=2\n10,40,1e308,1\n")
 
     def test_write_then_parse(self):
         text = write_embedding_file(3, [(1, 0, [1.0, 0.0, 0.0]),

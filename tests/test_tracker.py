@@ -46,6 +46,24 @@ class TestStepBasics:
             tid, box = fr.tracks[0]
             assert box == dets[fr.frame][0].bbox
 
+    @pytest.mark.parametrize("setting,problem", [
+        ({"filter_mode": "bogus"}, "filter_mode must be one of"),
+        ({"tau_asc": 2.0}, "tau_asc out of [0,1]"),
+        ({"confirm_hits": 0}, "confirm_hits must be >= 1"),
+        ({"hist_max": -1}, "hist_max must be >= 0"),
+    ])
+    def test_invalid_config_rejected(self, setting, problem):
+        with pytest.raises(ValueError, match=r"^invalid tracker config: ") as err:
+            Tracker(TrackerConfig(**setting))
+        assert problem in str(err.value)
+
+    def test_invalid_config_lists_every_problem(self):
+        cfg = TrackerConfig(tau_asc=2.0, confirm_hits=0, hist_max=-1)
+        with pytest.raises(ValueError) as err:
+            run_sequence({}, cfg, n_frames=1)
+        assert str(err.value) == ("invalid tracker config: tau_asc out of [0,1]; "
+                                  "hist_max must be >= 0; confirm_hits must be >= 1")
+
     def test_frames_must_increase(self):
         tracker = Tracker(NO_FILTER, use_appearance=False)
         tracker.step(3, [])
