@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .appearance import AppearanceMemory, Scorer, baseline_appearance, ham
+from .appearance import AppearanceMemory, Scorer, affinities
 from .core import BBox, TrackerConfig, AppearanceDescriptor
 
 
@@ -23,14 +23,11 @@ class AffinityMatrix:
     ``values`` of a fused matrix are final affinities in [0, 1] with gated-out
     cells exactly zero. The intermediate shape-motion matrix keeps raw
     products in all cells (the mask alone records the gate) so that callers
-    can verify gating changes cost, never scores. ``appearance_evals`` counts
-    pairs whose appearance was actually scored; one pair may involve several
-    descriptor comparisons when history is in play.
+    can verify gating changes cost, never scores.
     """
 
     values: np.ndarray
     gate_mask: np.ndarray
-    appearance_evals: int = 0
 
     @property
     def rows(self) -> int:
@@ -84,7 +81,7 @@ def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
 def gate_values(sm: AffinityMatrix) -> AffinityMatrix:
     """Final matrix when no appearance cue is available (appearance == 1)."""
     return AffinityMatrix(values=np.where(sm.gate_mask, sm.values, 0.0),
-                          gate_mask=sm.gate_mask.copy(), appearance_evals=0)
+                          gate_mask=sm.gate_mask.copy())
 
 
 def fuse_appearance(sm: AffinityMatrix,
@@ -93,25 +90,25 @@ def fuse_appearance(sm: AffinityMatrix,
                     scorer: Scorer, use_ham: bool = True) -> AffinityMatrix:
     """Multiply appearance affinity into every gated-in cell.
 
-    Gated-out cells become exactly zero and never invoke the scorer. A scorer
-    failure aborts the whole frame with context on the offending pair.
+    Each track row is scored against all of its gated-in detections in one
+    scorer call. Gated-out cells become exactly zero and never reach the
+    scorer. A scorer failure aborts the whole frame with context on the
+    offending track row and its detection columns.
     """
     if len(memories) != sm.rows or len(descriptors) != sm.cols:
         raise ValueError("memories/descriptors do not match matrix dimensions")
     values = np.zeros_like(sm.values)
-    evals = 0
-    for i, j in np.argwhere(sm.gate_mask):
-        memory = memories[i]
-        z = descriptors[j]
-        if memory is None:
+    for i in np.flatnonzero(sm.gate_mask.any(axis=1)):
+        cols = np.flatnonzero(sm.gate_mask[i])
+        if memories[i] is None:
             raise ValueError(f"track row {i} has no appearance memory")
-        if z is None:
-            raise ValueError(f"detection {j} has no appearance descriptor")
+        zs = [descriptors[j] for j in cols]
+        if None in zs:
+            raise ValueError(f"detection {cols[zs.index(None)]} has no appearance descriptor")
         try:
-            a = ham(memory, z, scorer) if use_ham else baseline_appearance(memory, z, scorer)
+            a = affinities(memories[i], zs, scorer, use_ham)
         except Exception as exc:
-            raise RuntimeError(f"appearance scoring failed for pair ({i}, {j}): {exc}") from exc
-        values[i, j] = sm.values[i, j] * a
-        evals += 1
-    return AffinityMatrix(values=values, gate_mask=sm.gate_mask.copy(),
-                          appearance_evals=evals)
+            raise RuntimeError(f"appearance scoring failed for track row {i}, detections "
+                               f"{cols.tolist()}: {exc}") from exc
+        values[i, cols] = sm.values[i, cols] * a
+    return AffinityMatrix(values=values, gate_mask=sm.gate_mask.copy())

@@ -11,14 +11,16 @@ box.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import EMBEDDING, HISTOGRAM, AppearanceDescriptor, TrackerConfig
 
-# Pure similarity in [0, 1]; must be symmetric and score(a, a) == 1.
-Scorer = Callable[[AppearanceDescriptor, AppearanceDescriptor], float]
+Descriptors = Sequence[AppearanceDescriptor]
+# Scores every descriptor of a against every descriptor of b: a (len(a), len(b))
+# array in [0, 1], with score(b, a) == score(a, b).T and score([x], [x]) == 1.
+Scorer = Callable[[Descriptors, Descriptors], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -53,40 +55,43 @@ class AppearanceMemory:
             raise ValueError(f"recent_conf out of [0,1]: {self.recent_conf}")
 
 
-def _check_pair(a: AppearanceDescriptor, b: AppearanceDescriptor, kind: str | None = None):
-    if a.kind != b.kind:
-        raise ValueError(f"descriptor kind mismatch: {a.kind} vs {b.kind}")
-    if kind is not None and a.kind != kind:
-        raise ValueError(f"expected {kind} descriptors, got {a.kind}")
-    if len(a) != len(b):
-        raise ValueError(f"descriptor length mismatch: {len(a)} vs {len(b)}")
+def _stacked(a: Descriptors, b: Descriptors, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``a`` and ``b`` as (len, d) arrays, after one kind and length check."""
+    kinds, lengths = {d.kind for d in (*a, *b)}, {len(d) for d in (*a, *b)}
+    if kinds - {kind} or len(lengths) > 1:
+        raise ValueError(f"descriptor kind or length mismatch: expected {kind} descriptors of "
+                         f"one length, got kinds {sorted(kinds)}, lengths {sorted(lengths)}")
+    d = max(lengths, default=0)
+    return (np.array([x.values for x in a]).reshape(len(a), d),
+            np.array([x.values for x in b]).reshape(len(b), d))
 
 
 def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def score_histogram(a: AppearanceDescriptor, b: AppearanceDescriptor) -> float:
-    """Bhattacharyya coefficient sum_k sqrt(a_k * b_k)."""
-    _check_pair(a, b, HISTOGRAM)
-    return _clamp01(float(np.sqrt(a.values * b.values).sum()))
+def score_histogram(a: Descriptors, b: Descriptors) -> np.ndarray:
+    """Bhattacharyya coefficients sum_k sqrt(a_k * b_k) of every pair."""
+    x, y = _stacked(a, b, HISTOGRAM)
+    return np.clip(np.sqrt(x[:, None] * y[None]).sum(axis=-1), 0.0, 1.0)
 
 
-def score_embedding(a: AppearanceDescriptor, b: AppearanceDescriptor) -> float:
-    """Cosine similarity of unit vectors mapped onto [0, 1]."""
-    _check_pair(a, b, EMBEDDING)
-    return _clamp01((1.0 + float(np.dot(a.values, b.values))) / 2.0)
+def score_embedding(a: Descriptors, b: Descriptors) -> np.ndarray:
+    """Cosine similarities of unit vectors mapped onto [0, 1], for every pair."""
+    x, y = _stacked(a, b, EMBEDDING)
+    # vecdot gives each pair the bits np.dot gives it; x @ y.T does not.
+    return np.clip((1.0 + np.vecdot(x[:, None], y[None])) / 2.0, 0.0, 1.0)
 
 
-def score_descriptors(a: AppearanceDescriptor, b: AppearanceDescriptor) -> float:
+def score_descriptors(a: Descriptors, b: Descriptors) -> np.ndarray:
     """Default scorer: dispatch on descriptor kind."""
-    return score_histogram(a, b) if a.kind == HISTOGRAM else score_embedding(a, b)
+    return score_histogram(a, b) if a and a[0].kind == HISTOGRAM else score_embedding(a, b)
 
 
 def update_histogram(prev: AppearanceDescriptor, matched: AppearanceDescriptor,
                      alpha: float) -> AppearanceDescriptor:
     """Blend the stored histogram toward the matched one: alpha*matched + (1-alpha)*prev."""
-    _check_pair(prev, matched, HISTOGRAM)
+    _stacked([prev], [matched], HISTOGRAM)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha out of [0,1]: {alpha}")
     mixed = alpha * matched.values + (1.0 - alpha) * prev.values
@@ -104,36 +109,30 @@ def history_weights(memory: AppearanceMemory) -> np.ndarray:
     return confs / total
 
 
-def baseline_appearance(memory: AppearanceMemory, z: AppearanceDescriptor,
-                        scorer: Scorer) -> float:
-    """Recent-appearance-only affinity, kept for ablation against ``ham``."""
-    return _clamp01(float(scorer(memory.recent, z)))
+def affinities(memory: AppearanceMemory, zs: Descriptors, scorer: Scorer,
+               use_ham: bool = True) -> np.ndarray:
+    """Historical appearance matching of each of ``zs``, in one scorer call.
+
+    c_r * score(recent, z) + (1 - c_r) * sum_n w_n * score(history_n, z), with
+    confidence-proportional history weights w_n, clipped to [0, 1]; just
+    score(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
+    """
+    c_r = memory.recent_conf
+    history = memory.history if use_ham and c_r < 1.0 else ()
+    scores = scorer([memory.recent, *(e.descriptor for e in history)], zs)
+    s = scores[0]
+    if history:
+        # Row by row in history order, as the per-pair sum adds them.
+        s_hist = 0.0
+        for w, row in zip(history_weights(memory), scores[1:]):
+            s_hist = s_hist + float(w) * row
+        s = c_r * s + (1.0 - c_r) * s_hist
+    return np.clip(s, 0.0, 1.0)
 
 
 def ham(memory: AppearanceMemory, z: AppearanceDescriptor, scorer: Scorer) -> float:
-    """Historical appearance matching.
-
-    c_r * score(recent, z) + (1 - c_r) * sum_n w_n * score(history_n, z),
-    where w_n are the confidence-proportional history weights. With an empty
-    history, or full recent confidence, this collapses to the baseline. The
-    result is a convex combination of scorer outputs, hence stays in [0, 1].
-    """
-    s_recent = baseline_appearance(memory, z, scorer)
-    c_r = memory.recent_conf
-    if not memory.history or c_r >= 1.0:
-        return s_recent
-    weights = history_weights(memory)
-    s_hist = 0.0
-    for w, entry in zip(weights, memory.history):
-        s_hist += float(w) * _clamp01(float(scorer(entry.descriptor, z)))
-    return _clamp01(c_r * s_recent + (1.0 - c_r) * s_hist)
-
-
-def alpha_for(cfg: TrackerConfig, match_affinity: float) -> float:
-    """Histogram blend weight: the match affinity itself, or a configured constant."""
-    if cfg.alpha_mode == "affinity":
-        return _clamp01(match_affinity)
-    return float(cfg.alpha_mode)
+    """Historical appearance matching of one descriptor; see ``affinities``."""
+    return float(affinities(memory, [z], scorer)[0])
 
 
 def maybe_store_history(memory: AppearanceMemory, descriptor: AppearanceDescriptor,
@@ -152,7 +151,8 @@ def maybe_store_history(memory: AppearanceMemory, descriptor: AppearanceDescript
         raise ValueError("match affinity must be finite")
     conf = _clamp01(match_affinity)
     if descriptor.kind == HISTOGRAM and memory.recent.kind == HISTOGRAM:
-        recent = update_histogram(memory.recent, descriptor, alpha_for(cfg, match_affinity))
+        alpha = conf if cfg.alpha_mode == "affinity" else float(cfg.alpha_mode)
+        recent = update_histogram(memory.recent, descriptor, alpha)
     else:
         recent = descriptor
     history = memory.history

@@ -171,6 +171,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 <= args.iou <= 1.0:
+        raise _ConfigError(f"--iou must be in [0, 1], got {args.iou}")
     gt = _load(args.gt, parse_gt_file)
     hyp = _load(args.result, parse_gt_file)
     print(evaluate(gt, hyp, args.iou).summary_csv())

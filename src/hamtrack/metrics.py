@@ -149,7 +149,9 @@ def idf1(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
 
 def evaluate(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
              iou_threshold: float = 0.5) -> EvalReport:
-    """Full report: MOTA counts plus identity scores at one IoU threshold."""
+    """Full report: MOTA counts plus identity scores at one IoU threshold in [0, 1]."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold must be in [0, 1], got {iou_threshold}")
     cm = clear_mot(gt_by_frame, hyp_by_frame, iou_threshold)
     ids = idf1(gt_by_frame, hyp_by_frame, iou_threshold)
     return EvalReport(gt_total=cm.gt_total, fp=cm.fp, fn=cm.fn, idsw=cm.idsw,

@@ -414,12 +414,11 @@ def parse_scenario(text: str) -> ScenarioSpec:
     events = []
     for index in sorted(groups["event"]):
         attrs = groups["event"][index]
-        by = attrs.get("by")
         events.append(OcclusionEvent(
             obj=take("event", index, attrs, "object", int),
             start=take("event", index, attrs, "start", int),
             end=take("event", index, attrs, "end", int),
-            by=int(by) if by is not None else None,
+            by=take("event", index, attrs, "by", int) if "by" in attrs else None,
         ))
     regimes = []
     for index in sorted(groups["regime"]):

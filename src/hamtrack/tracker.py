@@ -250,7 +250,7 @@ class Tracker:
             n_kept=len(survivors),
             total_pairs=int(sm.values.size),
             gated_pairs=int(sm.gate_mask.sum()),
-            appearance_evals=final.appearance_evals,
+            appearance_evals=int(final.gate_mask.sum()) if self.use_appearance else 0,
             tau_sa=tau_sa,
             tau_t=tau_t,
         )

@@ -1,6 +1,8 @@
-"""Shared scenario builders and pipeline glue for the test suite."""
+"""Shared scenario builders, per-pair reference scores and pipeline glue for the test suite."""
 
 from collections import defaultdict
+
+import numpy as np
 
 from hamtrack import (ConfidenceRegime, ObjectSpec, OcclusionEvent,
                       ScenarioSpec, evaluate, generate, run_sequence)
@@ -76,3 +78,20 @@ def track_scenario(spec: ScenarioSpec, cfg: TrackerConfig):
     hyp_by_frame = {fr.frame: list(fr.tracks) for fr in results}
     report = evaluate(gt_by_frame, hyp_by_frame, 0.5)
     return results, report
+
+
+def embedding_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """One pair's cosine score mapped onto [0, 1], taken with ``np.dot``."""
+    return min(1.0, max(0.0, (1.0 + float(np.dot(a, b))) / 2.0))
+
+
+def histogram_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """One pair's Bhattacharyya coefficient, clamped to [0, 1]."""
+    return min(1.0, max(0.0, float(np.sqrt(a * b).sum())))
+
+
+def sparse_histogram(rng, d: int) -> AppearanceDescriptor:
+    """A random histogram with about a third of its bins empty, as patch histograms have."""
+    bins = rng.exponential(size=d) * (rng.random(d) < 0.7)
+    bins[rng.integers(d)] += 1.0
+    return AppearanceDescriptor.histogram(bins, normalize=True)

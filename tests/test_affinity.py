@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hamtrack.affinity import (build_sm_matrix, fuse_appearance, gate_values,
+from hamtrack.affinity import (AffinityMatrix, build_sm_matrix, fuse_appearance, gate_values,
                                motion_affinity, shape_affinity)
 from hamtrack.appearance import (AppearanceMemory, HistoryEntry, ham,
-                                 score_embedding)
+                                 history_weights, score_descriptors, score_embedding)
 from hamtrack.core import AppearanceDescriptor, BBox, TrackerConfig
+from scenario_utils import embedding_reference, histogram_reference, sparse_histogram
 
 E = AppearanceDescriptor.embedding
 
@@ -120,6 +121,29 @@ class TestBuildSmMatrix:
         np.testing.assert_allclose(sm_perm.values, sm.values[np.ix_(rp, cp)])
 
 
+def constant_scorer(value, calls=None):
+    """A scorer giving ``value`` to every pair; records each call's (a, b) in ``calls``."""
+    def scorer(a, b):
+        if calls is not None:
+            calls.append((a, b))
+        return np.full((len(a), len(b)), value)
+    return scorer
+
+
+def scalar_ham(memory, z, reference, use_ham):
+    """Per-pair HAM: c_r * s(recent) + (1 - c_r) * sum_n w_n * s(history_n), clamped."""
+    def score(stored):
+        return reference(stored.values, z.values)
+
+    c_r = memory.recent_conf
+    if not use_ham or not memory.history or c_r >= 1.0:
+        return score(memory.recent)
+    s_hist = 0.0
+    for w, entry in zip(history_weights(memory), memory.history):
+        s_hist += float(w) * score(entry.descriptor)
+    return min(1.0, max(0.0, c_r * score(memory.recent) + (1.0 - c_r) * s_hist))
+
+
 class TestFuseAppearance:
     def setup_method(self):
         self.boxes = [BBox(0, 0, 30, 60), BBox(300, 300, 30, 60)]
@@ -138,19 +162,13 @@ class TestFuseAppearance:
 
     def test_all_gated_out_means_zero_matrix_and_no_scoring(self):
         calls = []
-
-        def scorer(a, b):
-            calls.append(1)
-            return 1.0
-
-        sm, fused = self.fuse(scorer=scorer, tau_asc=1.0)
+        sm, fused = self.fuse(scorer=constant_scorer(1.0, calls), tau_asc=1.0)
         assert not sm.gate_mask.any()
         assert np.all(fused.values == 0.0)
-        assert fused.appearance_evals == 0
         assert calls == []
 
     def test_unit_scorer_reproduces_sm(self):
-        sm, fused = self.fuse(scorer=lambda a, b: 1.0, tau_asc=0.0)
+        sm, fused = self.fuse(scorer=constant_scorer(1.0), tau_asc=0.0)
         mask = sm.gate_mask
         np.testing.assert_array_equal(fused.values[mask], sm.values[mask])
         np.testing.assert_array_equal(fused.values[~mask], 0.0)
@@ -161,13 +179,22 @@ class TestFuseAppearance:
         sm = build_sm_matrix([(box.cx, box.cy)], [(30.0, 60.0)], [box], cfg)
         sm.values[0, 0] = 0.5
         fused = fuse_appearance(sm, [self.memories[0]], [self.descriptors[0]],
-                                lambda a, b: 0.6)
+                                constant_scorer(0.6))
         assert fused.values[0, 0] == pytest.approx(0.30)
 
     def test_eval_count_equals_gated_pairs(self):
-        sm, fused = self.fuse()
-        assert fused.appearance_evals == int(sm.gate_mask.sum())
-        assert 0 < fused.appearance_evals < sm.values.size
+        # One scorer call per track row with a gated-in cell, against exactly
+        # that row's gated-in detections.
+        calls = []
+        sm, _ = self.fuse(scorer=constant_scorer(1.0, calls))
+        rows = np.flatnonzero(sm.gate_mask.any(axis=1))
+        assert len(calls) == len(rows)
+        for (stored, zs), i in zip(calls, rows):
+            assert stored == [self.memories[i].recent]
+            assert zs == [self.descriptors[j] for j in np.flatnonzero(sm.gate_mask[i])]
+        evals = sum(len(zs) for _, zs in calls)
+        assert evals == int(sm.gate_mask.sum())
+        assert 0 < evals < sm.values.size
 
     def test_gating_changes_cost_not_values(self):
         sm, fused = self.fuse()
@@ -184,19 +211,18 @@ class TestFuseAppearance:
         def broken(a, b):
             raise KeyError("missing feature")
 
-        with pytest.raises(RuntimeError, match=r"pair \(0, 0\)"):
+        with pytest.raises(RuntimeError, match=r"track row 0, detections \[0\]"):
             self.fuse(scorer=broken)
 
     def test_missing_descriptor_reported(self):
         cfg = TrackerConfig()
         sm = build_sm_matrix([(15.0, 30.0)], [(30.0, 60.0)], [self.boxes[0]], cfg)
-        with pytest.raises(ValueError, match="descriptor"):
-            fuse_appearance(sm, [self.memories[0]], [None], lambda a, b: 1.0)
+        with pytest.raises(ValueError, match="detection 0 has no appearance descriptor"):
+            fuse_appearance(sm, [self.memories[0]], [None], constant_scorer(1.0))
 
     def test_gate_values_route(self):
         sm, _ = self.fuse()
         gated = gate_values(sm)
-        assert gated.appearance_evals == 0
         np.testing.assert_array_equal(gated.values[sm.gate_mask],
                                       sm.values[sm.gate_mask])
         np.testing.assert_array_equal(gated.values[~sm.gate_mask], 0.0)
@@ -208,6 +234,44 @@ class TestFuseAppearance:
         _, fused_base = self.fuse(use_ham=False)
         _, fused_ham = self.fuse(use_ham=True)
         assert fused_base.values[0, 0] != pytest.approx(fused_ham.values[0, 0])
-        expected = score_embedding(self.memories[0].recent, self.descriptors[0])
-        sm, _ = self.fuse(scorer=lambda a, b: 1.0)
+        expected = score_embedding([self.memories[0].recent], [self.descriptors[0]])[0, 0]
+        sm, _ = self.fuse(scorer=constant_scorer(1.0))
         assert fused_base.values[0, 0] == pytest.approx(sm.values[0, 0] * expected)
+
+
+class TestFuseMatchesPerPairHam:
+    """fuse_appearance equals a per-pair scalar HAM bit for bit on every gated cell."""
+
+    # (history length, recent confidence) of each track row: empty histories,
+    # saturated confidence, and histories at the default 10-entry cap.
+    ROWS = [(0, 0.4), (0, 1.0), (1, 0.0), (3, 0.55), (10, 0.3), (10, 1.0), (7, 0.9)]
+
+    def memories(self, rng, make):
+        return [AppearanceMemory(
+            recent=make(), recent_conf=conf,
+            history=tuple(HistoryEntry(make(), float(rng.uniform(0.6, 1.0)), k + 1)
+                          for k in range(n_hist)))
+            for n_hist, conf in self.ROWS]
+
+    @pytest.mark.parametrize("use_ham", [True, False])
+    @pytest.mark.parametrize("kind, d", [("embedding", 128), ("embedding", 3),
+                                         ("histogram", 512), ("histogram", 5)])
+    def test_matches(self, kind, d, use_ham):
+        rng = np.random.default_rng(d + use_ham)
+        if kind == "embedding":
+            make, reference = (lambda: unit(rng.normal(size=d))), embedding_reference
+        else:
+            make, reference = (lambda: sparse_histogram(rng, d)), histogram_reference
+        memories = self.memories(rng, make)
+        descriptors = [make() for _ in range(9)]
+        descriptors[2] = memories[4].history[-1].descriptor  # a perfect match
+        values = rng.uniform(0.05, 1.0, size=(len(memories), len(descriptors)))
+        mask = rng.random(values.shape) < 0.7
+        mask[-1] = False  # a row with nothing gated in
+        sm = AffinityMatrix(values=values, gate_mask=mask)
+        fused = fuse_appearance(sm, memories, descriptors, score_descriptors, use_ham)
+        expected = np.zeros_like(values)
+        for i, j in np.argwhere(mask):
+            expected[i, j] = values[i, j] * scalar_ham(memories[i], descriptors[j],
+                                                      reference, use_ham)
+        assert np.array_equal(fused.values, expected)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamtrack import appearance
-from hamtrack.appearance import (AppearanceMemory, HistoryEntry,
-                                 baseline_appearance, decay_confidence, ham,
-                                 history_weights, maybe_store_history,
-                                 score_descriptors, score_embedding,
-                                 score_histogram, update_histogram)
+from hamtrack.appearance import (AppearanceMemory, HistoryEntry, affinities,
+                                 decay_confidence, ham, history_weights,
+                                 maybe_store_history, score_descriptors,
+                                 score_embedding, score_histogram,
+                                 update_histogram)
 from hamtrack.core import AppearanceDescriptor, TrackerConfig
+from scenario_utils import embedding_reference, histogram_reference, sparse_histogram
 
 H = AppearanceDescriptor.histogram
 E = AppearanceDescriptor.embedding
@@ -21,63 +22,105 @@ def unit(vec):
     return E(vec, normalize=True)
 
 
+def pair(scorer, a, b) -> float:
+    """One pair's score through the sequence-to-sequence scorer contract."""
+    return float(scorer([a], [b])[0, 0])
+
+
 class TestScorers:
     def test_identical_histograms(self):
-        assert score_histogram(H([0.5, 0.5]), H([0.5, 0.5])) == pytest.approx(1.0)
+        assert pair(score_histogram, H([0.5, 0.5]), H([0.5, 0.5])) == pytest.approx(1.0)
 
     def test_disjoint_histograms(self):
-        assert score_histogram(H([1.0, 0.0]), H([0.0, 1.0])) == 0.0
+        assert pair(score_histogram, H([1.0, 0.0]), H([0.0, 1.0])) == 0.0
 
     def test_bhattacharyya_value(self):
         # sqrt(0.2*0.6) + sqrt(0.8*0.4) computed independently
         expected = math.sqrt(0.12) + math.sqrt(0.32)
-        got = score_histogram(H([0.2, 0.8]), H([0.6, 0.4]))
+        got = pair(score_histogram, H([0.2, 0.8]), H([0.6, 0.4]))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.9121, abs=5e-5)
 
     def test_embedding_identical_and_opposite(self):
         a = unit([1.0, 2.0, -1.0])
         b = unit([-1.0, -2.0, 1.0])
-        assert score_embedding(a, a) == pytest.approx(1.0)
-        assert score_embedding(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert pair(score_embedding, a, a) == pytest.approx(1.0)
+        assert pair(score_embedding, a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_embedding_orthogonal(self):
-        assert score_embedding(E([1.0, 0.0]), E([0.0, 1.0])) == pytest.approx(0.5)
+        assert pair(score_embedding, E([1.0, 0.0]), E([0.0, 1.0])) == pytest.approx(0.5)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            score_histogram(H([0.5, 0.5]), H([0.2, 0.3, 0.5]))
+            score_histogram([H([0.5, 0.5])], [H([0.5, 0.5]), H([0.2, 0.3, 0.5])])
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="kind"):
-            score_descriptors(H([0.5, 0.5]), E([1.0, 0.0]))
+            score_descriptors([H([0.5, 0.5])], [E([1.0, 0.0])])
+        with pytest.raises(ValueError, match="kind"):
+            score_embedding([E([1.0, 0.0])], [E([0.0, 1.0]), H([0.5, 0.5])])
 
     def test_dispatch(self):
-        assert score_descriptors(H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
-        assert score_descriptors(E([1.0, 0.0]), E([1.0, 0.0])) == pytest.approx(1.0)
+        assert pair(score_descriptors, H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
+        assert pair(score_descriptors, E([1.0, 0.0]), E([1.0, 0.0])) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("a,b", [(H([0.2, 0.8]), H([0.6, 0.4])),
                                      (E([0.6, 0.8]), E([1.0, 0.0]))])
     def test_dispatch_checks_the_pair_once(self, a, b, monkeypatch):
         checks = []
-        original = appearance._check_pair
-        monkeypatch.setattr(appearance, "_check_pair",
+        original = appearance._stacked
+        monkeypatch.setattr(appearance, "_stacked",
                             lambda *args: checks.append(args) or original(*args))
-        expected = score_histogram(a, b) if a.kind == "histogram" else score_embedding(a, b)
+        direct = score_histogram if a.kind == "histogram" else score_embedding
+        expected = direct([a, b], [b, a, b])
         checks.clear()
-        assert score_descriptors(a, b) == expected
+        got = score_descriptors([a, b], [b, a, b])
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, expected)
         assert len(checks) == 1
+
+    def test_empty_sequences_give_empty_matrices(self):
+        assert score_embedding([], [unit([1.0, 0.0])] * 3).shape == (0, 3)
+        assert score_histogram([H([0.5, 0.5])] * 2, []).shape == (2, 0)
+        assert score_descriptors([], []).shape == (0, 0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_scorer_contract(self, seed):
         rng = np.random.default_rng(seed)
-        a = unit(rng.normal(size=8))
-        b = unit(rng.normal(size=8))
+        a = [unit(rng.normal(size=8)) for _ in range(rng.integers(1, 5))]
+        b = [unit(rng.normal(size=8)) for _ in range(rng.integers(1, 5))]
         s_ab, s_ba = score_embedding(a, b), score_embedding(b, a)
-        assert 0.0 <= s_ab <= 1.0
-        assert s_ab == pytest.approx(s_ba, abs=1e-9)
-        assert score_embedding(a, a) == pytest.approx(1.0, abs=1e-9)
+        assert s_ab.shape == (len(a), len(b))
+        assert np.all((0.0 <= s_ab) & (s_ab <= 1.0))
+        np.testing.assert_allclose(s_ab, s_ba.T, atol=1e-9)
+        np.testing.assert_allclose(np.diag(score_embedding(a, a)), 1.0, atol=1e-9)
+
+
+class TestScorersMatchPerPair:
+    """Every cell of a stacked score equals the per-pair scalar formula bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 16, 128, 512])
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (11, 15)])
+    def test_embedding(self, d, n, m):
+        rng = np.random.default_rng(d * 1000 + n * 100 + m)
+        a = [unit(rng.normal(size=d)) for _ in range(n)]
+        b = [unit(rng.normal(size=d)) for _ in range(m)]
+        b[0] = a[0]  # one identical pair, whose dot can round past 1
+        reference = np.array([[embedding_reference(x.values, y.values) for y in b]
+                              for x in a])
+        assert np.array_equal(score_embedding(a, b), reference)
+
+    @pytest.mark.parametrize("d", [2, 16, 128, 512])
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (11, 15)])
+    def test_histogram(self, d, n, m):
+        rng = np.random.default_rng(d * 1000 + n * 100 + m + 7)
+        a = [sparse_histogram(rng, d) for _ in range(n)]
+        b = [sparse_histogram(rng, d) for _ in range(m)]
+        b[0] = a[0]
+        reference = np.array([[histogram_reference(x.values, y.values) for y in b]
+                              for x in a])
+        assert np.array_equal(score_histogram(a, b), reference)
 
 
 class TestUpdateHistogram:
@@ -135,21 +178,29 @@ class TestHistoryWeights:
 
 
 class StubScorer:
-    """Scores by identity of the stored vectors, for arithmetic-oracle tests."""
+    """Scores by identity of the stored vectors, for arithmetic-oracle tests.
+
+    Each stored descriptor scores the same against every candidate.
+    """
 
     def __init__(self, table):
         self.table = table
 
     def __call__(self, a, b):
-        return self.table[id(a)]
+        return np.array([[self.table[id(x)]] * len(b) for x in a])
 
 
 class TestHam:
+    def test_returns_a_float(self):
+        mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=0.5,
+                               history=(HistoryEntry(unit([0.0, 1.0]), 0.9, 1),))
+        assert type(ham(mem, unit([1.0, 1.0]), score_embedding)) is float
+
     def test_saturated_recent_confidence_ignores_history(self):
         recent, z = unit([1.0, 0.0]), unit([0.0, 1.0])
         hist = HistoryEntry(unit([1.0, 1.0]), 0.9, 1)
         mem = AppearanceMemory(recent=recent, recent_conf=1.0, history=(hist,))
-        assert ham(mem, z, score_embedding) == baseline_appearance(mem, z, score_embedding)
+        assert ham(mem, z, score_embedding) == pair(score_embedding, recent, z)
 
     def test_zero_recent_confidence_uses_history_only(self):
         recent = unit([1.0, 0.0])
@@ -158,7 +209,7 @@ class TestHam:
                                history=(HistoryEntry(entry, 0.8, 1),))
         z = unit([0.0, 1.0])
         assert ham(mem, z, score_embedding) == pytest.approx(
-            score_embedding(entry, z))
+            pair(score_embedding, entry, z))
 
     def test_worked_example(self):
         # c_r=0.5, score(recent)=0.8, history confs (0.5, 1.0) scoring (0.2, 0.6)
@@ -172,11 +223,14 @@ class TestHam:
         assert ham(mem, z, scorer) == pytest.approx(0.5 * 0.8 + 0.5 * (0.2 / 3 + 0.4),
                                                     abs=1e-12)
         assert ham(mem, z, scorer) == pytest.approx(0.6333, abs=5e-5)
+        np.testing.assert_array_equal(affinities(mem, [z, recent, h1], scorer),
+                                      [ham(mem, z, scorer)] * 3)
+        np.testing.assert_array_equal(affinities(mem, [z], scorer, use_ham=False), [0.8])
 
     def test_empty_history_degrades_to_baseline(self):
         mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=0.3)
         z = unit([1.0, 1.0])
-        assert ham(mem, z, score_embedding) == baseline_appearance(mem, z, score_embedding)
+        assert ham(mem, z, score_embedding) == pair(score_embedding, mem.recent, z)
 
     def test_monotone_in_recent_score(self):
         recent, h1, z = unit([1.0, 0.0]), unit([0.0, 1.0]), unit([1.0, 1.0])

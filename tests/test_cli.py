@@ -99,6 +99,15 @@ event.0.end = 50
         assert not (tmp_path / "x").exists()
 
 
+    def test_unparsable_occluder_names_event_key(self, tmp_path):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("n_frames = 10\nevent.0.object = 0\nevent.0.start = 2\n"
+                       "event.0.end = 3\nevent.0.by = q\n")
+        proc = cli_process("generate", "--spec", str(bad), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {bad}: event.0.by: cannot parse 'q'\n"
+
     def test_generation_failure_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "wild.scn"
         spec.write_text("n_frames = 3\njitter_std = 1e308\nobject.0.w = 10\n"
@@ -289,6 +298,15 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {gt}: line 1: id is not a whole number: '2.7'\n")
+
+    @pytest.mark.parametrize("iou", ["nan", "1.5", "inf", "-0.2"])
+    def test_iou_outside_unit_interval_is_config_error(self, scenario_dir, iou, capsys):
+        gt = str(scenario_dir / "gt.txt")
+        rc = main(["eval", "--gt", gt, "--result", gt, "--iou", iou])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --iou must be in [0, 1], got {float(iou)}\n"
 
     def test_missing_gt(self, tmp_path, capsys):
         rc = main(["eval", "--gt", str(tmp_path / "gone.txt"),

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -265,6 +266,17 @@ class TestEvaluate:
         gt = track_frames(1, range(1, 11))
         report = evaluate(gt, gt, 0.5)
         assert report.summary_csv() == "1.000,1.000,0,0,0,10"
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.2, 1.5, math.inf, -math.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        gt = track_frames(1, range(1, 4))
+        with pytest.raises(ValueError, match=r"IoU threshold must be in \[0, 1\]"):
+            evaluate(gt, gt, threshold)
+
+    def test_threshold_bounds_accepted(self):
+        gt = track_frames(1, range(1, 4))
+        for threshold in (0.0, 1.0):
+            assert evaluate(gt, gt, threshold).summary_csv() == "1.000,1.000,0,0,0,3"
 
     @pytest.mark.parametrize("threshold, fp_fn", [(0.5, (1, 1)), (0.0, (0, 0))])
     def test_overlapping_overflowing_boxes(self, threshold, fp_fn):
