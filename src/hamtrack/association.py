@@ -1,10 +1,12 @@
 """Optimal one-to-one assignment of tracks to detections.
 
 Maximizes total affinity with the Hungarian algorithm (shortest augmenting
-path / potentials formulation), then demotes any optimal pair whose affinity
-still falls below the association threshold. The solver is hand-rolled so the
-scan order, and therefore tie-breaking, is fixed: rows are processed in
-index order and equal reduced costs resolve to the lowest column index.
+path / potentials formulation), then demotes any optimal pair outside the gate
+or below the association threshold. The solver is hand-rolled so tie-breaking
+is fixed: rows are processed in index order, and each step scans only the free
+columns, in ascending order, with strict ``<`` updates, so equal reduced costs
+resolve to the lowest column. It reads the costs once as Python floats, whose
+arithmetic is numpy's IEEE double arithmetic.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ def _solve_min(cost: np.ndarray) -> list[int]:
     """Column assigned to each row of a (n <= m) cost matrix, minimizing total."""
     n, m = cost.shape
     INF = float("inf")
+    rows = [[0.0] + row for row in cost.tolist()]  # 1-based, like the columns
     u = [0.0] * (n + 1)
     v = [0.0] * (m + 1)
     assigned_row = [0] * (m + 1)  # 1-based row occupying each column, 0 = free
@@ -35,32 +38,31 @@ def _solve_min(cost: np.ndarray) -> list[int]:
         assigned_row[0] = i
         j0 = 0
         minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
+        free = list(range(1, m + 1))  # columns not yet in the tree, ascending
+        used = [0]
+        delta = 0.0
         while True:
-            used[j0] = True
             i0 = assigned_row[j0]
+            row, ui = rows[i0 - 1], u[i0]
+            last = delta  # the previous step's delta, owed by every free minv
             delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+            for k, j in enumerate(free):
+                mj = minv[j] - last
+                cur = row[j] - ui - v[j]
+                if cur < mj:
+                    mj = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[assigned_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
+                minv[j] = mj
+                if mj < delta:
+                    delta = mj
+                    k1 = k
+            for j in used:
+                u[assigned_row[j]] += delta
+                v[j] -= delta
+            j0 = free.pop(k1)
             if assigned_row[j0] == 0:
                 break
+            used.append(j0)
         while j0:
             j1 = way[j0]
             assigned_row[j0] = assigned_row[j1]
@@ -97,24 +99,22 @@ def hungarian_max(values) -> list[tuple[int, int]]:
 
 
 def associate(matrix: AffinityMatrix, tau_asc: float) -> Assignment:
-    """Assign optimally, then drop pairs whose affinity is below ``tau_asc``.
+    """Assign optimally, then keep the gated pairs whose affinity reaches ``tau_asc``.
 
     The threshold runs after optimization: a demoted pair frees both its track
-    and its detection rather than letting either grab a worse partner.
+    and its detection rather than letting either grab a worse partner. Even at
+    ``tau_asc = 0``, a pair outside ``gate_mask`` is never a match.
     """
-    pairs = hungarian_max(matrix.values)
     matches = []
-    matched_tracks = set()
-    matched_dets = set()
-    for i, j in pairs:
+    matched_tracks = [False] * matrix.rows
+    matched_dets = [False] * matrix.cols
+    for i, j in hungarian_max(matrix.values):
         value = float(matrix.values[i, j])
-        if value < tau_asc:
-            continue
-        matches.append((i, j, value))
-        matched_tracks.add(i)
-        matched_dets.add(j)
+        if matrix.gate_mask[i, j] and value >= tau_asc:
+            matches.append((i, j, value))
+            matched_tracks[i] = matched_dets[j] = True
     return Assignment(
         matches=tuple(matches),
-        unmatched_tracks=tuple(i for i in range(matrix.rows) if i not in matched_tracks),
-        unmatched_detections=tuple(j for j in range(matrix.cols) if j not in matched_dets),
+        unmatched_tracks=tuple(i for i, hit in enumerate(matched_tracks) if not hit),
+        unmatched_detections=tuple(j for j, hit in enumerate(matched_dets) if not hit),
     )

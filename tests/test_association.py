@@ -2,9 +2,62 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from hamtrack.affinity import AffinityMatrix
-from hamtrack.association import associate, hungarian_max
+from hamtrack.association import _solve_min, associate, hungarian_max
+
+
+def reference_solve_min(cost):
+    """The plain scalar solver: every Dijkstra step walks all columns twice.
+
+    ``_solve_min`` must return exactly this column list, ties included.
+    """
+    n, m = cost.shape
+    INF = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    assigned_row = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        assigned_row[0] = i
+        j0 = 0
+        minv = [INF] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = assigned_row[j0]
+            delta = INF
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[assigned_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if assigned_row[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            assigned_row[j0] = assigned_row[j1]
+            j0 = j1
+    out = [-1] * n
+    for j in range(1, m + 1):
+        if assigned_row[j]:
+            out[assigned_row[j] - 1] = j - 1
+    return out
 
 
 def brute_force_max(mat):
@@ -21,6 +74,31 @@ def brute_force_max(mat):
 
 def total(mat, pairs):
     return sum(mat[i, j] for i, j in pairs)
+
+
+def cost_grids(kind, count, seed):
+    """``count`` seeded (n <= m) cost matrices of one kind."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        if kind == "sparse_crowd":
+            n, m = 150, 170
+        else:
+            n = int(rng.integers(1, 10))
+            m = int(rng.integers(n, 13))
+        if kind == "ints":
+            yield rng.integers(0, 3, size=(n, m)).astype(float)
+        elif kind == "zeros":
+            yield np.zeros((n, m))
+        elif kind == "max_heavy":
+            cost = rng.random((n, m))
+            cost[rng.random((n, m)) < 0.6] = cost.max()
+            yield cost
+        elif kind == "milli":
+            yield rng.random((n, m)) * 1e-3
+        else:
+            affinity = rng.random((n, m))
+            affinity[rng.random((n, m)) < 0.7] = 0.0
+            yield affinity.max() - affinity
 
 
 def matrix(values, tau=0.0):
@@ -88,6 +166,28 @@ class TestHungarianMax:
         assert hungarian_max(mat) == hungarian_max(mat.copy())
 
 
+class TestSolveMinMatchesReference:
+    @pytest.mark.parametrize("kind,count,seed", [
+        ("ints", 1000, 1),
+        ("zeros", 200, 2),
+        ("max_heavy", 1000, 3),
+        ("milli", 1000, 4),
+        ("sparse_crowd", 3, 5),
+    ])
+    def test_same_columns(self, kind, count, seed):
+        for k, cost in enumerate(cost_grids(kind, count, seed)):
+            assert _solve_min(cost) == reference_solve_min(cost), f"{kind} grid {k}"
+
+    @pytest.mark.parametrize("kind,seed", [("ints", 6), ("max_heavy", 7), ("milli", 8)])
+    def test_totals_match_scipy(self, kind, seed):
+        for k, cost in enumerate(cost_grids(kind, 300, seed)):
+            affinity = cost.max() - cost
+            for mat in (affinity, affinity.T):
+                rows, cols = linear_sum_assignment(mat, maximize=True)
+                assert total(mat, hungarian_max(mat)) == pytest.approx(
+                    mat[rows, cols].sum(), abs=1e-9), f"{kind} grid {k}"
+
+
 class TestAssociate:
     def test_zero_matrix_everything_unmatched(self):
         out = associate(matrix(np.zeros((2, 3))), tau_asc=0.05)
@@ -132,3 +232,11 @@ class TestAssociate:
         assert [(i, j) for i, j, _ in out.matches] == [(0, 0)]
         assert out.unmatched_tracks == (1,)
         assert out.unmatched_detections == (1,)
+
+    def test_zero_threshold_keeps_only_gated_pairs(self):
+        vals = np.array([[0.0, 0.0], [0.0, 0.6]])
+        gate = np.array([[False, False], [False, True]])
+        out = associate(AffinityMatrix(values=vals, gate_mask=gate), tau_asc=0.0)
+        assert [(i, j) for i, j, _ in out.matches] == [(1, 1)]
+        assert out.unmatched_tracks == (0,)
+        assert out.unmatched_detections == (0,)

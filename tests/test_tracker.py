@@ -1,8 +1,13 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hamtrack import tracker as tracker_module
+from hamtrack.association import associate
 from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
                            TrackerConfig)
 from hamtrack.io_mot import write_result_file
@@ -295,3 +300,83 @@ class TestDiagnostics:
         assert all(fr.diagnostics.tau_t is not None for fr in results)
         assert results[0].diagnostics.tau_t == pytest.approx(
             0.95 * 30.0 + 0.05 * 50.0, abs=1.0)
+
+
+class TestGating:
+    def test_zero_tau_asc_never_links_ungated_boxes(self):
+        cfg = TrackerConfig(filter_mode="none", tau_asc=0.0, confirm_hits=1)
+        tracker = Tracker(cfg, use_appearance=False)
+        tracker.step(1, [det(1, 0.0, y=0.0)])
+        far = det(2, 100000.0, y=50000.0)
+        result = tracker.step(2, [far])
+        assert result.diagnostics.gated_pairs == 0
+        assert result.diagnostics.births == 1
+        assert result.tracks == ((2, far.bbox),)
+
+
+EMBEDDINGS = (E([1.0, 0.0]), E([0.6, 0.8]))
+# x, sub-pixel offset, y, (w, h), embedding: few values, so that duplicate
+# boxes, sub-pixel moves and far jumps all come up often.
+BOX = st.tuples(st.sampled_from([0.0, 40.0, 1e5]), st.sampled_from([0.0, 1e-3, 0.4]),
+                st.sampled_from([0.0, 5e4]), st.sampled_from([(30.0, 60.0), (30.5, 61.0)]),
+                st.sampled_from([0, 1]))
+STREAM = st.lists(st.lists(BOX, max_size=4), min_size=1, max_size=8)
+
+
+def run_stream(stream, cfg, use_appearance):
+    """Step ``stream`` through a new tracker.
+
+    Returns the results, each frame's (final matrix, assignment) and each
+    frame's live ids and covariances after the step.
+    """
+    solved = []
+
+    def recording(matrix, tau_asc):
+        out = associate(matrix, tau_asc)
+        solved.append((matrix, out))
+        return out
+
+    tracker = Tracker(cfg, use_appearance=use_appearance)
+    results, tables = [], []
+    with mock.patch.object(tracker_module, "associate", recording):
+        for frame, boxes in enumerate(stream, start=1):
+            dets = [det(frame, x + dx, y, w, h, descriptor=EMBEDDINGS[e])
+                    for x, dx, y, (w, h), e in boxes]
+            results.append(tracker.step(frame, dets))
+            tables.append((tracker.table.ids.tolist(), tracker.table.cov.copy()))
+    return results, solved, tables
+
+
+class TestPipelineProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=STREAM, tau_asc=st.sampled_from([0.0, 0.05]),
+           confirm_hits=st.sampled_from([1, 3]), emit_predicted=st.booleans(),
+           use_appearance=st.booleans())
+    def test_step_invariants(self, stream, tau_asc, confirm_hits, emit_predicted,
+                             use_appearance):
+        cfg = TrackerConfig(filter_mode="none", tau_asc=tau_asc, confirm_hits=confirm_hits,
+                            emit_predicted=emit_predicted)
+        results, solved, tables = run_stream(stream, cfg, use_appearance)
+
+        for matrix, assignment in solved:
+            for i, j, _ in assignment.matches:
+                assert matrix.gate_mask[i, j], f"ungated pair ({i}, {j}) matched"
+
+        live, highest = set(), 0
+        for ids, cov in tables:
+            assert len(set(ids)) == len(ids)
+            born = [i for i in ids if i not in live]
+            assert all(i > highest for i in born), "an id was reused"
+            highest = max([highest, *ids])
+            live = set(ids)
+            assert np.all(np.isfinite(cov))
+            eig = np.linalg.eigvalsh(cov)
+            assert np.all(eig >= -1e-9 * np.maximum(1.0, np.abs(eig).max(initial=0.0)))
+
+        for fr in results:
+            emitted = [tid for tid, _ in fr.tracks]
+            assert len(set(emitted)) == len(emitted)
+            assert all(np.isfinite([b.x, b.y, b.w, b.h]).all() for _, b in fr.tracks)
+
+        again, _, _ = run_stream(stream, cfg, use_appearance)
+        assert write_result_file(results) == write_result_file(again)
