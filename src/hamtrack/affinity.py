@@ -6,14 +6,13 @@ the three cues multiplied; everything else is zeroed without ever touching
 the (potentially expensive) appearance scorer.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .appearance import AppearanceMemory, Scorer, affinities
-from .core import BBox, TrackerConfig, AppearanceDescriptor
+from .appearance import AppearanceMemory, MemoryBank, Scorer, bank_of, ham_scores
+from .core import AppearanceDescriptor, BBox, TrackerConfig
 
 
 @dataclass
@@ -36,25 +35,6 @@ class AffinityMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
-
-
-def shape_affinity(pred_wh, box: BBox, xi: float) -> float:
-    """exp(-xi * (|dh| / (h1 + h2) + |dw| / (w1 + w2))) on predicted vs observed size."""
-    w_p, h_p = float(pred_wh[0]), float(pred_wh[1])
-    if w_p <= 0 or h_p <= 0:
-        raise ValueError(f"predicted size must be positive, got ({w_p}, {h_p})")
-    rel = abs(h_p - box.h) / (h_p + box.h) + abs(w_p - box.w) / (w_p + box.w)
-    return math.exp(-xi * rel)
-
-
-def motion_affinity(pred_pos, z_pos, sigma: np.ndarray, eta: float) -> float:
-    """exp(-eta * d' inv(sigma) d) for the displacement d between prediction and box."""
-    d = np.asarray(z_pos, dtype=float) - np.asarray(pred_pos, dtype=float)
-    try:
-        solved = np.linalg.solve(np.asarray(sigma, dtype=float), d)
-    except np.linalg.LinAlgError:
-        raise ValueError("sigma is singular") from None
-    return math.exp(-eta * float(d @ solved))
 
 
 def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
@@ -85,30 +65,29 @@ def gate_values(sm: AffinityMatrix) -> AffinityMatrix:
 
 
 def fuse_appearance(sm: AffinityMatrix,
-                    memories: Sequence[Optional[AppearanceMemory]],
-                    descriptors: Sequence[Optional[AppearanceDescriptor]],
+                    memories: MemoryBank | Sequence[AppearanceMemory],
+                    descriptors: np.ndarray | Sequence[AppearanceDescriptor],
                     scorer: Scorer, use_ham: bool = True) -> AffinityMatrix:
     """Multiply appearance affinity into every gated-in cell.
 
-    Each track row is scored against all of its gated-in detections in one
-    scorer call. Gated-out cells become exactly zero and never reach the
-    scorer. A scorer failure aborts the whole frame with context on the
-    offending track row and its detection columns.
+    ``memories`` is a bank with one row per track and ``descriptors`` the
+    (cols, d) rows of the detections; a list of ``AppearanceMemory`` and one
+    of descriptors are turned into those first. Every gated-in pair is scored
+    by ``ham_scores`` in at most W + 1 scorer calls. Gated-out cells become
+    exactly zero and never reach the scorer. A scorer failure aborts the
+    whole frame with context on the offending track rows and detections.
     """
-    if len(memories) != sm.rows or len(descriptors) != sm.cols:
+    if not isinstance(memories, MemoryBank):
+        memories, descriptors = bank_of(memories, descriptors)
+    if len(memories.recent) != sm.rows or len(descriptors) != sm.cols:
         raise ValueError("memories/descriptors do not match matrix dimensions")
     values = np.zeros_like(sm.values)
-    for i in np.flatnonzero(sm.gate_mask.any(axis=1)):
-        cols = np.flatnonzero(sm.gate_mask[i])
-        if memories[i] is None:
-            raise ValueError(f"track row {i} has no appearance memory")
-        zs = [descriptors[j] for j in cols]
-        if None in zs:
-            raise ValueError(f"detection {cols[zs.index(None)]} has no appearance descriptor")
+    rows, cols = np.nonzero(sm.gate_mask)
+    if rows.size:
         try:
-            a = affinities(memories[i], zs, scorer, use_ham)
+            a = ham_scores(memories, rows, cols, descriptors, scorer, use_ham)
         except Exception as exc:
-            raise RuntimeError(f"appearance scoring failed for track row {i}, detections "
-                               f"{cols.tolist()}: {exc}") from exc
-        values[i, cols] = sm.values[i, cols] * a
+            raise RuntimeError(f"appearance scoring failed for track rows {rows.tolist()}, "
+                               f"detections {cols.tolist()}: {exc}") from exc
+        values[rows, cols] = sm.values[rows, cols] * a
     return AffinityMatrix(values=values, gate_mask=sm.gate_mask.copy())

@@ -7,20 +7,22 @@ memory blends the recent appearance with the history: the lower the recent
 matching confidence, the more weight the history gets. This keeps matching
 stable when the latest stored appearance was corrupted by occlusion or a bad
 box.
+
+The tracker scores, stores and decays the memories as array operations
+over the rows of a ``MemoryBank``; ``bank_of`` turns ``AppearanceMemory``
+values into one.
 """
 
-import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import EMBEDDING, HISTOGRAM, AppearanceDescriptor, TrackerConfig
 
-Descriptors = Sequence[AppearanceDescriptor]
-# Scores every descriptor of a against every descriptor of b: a (len(a), len(b))
-# array in [0, 1], with score(b, a) == score(a, b).T and score([x], [x]) == 1.
-Scorer = Callable[[Descriptors, Descriptors], np.ndarray]
+# Scores row p of x against row p of y: two (P, d) arrays in, (P,) scores in
+# [0, 1] out, with scorer(x, y) == scorer(y, x) and scorer(x, x) == 1.
+Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,119 +57,195 @@ class AppearanceMemory:
             raise ValueError(f"recent_conf out of [0,1]: {self.recent_conf}")
 
 
-def _stacked(a: Descriptors, b: Descriptors, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The values of ``a`` and ``b`` as (len, d) arrays, after one kind and length check."""
-    kinds, lengths = {d.kind for d in (*a, *b)}, {len(d) for d in (*a, *b)}
-    if kinds - {kind} or len(lengths) > 1:
+class MemoryBank(NamedTuple):
+    """The appearance memories of N tracks, one row each; d is 0 without appearance.
+
+    ``recent`` (N, d) and ``recent_conf`` (N) are each latest appearance and
+    match confidence; ``hist`` (N, W, d), ``hist_conf`` and ``hist_frame``
+    (N, W) the history, oldest first in the first ``hist_len`` (N) slots.
+    """
+
+    recent: np.ndarray
+    recent_conf: np.ndarray
+    hist: np.ndarray
+    hist_conf: np.ndarray
+    hist_frame: np.ndarray
+    hist_len: np.ndarray
+
+
+def new_bank(recent: np.ndarray) -> MemoryBank:
+    """Fresh memories of confidence 1 and no history for the (N, d) rows ``recent``."""
+    n, d = recent.shape
+    return MemoryBank(recent, np.ones(n), np.zeros((n, 0, d)), np.zeros((n, 0)),
+                      np.zeros((n, 0), dtype=int), np.zeros(n, dtype=int))
+
+
+def fit_width(bank: MemoryBank, width: int | None = None) -> MemoryBank:
+    """The bank with its history cut (views) or zero-padded (copies) to ``width`` slots.
+
+    ``width`` defaults to the longest history held.
+    """
+    width = int(bank.hist_len.max(initial=0)) if width is None else width
+
+    def fit(a: np.ndarray) -> np.ndarray:
+        if a.shape[1] >= width:
+            return a[:, :width]
+        out = np.zeros((len(a), width) + a.shape[2:], dtype=a.dtype)
+        out[:, :a.shape[1]] = a
+        return out
+
+    return bank._replace(hist=fit(bank.hist), hist_conf=fit(bank.hist_conf),
+                         hist_frame=fit(bank.hist_frame))
+
+
+def descriptor_rows(descriptors: Sequence[AppearanceDescriptor], kind: str, d: int) -> np.ndarray:
+    """The values of ``descriptors`` as (len, d) rows, after one kind and length check."""
+    found = {(x.kind, len(x)) for x in descriptors} - {(kind, d)}
+    if found:
         raise ValueError(f"descriptor kind or length mismatch: expected {kind} descriptors of "
-                         f"one length, got kinds {sorted(kinds)}, lengths {sorted(lengths)}")
-    d = max(lengths, default=0)
-    return (np.array([x.values for x in a]).reshape(len(a), d),
-            np.array([x.values for x in b]).reshape(len(b), d))
+                         f"length {d}, got {sorted(found)}")
+    return np.array([x.values for x in descriptors]).reshape(len(descriptors), d)
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
+def score_histogram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bhattacharyya coefficient sum_k sqrt(x_k * y_k) of each pair of rows."""
+    roots = x * y
+    np.sqrt(roots, out=roots)  # in place: a second (P, d) temporary costs more than the roots
+    return np.clip(roots.sum(axis=-1), 0.0, 1.0)
 
 
-def score_histogram(a: Descriptors, b: Descriptors) -> np.ndarray:
-    """Bhattacharyya coefficients sum_k sqrt(a_k * b_k) of every pair."""
-    x, y = _stacked(a, b, HISTOGRAM)
-    return np.clip(np.sqrt(x[:, None] * y[None]).sum(axis=-1), 0.0, 1.0)
+def score_embedding(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each pair of unit rows, mapped onto [0, 1]."""
+    # vecdot gives each pair the bits np.dot gives it; a matrix product does not.
+    return np.clip((1.0 + np.vecdot(x, y)) / 2.0, 0.0, 1.0)
 
 
-def score_embedding(a: Descriptors, b: Descriptors) -> np.ndarray:
-    """Cosine similarities of unit vectors mapped onto [0, 1], for every pair."""
-    x, y = _stacked(a, b, EMBEDDING)
-    # vecdot gives each pair the bits np.dot gives it; x @ y.T does not.
-    return np.clip((1.0 + np.vecdot(x[:, None], y[None])) / 2.0, 0.0, 1.0)
+def scorer_for(kind: str) -> Scorer:
+    """The built-in scorer of a descriptor kind, looked up when called."""
+    return score_histogram if kind == HISTOGRAM else score_embedding
 
 
-def score_descriptors(a: Descriptors, b: Descriptors) -> np.ndarray:
-    """Default scorer: dispatch on descriptor kind."""
-    return score_histogram(a, b) if a and a[0].kind == HISTOGRAM else score_embedding(a, b)
+def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's first ``lengths`` confidences over their total; zero past them.
+
+    Rows of one length are totalled together over their own entries, in the
+    order a 1-d sum adds them; a zero-padded row sum can differ in the last bit.
+    """
+    weights = np.zeros_like(hist_conf)
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == n)
+        total = hist_conf[rows, :n].sum(axis=1)
+        if np.any(total <= 0.0):
+            raise ValueError("all history confidences are zero")
+        weights[rows, :n] = hist_conf[rows, :n] / total[:, None]
+    return weights
 
 
-def update_histogram(prev: AppearanceDescriptor, matched: AppearanceDescriptor,
-                     alpha: float) -> AppearanceDescriptor:
-    """Blend the stored histogram toward the matched one: alpha*matched + (1-alpha)*prev."""
-    _stacked([prev], [matched], HISTOGRAM)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha out of [0,1]: {alpha}")
-    mixed = alpha * matched.values + (1.0 - alpha) * prev.values
-    return AppearanceDescriptor.histogram(mixed, normalize=True)
+def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
+               scorer: Scorer, use_ham: bool = True) -> np.ndarray:
+    """Historical appearance matching of bank row ``rows[p]`` to ``z[cols[p]]``, for each pair p.
+
+    c_r * s(recent, z) + (1 - c_r) * sum_k w_k * s(hist_k, z), with
+    confidence-proportional history weights w_k, clipped to [0, 1]; just
+    s(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
+    One scorer call scores the recent slot of every pair, then one per
+    history slot k the pairs whose row holds more than k entries.
+    """
+    lengths = np.zeros_like(bank.hist_len)
+    if use_ham:
+        lengths[rows] = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
+    weights = history_weight_rows(bank.hist_conf, lengths)
+    # Longest histories first: the pairs that reach slot k are then a prefix.
+    order = np.argsort(-lengths[rows], kind="stable")
+    r, n, y = rows[order], lengths[rows[order]], z[cols[order]]
+    s = scorer(bank.recent[r], y)
+    s_hist = np.zeros(len(r))
+    for k in range(int(n.max(initial=0))):
+        p = int(np.count_nonzero(n > k))
+        s_hist[:p] += weights[r[:p], k] * scorer(bank.hist[r[:p], k], y[:p])
+    c_r = bank.recent_conf[r]
+    scores = np.empty(len(r))
+    scores[order] = np.clip(np.where(n > 0, c_r * s + (1.0 - c_r) * s_hist, s), 0.0, 1.0)
+    return scores
+
+
+def maybe_store_history(bank: MemoryBank, rows, z: np.ndarray, kind: str, affinity,
+                        frame: int, cfg: TrackerConfig) -> MemoryBank:
+    """Refresh the recent appearance of row ``rows[p]`` after it matched ``z[p]``.
+
+    Histograms are blended per ``alpha_mode``, embeddings replaced, and
+    ``recent_conf`` becomes ``affinity[p]``. The refreshed appearance is
+    appended to the history only when the affinity exceeds ``tau_conf``; then
+    entries older than ``hist_window`` frames are dropped, and the oldest
+    until at most ``hist_max`` remain. Other rows are left as they are.
+    Works in place; the history gets new, wider arrays when a row needs a slot.
+    """
+    rows, affinity = np.asarray(rows, dtype=int), np.asarray(affinity, dtype=float)
+    if not np.all(np.isfinite(affinity)):
+        raise ValueError("match affinity must be finite")
+    conf = np.clip(affinity, 0.0, 1.0)
+    if kind == HISTOGRAM:
+        alpha = conf if cfg.alpha_mode == "affinity" else np.full(len(rows), float(cfg.alpha_mode))
+        z = alpha[:, None] * z + (1.0 - alpha)[:, None] * bank.recent[rows]
+        z = z / z.sum(axis=1, keepdims=True)
+    bank.recent[rows], bank.recent_conf[rows] = z, conf
+    # Append into each storing row's first free slot, then keep the newest
+    # hist_max entries inside the window, moved to the front of the row.
+    stored, slot = affinity > cfg.tau_conf, bank.hist_len[rows]
+    bank = fit_width(bank, max(bank.hist.shape[1], int(slot[stored].max(initial=-1)) + 1))
+    _, _, hist, hist_conf, hist_frame, hist_len = bank
+    at = rows[stored], slot[stored]
+    hist[at], hist_conf[at], hist_frame[at] = z[stored], conf[stored], frame
+    keep = np.arange(hist.shape[1]) < (slot + stored)[:, None]
+    keep &= frame - hist_frame[rows] <= cfg.hist_window
+    keep &= np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= cfg.hist_max
+    order = np.argsort(~keep, axis=1, kind="stable")
+    for a in (hist, hist_conf, hist_frame):
+        a[rows] = a[rows[:, None], order]
+    hist_len[rows] = keep.sum(axis=1)
+    return fit_width(bank)
+
+
+def decay_confidence(bank: MemoryBank, rows, factor: float) -> MemoryBank:
+    """Shrink the recent-match confidence of the missed ``rows``, in place.
+
+    Only the confidence moves; the stored appearances are untouched. This
+    shifts scoring weight toward the history while the track is coasting.
+    """
+    bank.recent_conf[rows] = np.clip(bank.recent_conf[rows] * factor, 0.0, 1.0)
+    return bank
+
+
+def bank_of(memories: Sequence[AppearanceMemory],
+            descriptors: Sequence[AppearanceDescriptor]) -> tuple[MemoryBank, np.ndarray]:
+    """``memories`` as one bank and ``descriptors`` as rows, after one kind and length check."""
+    if None in memories:
+        raise ValueError(f"track row {list(memories).index(None)} has no appearance memory")
+    if None in descriptors:
+        raise ValueError(f"detection {list(descriptors).index(None)} has no appearance descriptor")
+    entries = [e for m in memories for e in m.history]
+    every = [*(m.recent for m in memories), *(e.descriptor for e in entries), *descriptors]
+    kind, d = (every[0].kind, len(every[0])) if every else (EMBEDDING, 0)
+    values, n = descriptor_rows(every, kind, d), len(memories)
+    lengths = np.array([len(m.history) for m in memories], dtype=int)
+    bank = fit_width(new_bank(values[:n])._replace(hist_len=lengths))
+    held = np.arange(bank.hist.shape[1]) < lengths[:, None]
+    bank.recent_conf[:] = [m.recent_conf for m in memories]
+    bank.hist[held], bank.hist_conf[held] = values[n:n + len(entries)], [e.conf for e in entries]
+    bank.hist_frame[held] = [e.frame for e in entries]
+    return bank, values[n + len(entries):]
 
 
 def history_weights(memory: AppearanceMemory) -> np.ndarray:
     """Each entry's confidence divided by the total; sums to one."""
     if not memory.history:
         raise ValueError("history is empty")
-    confs = np.array([e.conf for e in memory.history], dtype=float)
-    total = float(confs.sum())
-    if total <= 0.0:
-        raise ValueError("all history confidences are zero")
-    return confs / total
-
-
-def affinities(memory: AppearanceMemory, zs: Descriptors, scorer: Scorer,
-               use_ham: bool = True) -> np.ndarray:
-    """Historical appearance matching of each of ``zs``, in one scorer call.
-
-    c_r * score(recent, z) + (1 - c_r) * sum_n w_n * score(history_n, z), with
-    confidence-proportional history weights w_n, clipped to [0, 1]; just
-    score(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
-    """
-    c_r = memory.recent_conf
-    history = memory.history if use_ham and c_r < 1.0 else ()
-    scores = scorer([memory.recent, *(e.descriptor for e in history)], zs)
-    s = scores[0]
-    if history:
-        # Row by row in history order, as the per-pair sum adds them.
-        s_hist = 0.0
-        for w, row in zip(history_weights(memory), scores[1:]):
-            s_hist = s_hist + float(w) * row
-        s = c_r * s + (1.0 - c_r) * s_hist
-    return np.clip(s, 0.0, 1.0)
+    bank, _ = bank_of([memory], [])
+    return history_weight_rows(bank.hist_conf, bank.hist_len)[0]
 
 
 def ham(memory: AppearanceMemory, z: AppearanceDescriptor, scorer: Scorer) -> float:
-    """Historical appearance matching of one descriptor; see ``affinities``."""
-    return float(affinities(memory, [z], scorer)[0])
-
-
-def maybe_store_history(memory: AppearanceMemory, descriptor: AppearanceDescriptor,
-                        match_affinity: float, frame: int,
-                        cfg: TrackerConfig) -> AppearanceMemory:
-    """Refresh the recent appearance after a match; archive it when confident.
-
-    The recent slot is always refreshed (histograms are blended per
-    ``alpha_mode``, embeddings replaced) and ``recent_conf`` becomes the match
-    affinity. The refreshed appearance is appended to the history only when
-    the affinity exceeds ``tau_conf``; afterwards entries older than
-    ``hist_window`` frames are dropped, then the oldest until at most
-    ``hist_max`` remain.
-    """
-    if not math.isfinite(match_affinity):
-        raise ValueError("match affinity must be finite")
-    conf = _clamp01(match_affinity)
-    if descriptor.kind == HISTOGRAM and memory.recent.kind == HISTOGRAM:
-        alpha = conf if cfg.alpha_mode == "affinity" else float(cfg.alpha_mode)
-        recent = update_histogram(memory.recent, descriptor, alpha)
-    else:
-        recent = descriptor
-    history = memory.history
-    if match_affinity > cfg.tau_conf:
-        history = history + (HistoryEntry(recent, conf, frame),)
-    history = tuple(e for e in history if frame - e.frame <= cfg.hist_window)
-    if len(history) > cfg.hist_max:
-        history = history[len(history) - cfg.hist_max:]
-    return AppearanceMemory(recent=recent, recent_conf=conf, history=history)
-
-
-def decay_confidence(memory: AppearanceMemory, factor: float) -> AppearanceMemory:
-    """Shrink the recent-match confidence after a missed frame.
-
-    Only the confidence moves; the stored appearances are untouched. This
-    shifts scoring weight toward the history while the track is coasting.
-    """
-    return replace(memory, recent_conf=_clamp01(memory.recent_conf * factor))
+    """Historical appearance matching of one descriptor; see ``ham_scores``."""
+    bank, rows = bank_of([memory], [z])
+    pair = np.zeros(1, dtype=int)
+    return float(ham_scores(bank, pair, pair, rows, scorer)[0])

@@ -15,10 +15,10 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import kalman, sadf
+from . import appearance, kalman, sadf
 from .affinity import build_sm_matrix, fuse_appearance, gate_values
-from .appearance import (AppearanceMemory, decay_confidence, maybe_store_history,
-                         score_descriptors)
+from .appearance import (MemoryBank, decay_confidence, descriptor_rows, fit_width,
+                         maybe_store_history, new_bank)
 from .association import associate
 from .core import AppearanceDescriptor, BBox, Detection, TrackerConfig, validate_config
 
@@ -52,8 +52,8 @@ class TrackTable:
     ``mean`` (N, 2, 4) and ``cov`` (N, 2, 4, 4) stack every track's motion
     and shape Kalman filters. ``hits`` counts consecutive matches and
     ``misses`` consecutive misses, so ``misses == 0`` marks the rows matched
-    or born this frame. The list columns are row-aligned with the arrays;
-    ``memories`` holds None for every row when appearance is off.
+    or born this frame. ``last_boxes`` is a row-aligned list. The columns
+    from ``recent`` on are the appearance memories, viewed as ``memory``.
     """
 
     ids: np.ndarray
@@ -63,25 +63,36 @@ class TrackTable:
     misses: np.ndarray
     confirmed: np.ndarray
     last_boxes: list[BBox]
-    memories: list[Optional[AppearanceMemory]]
+    recent: np.ndarray
+    recent_conf: np.ndarray
+    hist: np.ndarray
+    hist_conf: np.ndarray
+    hist_frame: np.ndarray
+    hist_len: np.ndarray
 
     @classmethod
-    def born(cls, first_id: int, boxes: Sequence[BBox],
-             descriptors: Sequence[Optional[AppearanceDescriptor]],
+    def born(cls, first_id: int, boxes: Sequence[BBox], descriptors: np.ndarray,
              cfg: TrackerConfig) -> "TrackTable":
-        """Tentative tracks started on ``boxes``, with consecutive ids."""
+        """Tentative tracks started on ``boxes`` and their (len(boxes), d) ``descriptors``."""
         n = len(boxes)
         observed = _observed_pairs(boxes)
         heights = observed[:, SHAPE, 1:]
         mean, cov = kalman.init(observed, heights, pos_std=cfg.measurement_noise * heights)
-        memories = [None if d is None else AppearanceMemory(recent=d) for d in descriptors]
         return cls(np.arange(first_id, first_id + n), mean, cov, np.ones(n, dtype=int),
                    np.zeros(n, dtype=int), np.full(n, cfg.confirm_hits <= 1),
-                   list(boxes), memories)
+                   list(boxes), *new_bank(descriptors))
 
     @property
     def filters(self) -> kalman.KalmanState:
         return kalman.KalmanState(self.mean, self.cov)
+
+    @property
+    def memory(self) -> MemoryBank:
+        return MemoryBank(*(getattr(self, name) for name in MemoryBank._fields))
+
+    @memory.setter
+    def memory(self, bank: MemoryBank) -> None:
+        vars(self).update(bank._asdict())
 
     def select(self, keep: np.ndarray) -> "TrackTable":
         """The rows where ``keep`` is true."""
@@ -90,9 +101,11 @@ class TrackTable:
                             for col in vars(self).values()))
 
     def append(self, other: "TrackTable") -> "TrackTable":
-        """This table's rows followed by ``other``'s."""
-        return TrackTable(*(a + b if isinstance(a, list) else np.concatenate([a, b])
-                            for a, b in zip(vars(self).values(), vars(other).values())))
+        """This table's rows followed by ``other``'s, with as many history slots as they use."""
+        width = int(max(self.hist_len.max(initial=0), other.hist_len.max(initial=0)))
+        a, b = ({**vars(t), **fit_width(t.memory, width)._asdict()} for t in (self, other))
+        return TrackTable(*(x + y if isinstance(x, list) else np.concatenate([x, y])
+                            for x, y in zip(a.values(), b.values())))
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,8 @@ class Tracker:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
         self.descriptor_source = descriptor_source
         self.use_appearance = use_appearance
-        self.table = TrackTable.born(1, [], [], self.cfg)
+        self.table = TrackTable.born(1, [], np.zeros((0, 0)), self.cfg)
+        self._kind, self._dim = None, 0  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
         self._last_frame = 0
@@ -182,10 +196,14 @@ class Tracker:
 
         kept_ordinals, tau_sa, tau_t = self._apply_filter(frame, detections)
         survivors = [detections[k] for k in kept_ordinals]
-        descriptors: list[Optional[AppearanceDescriptor]] = [None] * len(survivors)
+        descriptors = np.zeros((len(survivors), 0))
         if self.use_appearance:
-            descriptors = [self._descriptor_for(frame, kept_ordinals[j], det)
-                           for j, det in enumerate(survivors)]
+            found = [self._descriptor_for(frame, kept_ordinals[j], det)
+                     for j, det in enumerate(survivors)]
+            if found and self._kind is None:  # no track yet: size its descriptor columns
+                self._kind, self._dim = found[0].kind, len(found[0])
+                self.table = TrackTable.born(1, [], np.zeros((0, self._dim)), cfg)
+            descriptors = descriptor_rows(found, self._kind, self._dim)
 
         table = self.table
         with _kalman_arithmetic(frame):
@@ -196,22 +214,24 @@ class Tracker:
         pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
         sm = build_sm_matrix(table.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
-            final = fuse_appearance(sm, table.memories, descriptors, score_descriptors,
-                                    use_ham=cfg.use_ham)
+            final = fuse_appearance(sm, table.memory, descriptors,
+                                    appearance.scorer_for(self._kind), use_ham=cfg.use_ham)
         else:
             final = gate_values(sm)
         assignment = associate(final, cfg.tau_asc)
 
         rows = [ti for ti, _, _ in assignment.matches]
-        z = _observed_pairs([boxes[dj] for _, dj, _ in assignment.matches])
+        cols = [dj for _, dj, _ in assignment.matches]
+        z = _observed_pairs([boxes[dj] for dj in cols])
         with _kalman_arithmetic(frame):
             table.mean[rows], table.cov[rows] = kalman.update(
                 table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
-        for ti, dj, affinity in assignment.matches:
+        for ti, dj in zip(rows, cols):
             table.last_boxes[ti] = boxes[dj]
-            if self.use_appearance:
-                table.memories[ti] = maybe_store_history(
-                    table.memories[ti], descriptors[dj], affinity, frame, cfg)
+        if self.use_appearance:
+            table.memory = maybe_store_history(
+                table.memory, rows, descriptors[cols], self._kind,
+                [affinity for _, _, affinity in assignment.matches], frame, cfg)
         table.hits[rows] += 1
         table.misses[rows] = 0
         table.confirmed[rows] |= table.hits[rows] >= cfg.confirm_hits
@@ -220,14 +240,13 @@ class Tracker:
         table.misses[missed] += 1
         table.hits[missed] = 0
         if self.use_appearance:
-            for ti in missed:
-                table.memories[ti] = decay_confidence(table.memories[ti], cfg.conf_decay)
+            table.memory = decay_confidence(table.memory, missed, cfg.conf_decay)
         dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
 
         new = assignment.unmatched_detections
         with _kalman_arithmetic(frame):
             born = TrackTable.born(self._next_id, [boxes[dj] for dj in new],
-                                   [descriptors[dj] for dj in new], cfg)
+                                   descriptors[list(new)], cfg)
         table = table.select(~dead).append(born)
         self._next_id += len(new)
         self.table = table

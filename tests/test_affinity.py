@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hamtrack.affinity import (AffinityMatrix, build_sm_matrix, fuse_appearance, gate_values,
-                               motion_affinity, shape_affinity)
-from hamtrack.appearance import (AppearanceMemory, HistoryEntry, ham,
-                                 history_weights, score_descriptors, score_embedding)
+from hamtrack.affinity import AffinityMatrix, build_sm_matrix, fuse_appearance, gate_values
+from hamtrack.appearance import (AppearanceMemory, HistoryEntry, ham, score_embedding,
+                                 scorer_for)
 from hamtrack.core import AppearanceDescriptor, BBox, TrackerConfig
 from scenario_utils import embedding_reference, histogram_reference, sparse_histogram
 
@@ -15,6 +14,25 @@ E = AppearanceDescriptor.embedding
 
 def unit(vec):
     return E(vec, normalize=True)
+
+
+def shape_affinity(pred_wh, box: BBox, xi: float) -> float:
+    """Scalar oracle: exp(-xi * (|dh| / (h1 + h2) + |dw| / (w1 + w2))) on predicted vs seen size."""
+    w_p, h_p = float(pred_wh[0]), float(pred_wh[1])
+    if w_p <= 0 or h_p <= 0:
+        raise ValueError(f"predicted size must be positive, got ({w_p}, {h_p})")
+    rel = abs(h_p - box.h) / (h_p + box.h) + abs(w_p - box.w) / (w_p + box.w)
+    return math.exp(-xi * rel)
+
+
+def motion_affinity(pred_pos, z_pos, sigma: np.ndarray, eta: float) -> float:
+    """Scalar oracle: exp(-eta * d' inv(sigma) d) for the displacement d from prediction to box."""
+    d = np.asarray(z_pos, dtype=float) - np.asarray(pred_pos, dtype=float)
+    try:
+        solved = np.linalg.solve(np.asarray(sigma, dtype=float), d)
+    except np.linalg.LinAlgError:
+        raise ValueError("sigma is singular") from None
+    return math.exp(-eta * float(d @ solved))
 
 
 class TestShapeAffinity:
@@ -122,24 +140,29 @@ class TestBuildSmMatrix:
 
 
 def constant_scorer(value, calls=None):
-    """A scorer giving ``value`` to every pair; records each call's (a, b) in ``calls``."""
-    def scorer(a, b):
+    """A scorer giving ``value`` to every pair; records each call's (x, y) rows in ``calls``."""
+    def scorer(x, y):
         if calls is not None:
-            calls.append((a, b))
-        return np.full((len(a), len(b)), value)
+            calls.append((x, y))
+        return np.full(len(x), value)
     return scorer
 
 
 def scalar_ham(memory, z, reference, use_ham):
-    """Per-pair HAM: c_r * s(recent) + (1 - c_r) * sum_n w_n * s(history_n), clamped."""
+    """Per-pair HAM: c_r * s(recent) + (1 - c_r) * sum_n w_n * s(history_n), clamped.
+
+    The weights are each entry's confidence over a 1-d numpy sum of the
+    entry confidences, as a per-track memory totals them.
+    """
     def score(stored):
         return reference(stored.values, z.values)
 
     c_r = memory.recent_conf
     if not use_ham or not memory.history or c_r >= 1.0:
         return score(memory.recent)
+    confs = np.array([e.conf for e in memory.history])
     s_hist = 0.0
-    for w, entry in zip(history_weights(memory), memory.history):
+    for w, entry in zip(confs / float(confs.sum()), memory.history):
         s_hist += float(w) * score(entry.descriptor)
     return min(1.0, max(0.0, c_r * score(memory.recent) + (1.0 - c_r) * s_hist))
 
@@ -183,16 +206,16 @@ class TestFuseAppearance:
         assert fused.values[0, 0] == pytest.approx(0.30)
 
     def test_eval_count_equals_gated_pairs(self):
-        # One scorer call per track row with a gated-in cell, against exactly
-        # that row's gated-in detections.
+        # Without history, one scorer call holding exactly the gated-in pairs:
+        # each track's recent appearance against each of its gated detections.
         calls = []
         sm, _ = self.fuse(scorer=constant_scorer(1.0, calls))
-        rows = np.flatnonzero(sm.gate_mask.any(axis=1))
-        assert len(calls) == len(rows)
-        for (stored, zs), i in zip(calls, rows):
-            assert stored == [self.memories[i].recent]
-            assert zs == [self.descriptors[j] for j in np.flatnonzero(sm.gate_mask[i])]
-        evals = sum(len(zs) for _, zs in calls)
+        rows, cols = np.nonzero(sm.gate_mask)
+        assert len(calls) == 1
+        stored, zs = calls[0]
+        assert np.array_equal(stored, [self.memories[i].recent.values for i in rows])
+        assert np.array_equal(zs, [self.descriptors[j].values for j in cols])
+        evals = len(zs)
         assert evals == int(sm.gate_mask.sum())
         assert 0 < evals < sm.values.size
 
@@ -211,7 +234,8 @@ class TestFuseAppearance:
         def broken(a, b):
             raise KeyError("missing feature")
 
-        with pytest.raises(RuntimeError, match=r"track row 0, detections \[0\]"):
+        with pytest.raises(RuntimeError, match=r"track rows \[0, 1\], "
+                                               r"detections \[0, 1\]: 'missing feature'"):
             self.fuse(scorer=broken)
 
     def test_missing_descriptor_reported(self):
@@ -234,7 +258,8 @@ class TestFuseAppearance:
         _, fused_base = self.fuse(use_ham=False)
         _, fused_ham = self.fuse(use_ham=True)
         assert fused_base.values[0, 0] != pytest.approx(fused_ham.values[0, 0])
-        expected = score_embedding([self.memories[0].recent], [self.descriptors[0]])[0, 0]
+        expected = score_embedding(self.memories[0].recent.values[None],
+                                   self.descriptors[0].values[None])[0]
         sm, _ = self.fuse(scorer=constant_scorer(1.0))
         assert fused_base.values[0, 0] == pytest.approx(sm.values[0, 0] * expected)
 
@@ -242,9 +267,12 @@ class TestFuseAppearance:
 class TestFuseMatchesPerPairHam:
     """fuse_appearance equals a per-pair scalar HAM bit for bit on every gated cell."""
 
-    # (history length, recent confidence) of each track row: empty histories,
-    # saturated confidence, and histories at the default 10-entry cap.
-    ROWS = [(0, 0.4), (0, 1.0), (1, 0.0), (3, 0.55), (10, 0.3), (10, 1.0), (7, 0.9)]
+    # (history length, recent confidence) of each track row: every length up to
+    # the default 10-entry cap, each twice (4..7 entries are where a
+    # zero-padded confidence total changes bits), empty histories and
+    # saturated confidence.
+    ROWS = ([(n, 0.55) for n in range(11)] + [(n, 0.3) for n in range(11)]
+            + [(0, 0.4), (0, 1.0), (1, 0.0), (10, 1.0), (7, 0.9)])
 
     def memories(self, rng, make):
         return [AppearanceMemory(
@@ -264,12 +292,12 @@ class TestFuseMatchesPerPairHam:
             make, reference = (lambda: sparse_histogram(rng, d)), histogram_reference
         memories = self.memories(rng, make)
         descriptors = [make() for _ in range(9)]
-        descriptors[2] = memories[4].history[-1].descriptor  # a perfect match
+        descriptors[2] = memories[10].history[-1].descriptor  # a perfect match
         values = rng.uniform(0.05, 1.0, size=(len(memories), len(descriptors)))
         mask = rng.random(values.shape) < 0.7
         mask[-1] = False  # a row with nothing gated in
         sm = AffinityMatrix(values=values, gate_mask=mask)
-        fused = fuse_appearance(sm, memories, descriptors, score_descriptors, use_ham)
+        fused = fuse_appearance(sm, memories, descriptors, scorer_for(kind), use_ham)
         expected = np.zeros_like(values)
         for i, j in np.argwhere(mask):
             expected[i, j] = values[i, j] * scalar_ham(memories[i], descriptors[j],

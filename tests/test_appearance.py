@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamtrack import appearance
-from hamtrack.appearance import (AppearanceMemory, HistoryEntry, affinities,
-                                 decay_confidence, ham, history_weights,
-                                 maybe_store_history, score_descriptors,
-                                 score_embedding, score_histogram,
-                                 update_histogram)
-from hamtrack.core import AppearanceDescriptor, TrackerConfig
+from hamtrack.appearance import (AppearanceMemory, HistoryEntry, bank_of,
+                                 decay_confidence, descriptor_rows, ham, ham_scores,
+                                 history_weight_rows, history_weights,
+                                 maybe_store_history, new_bank, score_embedding,
+                                 score_histogram, scorer_for)
+from hamtrack.core import AppearanceDescriptor, BBox, Detection, TrackerConfig, validate_config
+from hamtrack.tracker import Tracker
 from scenario_utils import embedding_reference, histogram_reference, sparse_histogram
 
 H = AppearanceDescriptor.histogram
@@ -22,9 +23,13 @@ def unit(vec):
     return E(vec, normalize=True)
 
 
+def rows(*descriptors) -> np.ndarray:
+    return np.array([x.values for x in descriptors])
+
+
 def pair(scorer, a, b) -> float:
-    """One pair's score through the sequence-to-sequence scorer contract."""
-    return float(scorer([a], [b])[0, 0])
+    """One pair's score through the row-aligned scorer contract."""
+    return float(scorer(rows(a), rows(b))[0])
 
 
 class TestScorers:
@@ -52,53 +57,66 @@ class TestScorers:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            score_histogram([H([0.5, 0.5])], [H([0.5, 0.5]), H([0.2, 0.3, 0.5])])
+            descriptor_rows([H([0.5, 0.5]), H([0.2, 0.3, 0.5])], "histogram", 2)
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="kind"):
-            score_descriptors([H([0.5, 0.5])], [E([1.0, 0.0])])
+            descriptor_rows([H([0.5, 0.5]), E([1.0, 0.0])], "histogram", 2)
+        # A stream that switches kind fails where the frame's descriptors enter.
+        tracker = Tracker(TrackerConfig(filter_mode="none"))
+        box = BBox(10, 10, 30, 60)
+        tracker.step(1, [Detection(1, box, 50.0, E([1.0, 0.0]))])
         with pytest.raises(ValueError, match="kind"):
-            score_embedding([E([1.0, 0.0])], [E([0.0, 1.0]), H([0.5, 0.5])])
+            tracker.step(2, [Detection(2, box, 50.0, H([0.5, 0.5]))])
 
-    def test_dispatch(self):
-        assert pair(score_descriptors, H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
-        assert pair(score_descriptors, E([1.0, 0.0]), E([1.0, 0.0])) == pytest.approx(1.0)
+    def test_dispatch(self, monkeypatch):
+        assert pair(scorer_for("histogram"), H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
+        assert pair(scorer_for("embedding"), E([1.0, 0.0]), E([1.0, 0.0])) == pytest.approx(1.0)
+        # Looked up when called, so a wrapped module function is the one used.
+        monkeypatch.setattr(appearance, "score_embedding", lambda x, y: np.zeros(len(x)))
+        assert pair(scorer_for("embedding"), E([1.0, 0.0]), E([1.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize("a,b", [(H([0.2, 0.8]), H([0.6, 0.4])),
                                      (E([0.6, 0.8]), E([1.0, 0.0]))])
     def test_dispatch_checks_the_pair_once(self, a, b, monkeypatch):
         checks = []
-        original = appearance._stacked
-        monkeypatch.setattr(appearance, "_stacked",
+        original = appearance.descriptor_rows
+        monkeypatch.setattr(appearance, "descriptor_rows",
                             lambda *args: checks.append(args) or original(*args))
-        direct = score_histogram if a.kind == "histogram" else score_embedding
-        expected = direct([a, b], [b, a, b])
-        checks.clear()
-        got = score_descriptors([a, b], [b, a, b])
-        assert got.shape == (2, 3)
-        assert np.array_equal(got, expected)
+        memory = AppearanceMemory(recent=a, recent_conf=0.5,
+                                  history=(HistoryEntry(b, 0.9, 1), HistoryEntry(a, 0.6, 2)))
+        scorer = scorer_for(a.kind)
+        got = ham(memory, b, scorer)
         assert len(checks) == 1
+        s_hist = 0.9 / 1.5 * pair(scorer, b, b) + 0.6 / 1.5 * pair(scorer, a, b)
+        assert got == pytest.approx(0.5 * pair(scorer, a, b) + 0.5 * s_hist, abs=1e-12)
 
     def test_empty_sequences_give_empty_matrices(self):
-        assert score_embedding([], [unit([1.0, 0.0])] * 3).shape == (0, 3)
-        assert score_histogram([H([0.5, 0.5])] * 2, []).shape == (2, 0)
-        assert score_descriptors([], []).shape == (0, 0)
+        assert score_embedding(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+        assert score_histogram(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+        assert descriptor_rows([], "embedding", 3).shape == (0, 3)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_scorer_contract(self, seed):
         rng = np.random.default_rng(seed)
-        a = [unit(rng.normal(size=8)) for _ in range(rng.integers(1, 5))]
-        b = [unit(rng.normal(size=8)) for _ in range(rng.integers(1, 5))]
-        s_ab, s_ba = score_embedding(a, b), score_embedding(b, a)
-        assert s_ab.shape == (len(a), len(b))
-        assert np.all((0.0 <= s_ab) & (s_ab <= 1.0))
-        np.testing.assert_allclose(s_ab, s_ba.T, atol=1e-9)
-        np.testing.assert_allclose(np.diag(score_embedding(a, a)), 1.0, atol=1e-9)
+        n = int(rng.integers(1, 8))
+        x = rows(*(unit(rng.normal(size=8)) for _ in range(n)))
+        y = rows(*(unit(rng.normal(size=8)) for _ in range(n)))
+        s_xy, s_yx = score_embedding(x, y), score_embedding(y, x)
+        assert s_xy.shape == (n,)
+        assert np.all((0.0 <= s_xy) & (s_xy <= 1.0))
+        np.testing.assert_allclose(s_xy, s_yx, atol=1e-9)
+        np.testing.assert_allclose(score_embedding(x, x), 1.0, atol=1e-9)
 
 
 class TestScorersMatchPerPair:
-    """Every cell of a stacked score equals the per-pair scalar formula bit for bit."""
+    """Every gathered pair's score equals the per-pair scalar formula bit for bit."""
+
+    @staticmethod
+    def all_pairs(a, b):
+        i, j = np.indices((len(a), len(b))).reshape(2, -1)
+        return rows(*a)[i], rows(*b)[j]
 
     @pytest.mark.parametrize("d", [2, 16, 128, 512])
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (11, 15)])
@@ -107,9 +125,8 @@ class TestScorersMatchPerPair:
         a = [unit(rng.normal(size=d)) for _ in range(n)]
         b = [unit(rng.normal(size=d)) for _ in range(m)]
         b[0] = a[0]  # one identical pair, whose dot can round past 1
-        reference = np.array([[embedding_reference(x.values, y.values) for y in b]
-                              for x in a])
-        assert np.array_equal(score_embedding(a, b), reference)
+        reference = [embedding_reference(x.values, y.values) for x in a for y in b]
+        assert np.array_equal(score_embedding(*self.all_pairs(a, b)), reference)
 
     @pytest.mark.parametrize("d", [2, 16, 128, 512])
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (11, 15)])
@@ -118,31 +135,55 @@ class TestScorersMatchPerPair:
         a = [sparse_histogram(rng, d) for _ in range(n)]
         b = [sparse_histogram(rng, d) for _ in range(m)]
         b[0] = a[0]
-        reference = np.array([[histogram_reference(x.values, y.values) for y in b]
-                              for x in a])
-        assert np.array_equal(score_histogram(a, b), reference)
+        reference = [histogram_reference(x.values, y.values) for x in a for y in b]
+        assert np.array_equal(score_histogram(*self.all_pairs(a, b)), reference)
+
+
+def store(bank, z, affinity, frame, row=0, **cfg):
+    """``maybe_store_history`` on one matched row."""
+    return maybe_store_history(bank, [row], rows(z), z.kind, [affinity], frame,
+                               TrackerConfig(**cfg))
 
 
 class TestUpdateHistogram:
+    """The histogram blend of the recent slot when a track is matched."""
+
+    def blend(self, prev, matched, alpha):
+        out = store(new_bank(rows(prev)), matched, 0.5, 1, alpha_mode=repr(alpha))
+        return out.recent[0]
+
     def test_alpha_one_replaces(self):
-        out = update_histogram(H([0.2, 0.8]), H([0.6, 0.4]), 1.0)
-        np.testing.assert_allclose(out.values, [0.6, 0.4])
+        np.testing.assert_allclose(self.blend(H([0.2, 0.8]), H([0.6, 0.4]), 1.0), [0.6, 0.4])
 
     def test_alpha_zero_keeps(self):
-        out = update_histogram(H([0.2, 0.8]), H([0.6, 0.4]), 0.0)
-        np.testing.assert_allclose(out.values, [0.2, 0.8])
+        np.testing.assert_allclose(self.blend(H([0.2, 0.8]), H([0.6, 0.4]), 0.0), [0.2, 0.8])
 
     def test_halfway_blend(self):
-        out = update_histogram(H([0.2, 0.8]), H([0.6, 0.4]), 0.5)
-        np.testing.assert_allclose(out.values, [0.4, 0.6], atol=1e-12)
+        np.testing.assert_allclose(self.blend(H([0.2, 0.8]), H([0.6, 0.4]), 0.5), [0.4, 0.6],
+                                   atol=1e-12)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            update_histogram(H([0.5, 0.5]), H([0.5, 0.5]), 1.2)
+        cfg = TrackerConfig(alpha_mode="1.2")
+        assert any("alpha_mode" in p for p in validate_config(cfg))
+        with pytest.raises(ValueError, match="alpha_mode"):
+            Tracker(cfg)
 
     def test_output_normalized(self):
-        out = update_histogram(H([0.1, 0.9]), H([0.7, 0.3]), 0.37)
-        assert abs(float(out.values.sum()) - 1.0) <= 1e-9
+        out = self.blend(H([0.1, 0.9]), H([0.7, 0.3]), 0.37)
+        assert abs(float(out.sum()) - 1.0) <= 1e-9
+
+    def test_rows_equal_descriptor_normalisation(self):
+        # alpha*z + (1-alpha)*recent over its row sum, row by row, has the bits
+        # AppearanceDescriptor.histogram(..., normalize=True) gives one blend.
+        rng = np.random.default_rng(4)
+        prev = [sparse_histogram(rng, 512) for _ in range(40)]
+        matched = [sparse_histogram(rng, 512) for _ in range(40)]
+        affinity = rng.uniform(0.0, 1.0, size=40)
+        out = maybe_store_history(new_bank(rows(*prev)), np.arange(40), rows(*matched),
+                                  "histogram", affinity, 1, TrackerConfig())
+        for k, (p, z, a) in enumerate(zip(prev, matched, affinity.tolist())):
+            expected = H(a * z.values + (1.0 - a) * p.values, normalize=True).values
+            assert np.array_equal(out.recent[k], expected)
 
 
 class TestHistoryWeights:
@@ -176,18 +217,30 @@ class TestHistoryWeights:
         assert abs(float(w.sum()) - 1.0) <= 1e-9
         assert np.all(w >= 0) and np.all(w <= 1)
 
+    def test_rows_total_like_a_1d_sum(self):
+        # Every length up to a 30-slot width, with lengths mixed across rows:
+        # each row's weights have the bits of c / c.sum() on its own entries.
+        rng = np.random.default_rng(12)
+        lengths = np.repeat(np.arange(31), 6)
+        conf = rng.uniform(0.6, 1.0, size=(len(lengths), 30))
+        weights = history_weight_rows(conf, lengths)
+        for k, n in enumerate(lengths.tolist()):
+            c = np.array(conf[k, :n].tolist())
+            assert np.array_equal(weights[k, :n], c / c.sum() if n else c)
+            assert np.all(weights[k, n:] == 0.0)
+
 
 class StubScorer:
-    """Scores by identity of the stored vectors, for arithmetic-oracle tests.
+    """Scores each stored row by a fixed value looked up by its bytes, for arithmetic-oracle tests.
 
     Each stored descriptor scores the same against every candidate.
     """
 
     def __init__(self, table):
-        self.table = table
+        self.table = {d.values.tobytes(): v for d, v in table}
 
-    def __call__(self, a, b):
-        return np.array([[self.table[id(x)]] * len(b) for x in a])
+    def __call__(self, x, y):
+        return np.array([self.table[row.tobytes()] for row in x])
 
 
 class TestHam:
@@ -216,16 +269,19 @@ class TestHam:
         # -> 0.5*0.8 + 0.5*(1/3*0.2 + 2/3*0.6) = 0.63333...
         recent, h1, h2, z = (unit([1.0, 0.0]), unit([0.0, 1.0]),
                              unit([1.0, 1.0]), unit([1.0, 2.0]))
-        scorer = StubScorer({id(recent): 0.8, id(h1): 0.2, id(h2): 0.6})
+        scorer = StubScorer([(recent, 0.8), (h1, 0.2), (h2, 0.6)])
         mem = AppearanceMemory(recent=recent, recent_conf=0.5,
                                history=(HistoryEntry(h1, 0.5, 1),
                                         HistoryEntry(h2, 1.0, 2)))
         assert ham(mem, z, scorer) == pytest.approx(0.5 * 0.8 + 0.5 * (0.2 / 3 + 0.4),
                                                     abs=1e-12)
         assert ham(mem, z, scorer) == pytest.approx(0.6333, abs=5e-5)
-        np.testing.assert_array_equal(affinities(mem, [z, recent, h1], scorer),
+        bank, zs = bank_of([mem], [z, recent, h1])
+        pairs = np.zeros(3, dtype=int), np.arange(3)
+        np.testing.assert_array_equal(ham_scores(bank, *pairs, zs, scorer),
                                       [ham(mem, z, scorer)] * 3)
-        np.testing.assert_array_equal(affinities(mem, [z], scorer, use_ham=False), [0.8])
+        np.testing.assert_array_equal(ham_scores(bank, *pairs, zs, scorer, use_ham=False),
+                                      [0.8] * 3)
 
     def test_empty_history_degrades_to_baseline(self):
         mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=0.3)
@@ -238,7 +294,7 @@ class TestHam:
                                history=(HistoryEntry(h1, 0.7, 1),))
         values = []
         for s in np.linspace(0.0, 1.0, 11):
-            scorer = StubScorer({id(recent): float(s), id(h1): 0.5})
+            scorer = StubScorer([(recent, float(s)), (h1, 0.5)])
             values.append(ham(mem, z, scorer))
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -255,80 +311,136 @@ class TestHam:
         out = ham(mem, unit(rng.normal(size=6)), score_embedding)
         assert 0.0 <= out <= 1.0
 
+    def test_one_call_per_slot_and_only_gated_pairs(self):
+        # Rows holding 0, 2 and 3 entries: the recent slot plus three history
+        # slots, each scored once over exactly the pairs whose row reaches it.
+        rng = np.random.default_rng(8)
+        memories = [AppearanceMemory(
+            recent=unit(rng.normal(size=4)), recent_conf=0.5,
+            history=tuple(HistoryEntry(unit(rng.normal(size=4)), 0.9, k + 1)
+                          for k in range(n))) for n in (0, 2, 3)]
+        bank, zs = bank_of(memories, [unit(rng.normal(size=4)) for _ in range(4)])
+        pair_rows, pair_cols = np.array([0, 1, 2, 2]), np.array([3, 0, 1, 3])
+        calls = []
+
+        def scorer(x, y):
+            calls.append(len(x))
+            return score_embedding(x, y)
+
+        got = ham_scores(bank, pair_rows, pair_cols, zs, scorer)
+        assert calls == [4, 3, 3, 2]
+        for p, (i, j) in enumerate(zip(pair_rows, pair_cols)):
+            assert got[p] == ham(memories[i], AppearanceDescriptor("embedding", zs[j]),
+                                 score_embedding)
+
+
+class ReferenceMemory:
+    """One track's memory kept the way a per-track object keeps it, as tuples."""
+
+    def __init__(self, recent):
+        self.recent, self.conf, self.history = recent, 1.0, ()
+
+    def store(self, z, affinity, frame, cfg):
+        self.conf = min(1.0, max(0.0, affinity))
+        self.recent = z
+        if affinity > cfg.tau_conf:
+            self.history += ((z, self.conf, frame),)
+        self.history = tuple(e for e in self.history if frame - e[2] <= cfg.hist_window)
+        self.history = self.history[max(0, len(self.history) - cfg.hist_max):]
+
 
 class TestMaybeStoreHistory:
-    def cfg(self, **kw):
-        return TrackerConfig(**kw)
-
-    def mem(self):
-        return AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=1.0)
+    def bank(self):
+        return new_bank(rows(unit([1.0, 0.0])))
 
     def test_below_threshold_refreshes_recent_only(self):
         new = unit([0.0, 1.0])
-        out = maybe_store_history(self.mem(), new, 0.59, 5, self.cfg())
-        assert out.history == ()
-        assert out.recent is new
-        assert out.recent_conf == pytest.approx(0.59)
+        out = store(self.bank(), new, 0.59, 5)
+        assert out.hist_len[0] == 0 and out.hist.shape == (1, 0, 2)
+        assert np.array_equal(out.recent[0], new.values)
+        assert out.recent_conf[0] == pytest.approx(0.59)
 
     def test_at_threshold_not_stored(self):
-        out = maybe_store_history(self.mem(), unit([0.0, 1.0]), 0.6, 5, self.cfg())
-        assert out.history == ()
+        out = store(self.bank(), unit([0.0, 1.0]), 0.6, 5)
+        assert out.hist_len[0] == 0
 
     def test_above_threshold_stored(self):
-        out = maybe_store_history(self.mem(), unit([0.0, 1.0]), 0.61, 5, self.cfg())
-        assert len(out.history) == 1
-        assert out.history[0].frame == 5
-        assert out.history[0].conf == pytest.approx(0.61)
+        new = unit([0.0, 1.0])
+        out = store(self.bank(), new, 0.61, 5)
+        assert out.hist_len[0] == 1
+        assert out.hist_frame[0, 0] == 5
+        assert out.hist_conf[0, 0] == pytest.approx(0.61)
+        assert np.array_equal(out.hist[0, 0], new.values)
 
     def test_size_cap_evicts_oldest(self):
-        mem = self.mem()
+        bank = self.bank()
         for frame in range(1, 12):
-            mem = maybe_store_history(mem, unit([1.0, float(frame)]), 0.9, frame,
-                                      self.cfg(hist_window=100))
-        assert len(mem.history) == 10
-        assert mem.history[0].frame == 2  # frame-1 entry evicted
+            bank = store(bank, unit([1.0, float(frame)]), 0.9, frame, hist_window=100)
+        assert bank.hist_len[0] == 10 and bank.hist.shape[1] == 10
+        assert bank.hist_frame[0, 0] == 2  # frame-1 entry evicted
 
     def test_age_window_evicts(self):
-        mem = maybe_store_history(self.mem(), unit([0.0, 1.0]), 0.9, 1, self.cfg())
-        mem = maybe_store_history(mem, unit([1.0, 1.0]), 0.9, 17, self.cfg())
-        frames = [e.frame for e in mem.history]
+        bank = store(self.bank(), unit([0.0, 1.0]), 0.9, 1)
+        bank = store(bank, unit([1.0, 1.0]), 0.9, 17)
+        frames = bank.hist_frame[0, :bank.hist_len[0]].tolist()
         assert frames == [17]  # the frame-1 entry is 16 frames old, window is 15
 
     def test_histogram_recent_blended_by_affinity(self):
-        mem = AppearanceMemory(recent=H([0.2, 0.8]), recent_conf=1.0)
-        out = maybe_store_history(mem, H([0.6, 0.4]), 0.5, 3, self.cfg())
-        np.testing.assert_allclose(out.recent.values, [0.4, 0.6], atol=1e-12)
+        out = store(new_bank(rows(H([0.2, 0.8]))), H([0.6, 0.4]), 0.5, 3)
+        np.testing.assert_allclose(out.recent[0], [0.4, 0.6], atol=1e-12)
 
     def test_fixed_alpha_mode(self):
-        mem = AppearanceMemory(recent=H([0.2, 0.8]), recent_conf=1.0)
-        out = maybe_store_history(mem, H([0.6, 0.4]), 0.9, 3,
-                                  self.cfg(alpha_mode="1.0"))
-        np.testing.assert_allclose(out.recent.values, [0.6, 0.4], atol=1e-12)
+        out = store(new_bank(rows(H([0.2, 0.8]))), H([0.6, 0.4]), 0.9, 3, alpha_mode="1.0")
+        np.testing.assert_allclose(out.recent[0], [0.6, 0.4], atol=1e-12)
 
     def test_random_stimulus_preserves_invariants(self):
+        # Random subsets of five rows matched each frame, against per-track
+        # tuple memories: unmatched rows stay as they were, the window and the
+        # cap evict in that order, and the width is the longest history held.
         rng = np.random.default_rng(23)
-        cfg = self.cfg()
-        mem = self.mem()
-        frame = 0
-        for _ in range(10_000):
-            frame += int(rng.integers(1, 4))
-            mem = maybe_store_history(mem, unit(rng.normal(size=4)),
-                                      float(rng.uniform(0, 1)), frame, cfg)
-            assert len(mem.history) <= cfg.hist_max
-            assert all(frame - e.frame <= cfg.hist_window for e in mem.history)
-            assert all(0.0 <= e.conf <= 1.0 for e in mem.history)
-            assert 0.0 <= mem.recent_conf <= 1.0
-            assert [e.frame for e in mem.history] == sorted(e.frame for e in mem.history)
+        for cfg in (TrackerConfig(), TrackerConfig(hist_max=3, hist_window=6, tau_conf=0.3)):
+            start = [unit(rng.normal(size=4)) for _ in range(5)]
+            bank = new_bank(rows(*start))
+            reference = [ReferenceMemory(d.values) for d in start]
+            frame = 0
+            for _ in range(1500):
+                frame += int(rng.integers(1, 4))
+                matched = np.flatnonzero(rng.random(5) < 0.6)
+                zs = rng.normal(size=(len(matched), 4))
+                zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+                affinity = rng.uniform(0, 1, size=len(matched))
+                bank = maybe_store_history(bank, matched, zs, "embedding", affinity,
+                                           frame, cfg)
+                for i, z, a in zip(matched.tolist(), zs, affinity.tolist()):
+                    reference[i].store(z, a, frame, cfg)
+                assert bank.hist.shape[1] == bank.hist_len.max()
+                assert bank.hist_len.max() <= min(cfg.hist_max, cfg.hist_window + 1)
+                for i, ref in enumerate(reference):
+                    n = bank.hist_len[i]
+                    assert bank.recent_conf[i] == ref.conf
+                    assert np.array_equal(bank.recent[i], ref.recent)
+                    assert bank.hist_frame[i, :n].tolist() == [e[2] for e in ref.history]
+                    assert bank.hist_conf[i, :n].tolist() == [e[1] for e in ref.history]
+                    assert np.array_equal(bank.hist[i, :n],
+                                          np.array([e[0] for e in ref.history]).reshape(n, 4))
+
+    def test_nonfinite_affinity_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            store(self.bank(), unit([0.0, 1.0]), math.nan, 5)
 
 
 class TestDecayConfidence:
     def test_decay(self):
-        mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=0.8)
-        out = decay_confidence(mem, 0.9)
-        assert out.recent_conf == pytest.approx(0.72)
-        assert out.recent is mem.recent
-        assert out.history == mem.history
+        bank = store(new_bank(rows(unit([1.0, 0.0]), unit([0.0, 1.0]))),
+                     unit([1.0, 1.0]), 0.8, 1)
+        before = bank._make(a.copy() for a in bank)
+        out = decay_confidence(bank, [0], 0.9)
+        assert out.recent_conf[0] == pytest.approx(0.72)
+        assert out.recent_conf[1] == 1.0
+        for name in ("recent", "hist", "hist_conf", "hist_frame", "hist_len"):
+            assert np.array_equal(getattr(out, name), getattr(before, name)), name
 
     def test_floor_at_zero(self):
-        mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=1e-300)
-        assert decay_confidence(mem, 0.0).recent_conf == 0.0
+        bank = new_bank(rows(unit([1.0, 0.0])))
+        bank.recent_conf[0] = 1e-300
+        assert decay_confidence(bank, [0], 0.0).recent_conf[0] == 0.0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hamtrack
 from hamtrack.cli import main
+from hamtrack.io_mot import MAX_FRAME
 
 
 @pytest.fixture
@@ -187,6 +188,17 @@ class TestTrack:
             f"error: {det}: line 2: frame is not a whole number: '1.9'\n")
         assert not (tmp_path / "res.txt").exists()
 
+    def test_frame_above_max_frame_exits_1_naming_the_line(self, tmp_path, capsys):
+        det = tmp_path / "det.txt"
+        det.write_text(f"1,-1,10,20,30,60,45,-1,-1,-1\n{MAX_FRAME},-1,10,20,30,60,45,-1,-1,-1\n"
+                       f"{MAX_FRAME + 1},-1,10,20,30,60,45,-1,-1,-1\n")
+        rc = main(["track", "--det", str(det), "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {det}: line 3: frame {MAX_FRAME + 1} is above the highest "
+            f"trackable frame, {MAX_FRAME}\n")
+        assert not (tmp_path / "res.txt").exists()
+
     def test_overflowing_embedding_norm_exits_1_without_warnings(self, tmp_path):
         det = tmp_path / "det.txt"
         det.write_text("1,-1,10,20,30,60,45,-1,-1,-1\n")
@@ -325,12 +337,13 @@ ODD_FIELD = st.one_of(
                      "1e-170", "1e308", "1e160", "abc", ""]))
 FIELD = st.sampled_from([1, 1, 1, 0]).flatmap(
     lambda plain: st.integers(1, 400).map(str) if plain else ODD_FIELD)
-# Frames stay at 50 or below: `track` steps every frame from 1 up to the
-# highest one, at about 0.45 ms per empty frame, so a single row at frame
-# 200000 takes more than a minute.
+# Accepted frames stay at 50 or below: `track` steps every frame from 1 up to
+# the highest one, at about 0.45 ms per empty frame. Frames above MAX_FRAME
+# are drawn too; a detection file naming one is rejected before tracking.
 FRAME = st.sampled_from([1, 1, 1, 0]).flatmap(
     lambda plain: st.integers(1, 50).map(str) if plain else st.sampled_from(
-        ["-1", "0", "3.0", "3e0", "1.9", "0.5", "nan", "inf", "abc", ""]))
+        ["-1", "0", "3.0", "3e0", "1.9", "0.5", "nan", "inf", "abc", "",
+         str(MAX_FRAME + 1), "1e9", "1e300"]))
 
 
 def text_rows(min_rest: int, max_rest: int, header: str = ""):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamtrack import appearance
 from hamtrack import tracker as tracker_module
+from hamtrack.cli import main
 from hamtrack.association import associate
 from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
                            TrackerConfig)
@@ -29,6 +32,7 @@ def walker(frames, x0=50.0, vx=4.0, descriptor=None, **kw):
 
 
 NO_FILTER = TrackerConfig(filter_mode="none")
+OCCLUSION_SCENE = Path(appearance.__file__).parent / "scenarios" / "occlusion.scn"
 
 
 class TestStepBasics:
@@ -173,23 +177,22 @@ class TestAppearanceIntegration:
         tracker = Tracker(NO_FILTER)
         for f in range(1, 6):
             tracker.step(f, dets[f])
-        memory = tracker.table.memories[0]
-        before_recent = memory.recent
-        before_hist = memory.history
-        before_conf = memory.recent_conf
+        before = [a.copy() for a in tracker.table.memory]
+        before = tracker.table.memory._make(before)
+        assert before.hist_len[0] > 0
         tracker.step(6, [])
-        after = tracker.table.memories[0]
-        assert after.recent is before_recent
-        assert after.history == before_hist
-        assert after.recent_conf == pytest.approx(before_conf * 0.9)
+        after = tracker.table.memory
+        for name in ("recent", "hist", "hist_conf", "hist_frame", "hist_len"):
+            assert np.array_equal(getattr(after, name), getattr(before, name)), name
+        assert after.recent_conf[0] == pytest.approx(before.recent_conf[0] * 0.9)
 
     def test_match_affinity_becomes_recent_conf(self):
         a, _ = self.descriptors()
         tracker = Tracker(NO_FILTER)
         tracker.step(1, [det(1, 50.0, descriptor=a)])
-        assert tracker.table.memories[0].recent_conf == 1.0
+        assert tracker.table.recent_conf[0] == 1.0
         tracker.step(2, [det(2, 54.0, descriptor=a)])
-        conf = tracker.table.memories[0].recent_conf
+        conf = tracker.table.recent_conf[0]
         assert 0.9 < conf <= 1.0  # perfect appearance, near-perfect shape/motion
 
     def test_history_grows_only_above_tau_conf(self):
@@ -197,9 +200,59 @@ class TestAppearanceIntegration:
         tracker = Tracker(NO_FILTER)
         tracker.step(1, [det(1, 50.0, descriptor=a)])
         tracker.step(2, [det(2, 54.0, descriptor=b)])  # orthogonal: affinity ~0.5
-        assert tracker.table.memories[0].history == ()
+        assert tracker.table.hist_len[0] == 0
         tracker.step(3, [det(3, 58.0, descriptor=b)])  # matches recent now
-        assert len(tracker.table.memories[0].history) == 1
+        assert tracker.table.hist_len[0] == 1
+
+    @pytest.mark.parametrize("mode", ["embed", "hist"])
+    def test_step_builds_no_memory_objects(self, mode, tmp_path, monkeypatch):
+        # The tracker keeps appearance in table columns; the value types are
+        # only for the list-based adaptors.
+        assert main(["generate", "--spec", str(OCCLUSION_SCENE), "--out", str(tmp_path),
+                     "--frames"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-track memory object was built")
+
+        monkeypatch.setattr(appearance.AppearanceMemory, "__init__", refuse)
+        monkeypatch.setattr(appearance.HistoryEntry, "__init__", refuse)
+        source = (["--embeddings", str(tmp_path / "embeddings.csv")] if mode == "embed"
+                  else ["--frames-dir", str(tmp_path / "frames")])
+        assert main(["track", "--det", str(tmp_path / "det.txt"), "--appearance", mode,
+                     *source, "--out", str(tmp_path / "res.txt")]) == 0
+        assert (tmp_path / "res.txt").read_text()
+
+    def test_unbounded_history_config_keeps_width_to_longest_history(self):
+        cfg = dataclasses.replace(NO_FILTER, hist_max=10**9, hist_window=10**9)
+        spec = crossing_spec(3)
+        dets, emb, _ = scenario_inputs(generate(spec))
+        tracker = Tracker(cfg, descriptor_source=lambda f, o: emb[(f, o)])
+        widths = []
+        for f in range(1, spec.n_frames + 1):
+            tracker.step(f, dets.get(f, []))
+            table = tracker.table
+            assert table.hist.shape[1] == table.hist_len.max(initial=0)
+            assert table.hist_conf.shape == table.hist_frame.shape == table.hist.shape[:2]
+            widths.append(table.hist.shape[1])
+        assert max(widths) > 15  # more than the default cap and window allow
+
+    def test_scorer_calls_per_frame_at_most_width_plus_one(self, monkeypatch):
+        # The scorer is looked up in the appearance module on every step, and
+        # a frame scores the recent slot plus one call per history slot.
+        calls = []
+        original = appearance.score_embedding
+        monkeypatch.setattr(appearance, "score_embedding",
+                            lambda x, y: calls.append(len(x)) or original(x, y))
+        spec = crossing_spec(2)
+        dets, emb, _ = scenario_inputs(generate(spec))
+        tracker = Tracker(NO_FILTER, descriptor_source=lambda f, o: emb[(f, o)])
+        for f in range(1, spec.n_frames + 1):
+            width = tracker.table.hist.shape[1]
+            calls.clear()
+            result = tracker.step(f, dets.get(f, []))
+            assert len(calls) <= width + 1
+            assert sum(calls[:1]) == result.diagnostics.appearance_evals
+        assert width > 1
 
 
 class TestDeterminismAndEquivalence:
@@ -327,7 +380,7 @@ def run_stream(stream, cfg, use_appearance):
     """Step ``stream`` through a new tracker.
 
     Returns the results, each frame's (final matrix, assignment) and each
-    frame's live ids and covariances after the step.
+    frame's live ids, covariances and appearance memory after the step.
     """
     solved = []
 
@@ -343,7 +396,8 @@ def run_stream(stream, cfg, use_appearance):
             dets = [det(frame, x + dx, y, w, h, descriptor=EMBEDDINGS[e])
                     for x, dx, y, (w, h), e in boxes]
             results.append(tracker.step(frame, dets))
-            tables.append((tracker.table.ids.tolist(), tracker.table.cov.copy()))
+            memory = tracker.table.memory._make(a.copy() for a in tracker.table.memory)
+            tables.append((tracker.table.ids.tolist(), tracker.table.cov.copy(), memory))
     return results, solved, tables
 
 
@@ -363,8 +417,10 @@ class TestPipelineProperties:
                 assert matrix.gate_mask[i, j], f"ungated pair ({i}, {j}) matched"
 
         live, highest = set(), 0
-        for ids, cov in tables:
+        for ids, cov, memory in tables:
             assert len(set(ids)) == len(ids)
+            assert memory.hist.shape[1] == memory.hist_len.max(initial=0)
+            assert np.all((0.0 <= memory.recent_conf) & (memory.recent_conf <= 1.0))
             born = [i for i in ids if i not in live]
             assert all(i > highest for i in born), "an id was reused"
             highest = max([highest, *ids])
