@@ -43,16 +43,17 @@ def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
     n, m = len(pred_pos), len(boxes)
     values = np.zeros((n, m))
     if n and m:
-        pos = np.asarray(pred_pos, dtype=float).reshape(n, 1, 2)
-        wh = np.asarray(pred_wh, dtype=float).reshape(n, 1, 2)
+        # (2, n, m) planes, so every array operation runs along the m detections
+        pos, wh = (np.asarray(a, dtype=float).reshape(n, 2).T.copy()[:, :, None]
+                   for a in (pred_pos, pred_wh))
         if np.any(wh <= 0):
             raise ValueError("predicted sizes must be positive")
-        obs = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes])
-        centers, sizes = obs[:, :2], obs[:, 2:]
-        d = (centers - pos).reshape(n * m, 2)
-        maha = np.einsum("kj,jl,kl->k", d, np.linalg.inv(cfg.sigma()), d).reshape(n, m)
+        obs = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]).T.copy()[:, None, :]
+        centers, sizes = obs[:2], obs[2:]
+        d = centers - pos
+        maha = np.einsum("jnm,jl,lnm->nm", d, np.linalg.inv(cfg.sigma()), d)
         rel = np.abs(wh - sizes) / (wh + sizes)
-        shape = np.exp(-cfg.xi * (rel[..., 1] + rel[..., 0]))
+        shape = np.exp(-cfg.xi * (rel[1] + rel[0]))
         values = shape * np.exp(-cfg.eta * maha)
     gate_mask = values > cfg.tau_asc
     return AffinityMatrix(values=values, gate_mask=gate_mask)

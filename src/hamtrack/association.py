@@ -3,10 +3,12 @@
 Maximizes total affinity with the Hungarian algorithm (shortest augmenting
 path / potentials formulation), then demotes any optimal pair outside the gate
 or below the association threshold. The solver is hand-rolled so tie-breaking
-is fixed: rows are processed in index order, and each step scans only the free
-columns, in ascending order, with strict ``<`` updates, so equal reduced costs
-resolve to the lowest column. It reads the costs once as Python floats, whose
-arithmetic is numpy's IEEE double arithmetic.
+is fixed: rows are processed in index order, and each step takes the first
+minimum over the columns not yet in the search tree, so equal reduced costs
+resolve to the lowest column. Its steps are numpy array operations on the
+costs, in the same IEEE double arithmetic and order as the scalar algorithm:
+the first step of a run of rows is one subtraction and one ``argmin`` over
+the run, and a search's potential updates are added when it ends.
 """
 
 from dataclasses import dataclass
@@ -29,48 +31,58 @@ def _solve_min(cost: np.ndarray) -> list[int]:
     """Column assigned to each row of a (n <= m) cost matrix, minimizing total."""
     n, m = cost.shape
     INF = float("inf")
-    rows = [[0.0] + row for row in cost.tolist()]  # 1-based, like the columns
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    assigned_row = [0] * (m + 1)  # 1-based row occupying each column, 0 = free
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        assigned_row[0] = i
-        j0 = 0
-        minv = [INF] * (m + 1)
-        free = list(range(1, m + 1))  # columns not yet in the tree, ascending
-        used = [0]
-        delta = 0.0
-        while True:
-            i0 = assigned_row[j0]
-            row, ui = rows[i0 - 1], u[i0]
-            last = delta  # the previous step's delta, owed by every free minv
-            delta = INF
-            for k, j in enumerate(free):
-                mj = minv[j] - last
-                cur = row[j] - ui - v[j]
-                if cur < mj:
-                    mj = cur
-                    way[j] = j0
-                minv[j] = mj
-                if mj < delta:
-                    delta = mj
-                    k1 = k
-            for j in used:
-                u[assigned_row[j]] += delta
-                v[j] -= delta
-            j0 = free.pop(k1)
-            if assigned_row[j0] == 0:
-                break
-            used.append(j0)
-        while j0:
-            j1 = way[j0]
-            assigned_row[j0] = assigned_row[j1]
-            j0 = j1
+    u = [0.0] * n
+    v = np.zeros(m)
+    owner = [-1] * m  # row occupying each column, -1 = free
+    way = np.empty(m, dtype=np.intp)  # previous column on the path, -1 = the searching row
+    i = 0
+    while i < n:
+        # Step 0 of every remaining row: u of each is still 0.0, and a search
+        # that ends at step 0 changes no v, so these stay valid until one doesn't.
+        first = cost[i:] - v
+        for k, j in enumerate(first.argmin(axis=1).tolist()):
+            row, i = i, i + 1
+            delta = first.item(k, j)
+            if owner[j] < 0:
+                u[row] += delta
+                owner[j] = row
+                continue
+            minv = first[k]  # changed in place: the block is recomputed after this search
+            way.fill(-1)
+            blocked = v.copy()  # -inf at the columns in the tree, so their cost is inf
+            rows, cols, deltas = [row], [], [delta]
+            while owner[j] >= 0:
+                i0 = owner[j]
+                rows.append(i0)
+                cols.append(j)
+                minv[j], blocked[j] = INF, -INF
+                cur = cost[i0] - u[i0]
+                cur -= blocked
+                minv -= delta  # the previous step's delta, owed by every free minv
+                better = cur < minv
+                way[better] = j
+                np.copyto(minv, cur, where=better)
+                j = int(minv.argmin())
+                delta = minv.item(j)
+                deltas.append(delta)
+            # A search reads v only off the tree and a row's u only as it joins,
+            # so the tree owes each step's delta now, in the order of the steps.
+            tree_v = v[cols].tolist()
+            for t, d in enumerate(deltas):
+                for r in rows[:t + 1]:
+                    u[r] += d
+                for c in range(t):
+                    tree_v[c] -= d
+            v[cols] = tree_v
+            while j >= 0:
+                back = int(way[j])
+                owner[j] = owner[back] if back >= 0 else row
+                j = back
+            break
     out = [-1] * n
-    for j in range(1, m + 1):
-        if assigned_row[j]:
-            out[assigned_row[j] - 1] = j - 1
+    for j, r in enumerate(owner):
+        if r >= 0:
+            out[r] = j
     return out
 
 
@@ -90,7 +102,7 @@ def hungarian_max(values) -> list[tuple[int, int]]:
         raise ValueError("affinity matrix contains non-finite values")
     transposed = n > m
     work = mat.T if transposed else mat
-    cost = float(work.max()) - work
+    cost = np.subtract(float(work.max()), work, order="C")  # the solver reads rows
     cols = _solve_min(cost)
     pairs = [(i, j) for i, j in enumerate(cols) if j >= 0]
     if transposed:

@@ -95,10 +95,12 @@ class TrackTable:
         vars(self).update(bank._asdict())
 
     def select(self, keep: np.ndarray) -> "TrackTable":
-        """The rows where ``keep`` is true."""
+        """The rows where ``keep`` is true, with as many history slots as they use."""
         rows = np.flatnonzero(keep)
+        width = int(self.hist_len[rows].max(initial=0))
+        cols = {**vars(self), **fit_width(self.memory, width)._asdict()}
         return TrackTable(*([col[r] for r in rows] if isinstance(col, list) else col[rows]
-                            for col in vars(self).values()))
+                            for col in cols.values()))
 
     def append(self, other: "TrackTable") -> "TrackTable":
         """This table's rows followed by ``other``'s, with as many history slots as they use."""
@@ -244,10 +246,13 @@ class Tracker:
         dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
 
         new = assignment.unmatched_detections
-        with _kalman_arithmetic(frame):
-            born = TrackTable.born(self._next_id, [boxes[dj] for dj in new],
-                                   descriptors[list(new)], cfg)
-        table = table.select(~dead).append(born)
+        if dead.any():  # select and append copy every column, the history included
+            table = table.select(~dead)
+        if new:
+            with _kalman_arithmetic(frame):
+                born = TrackTable.born(self._next_id, [boxes[dj] for dj in new],
+                                       descriptors[list(new)], cfg)
+            table = table.append(born)
         self._next_id += len(new)
         self.table = table
 

@@ -139,6 +139,50 @@ class TestBuildSmMatrix:
         np.testing.assert_allclose(sm_perm.values, sm.values[np.ix_(rp, cp)])
 
 
+def sm_oracle(pred_pos, pred_wh, boxes, cfg):
+    """The shape-motion matrix as one einsum over (n * m, 2) displacements.
+
+    This is the layout ``build_sm_matrix`` computed before it worked on
+    (2, n, m) planes; its values and gate must stay the same to the bit.
+    """
+    n, m = len(pred_pos), len(boxes)
+    if not (n and m):
+        return np.zeros((n, m)), np.zeros((n, m), dtype=bool)
+    pos = np.asarray(pred_pos, dtype=float).reshape(n, 1, 2)
+    wh = np.asarray(pred_wh, dtype=float).reshape(n, 1, 2)
+    obs = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes])
+    centers, sizes = obs[:, :2], obs[:, 2:]
+    d = (centers - pos).reshape(n * m, 2)
+    maha = np.einsum("kj,jl,kl->k", d, np.linalg.inv(cfg.sigma()), d).reshape(n, m)
+    rel = np.abs(wh - sizes) / (wh + sizes)
+    values = np.exp(-cfg.xi * (rel[..., 1] + rel[..., 0])) * np.exp(-cfg.eta * maha)
+    return values, values > cfg.tau_asc
+
+
+class TestBuildSmMatrixMatchesOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_bit_identical(self, seed, correlated):
+        rng = np.random.default_rng(700 + seed)
+        nonzero = 0
+        for _ in range(25):
+            n, m = (int(k) for k in rng.integers(0, 171, size=2))
+            sxx, syy = rng.uniform(1e2, 1e6, size=2)
+            sxy = rng.uniform(-0.9, 0.9) * math.sqrt(sxx * syy) if correlated else 0.0
+            cfg = TrackerConfig(sigma_xx=sxx, sigma_xy=sxy, sigma_yy=syy,
+                                xi=rng.uniform(0.0, 3.0), eta=rng.uniform(0.0, 2.0))
+            boxes = [BBox(*rng.uniform(-500, 3000, size=2), *rng.uniform(1, 2000, size=2))
+                     for _ in range(m)]
+            pos = rng.uniform(-500, 4000, size=(n, 4))[:, :2]  # a view, as the tracker passes
+            wh = rng.uniform(1, 2000, size=(n, 2))
+            sm = build_sm_matrix(pos, wh, boxes, cfg)
+            values, gate = sm_oracle(pos, wh, boxes, cfg)
+            assert np.array_equal(sm.values, values), (n, m)
+            assert np.array_equal(sm.gate_mask, gate), (n, m)
+            nonzero += np.count_nonzero(values)
+        assert nonzero > 0
+
+
 def constant_scorer(value, calls=None):
     """A scorer giving ``value`` to every pair; records each call's (x, y) rows in ``calls``."""
     def scorer(x, y):

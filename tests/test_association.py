@@ -188,6 +188,56 @@ class TestSolveMinMatchesReference:
                     mat[rows, cols].sum(), abs=1e-9), f"{kind} grid {k}"
 
 
+def crowd_cost(rng, n=150, m=170, zero_share=0.85):
+    """A cost grid like a 150-object crowd's: most pairs have zero affinity."""
+    affinity = rng.random((n, m))
+    affinity[rng.random((n, m)) < zero_share] = 0.0
+    return affinity.max() - affinity
+
+
+class TestBatchedFirstStep:
+    """Grids on which the first step of many rows lands on a taken column, or ties."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_row_prefers_one_column(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 15))
+        cost = 1.0 + rng.random((n, int(rng.integers(n, 18))))
+        cost[:, int(rng.integers(cost.shape[1]))] = rng.random(n) * 1e-3
+        assert _solve_min(cost) == reference_solve_min(cost)
+        cost[:, 0] = 0.0  # and every row ties on it
+        assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicate_rows_and_columns(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        base = rng.integers(0, 4, size=(6, 8)).astype(float) if seed % 2 else rng.random((6, 8))
+        n = int(rng.integers(1, 10))
+        rows = rng.integers(0, 6, size=n)
+        cols = rng.integers(0, 8, size=int(rng.integers(n, 14)))
+        cost = base[np.ix_(rows, cols)]
+        assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 40])
+    def test_single_row(self, m):
+        rng = np.random.default_rng(m)
+        for cost in (rng.random((1, m)), rng.integers(0, 2, size=(1, m)).astype(float),
+                     np.zeros((1, m))):
+            assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+    def test_square(self, n):
+        rng = np.random.default_rng(50 + n)
+        for cost in (rng.random((n, n)), rng.integers(0, 3, size=(n, n)).astype(float),
+                     crowd_cost(rng, n, n)):
+            assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crowd_grids(self, seed):
+        cost = crowd_cost(np.random.default_rng(500 + seed))
+        assert _solve_min(cost) == reference_solve_min(cost)
+
+
 class TestAssociate:
     def test_zero_matrix_everything_unmatched(self):
         out = associate(matrix(np.zeros((2, 3))), tau_asc=0.05)

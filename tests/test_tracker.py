@@ -186,6 +186,22 @@ class TestAppearanceIntegration:
             assert np.array_equal(getattr(after, name), getattr(before, name)), name
         assert after.recent_conf[0] == pytest.approx(before.recent_conf[0] * 0.9)
 
+    def test_frame_without_birth_or_death_keeps_the_table_arrays(self):
+        # Only a birth or a death copies the table's columns, the (N, W, d)
+        # history among them; a miss or a match that stores nothing reuses them.
+        a, b = self.descriptors()
+        tracker = Tracker(NO_FILTER)
+        for f in range(1, 6):
+            tracker.step(f, [det(f, 50.0 + 4.0 * f, descriptor=a)])
+        assert tracker.table.hist_len[0] > 0
+        for f, dets in ((6, []), (7, [det(7, 78.0, descriptor=b)])):
+            ids, hist = tracker.table.ids, tracker.table.hist
+            diag = tracker.step(f, dets).diagnostics
+            assert (diag.births, diag.deaths, diag.n_tracks) == (0, 0, 1)
+            assert tracker.table.ids is ids
+            assert np.shares_memory(tracker.table.hist, hist)
+        assert tracker.table.misses[0] == 0  # the orthogonal detection matched
+
     def test_match_affinity_becomes_recent_conf(self):
         a, _ = self.descriptors()
         tracker = Tracker(NO_FILTER)
