@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .appearance import AppearanceMemory, MemoryBank, Scorer, bank_of, ham_scores
-from .core import AppearanceDescriptor, BBox, TrackerConfig
+from .core import AppearanceDescriptor, BBox, TrackerConfig, box_columns
 
 
 @dataclass
@@ -48,13 +48,19 @@ def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
                    for a in (pred_pos, pred_wh))
         if np.any(wh <= 0):
             raise ValueError("predicted sizes must be positive")
-        obs = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]).T.copy()[:, None, :]
-        centers, sizes = obs[:2], obs[2:]
-        d = centers - pos
-        maha = np.einsum("jnm,jl,lnm->nm", d, np.linalg.inv(cfg.sigma()), d)
-        rel = np.abs(wh - sizes) / (wh + sizes)
-        shape = np.exp(-cfg.xi * (rel[1] + rel[0]))
-        values = shape * np.exp(-cfg.eta * maha)
+        xy, sizes = box_columns(boxes).copy().reshape(2, 2, 1, m)
+        # Every step writes into values or one (3, n, m) block: large temporaries
+        # freed each frame go back to the OS and are faulted in again on the next.
+        planes = np.empty((3, n, m))
+        d = np.subtract(xy + sizes / 2.0, pos, out=planes[:2])
+        np.einsum("jnm,jl,lnm->nm", d, np.linalg.inv(cfg.sigma()), d, out=values)
+        motion = np.exp(np.multiply(values, -cfg.eta, out=values), out=values)
+        rel = np.abs(np.subtract(wh, sizes, out=d), out=d)
+        for k in range(2):
+            np.divide(rel[k], np.add(wh[k], sizes[k], out=planes[2]), out=rel[k])
+        shape = np.add(rel[1], rel[0], out=planes[2])
+        np.exp(np.multiply(shape, -cfg.xi, out=shape), out=shape)
+        np.multiply(shape, motion, out=values)
     gate_mask = values > cfg.tau_asc
     return AffinityMatrix(values=values, gate_mask=gate_mask)
 

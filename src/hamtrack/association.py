@@ -7,8 +7,8 @@ is fixed: rows are processed in index order, and each step takes the first
 minimum over the columns not yet in the search tree, so equal reduced costs
 resolve to the lowest column. Its steps are numpy array operations on the
 costs, in the same IEEE double arithmetic and order as the scalar algorithm:
-the first step of a run of rows is one subtraction and one ``argmin`` over
-the run, and a search's potential updates are added when it ends.
+the first step of a block of ``FIRST_STEP_BLOCK`` rows is one subtraction and
+one ``argmin``, and a search's nonzero potential updates are added when it ends.
 """
 
 from dataclasses import dataclass
@@ -16,6 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import AffinityMatrix
+
+
+# Rows given their first step at once; a search that changes v drops the rest. On
+# 150-object crowd frames (2-vCPU Xeon), 4 to 32 rows beat all remaining rows by ~10%.
+FIRST_STEP_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,9 @@ def _solve_min(cost: np.ndarray) -> list[int]:
     way = np.empty(m, dtype=np.intp)  # previous column on the path, -1 = the searching row
     i = 0
     while i < n:
-        # Step 0 of every remaining row: u of each is still 0.0, and a search
+        # Step 0 of the next block of rows: u of each is still 0.0, and a search
         # that ends at step 0 changes no v, so these stay valid until one doesn't.
-        first = cost[i:] - v
+        first = cost[i:i + FIRST_STEP_BLOCK] - v
         for k, j in enumerate(first.argmin(axis=1).tolist()):
             row, i = i, i + 1
             delta = first.item(k, j)
@@ -69,10 +74,11 @@ def _solve_min(cost: np.ndarray) -> list[int]:
             # so the tree owes each step's delta now, in the order of the steps.
             tree_v = v[cols].tolist()
             for t, d in enumerate(deltas):
-                for r in rows[:t + 1]:
-                    u[r] += d
-                for c in range(t):
-                    tree_v[c] -= d
+                if d != 0.0:  # x + 0.0 and x - 0.0 are x: a zero step changes nothing
+                    for r in rows[:t + 1]:
+                        u[r] += d
+                    for c in range(t):
+                        tree_v[c] -= d
             v[cols] = tree_v
             while j >= 0:
                 back = int(way[j])

@@ -7,7 +7,7 @@ value objects and safe to share across threads.
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,11 @@ class BBox:
 
     def center(self) -> tuple[float, float]:
         return (self.cx, self.cy)
+
+
+def box_columns(boxes: Sequence[BBox]) -> np.ndarray:
+    """x, y, w and h of the boxes as four rows; a centre is then ``x + w / 2.0``, as ``cx``."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes]).reshape(-1, 4).T
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .association import hungarian_max
-from .core import BBox
+from .core import BBox, box_columns
 
 FrameBoxes = Mapping[int, Sequence[tuple[int, BBox]]]
 
@@ -37,25 +37,25 @@ class EvalReport:
                 f"{self.fp},{self.fn},{self.gt_total}")
 
 
-def _columns(boxes: Sequence[BBox]) -> np.ndarray:
-    """x, y, w and h of the boxes as four rows."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes]).reshape(-1, 4).T
-
-
 def iou_matrix(a_boxes: Sequence[BBox], b_boxes: Sequence[BBox]) -> np.ndarray:
     """Intersection area over union area of every pair: (len(a_boxes), len(b_boxes)).
 
     Pairs that do not overlap, edges touching included, score 0. Overlapping
     boxes whose areas overflow a double score NaN, which passes no threshold.
     """
-    ax, ay, aw, ah = _columns(a_boxes)[:, :, None]
-    bx, by, bw, bh = _columns(b_boxes)[:, None, :]
+    ax, ay, aw, ah = box_columns(a_boxes)[:, :, None]
+    bx, by, bw, bh = box_columns(b_boxes)[:, None, :]
     with np.errstate(all="ignore"):
-        ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-        iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-        inter = ix * iy
-        ious = inter / (aw * ah + bw * bh - inter)
-    return np.where((ix <= 0) | (iy <= 0), 0.0, ious)
+        ix = np.minimum(ax + aw, bx + bw)
+        ix -= np.maximum(ax, bx)
+        outside = ix <= 0
+        iy = np.minimum(ay + ah, by + bh)
+        iy -= np.maximum(ay, by)
+        outside |= iy <= 0
+        ix *= iy  # the intersection, divided by the union
+        ious = np.divide(ix, np.subtract(np.add(aw * ah, bw * bh, out=iy), ix, out=iy), out=ix)
+    ious[outside] = 0.0
+    return ious
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .affinity import build_sm_matrix, fuse_appearance, gate_values
 from .appearance import (MemoryBank, decay_confidence, descriptor_rows, fit_width,
                          maybe_store_history, new_bank)
 from .association import associate
-from .core import AppearanceDescriptor, BBox, Detection, TrackerConfig, validate_config
+from .core import (AppearanceDescriptor, BBox, Detection, TrackerConfig, box_columns,
+                   validate_config)
 
 # Index of each track's motion and shape filter in the table's stacked state.
 MOTION, SHAPE = 0, 1
@@ -42,7 +43,9 @@ def _kalman_arithmetic(frame: int):
 
 def _observed_pairs(boxes: Sequence[BBox]) -> np.ndarray:
     """What the motion and shape filters observe of each box: (k, 2, 2)."""
-    return np.array([(b.center(), (b.w, b.h)) for b in boxes]).reshape(len(boxes), 2, 2)
+    observed = box_columns(boxes).T.reshape(-1, 2, 2)
+    observed[:, 0] += observed[:, 1] / 2.0
+    return observed
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Shared scenario builders, per-pair reference scores and pipeline glue for the test suite."""
 
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -95,3 +96,15 @@ def sparse_histogram(rng, d: int) -> AppearanceDescriptor:
     bins = rng.exponential(size=d) * (rng.random(d) < 0.7)
     bins[rng.integers(d)] += 1.0
     return AppearanceDescriptor.histogram(bins, normalize=True)
+
+
+def peak_bytes(call) -> int:
+    """Bytes traced at the peak of ``call()`` above what was allocated before it."""
+    call()  # first-call set-up (caches, lazily imported helpers) is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -7,7 +7,8 @@ from hamtrack.affinity import AffinityMatrix, build_sm_matrix, fuse_appearance, 
 from hamtrack.appearance import (AppearanceMemory, HistoryEntry, ham, score_embedding,
                                  scorer_for)
 from hamtrack.core import AppearanceDescriptor, BBox, TrackerConfig
-from scenario_utils import embedding_reference, histogram_reference, sparse_histogram
+from scenario_utils import (embedding_reference, histogram_reference, peak_bytes,
+                            sparse_histogram)
 
 E = AppearanceDescriptor.embedding
 
@@ -181,6 +182,19 @@ class TestBuildSmMatrixMatchesOracle:
             assert np.array_equal(sm.gate_mask, gate), (n, m)
             nonzero += np.count_nonzero(values)
         assert nonzero > 0
+
+
+class TestBuildSmMatrixMemory:
+    def test_peak_stays_within_five_planes(self):
+        # Large temporaries freed together go back to the OS, and the next
+        # frame faults them in again; the bound keeps them few.
+        rng = np.random.default_rng(11)
+        n, m = 150, 170
+        boxes = [BBox(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2))
+                 for _ in range(m)]
+        pos, wh = rng.uniform(0, 1900, size=(n, 2)), rng.uniform(20, 80, size=(n, 2))
+        peak = peak_bytes(lambda: build_sm_matrix(pos, wh, boxes, TrackerConfig()))
+        assert peak <= 5 * n * m * 8, peak / (n * m * 8)
 
 
 def constant_scorer(value, calls=None):

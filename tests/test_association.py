@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from hamtrack.affinity import AffinityMatrix
-from hamtrack.association import _solve_min, associate, hungarian_max
+from hamtrack.association import FIRST_STEP_BLOCK, _solve_min, associate, hungarian_max
 
 
 def reference_solve_min(cost):
@@ -290,3 +290,99 @@ class TestAssociate:
         assert [(i, j) for i, j, _ in out.matches] == [(1, 1)]
         assert out.unmatched_tracks == (0,)
         assert out.unmatched_detections == (0,)
+
+
+def block_starts(n, search_rows, block):
+    """Where each first-step block starts when the rows in ``search_rows`` search.
+
+    A block is ``block`` rows long, but a search ends it early: the next block
+    then starts on the row after the searching one.
+    """
+    starts, s = [], 0
+    while s < n:
+        starts.append(s)
+        hits = [r for r in sorted(search_rows) if s <= r < s + block]
+        s = hits[0] + 1 if hits else s + block
+    return starts
+
+
+def collision_grid(rng, n, search_rows):
+    """A cost grid on which exactly the rows in ``search_rows`` start a search.
+
+    Every other row has its own cheap column; a searching row's cheap column
+    is one that an earlier row already holds, a different one each time. The
+    spare columns are cheaper than any other row's cheap column, so no search
+    takes a column that a later row wants.
+    """
+    search_rows = sorted(search_rows)
+    spare = len(search_rows) + 2
+    m = n - len(search_rows) + spare
+    cost = 10.0 + rng.random((n, m))
+    cost[:, n - len(search_rows):] = 5.0 + rng.random((n, spare))
+    owned, taken = [], set()
+    for r in range(n):
+        if r in search_rows:
+            j = int(rng.choice([c for c in owned if c not in taken]))
+            taken.add(j)
+        else:
+            j = len(owned)
+            owned.append(j)
+        cost[r, j] = 0.1 * rng.random()
+    return cost
+
+
+class TestFirstStepBlocks:
+    """Searches that start on a block's first or last row, and zero-delta steps."""
+
+    B = FIRST_STEP_BLOCK
+
+    @pytest.mark.parametrize("search_rows", [
+        # first row of the second block, then the last rows of the next two, then
+        # a first row again, and two searches in a row
+        lambda b: [b, 2 * b, 3 * b, 3 * b + 1, 3 * b + 2],
+        # every block ends on a search at its last row
+        lambda b: [b - 1, 2 * b - 1, 3 * b - 1, 4 * b - 1],
+        # a search on every row of a whole block
+        lambda b: list(range(b, 2 * b)),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_searches_on_block_edges(self, search_rows, seed):
+        rows = search_rows(self.B)
+        n = max(rows) + self.B + 3
+        starts = block_starts(n, rows, self.B)
+        assert len(starts) >= 3
+        assert set(rows) <= set(starts) | {s + self.B - 1 for s in starts}
+        cost = collision_grid(np.random.default_rng(600 + seed), n, rows)
+        assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_searches_over_many_blocks(self, seed):
+        rng = np.random.default_rng(650 + seed)
+        n = int(rng.integers(3 * self.B, 6 * self.B))
+        rows = []
+        for r in range(1, n):  # a search needs an earlier row's column that no search took
+            if r > 2 * len(rows) and rng.random() < 0.3:
+                rows.append(r)
+        cost = collision_grid(rng, n, rows)
+        assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_delta_steps(self, seed):
+        # Pairs of rows share a zero-cost column, and the first of each pair has a
+        # second zero-cost column: searches then take steps of delta exactly 0.0
+        # among steps whose deltas are not zero.
+        rng = np.random.default_rng(700 + seed)
+        n = 4 * self.B + int(rng.integers(0, self.B))
+        cost = rng.integers(1, 4, size=(n, n + 6)).astype(float) + 0.5 * rng.random((n, n + 6))
+        for r in rng.choice(n - 1, size=n // 3, replace=False):
+            j = int(rng.integers(n + 6))
+            cost[r, j] = cost[r + 1, j] = 0.0
+            cost[r, (j + 1) % (n + 6)] = 0.0
+        assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_integer_costs_over_many_blocks(self, seed):
+        rng = np.random.default_rng(750 + seed)
+        n = int(rng.integers(3 * self.B, 5 * self.B))
+        cost = rng.integers(0, 3, size=(n, n + int(rng.integers(0, 8)))).astype(float)
+        assert _solve_min(cost) == reference_solve_min(cost)

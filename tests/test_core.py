@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
-                           TrackerConfig, config_from_mapping, parse_kv_text,
+                           TrackerConfig, box_columns, config_from_mapping, parse_kv_text,
                            validate_config)
 
 
@@ -34,6 +34,21 @@ class TestBBox:
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
             BBox(bad, 0, 10, 10)
+
+
+class TestBoxColumns:
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_shape(self, k):
+        assert box_columns([BBox(1, 2, 3, 4)] * k).shape == (4, k)
+
+    @given(st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 2, *[st.floats(1e-3, 1e6)] * 2),
+                    max_size=8))
+    def test_centres_are_bit_equal_to_the_properties(self, fields):
+        boxes = [BBox(*f) for f in fields]
+        x, y, w, h = box_columns(boxes)
+        assert (x + w / 2.0).tolist() == [b.cx for b in boxes]
+        assert (y + h / 2.0).tolist() == [b.cy for b in boxes]
+        assert np.stack([x, y, w, h], axis=1).tolist() == [[b.x, b.y, b.w, b.h] for b in boxes]
 
 
 class TestDetection:

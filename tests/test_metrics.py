@@ -6,6 +6,7 @@ import pytest
 
 from hamtrack.core import BBox
 from hamtrack.metrics import clear_mot, evaluate, idf1, iou_matrix
+from scenario_utils import peak_bytes
 
 
 def box(x=0.0, y=0.0, w=10.0, h=10.0):
@@ -93,6 +94,20 @@ class TestIou:
             warnings.simplefilter("error")
             out = iou_matrix([box(0, 0, 1e200, 1e200)], [box(1e199, 0, 1e200, 1e200)])
         assert np.isnan(out[0, 0])
+
+
+class TestIouMemory:
+    def test_peak_stays_within_four_and_a_half_planes(self):
+        # Large temporaries freed together go back to the OS, and a crowd's
+        # evaluation faults them in again on every frame.
+        rng = np.random.default_rng(12)
+        a = [box(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2))
+             for _ in range(150)]
+        b = [box(p.x + rng.normal(0, 3), p.y + rng.normal(0, 3), p.w, p.h) for p in a]
+        b += [box(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2))
+              for _ in range(10)]
+        peak = peak_bytes(lambda: iou_matrix(a, b))
+        assert peak <= 4.5 * 150 * 160 * 8, peak / (150 * 160 * 8)
 
 
 class TestClearMot:

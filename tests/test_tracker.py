@@ -35,6 +35,16 @@ NO_FILTER = TrackerConfig(filter_mode="none")
 OCCLUSION_SCENE = Path(appearance.__file__).parent / "scenarios" / "occlusion.scn"
 
 
+class TestObservedPairs:
+    def test_bit_equal_to_the_box_properties(self):
+        rng = np.random.default_rng(13)
+        boxes = [BBox(*rng.uniform(-500, 2000, size=2), *rng.uniform(0.5, 300, size=2))
+                 for _ in range(40)]
+        expected = np.array([(b.center(), (b.w, b.h)) for b in boxes])
+        assert np.array_equal(tracker_module._observed_pairs(boxes), expected)
+        assert tracker_module._observed_pairs([]).shape == (0, 2, 2)
+
+
 class TestStepBasics:
     def test_empty_stream(self):
         results = run_sequence({}, NO_FILTER, use_appearance=False, n_frames=5)
