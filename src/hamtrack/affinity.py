@@ -7,6 +7,7 @@ the (potentially expensive) appearance scorer.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +38,14 @@ class AffinityMatrix:
         return self.values.shape[1]
 
 
+@lru_cache(maxsize=8)
+def inverse_sigma(sigma_xx: float, sigma_xy: float, sigma_yy: float) -> np.ndarray:
+    """The read-only inverse of the gating covariance, computed once per distinct value."""
+    inv = np.linalg.inv(np.array([[sigma_xx, sigma_xy], [sigma_xy, sigma_yy]], dtype=float))
+    inv.flags.writeable = False
+    return inv
+
+
 def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
                     boxes: Sequence[BBox], cfg: TrackerConfig) -> AffinityMatrix:
     """Shape-motion products for all pairs, plus the strict ``> tau_asc`` gate mask."""
@@ -53,7 +62,8 @@ def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
         # freed each frame go back to the OS and are faulted in again on the next.
         planes = np.empty((3, n, m))
         d = np.subtract(xy + sizes / 2.0, pos, out=planes[:2])
-        np.einsum("jnm,jl,lnm->nm", d, np.linalg.inv(cfg.sigma()), d, out=values)
+        inv = inverse_sigma(cfg.sigma_xx, cfg.sigma_xy, cfg.sigma_yy)
+        np.einsum("jnm,jl,lnm->nm", d, inv, d, out=values)
         motion = np.exp(np.multiply(values, -cfg.eta, out=values), out=values)
         rel = np.abs(np.subtract(wh, sizes, out=d), out=d)
         for k in range(2):

@@ -141,6 +141,11 @@ def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return weights
 
 
+# Past SUPPORT_MAX_BINS bins filled by a frame's detections, or past RESCORE_MAX_SHARE of
+# its entries to rescore, the slot loop is the faster one (density sweeps, BENCH_10.json).
+SUPPORT_MAX_BINS, RESCORE_MAX_SHARE = 64, 0.25
+
+
 def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
                scorer: Scorer, use_ham: bool = True) -> np.ndarray:
     """Historical appearance matching of bank row ``rows[p]`` to ``z[cols[p]]``, for each pair p.
@@ -148,8 +153,13 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     c_r * s(recent, z) + (1 - c_r) * sum_k w_k * s(hist_k, z), with
     confidence-proportional history weights w_k, clipped to [0, 1]; just
     s(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
-    One scorer call scores the recent slot of every pair, then one per
-    history slot k the pairs whose row holds more than k entries.
+    With ``score_histogram`` and at most ``SUPPORT_MAX_BINS`` bins filled by
+    the frame's detections, every slot of every pair is scored in one pass on
+    those bins. A sum of at most two nonzero terms is one double in any order,
+    so it equals the full-row sum; entries with three or more are rescored on
+    full rows in one call, unless they are over ``RESCORE_MAX_SHARE`` of all.
+    Otherwise one scorer call scores the recent slot, then one per history
+    slot k the pairs whose row holds more than k entries.
     """
     lengths = np.zeros_like(bank.hist_len)
     if use_ham:
@@ -157,15 +167,35 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     weights = history_weight_rows(bank.hist_conf, lengths)
     # Longest histories first: the pairs that reach slot k are then a prefix.
     order = np.argsort(-lengths[rows], kind="stable")
-    r, n, y = rows[order], lengths[rows[order]], z[cols[order]]
-    s = scorer(bank.recent[r], y)
-    s_hist = np.zeros(len(r))
-    for k in range(int(n.max(initial=0))):
-        p = int(np.count_nonzero(n > k))
-        s_hist[:p] += weights[r[:p], k] * scorer(bank.hist[r[:p], k], y[:p])
-    c_r = bank.recent_conf[r]
+    r, c, n = rows[order], cols[order], lengths[rows[order]]
+    width = int(n.max(initial=0))
+    s, p = np.zeros((len(r), width + 1)), None  # column 0 the recent slot, k + 1 slot k
+    if scorer is score_histogram and len(bins := np.flatnonzero(z.any(axis=0))) <= SUPPORT_MAX_BINS:
+        # (bins, P, W + 1) planes: the sums over bins then add whole planes
+        slots = np.concatenate([bank.recent[:, None, bins], bank.hist[:, :width, bins]], axis=1)
+        x = np.take(slots.transpose(2, 0, 1), r, axis=1)
+        x *= np.take(z[:, bins].T, c, axis=1)[:, :, None]
+        terms = np.count_nonzero(x, axis=0)
+        np.sqrt(x, out=x)
+        s[:] = np.clip(x.sum(axis=0), 0.0, 1.0)
+        k, p = np.nonzero(((terms >= 3) & (np.arange(width + 1) <= n[:, None])).T)
+    if p is None or len(p) > RESCORE_MAX_SHARE * (len(r) + n.sum()):
+        y = z[c]
+        s[:, 0] = scorer(bank.recent[r], y)
+        for k in range(width):
+            p = int(np.count_nonzero(n > k))
+            s[:p, k + 1] = scorer(bank.hist[r[:p], k], y[:p])
+    elif len(p):  # listed slot by slot, so the recent slot's entries come first
+        q = np.searchsorted(k, 1)
+        full = np.concatenate([bank.recent[r[p[:q]]], bank.hist[r[p[q:]], k[q:] - 1]])
+        s[p, k] = score_histogram(full, z[c[p]])
+    # Slots past a row's history have weight 0 and add +0.0, which changes no sum.
+    w, s_hist = weights[r], np.zeros(len(r))
+    for k in range(width):
+        s_hist += w[:, k] * s[:, k + 1]
+    c_r, s_r = bank.recent_conf[r], s[:, 0]
     scores = np.empty(len(r))
-    scores[order] = np.clip(np.where(n > 0, c_r * s + (1.0 - c_r) * s_hist, s), 0.0, 1.0)
+    scores[order] = np.clip(np.where(n > 0, c_r * s_r + (1.0 - c_r) * s_hist, s_r), 0.0, 1.0)
     return scores
 
 

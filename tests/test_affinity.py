@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hamtrack.affinity import AffinityMatrix, build_sm_matrix, fuse_appearance, gate_values
+from hamtrack import affinity
+from hamtrack.affinity import (AffinityMatrix, build_sm_matrix, fuse_appearance, gate_values,
+                               inverse_sigma)
 from hamtrack.appearance import (AppearanceMemory, HistoryEntry, ham, score_embedding,
                                  scorer_for)
 from hamtrack.core import AppearanceDescriptor, BBox, TrackerConfig
@@ -195,6 +197,25 @@ class TestBuildSmMatrixMemory:
         pos, wh = rng.uniform(0, 1900, size=(n, 2)), rng.uniform(20, 80, size=(n, 2))
         peak = peak_bytes(lambda: build_sm_matrix(pos, wh, boxes, TrackerConfig()))
         assert peak <= 5 * n * m * 8, peak / (n * m * 8)
+
+
+class TestInverseSigma:
+    def test_cached_read_only_inverse(self):
+        cfg = TrackerConfig(sigma_xx=900.0, sigma_xy=-120.0, sigma_yy=400.0)
+        inv = inverse_sigma(cfg.sigma_xx, cfg.sigma_xy, cfg.sigma_yy)
+        assert np.array_equal(inv, np.linalg.inv(cfg.sigma()))
+        assert inverse_sigma(900.0, -120.0, 400.0) is inv
+        with pytest.raises(ValueError, match="read-only"):
+            inv[0, 0] = 1.0
+
+    def test_frames_of_one_config_invert_once(self, monkeypatch):
+        inverted, original = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or original(a))
+        affinity.inverse_sigma.cache_clear()
+        cfg = TrackerConfig(sigma_xx=2500.0, sigma_xy=100.0, sigma_yy=1600.0)
+        for frame in range(3):
+            build_sm_matrix([[10.0 * frame, 20.0]], [[30.0, 60.0]], [BBox(5, 5, 30, 60)], cfg)
+        assert len(inverted) == 1
 
 
 def constant_scorer(value, calls=None):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamtrack import appearance
-from hamtrack.appearance import (AppearanceMemory, HistoryEntry, bank_of,
+from hamtrack.appearance import (AppearanceMemory, HistoryEntry, MemoryBank, bank_of,
                                  decay_confidence, descriptor_rows, ham, ham_scores,
                                  history_weight_rows, history_weights,
                                  maybe_store_history, new_bank, score_embedding,
@@ -332,6 +334,134 @@ class TestHam:
         for p, (i, j) in enumerate(zip(pair_rows, pair_cols)):
             assert got[p] == ham(memories[i], AppearanceDescriptor("embedding", zs[j]),
                                  score_embedding)
+
+
+def slot_loop_ham_scores(bank, rows, cols, z, scorer, use_ham=True):
+    """HAM with one scorer call per slot on full rows: the reference for the support path."""
+    lengths = np.zeros_like(bank.hist_len)
+    if use_ham:
+        lengths[rows] = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
+    weights = history_weight_rows(bank.hist_conf, lengths)
+    order = np.argsort(-lengths[rows], kind="stable")
+    r, n, y = rows[order], lengths[rows[order]], z[cols[order]]
+    s = scorer(bank.recent[r], y)
+    s_hist = np.zeros(len(r))
+    for k in range(int(n.max(initial=0))):
+        p = int(np.count_nonzero(n > k))
+        s_hist[:p] += weights[r[:p], k] * scorer(bank.hist[r[:p], k], y[:p])
+    c_r = bank.recent_conf[r]
+    scores = np.empty(len(r))
+    scores[order] = np.clip(np.where(n > 0, c_r * s + (1.0 - c_r) * s_hist, s), 0.0, 1.0)
+    return scores
+
+
+# The bins the detections of a frame fill. A sum over 512 bins adds each lane
+# of 8 in a 128-bin block on its own and then joins lanes and blocks pairwise:
+# lanes 2, 4 and 6 of block 0 with 10 and 18 in lane 2's column; one bin in
+# each of four blocks; and lane 0's column of block 0 with bins of later blocks.
+DETECTION_BINS = ((2, 4, 6, 10, 18), (5, 200, 300, 450), (64, 72, 80, 130, 260, 500))
+
+
+def shared_bins_frame(rng, width, three_or_more=0.3, n_tracks=8, d=512):
+    """A sparse histogram bank and frame whose stored entries share 0 to 6 bins with a detection.
+
+    Each stored histogram picks one detection and shares 0, 1 or 2 of its
+    bins, or with probability ``three_or_more`` three or more, and fills five
+    bins no detection fills. The last detection duplicates the first. Track 0
+    has ``recent_conf == 1``, track 1 holds ``width`` entries, and slots past
+    a track's history hold histograms too. Returns the bank, every (track,
+    detection) pair and the detection rows.
+    """
+    z = np.zeros((len(DETECTION_BINS) + 1, d))
+    for j, bins in enumerate(DETECTION_BINS):
+        z[j, list(bins)] = rng.exponential(size=len(bins))
+    z[-1] = z[0]
+    z /= z.sum(axis=1, keepdims=True)
+    outside = np.flatnonzero(~z.any(axis=0))
+
+    def entry():
+        bins = DETECTION_BINS[rng.integers(len(DETECTION_BINS))]
+        many = rng.random() < three_or_more
+        shared = int(rng.integers(3, len(bins) + 1) if many else rng.integers(0, 3))
+        v = np.zeros(d)
+        v[rng.choice(bins, shared, replace=False)] = rng.exponential(size=shared)
+        v[rng.choice(outside, 5, replace=False)] = rng.exponential(size=5)
+        return v / v.sum()
+
+    recent = np.array([entry() for _ in range(n_tracks)])
+    hist = np.array([entry() for _ in range(n_tracks * width)]).reshape(n_tracks, width, d)
+    lengths = rng.integers(0, width + 1, size=n_tracks)
+    recent_conf = rng.uniform(0.05, 0.95, size=n_tracks)
+    lengths[1], recent_conf[0] = width, 1.0
+    bank = MemoryBank(recent, recent_conf, hist, rng.uniform(0.1, 1.0, size=(n_tracks, width)),
+                      np.ones((n_tracks, width), dtype=int), lengths)
+    rows, cols = np.indices((n_tracks, len(z))).reshape(2, -1)
+    return bank, rows, cols, z
+
+
+def entry_products(bank, rows, cols, z):
+    """Each pair's products with its recent and every history slot, their term counts, and
+    which (pair, slot) entries HAM uses."""
+    products = np.concatenate([bank.recent[:, None], bank.hist], axis=1)[rows] * z[cols][:, None]
+    n = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
+    held = np.arange(bank.hist.shape[1] + 1) <= n[:, None]
+    return products, np.count_nonzero(products, axis=2), held
+
+
+class TestHistogramSupportPath:
+    """With ``score_histogram``, ``ham_scores`` equals the slot loop on full rows bit for bit."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """A counting ``score_histogram``, also installed as the module's own."""
+        calls, original = [], appearance.score_histogram
+        monkeypatch.setattr(appearance, "score_histogram",
+                            lambda x, y: calls.append(len(x)) or original(x, y))
+        return appearance.score_histogram, calls
+
+    @pytest.mark.parametrize("use_ham", [True, False])
+    @pytest.mark.parametrize("width", range(TrackerConfig().hist_max + 1))
+    def test_matches_slot_loop(self, width, use_ham, monkeypatch):
+        rng = np.random.default_rng(100 + width + 50 * use_ham)
+        bank, rows, cols, z = shared_bins_frame(rng, width)
+        scorer, calls = self.counted(monkeypatch)
+        got = ham_scores(bank, rows, cols, z, scorer, use_ham)
+        assert len(calls) <= 1  # the support path; its one call rescores entries
+        expected = slot_loop_ham_scores(bank, rows, cols, z, score_histogram, use_ham)
+        assert np.array_equal(got, expected)
+
+    def test_frames_hold_every_overlap_and_a_reordered_sum_would_show(self, monkeypatch):
+        bank, rows, cols, z = shared_bins_frame(np.random.default_rng(7), 10)
+        products, terms, held = entry_products(bank, rows, cols, z)
+        assert set(np.minimum(terms[held], 4).tolist()) == {0, 1, 2, 3, 4}
+        # Added in bin order, as a sum over the frame's bins adds them, some
+        # entries of three or more terms miss the full row's sum by a bit.
+        roots = np.sqrt(products[terms >= 3])
+        in_bin_order = [functools.reduce(operator.add, row[row > 0].tolist()) for row in roots]
+        assert np.any(np.array(in_bin_order) != roots.sum(axis=1))
+        scorer, calls = self.counted(monkeypatch)
+        ham_scores(bank, rows, cols, z, scorer)
+        assert calls == [np.count_nonzero(terms[held] >= 3)]  # only those were rescored
+
+    def test_dense_frame_takes_the_slot_loop(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        bank, rows, cols, _ = shared_bins_frame(rng, 4)
+        z = np.array([sparse_histogram(rng, 512).values for _ in range(4)])
+        assert np.count_nonzero(z.any(axis=0)) > appearance.SUPPORT_MAX_BINS
+        _, _, held = entry_products(bank, rows, cols, z)
+        scorer, calls = self.counted(monkeypatch)
+        got = ham_scores(bank, rows, cols, z, scorer)
+        assert calls == held.sum(axis=0).tolist()  # one call per slot, over the pairs holding it
+        assert np.array_equal(got, slot_loop_ham_scores(bank, rows, cols, z, score_histogram))
+
+    def test_frame_with_many_entries_to_rescore_takes_the_slot_loop(self, monkeypatch):
+        bank, rows, cols, z = shared_bins_frame(np.random.default_rng(12), 4, three_or_more=1.0)
+        _, terms, held = entry_products(bank, rows, cols, z)
+        assert np.count_nonzero(terms[held] >= 3) > appearance.RESCORE_MAX_SHARE * held.sum()
+        scorer, calls = self.counted(monkeypatch)
+        got = ham_scores(bank, rows, cols, z, scorer)
+        assert calls == held.sum(axis=0).tolist()
+        assert np.array_equal(got, slot_loop_ham_scores(bank, rows, cols, z, score_histogram))
 
 
 class ReferenceMemory:

@@ -13,7 +13,7 @@ from hamtrack.cli import main
 from hamtrack.association import associate
 from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
                            TrackerConfig)
-from hamtrack.io_mot import write_result_file
+from hamtrack.io_mot import histogram_from_patch, write_result_file
 from hamtrack.synthgen import OcclusionEvent, ScenarioSpec, generate
 from hamtrack.tracker import Tracker, run_sequence
 from scenario_utils import crossing_spec, line_spec, scenario_inputs, track_scenario
@@ -300,6 +300,33 @@ class TestDeterminismAndEquivalence:
         stepped = [tracker.step(f, dets.get(f, [])) for f in range(1, spec.n_frames + 1)]
         assert write_result_file(results) == write_result_file(stepped)
         assert [fr.diagnostics for fr in results] == [fr.diagnostics for fr in stepped]
+
+    def test_histogram_support_path_keeps_result_bytes(self, monkeypatch):
+        # Patch histograms of a PPM scene fill a few colour bins each, so HAM
+        # scores them on the frame's bins; a cutoff of 0 forces the slot loop.
+        spec = line_spec(n_objects=6, n_frames=80, seed=4, jitter=1.5, fp_rate=0.5,
+                         merge_prob=0.3, fragment_prob=0.05, conf_std=5.0)
+        scenario = generate(spec, with_frames=True)
+        dets, _, _ = scenario_inputs(scenario)
+
+        def source(frame, ordinal):
+            return histogram_from_patch(scenario.frames[frame], dets[frame][ordinal].bbox)
+
+        calls, original = [], appearance.score_histogram
+        monkeypatch.setattr(appearance, "score_histogram",
+                            lambda x, y: calls.append(len(x)) or original(x, y))
+
+        def track():
+            calls.clear()
+            results = run_sequence(dets, TrackerConfig(), descriptor_source=source,
+                                   n_frames=spec.n_frames)
+            return write_result_file(results), len(calls)
+
+        text, support_calls = track()
+        monkeypatch.setattr(appearance, "SUPPORT_MAX_BINS", 0)
+        loop_text, loop_calls = track()
+        assert loop_text == text
+        assert 0 < support_calls < loop_calls  # entries were rescored, in fewer calls
 
     def test_ham_off_equals_empty_history_run(self):
         # With history disabled entirely, scoring history-aware or not must
