@@ -141,9 +141,9 @@ def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return weights
 
 
-# Past SUPPORT_MAX_BINS bins filled by a frame's detections, or past RESCORE_MAX_SHARE of
-# its entries to rescore, the slot loop is the faster one (density sweeps, BENCH_10.json).
-SUPPORT_MAX_BINS, RESCORE_MAX_SHARE = 64, 0.25
+# Past this many bins filled by a frame's one- and two-bin detections, every pair takes the
+# slot loop: d/8, held until a benchmark workload has frames whose detections fill more.
+SUPPORT_MAX_BINS = 64
 
 
 def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
@@ -153,42 +153,39 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     c_r * s(recent, z) + (1 - c_r) * sum_k w_k * s(hist_k, z), with
     confidence-proportional history weights w_k, clipped to [0, 1]; just
     s(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
-    With ``score_histogram`` and at most ``SUPPORT_MAX_BINS`` bins filled by
-    the frame's detections, every slot of every pair is scored in one pass on
-    those bins. A sum of at most two nonzero terms is one double in any order,
-    so it equals the full-row sum; entries with three or more are rescored on
-    full rows in one call, unless they are over ``RESCORE_MAX_SHARE`` of all.
-    Otherwise one scorer call scores the recent slot, then one per history
-    slot k the pairs whose row holds more than k entries.
+    With ``score_histogram``, the pairs whose detection fills one or two bins
+    are scored, every slot at once, in one pass over the bins those detections
+    fill, if there are at most ``SUPPORT_MAX_BINS``. Each of their products
+    has at most two nonzero terms, and such a sum is one double in any order,
+    so it equals the full-row sum. The other pairs take the slot loop: one
+    scorer call scores the recent slot, then one per history slot k the pairs
+    whose row holds more than k entries.
     """
     lengths = np.zeros_like(bank.hist_len)
     if use_ham:
         lengths[rows] = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
     weights = history_weight_rows(bank.hist_conf, lengths)
-    # Longest histories first: the pairs that reach slot k are then a prefix.
-    order = np.argsort(-lengths[rows], kind="stable")
+    looped = np.ones(len(rows), dtype=bool)  # the pairs the slot loop scores
+    if scorer is score_histogram:
+        filled = np.count_nonzero(z, axis=1)
+        if len(bins := np.flatnonzero(z[filled <= 2].any(axis=0))) <= SUPPORT_MAX_BINS:
+            looped = filled[cols] > 2
+    # Looped pairs first, longest histories first: those that reach slot k are then a prefix.
+    order = np.lexsort((-lengths[rows], ~looped))
     r, c, n = rows[order], cols[order], lengths[rows[order]]
-    width = int(n.max(initial=0))
-    s, p = np.zeros((len(r), width + 1)), None  # column 0 the recent slot, k + 1 slot k
-    if scorer is score_histogram and len(bins := np.flatnonzero(z.any(axis=0))) <= SUPPORT_MAX_BINS:
-        # (bins, P, W + 1) planes: the sums over bins then add whole planes
+    q, width = int(np.count_nonzero(looped)), int(n.max(initial=0))
+    s = np.zeros((len(r), width + 1))  # column 0 the recent slot, k + 1 slot k
+    if q < len(r):  # (bins, P, W + 1) planes: the sums over bins then add whole planes
         slots = np.concatenate([bank.recent[:, None, bins], bank.hist[:, :width, bins]], axis=1)
-        x = np.take(slots.transpose(2, 0, 1), r, axis=1)
-        x *= np.take(z[:, bins].T, c, axis=1)[:, :, None]
-        terms = np.count_nonzero(x, axis=0)
+        x = np.take(slots.transpose(2, 0, 1), r[q:], axis=1)
+        x *= np.take(z[:, bins].T, c[q:], axis=1)[:, :, None]
         np.sqrt(x, out=x)
-        s[:] = np.clip(x.sum(axis=0), 0.0, 1.0)
-        k, p = np.nonzero(((terms >= 3) & (np.arange(width + 1) <= n[:, None])).T)
-    if p is None or len(p) > RESCORE_MAX_SHARE * (len(r) + n.sum()):
-        y = z[c]
-        s[:, 0] = scorer(bank.recent[r], y)
-        for k in range(width):
-            p = int(np.count_nonzero(n > k))
-            s[:p, k + 1] = scorer(bank.hist[r[:p], k], y[:p])
-    elif len(p):  # listed slot by slot, so the recent slot's entries come first
-        q = np.searchsorted(k, 1)
-        full = np.concatenate([bank.recent[r[p[:q]]], bank.hist[r[p[q:]], k[q:] - 1]])
-        s[p, k] = score_histogram(full, z[c[p]])
+        s[q:] = np.clip(x.sum(axis=0), 0.0, 1.0)
+    y = z[c[:q]]
+    s[:q, 0] = scorer(bank.recent[r[:q]], y)
+    for k in range(int(n[:q].max(initial=0))):
+        p = int(np.count_nonzero(n[:q] > k))
+        s[:p, k + 1] = scorer(bank.hist[r[:p], k], y[:p])
     # Slots past a row's history have weight 0 and add +0.0, which changes no sum.
     w, s_hist = weights[r], np.zeros(len(r))
     for k in range(width):

@@ -356,33 +356,36 @@ def slot_loop_ham_scores(bank, rows, cols, z, scorer, use_ham=True):
 
 
 # The bins the detections of a frame fill. A sum over 512 bins adds each lane
-# of 8 in a 128-bin block on its own and then joins lanes and blocks pairwise:
-# lanes 2, 4 and 6 of block 0 with 10 and 18 in lane 2's column; one bin in
-# each of four blocks; and lane 0's column of block 0 with bins of later blocks.
-DETECTION_BINS = ((2, 4, 6, 10, 18), (5, 200, 300, 450), (64, 72, 80, 130, 260, 500))
+# of 8 in a 128-bin block on its own and then joins lanes and blocks pairwise.
+# The one- and two-bin detections, one of them in lane 2's column (10, 18) and
+# one across blocks (3, 300), take the support path. The larger ones take the
+# slot loop: lanes 2, 4 and 6 of block 0 with 10 and 18 in lane 2's column;
+# one bin in each of four blocks; and lane 0's column of block 0 with bins of
+# later blocks.
+DETECTION_BINS = ((7,), (10, 18), (3, 300), (2, 4, 6, 10, 18), (5, 200, 300, 450),
+                  (64, 72, 80, 130, 260, 500))
 
 
-def shared_bins_frame(rng, width, three_or_more=0.3, n_tracks=8, d=512):
+def shared_bins_frame(rng, width, n_tracks=8, d=512):
     """A sparse histogram bank and frame whose stored entries share 0 to 6 bins with a detection.
 
-    Each stored histogram picks one detection and shares 0, 1 or 2 of its
-    bins, or with probability ``three_or_more`` three or more, and fills five
-    bins no detection fills. The last detection duplicates the first. Track 0
-    has ``recent_conf == 1``, track 1 holds ``width`` entries, and slots past
-    a track's history hold histograms too. Returns the bank, every (track,
-    detection) pair and the detection rows.
+    Each stored histogram picks one detection, shares from none to all of
+    its bins and fills five bins no detection fills. The last detection
+    duplicates the two-bin one across blocks. Track 0 has ``recent_conf ==
+    1``, track 1 holds ``width`` entries, and slots past a track's history
+    hold histograms too. Returns the bank, every (track, detection) pair and
+    the detection rows.
     """
     z = np.zeros((len(DETECTION_BINS) + 1, d))
     for j, bins in enumerate(DETECTION_BINS):
         z[j, list(bins)] = rng.exponential(size=len(bins))
-    z[-1] = z[0]
+    z[-1] = z[2]
     z /= z.sum(axis=1, keepdims=True)
     outside = np.flatnonzero(~z.any(axis=0))
 
     def entry():
         bins = DETECTION_BINS[rng.integers(len(DETECTION_BINS))]
-        many = rng.random() < three_or_more
-        shared = int(rng.integers(3, len(bins) + 1) if many else rng.integers(0, 3))
+        shared = int(rng.integers(0, len(bins) + 1))
         v = np.zeros(d)
         v[rng.choice(bins, shared, replace=False)] = rng.exponential(size=shared)
         v[rng.choice(outside, 5, replace=False)] = rng.exponential(size=5)
@@ -399,11 +402,11 @@ def shared_bins_frame(rng, width, three_or_more=0.3, n_tracks=8, d=512):
     return bank, rows, cols, z
 
 
-def entry_products(bank, rows, cols, z):
+def entry_products(bank, rows, cols, z, use_ham=True):
     """Each pair's products with its recent and every history slot, their term counts, and
     which (pair, slot) entries HAM uses."""
     products = np.concatenate([bank.recent[:, None], bank.hist], axis=1)[rows] * z[cols][:, None]
-    n = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
+    n = np.where(use_ham & (bank.recent_conf[rows] < 1.0), bank.hist_len[rows], 0)
     held = np.arange(bank.hist.shape[1] + 1) <= n[:, None]
     return products, np.count_nonzero(products, axis=2), held
 
@@ -426,41 +429,37 @@ class TestHistogramSupportPath:
         bank, rows, cols, z = shared_bins_frame(rng, width)
         scorer, calls = self.counted(monkeypatch)
         got = ham_scores(bank, rows, cols, z, scorer, use_ham)
-        assert len(calls) <= 1  # the support path; its one call rescores entries
         expected = slot_loop_ham_scores(bank, rows, cols, z, score_histogram, use_ham)
         assert np.array_equal(got, expected)
+        # The scorer saw each entry of the pairs whose detection fills 3+ bins, and no other.
+        _, _, held = entry_products(bank, rows, cols, z, use_ham)
+        assert sum(calls) == np.count_nonzero(held[np.count_nonzero(z, axis=1)[cols] > 2])
 
-    def test_frames_hold_every_overlap_and_a_reordered_sum_would_show(self, monkeypatch):
+    def test_frames_hold_every_overlap_and_a_reordered_sum_would_show(self):
         bank, rows, cols, z = shared_bins_frame(np.random.default_rng(7), 10)
         products, terms, held = entry_products(bank, rows, cols, z)
-        assert set(np.minimum(terms[held], 4).tolist()) == {0, 1, 2, 3, 4}
+        small = np.count_nonzero(z, axis=1)[cols] <= 2
+        assert set(terms[held & small[:, None]].tolist()) == {0, 1, 2}
+        assert set(np.minimum(terms[held & ~small[:, None]], 4).tolist()) == {0, 1, 2, 3, 4}
         # Added in bin order, as a sum over the frame's bins adds them, some
         # entries of three or more terms miss the full row's sum by a bit.
         roots = np.sqrt(products[terms >= 3])
         in_bin_order = [functools.reduce(operator.add, row[row > 0].tolist()) for row in roots]
         assert np.any(np.array(in_bin_order) != roots.sum(axis=1))
-        scorer, calls = self.counted(monkeypatch)
-        ham_scores(bank, rows, cols, z, scorer)
-        assert calls == [np.count_nonzero(terms[held] >= 3)]  # only those were rescored
 
-    def test_dense_frame_takes_the_slot_loop(self, monkeypatch):
+    def test_frame_past_the_cutoff_takes_the_slot_loop(self, monkeypatch):
         rng = np.random.default_rng(11)
         bank, rows, cols, _ = shared_bins_frame(rng, 4)
-        z = np.array([sparse_histogram(rng, 512).values for _ in range(4)])
+        # Forty two-bin detections fill 80 bins between them.
+        z = np.zeros((40, 512))
+        z[np.repeat(np.arange(40), 2), rng.permutation(512)[:80]] = rng.uniform(0.1, 1.0, 80)
+        z /= z.sum(axis=1, keepdims=True)
         assert np.count_nonzero(z.any(axis=0)) > appearance.SUPPORT_MAX_BINS
+        rows, cols = np.indices((len(bank.recent), len(z))).reshape(2, -1)
         _, _, held = entry_products(bank, rows, cols, z)
         scorer, calls = self.counted(monkeypatch)
         got = ham_scores(bank, rows, cols, z, scorer)
         assert calls == held.sum(axis=0).tolist()  # one call per slot, over the pairs holding it
-        assert np.array_equal(got, slot_loop_ham_scores(bank, rows, cols, z, score_histogram))
-
-    def test_frame_with_many_entries_to_rescore_takes_the_slot_loop(self, monkeypatch):
-        bank, rows, cols, z = shared_bins_frame(np.random.default_rng(12), 4, three_or_more=1.0)
-        _, terms, held = entry_products(bank, rows, cols, z)
-        assert np.count_nonzero(terms[held] >= 3) > appearance.RESCORE_MAX_SHARE * held.sum()
-        scorer, calls = self.counted(monkeypatch)
-        got = ham_scores(bank, rows, cols, z, scorer)
-        assert calls == held.sum(axis=0).tolist()
         assert np.array_equal(got, slot_loop_ham_scores(bank, rows, cols, z, score_histogram))
 
 

@@ -303,7 +303,7 @@ class TestDeterminismAndEquivalence:
 
     def test_histogram_support_path_keeps_result_bytes(self, monkeypatch):
         # Patch histograms of a PPM scene fill a few colour bins each, so HAM
-        # scores them on the frame's bins; a cutoff of 0 forces the slot loop.
+        # scores most pairs on the frame's bins; a cutoff of 0 forces the slot loop.
         spec = line_spec(n_objects=6, n_frames=80, seed=4, jitter=1.5, fp_rate=0.5,
                          merge_prob=0.3, fragment_prob=0.05, conf_std=5.0)
         scenario = generate(spec, with_frames=True)
@@ -326,7 +326,7 @@ class TestDeterminismAndEquivalence:
         monkeypatch.setattr(appearance, "SUPPORT_MAX_BINS", 0)
         loop_text, loop_calls = track()
         assert loop_text == text
-        assert 0 < support_calls < loop_calls  # entries were rescored, in fewer calls
+        assert 0 < support_calls < loop_calls  # some pairs were looped, in fewer calls
 
     def test_ham_off_equals_empty_history_run(self):
         # With history disabled entirely, scoring history-aware or not must
