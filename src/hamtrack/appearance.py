@@ -167,9 +167,9 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     weights = history_weight_rows(bank.hist_conf, lengths)
     looped = np.ones(len(rows), dtype=bool)  # the pairs the slot loop scores
     if scorer is score_histogram:
-        filled = np.count_nonzero(z, axis=1)
-        if len(bins := np.flatnonzero(z[filled <= 2].any(axis=0))) <= SUPPORT_MAX_BINS:
-            looped = filled[cols] > 2
+        small = np.count_nonzero(z, axis=1) <= 2  # detections filling one or two bins
+        if small.any() and len(bins := np.flatnonzero(z[small].any(axis=0))) <= SUPPORT_MAX_BINS:
+            looped = ~small[cols]
     # Looped pairs first, longest histories first: those that reach slot k are then a prefix.
     order = np.lexsort((-lengths[rows], ~looped))
     r, c, n = rows[order], cols[order], lengths[rows[order]]

@@ -359,11 +359,12 @@ def slot_loop_ham_scores(bank, rows, cols, z, scorer, use_ham=True):
 # of 8 in a 128-bin block on its own and then joins lanes and blocks pairwise.
 # The one- and two-bin detections, one of them in lane 2's column (10, 18) and
 # one across blocks (3, 300), take the support path. The larger ones take the
-# slot loop: lanes 2, 4 and 6 of block 0 with 10 and 18 in lane 2's column;
-# one bin in each of four blocks; and lane 0's column of block 0 with bins of
-# later blocks.
-DETECTION_BINS = ((7,), (10, 18), (3, 300), (2, 4, 6, 10, 18), (5, 200, 300, 450),
-                  (64, 72, 80, 130, 260, 500))
+# slot loop. Each of them puts bins where a pairwise sum joins the last two
+# terms first: lanes 1, 4 and 6 of block 0; blocks 0, 2 and 3; lanes 2, 4
+# and 6 of block 0 with 10 and 18 in lane 2's column; one bin in each of four
+# blocks; and lane 0's column of block 0 with bins of later blocks.
+DETECTION_BINS = ((7,), (10, 18), (3, 300), (1, 12, 22), (7, 300, 450), (2, 4, 6, 10, 18),
+                  (5, 200, 300, 450), (64, 72, 80, 130, 260, 500))
 
 
 def shared_bins_frame(rng, width, n_tracks=8, d=512):
