@@ -73,29 +73,11 @@ class MemoryBank(NamedTuple):
     hist_len: np.ndarray
 
 
-def new_bank(recent: np.ndarray) -> MemoryBank:
-    """Fresh memories of confidence 1 and no history for the (N, d) rows ``recent``."""
+def new_bank(recent: np.ndarray, width: int = 0) -> MemoryBank:
+    """Fresh memories of confidence 1 and ``width`` empty history slots for the (N, d) ``recent``."""
     n, d = recent.shape
-    return MemoryBank(recent, np.ones(n), np.zeros((n, 0, d)), np.zeros((n, 0)),
-                      np.zeros((n, 0), dtype=int), np.zeros(n, dtype=int))
-
-
-def fit_width(bank: MemoryBank, width: int | None = None) -> MemoryBank:
-    """The bank with its history cut (views) or zero-padded (copies) to ``width`` slots.
-
-    ``width`` defaults to the longest history held.
-    """
-    width = int(bank.hist_len.max(initial=0)) if width is None else width
-
-    def fit(a: np.ndarray) -> np.ndarray:
-        if a.shape[1] >= width:
-            return a[:, :width]
-        out = np.zeros((len(a), width) + a.shape[2:], dtype=a.dtype)
-        out[:, :a.shape[1]] = a
-        return out
-
-    return bank._replace(hist=fit(bank.hist), hist_conf=fit(bank.hist_conf),
-                         hist_frame=fit(bank.hist_frame))
+    return MemoryBank(recent, np.ones(n), np.zeros((n, width, d)), np.zeros((n, width)),
+                      np.zeros((n, width), dtype=int), np.zeros(n, dtype=int))
 
 
 def descriptor_rows(descriptors: Sequence[AppearanceDescriptor], kind: str, d: int) -> np.ndarray:
@@ -201,11 +183,12 @@ def maybe_store_history(bank: MemoryBank, rows, z: np.ndarray, kind: str, affini
     """Refresh the recent appearance of row ``rows[p]`` after it matched ``z[p]``.
 
     Histograms are blended per ``alpha_mode``, embeddings replaced, and
-    ``recent_conf`` becomes ``affinity[p]``. The refreshed appearance is
-    appended to the history only when the affinity exceeds ``tau_conf``; then
-    entries older than ``hist_window`` frames are dropped, and the oldest
-    until at most ``hist_max`` remain. Other rows are left as they are.
-    Works in place; the history gets new, wider arrays when a row needs a slot.
+    ``recent_conf`` becomes ``affinity[p]``. The row's entries older than
+    ``hist_window`` frames are dropped, then the oldest until the refreshed
+    appearance fits under ``hist_max``; it is stored, last, only when the
+    affinity exceeds ``tau_conf``. Other rows are left as they are. Works in
+    place: the history is widened, never narrowed, when a row needs a slot
+    past it, so it has at most ``min(hist_max, hist_window + 1)`` slots.
     """
     rows, affinity = np.asarray(rows, dtype=int), np.asarray(affinity, dtype=float)
     if not np.all(np.isfinite(affinity)):
@@ -216,21 +199,26 @@ def maybe_store_history(bank: MemoryBank, rows, z: np.ndarray, kind: str, affini
         z = alpha[:, None] * z + (1.0 - alpha)[:, None] * bank.recent[rows]
         z = z / z.sum(axis=1, keepdims=True)
     bank.recent[rows], bank.recent_conf[rows] = z, conf
-    # Append into each storing row's first free slot, then keep the newest
-    # hist_max entries inside the window, moved to the front of the row.
-    stored, slot = affinity > cfg.tau_conf, bank.hist_len[rows]
-    bank = fit_width(bank, max(bank.hist.shape[1], int(slot[stored].max(initial=-1)) + 1))
-    _, _, hist, hist_conf, hist_frame, hist_len = bank
-    at = rows[stored], slot[stored]
-    hist[at], hist_conf[at], hist_frame[at] = z[stored], conf[stored], frame
-    keep = np.arange(hist.shape[1]) < (slot + stored)[:, None]
-    keep &= frame - hist_frame[rows] <= cfg.hist_window
-    keep &= np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= cfg.hist_max
+    # Evict before storing: keep each row's entries inside the window, then the
+    # newest that leave room for a stored one under hist_max, moved to the front.
+    stored = (affinity > cfg.tau_conf) & (cfg.hist_max > 0)
+    keep = np.arange(bank.hist.shape[1]) < bank.hist_len[rows][:, None]
+    keep &= frame - bank.hist_frame[rows] <= cfg.hist_window
+    keep &= np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= cfg.hist_max - stored[:, None]
     order = np.argsort(~keep, axis=1, kind="stable")
-    for a in (hist, hist_conf, hist_frame):
+    for a in (bank.hist, bank.hist_conf, bank.hist_frame):
         a[rows] = a[rows[:, None], order]
-    hist_len[rows] = keep.sum(axis=1)
-    return fit_width(bank)
+    held = keep.sum(axis=1)
+    width = int(held[stored].max(initial=-1)) + 1
+    if width > bank.hist.shape[1]:  # zero-padded copies
+        pad = [(0, 0), (0, width - bank.hist.shape[1])]
+        bank = bank._replace(hist=np.pad(bank.hist, pad + [(0, 0)]),
+                             hist_conf=np.pad(bank.hist_conf, pad),
+                             hist_frame=np.pad(bank.hist_frame, pad))
+    at = rows[stored], held[stored]
+    bank.hist[at], bank.hist_conf[at], bank.hist_frame[at] = z[stored], conf[stored], frame
+    bank.hist_len[rows] = held + stored
+    return bank
 
 
 def decay_confidence(bank: MemoryBank, rows, factor: float) -> MemoryBank:
@@ -255,7 +243,7 @@ def bank_of(memories: Sequence[AppearanceMemory],
     kind, d = (every[0].kind, len(every[0])) if every else (EMBEDDING, 0)
     values, n = descriptor_rows(every, kind, d), len(memories)
     lengths = np.array([len(m.history) for m in memories], dtype=int)
-    bank = fit_width(new_bank(values[:n])._replace(hist_len=lengths))
+    bank = new_bank(values[:n], int(lengths.max(initial=0)))._replace(hist_len=lengths)
     held = np.arange(bank.hist.shape[1]) < lengths[:, None]
     bank.recent_conf[:] = [m.recent_conf for m in memories]
     bank.hist[held], bank.hist_conf[held] = values[n:n + len(entries)], [e.conf for e in entries]

@@ -131,7 +131,6 @@ class Detection:
     frame: int
     bbox: BBox
     confidence: float
-    descriptor: Optional[AppearanceDescriptor] = None
 
     def __post_init__(self):
         if self.frame < 1:

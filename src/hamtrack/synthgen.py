@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BBox, parse_kv_text
+from .io_mot import MAX_FRAME
 from .metrics import iou_matrix
 
 _MASK64 = (1 << 64) - 1
@@ -144,8 +145,8 @@ class GeneratedScenario:
 def validate_scenario(spec: ScenarioSpec) -> list[str]:
     """One message per violated constraint; empty list means usable."""
     errors = []
-    if spec.n_frames < 1:
-        errors.append("n_frames must be >= 1")
+    if not 1 <= spec.n_frames <= MAX_FRAME:
+        errors.append(f"n_frames must be in [1, {MAX_FRAME}]")
     if spec.canvas_w < 8 or spec.canvas_h < 8:
         errors.append("canvas must be at least 8x8")
     if spec.fp_rate < 0:

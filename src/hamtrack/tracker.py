@@ -17,8 +17,8 @@ import numpy as np
 
 from . import appearance, kalman, sadf
 from .affinity import build_sm_matrix, fuse_appearance, gate_values
-from .appearance import (MemoryBank, decay_confidence, descriptor_rows, fit_width,
-                         maybe_store_history, new_bank)
+from .appearance import (MemoryBank, decay_confidence, descriptor_rows, maybe_store_history,
+                         new_bank)
 from .association import associate
 from .core import (AppearanceDescriptor, BBox, Detection, TrackerConfig, box_columns,
                    validate_config)
@@ -75,15 +75,18 @@ class TrackTable:
 
     @classmethod
     def born(cls, first_id: int, boxes: Sequence[BBox], descriptors: np.ndarray,
-             cfg: TrackerConfig) -> "TrackTable":
-        """Tentative tracks started on ``boxes`` and their (len(boxes), d) ``descriptors``."""
+             cfg: TrackerConfig, width: int) -> "TrackTable":
+        """Tentative tracks started on ``boxes`` and their (len(boxes), d) ``descriptors``.
+
+        Their histories are empty, with ``width`` slots.
+        """
         n = len(boxes)
         observed = _observed_pairs(boxes)
         heights = observed[:, SHAPE, 1:]
         mean, cov = kalman.init(observed, heights, pos_std=cfg.measurement_noise * heights)
         return cls(np.arange(first_id, first_id + n), mean, cov, np.ones(n, dtype=int),
                    np.zeros(n, dtype=int), np.full(n, cfg.confirm_hits <= 1),
-                   list(boxes), *new_bank(descriptors))
+                   list(boxes), *new_bank(descriptors, width))
 
     @property
     def filters(self) -> kalman.KalmanState:
@@ -98,19 +101,15 @@ class TrackTable:
         vars(self).update(bank._asdict())
 
     def select(self, keep: np.ndarray) -> "TrackTable":
-        """The rows where ``keep`` is true, with as many history slots as they use."""
+        """The rows where ``keep`` is true."""
         rows = np.flatnonzero(keep)
-        width = int(self.hist_len[rows].max(initial=0))
-        cols = {**vars(self), **fit_width(self.memory, width)._asdict()}
         return TrackTable(*([col[r] for r in rows] if isinstance(col, list) else col[rows]
-                            for col in cols.values()))
+                            for col in vars(self).values()))
 
     def append(self, other: "TrackTable") -> "TrackTable":
-        """This table's rows followed by ``other``'s, with as many history slots as they use."""
-        width = int(max(self.hist_len.max(initial=0), other.hist_len.max(initial=0)))
-        a, b = ({**vars(t), **fit_width(t.memory, width)._asdict()} for t in (self, other))
+        """This table's rows followed by ``other``'s, which has as many history slots."""
         return TrackTable(*(x + y if isinstance(x, list) else np.concatenate([x, y])
-                            for x, y in zip(a.values(), b.values())))
+                            for x, y in zip(vars(self).values(), vars(other).values())))
 
 
 @dataclass(frozen=True)
@@ -139,11 +138,11 @@ class FrameResult:
 class Tracker:
     """Online tracker state for one sequence.
 
-    ``descriptor_source`` supplies appearance descriptors lazily; it is only
-    consulted for detections that survive filtering and that do not already
-    carry a descriptor. With ``use_appearance=False`` the tracker runs on
-    shape and motion alone. The live tracks are ``table``. An invalid ``cfg``
-    raises a ValueError listing every problem ``validate_config`` finds.
+    ``descriptor_source`` supplies appearance descriptors lazily, by frame
+    and ordinal; it is only consulted for detections that survive filtering.
+    With ``use_appearance=False`` the tracker runs on shape and motion alone.
+    The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
+    listing every problem ``validate_config`` finds.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None,
@@ -155,17 +154,14 @@ class Tracker:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
         self.descriptor_source = descriptor_source
         self.use_appearance = use_appearance
-        self.table = TrackTable.born(1, [], np.zeros((0, 0)), self.cfg)
+        self.table = TrackTable.born(1, [], np.zeros((0, 0)), self.cfg, 0)
         self._kind, self._dim = None, 0  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
         self._last_frame = 0
         self._frame_count = 0
 
-    def _descriptor_for(self, frame: int, ordinal: int,
-                        det: Detection) -> AppearanceDescriptor:
-        if det.descriptor is not None:
-            return det.descriptor
+    def _descriptor_for(self, frame: int, ordinal: int) -> AppearanceDescriptor:
         if self.descriptor_source is None:
             raise ValueError(
                 f"detection {ordinal} in frame {frame} has no descriptor and "
@@ -203,11 +199,10 @@ class Tracker:
         survivors = [detections[k] for k in kept_ordinals]
         descriptors = np.zeros((len(survivors), 0))
         if self.use_appearance:
-            found = [self._descriptor_for(frame, kept_ordinals[j], det)
-                     for j, det in enumerate(survivors)]
+            found = [self._descriptor_for(frame, k) for k in kept_ordinals]
             if found and self._kind is None:  # no track yet: size its descriptor columns
                 self._kind, self._dim = found[0].kind, len(found[0])
-                self.table = TrackTable.born(1, [], np.zeros((0, self._dim)), cfg)
+                self.table = TrackTable.born(1, [], np.zeros((0, self._dim)), cfg, 0)
             descriptors = descriptor_rows(found, self._kind, self._dim)
 
         table = self.table
@@ -254,7 +249,7 @@ class Tracker:
         if new:
             with _kalman_arithmetic(frame):
                 born = TrackTable.born(self._next_id, [boxes[dj] for dj in new],
-                                       descriptors[list(new)], cfg)
+                                       descriptors[list(new)], cfg, table.hist.shape[1])
             table = table.append(born)
         self._next_id += len(new)
         self.table = table

@@ -65,11 +65,13 @@ class TestScorers:
         with pytest.raises(ValueError, match="kind"):
             descriptor_rows([H([0.5, 0.5]), E([1.0, 0.0])], "histogram", 2)
         # A stream that switches kind fails where the frame's descriptors enter.
-        tracker = Tracker(TrackerConfig(filter_mode="none"))
+        descriptors = {(1, 0): E([1.0, 0.0]), (2, 0): H([0.5, 0.5])}
+        tracker = Tracker(TrackerConfig(filter_mode="none"),
+                          descriptor_source=lambda f, o: descriptors[f, o])
         box = BBox(10, 10, 30, 60)
-        tracker.step(1, [Detection(1, box, 50.0, E([1.0, 0.0]))])
+        tracker.step(1, [Detection(1, box, 50.0)])
         with pytest.raises(ValueError, match="kind"):
-            tracker.step(2, [Detection(2, box, 50.0, H([0.5, 0.5]))])
+            tracker.step(2, [Detection(2, box, 50.0)])
 
     def test_dispatch(self, monkeypatch):
         assert pair(scorer_for("histogram"), H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
@@ -526,13 +528,15 @@ class TestMaybeStoreHistory:
     def test_random_stimulus_preserves_invariants(self):
         # Random subsets of five rows matched each frame, against per-track
         # tuple memories: unmatched rows stay as they were, the window and the
-        # cap evict in that order, and the width is the longest history held.
+        # cap evict in that order, and the width is the longest history held
+        # so far.
         rng = np.random.default_rng(23)
-        for cfg in (TrackerConfig(), TrackerConfig(hist_max=3, hist_window=6, tau_conf=0.3)):
+        for cfg in (TrackerConfig(), TrackerConfig(hist_max=3, hist_window=6, tau_conf=0.3),
+                    TrackerConfig(hist_max=0), TrackerConfig(hist_max=10, hist_window=2)):
             start = [unit(rng.normal(size=4)) for _ in range(5)]
             bank = new_bank(rows(*start))
             reference = [ReferenceMemory(d.values) for d in start]
-            frame = 0
+            frame, longest = 0, 0
             for _ in range(1500):
                 frame += int(rng.integers(1, 4))
                 matched = np.flatnonzero(rng.random(5) < 0.6)
@@ -543,8 +547,9 @@ class TestMaybeStoreHistory:
                                            frame, cfg)
                 for i, z, a in zip(matched.tolist(), zs, affinity.tolist()):
                     reference[i].store(z, a, frame, cfg)
-                assert bank.hist.shape[1] == bank.hist_len.max()
-                assert bank.hist_len.max() <= min(cfg.hist_max, cfg.hist_window + 1)
+                longest = max(longest, bank.hist_len.max())
+                assert bank.hist.shape[1] == longest
+                assert longest <= min(cfg.hist_max, cfg.hist_window + 1)
                 for i, ref in enumerate(reference):
                     n = bank.hist_len[i]
                     assert bank.recent_conf[i] == ref.conf

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamtrack
+from hamtrack import cli
 from hamtrack.cli import main
 from hamtrack.io_mot import MAX_FRAME
 
@@ -209,6 +210,16 @@ class TestTrack:
         assert_clean_error(proc, 1)
         assert proc.stderr == (f"error: {emb}: line 2: cannot normalize: "
                                f"vector norm overflows a double\n")
+
+    def test_memory_error_exits_1_without_traceback(self, scenario_dir, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_sequence", exhausted)
+        rc, out = self.run_track(scenario_dir)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
 
     def test_undecodable_config_is_config_error(self, scenario_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamtrack.io_mot import write_embedding_file, write_mot_rows
+from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows
 from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent,
                                ScenarioSpec, Xoshiro256StarStar, generate,
                                parse_scenario, validate_scenario)
@@ -156,6 +156,12 @@ class TestValidateScenario:
     def test_rates_in_unit_interval(self):
         spec = ScenarioSpec(**{**line_spec().__dict__, "merge_prob": 1.5})
         assert any("merge_prob" in e for e in validate_scenario(spec))
+
+    def test_frames_within_what_track_accepts(self):
+        # Validated only: generating this many frames would take hours.
+        assert validate_scenario(line_spec(n_frames=MAX_FRAME)) == []
+        too_long = validate_scenario(line_spec(n_frames=MAX_FRAME + 1))
+        assert too_long == [f"n_frames must be in [1, {MAX_FRAME}]"]
 
     def test_requires_objects(self):
         assert any("object" in e for e in validate_scenario(ScenarioSpec()))

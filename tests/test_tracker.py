@@ -21,14 +21,17 @@ from scenario_utils import crossing_spec, line_spec, scenario_inputs, track_scen
 E = AppearanceDescriptor.embedding
 
 
-def det(frame, x, y=100.0, w=30.0, h=60.0, conf=50.0, descriptor=None):
-    return Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf,
-                     descriptor=descriptor)
+def det(frame, x, y=100.0, w=30.0, h=60.0, conf=50.0):
+    return Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf)
 
 
-def walker(frames, x0=50.0, vx=4.0, descriptor=None, **kw):
-    return {f: [det(f, x0 + vx * (f - 1), descriptor=descriptor, **kw)]
-            for f in frames}
+def keyed(descriptors):
+    """A descriptor source over a ``{(frame, ordinal): descriptor}`` dict."""
+    return lambda frame, ordinal: descriptors[frame, ordinal]
+
+
+def walker(frames, x0=50.0, vx=4.0, **kw):
+    return {f: [det(f, x0 + vx * (f - 1), **kw)] for f in frames}
 
 
 NO_FILTER = TrackerConfig(filter_mode="none")
@@ -183,8 +186,8 @@ class TestAppearanceIntegration:
 
     def test_miss_decays_confidence_but_not_memory(self):
         a, _ = self.descriptors()
-        dets = {f: [det(f, 50.0 + 4.0 * f, descriptor=a)] for f in range(1, 6)}
-        tracker = Tracker(NO_FILTER)
+        dets = {f: [det(f, 50.0 + 4.0 * f)] for f in range(1, 6)}
+        tracker = Tracker(NO_FILTER, descriptor_source=keyed({(f, 0): a for f in dets}))
         for f in range(1, 6):
             tracker.step(f, dets[f])
         before = [a.copy() for a in tracker.table.memory]
@@ -198,36 +201,39 @@ class TestAppearanceIntegration:
 
     def test_frame_without_birth_or_death_keeps_the_table_arrays(self):
         # Only a birth or a death copies the table's columns, the (N, W, d)
-        # history among them; a miss or a match that stores nothing reuses them.
+        # history among them; a match that stores into a full history, a miss
+        # or a match that stores nothing reuses them.
         a, b = self.descriptors()
-        tracker = Tracker(NO_FILTER)
-        for f in range(1, 6):
-            tracker.step(f, [det(f, 50.0 + 4.0 * f, descriptor=a)])
-        assert tracker.table.hist_len[0] > 0
-        for f, dets in ((6, []), (7, [det(7, 78.0, descriptor=b)])):
+        tracker = Tracker(NO_FILTER, descriptor_source=keyed(
+            {**{(f, 0): a for f in range(1, 13)}, (14, 0): b}))
+        for f in range(1, 12):
+            tracker.step(f, [det(f, 50.0 + 4.0 * f)])
+        assert tracker.table.hist_len[0] == NO_FILTER.hist_max
+        for f, dets in ((12, [det(12, 98.0)]), (13, []), (14, [det(14, 106.0)])):
             ids, hist = tracker.table.ids, tracker.table.hist
             diag = tracker.step(f, dets).diagnostics
             assert (diag.births, diag.deaths, diag.n_tracks) == (0, 0, 1)
             assert tracker.table.ids is ids
             assert np.shares_memory(tracker.table.hist, hist)
+        assert tracker.table.hist_frame[0].tolist() == list(range(3, 13))  # frame 12 stored
         assert tracker.table.misses[0] == 0  # the orthogonal detection matched
 
     def test_match_affinity_becomes_recent_conf(self):
         a, _ = self.descriptors()
-        tracker = Tracker(NO_FILTER)
-        tracker.step(1, [det(1, 50.0, descriptor=a)])
+        tracker = Tracker(NO_FILTER, descriptor_source=lambda f, o: a)
+        tracker.step(1, [det(1, 50.0)])
         assert tracker.table.recent_conf[0] == 1.0
-        tracker.step(2, [det(2, 54.0, descriptor=a)])
+        tracker.step(2, [det(2, 54.0)])
         conf = tracker.table.recent_conf[0]
         assert 0.9 < conf <= 1.0  # perfect appearance, near-perfect shape/motion
 
     def test_history_grows_only_above_tau_conf(self):
         a, b = self.descriptors()
-        tracker = Tracker(NO_FILTER)
-        tracker.step(1, [det(1, 50.0, descriptor=a)])
-        tracker.step(2, [det(2, 54.0, descriptor=b)])  # orthogonal: affinity ~0.5
+        tracker = Tracker(NO_FILTER, descriptor_source=keyed({(1, 0): a, (2, 0): b, (3, 0): b}))
+        tracker.step(1, [det(1, 50.0)])
+        tracker.step(2, [det(2, 54.0)])  # orthogonal: affinity ~0.5
         assert tracker.table.hist_len[0] == 0
-        tracker.step(3, [det(3, 58.0, descriptor=b)])  # matches recent now
+        tracker.step(3, [det(3, 58.0)])  # matches recent now
         assert tracker.table.hist_len[0] == 1
 
     @pytest.mark.parametrize("mode", ["embed", "hist"])
@@ -253,14 +259,15 @@ class TestAppearanceIntegration:
         spec = crossing_spec(3)
         dets, emb, _ = scenario_inputs(generate(spec))
         tracker = Tracker(cfg, descriptor_source=lambda f, o: emb[(f, o)])
-        widths = []
+        longest = 0
         for f in range(1, spec.n_frames + 1):
             tracker.step(f, dets.get(f, []))
             table = tracker.table
-            assert table.hist.shape[1] == table.hist_len.max(initial=0)
+            longest = max(longest, table.hist_len.max(initial=0))
+            assert table.hist.shape[1] == longest  # the longest held so far
+            assert longest <= min(cfg.hist_max, cfg.hist_window + 1)
             assert table.hist_conf.shape == table.hist_frame.shape == table.hist.shape[:2]
-            widths.append(table.hist.shape[1])
-        assert max(widths) > 15  # more than the default cap and window allow
+        assert longest > 15  # more than the default cap and window allow
 
     def test_scorer_calls_per_frame_at_most_width_plus_one(self, monkeypatch):
         # The scorer is looked up in the appearance module on every step, and
@@ -442,12 +449,13 @@ def run_stream(stream, cfg, use_appearance):
         solved.append((matrix, out))
         return out
 
-    tracker = Tracker(cfg, use_appearance=use_appearance)
+    chosen = {}
+    tracker = Tracker(cfg, descriptor_source=keyed(chosen), use_appearance=use_appearance)
     results, tables = [], []
     with mock.patch.object(tracker_module, "associate", recording):
         for frame, boxes in enumerate(stream, start=1):
-            dets = [det(frame, x + dx, y, w, h, descriptor=EMBEDDINGS[e])
-                    for x, dx, y, (w, h), e in boxes]
+            dets = [det(frame, x + dx, y, w, h) for x, dx, y, (w, h), _ in boxes]
+            chosen.update({(frame, k): EMBEDDINGS[box[-1]] for k, box in enumerate(boxes)})
             results.append(tracker.step(frame, dets))
             memory = tracker.table.memory._make(a.copy() for a in tracker.table.memory)
             tables.append((tracker.table.ids.tolist(), tracker.table.cov.copy(), memory))
@@ -469,10 +477,12 @@ class TestPipelineProperties:
             for i, j, _ in assignment.matches:
                 assert matrix.gate_mask[i, j], f"ungated pair ({i}, {j}) matched"
 
-        live, highest = set(), 0
+        live, highest, longest = set(), 0, 0
         for ids, cov, memory in tables:
             assert len(set(ids)) == len(ids)
-            assert memory.hist.shape[1] == memory.hist_len.max(initial=0)
+            longest = max(longest, memory.hist_len.max(initial=0))
+            assert memory.hist.shape[1] == longest  # the longest held so far
+            assert longest <= min(cfg.hist_max, cfg.hist_window + 1)
             assert np.all((0.0 <= memory.recent_conf) & (memory.recent_conf <= 1.0))
             born = [i for i in ids if i not in live]
             assert all(i > highest for i in born), "an id was reused"
