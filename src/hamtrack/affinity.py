@@ -29,14 +29,6 @@ class AffinityMatrix:
     values: np.ndarray
     gate_mask: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 @lru_cache(maxsize=8)
 def inverse_sigma(sigma_xx: float, sigma_xy: float, sigma_yy: float) -> np.ndarray:
@@ -96,7 +88,7 @@ def fuse_appearance(sm: AffinityMatrix,
     """
     if not isinstance(memories, MemoryBank):
         memories, descriptors = bank_of(memories, descriptors)
-    if len(memories.recent) != sm.rows or len(descriptors) != sm.cols:
+    if (len(memories.recent), len(descriptors)) != sm.values.shape:
         raise ValueError("memories/descriptors do not match matrix dimensions")
     values = np.zeros_like(sm.values)
     rows, cols = np.nonzero(sm.gate_mask)

@@ -124,8 +124,7 @@ def associate(matrix: AffinityMatrix, tau_asc: float) -> Assignment:
     ``tau_asc = 0``, a pair outside ``gate_mask`` is never a match.
     """
     matches = []
-    matched_tracks = [False] * matrix.rows
-    matched_dets = [False] * matrix.cols
+    matched_tracks, matched_dets = ([False] * k for k in matrix.values.shape)
     for i, j in hungarian_max(matrix.values):
         value = float(matrix.values[i, j])
         if matrix.gate_mask[i, j] and value >= tau_asc:

@@ -194,11 +194,6 @@ class TrackerConfig:
     filter_mode: str = "sadf"
     emit_predicted: bool = False
 
-    def sigma(self) -> np.ndarray:
-        """Gating covariance as a 2x2 array."""
-        return np.array([[self.sigma_xx, self.sigma_xy],
-                         [self.sigma_xy, self.sigma_yy]], dtype=float)
-
 
 FILTER_MODES = ("sadf", "const", "none")
 
@@ -253,6 +248,9 @@ def validate_config(cfg: TrackerConfig) -> list[str]:
         errors.append("conf_decay out of [0,1]")
     if cfg.filter_mode not in FILTER_MODES:
         errors.append(f"filter_mode must be one of {FILTER_MODES}")
+    int64 = np.iinfo(np.int64)  # the tracker's counters and history columns
+    errors += [f"{f.name} must fit in a 64-bit integer" for f in fields(cfg)
+               if f.type is int and not int64.min <= getattr(cfg, f.name) <= int64.max]
     return errors
 
 

@@ -28,6 +28,13 @@ from .metrics import iou_matrix
 
 _MASK64 = (1 << 64) - 1
 
+# Caps on the sizes that set a frame's generation work, a few times the largest
+# bundled or benchmark scene. Every false positive and every embedding component
+# is a Python draw, and --frames keeps one canvas-sized RGB image per frame.
+MAX_FP_RATE = 100.0
+MAX_EMBED_DIM = 1024
+MAX_CANVAS_PIXELS = 3840 * 2160
+
 
 def _splitmix64(x: int):
     while True:
@@ -149,15 +156,17 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
         errors.append(f"n_frames must be in [1, {MAX_FRAME}]")
     if spec.canvas_w < 8 or spec.canvas_h < 8:
         errors.append("canvas must be at least 8x8")
-    if spec.fp_rate < 0:
-        errors.append("fp_rate must be >= 0")
+    if spec.canvas_w * spec.canvas_h > MAX_CANVAS_PIXELS:
+        errors.append(f"canvas_w x canvas_h must be at most {MAX_CANVAS_PIXELS} pixels")
+    if not 0 <= spec.fp_rate <= MAX_FP_RATE:
+        errors.append(f"fp_rate must be in [0, {MAX_FP_RATE:g}]")
     for name in ("merge_prob", "fragment_prob", "corrupt_blend"):
         if not 0.0 <= getattr(spec, name) <= 1.0:
             errors.append(f"{name} out of [0,1]")
     if spec.jitter_std < 0:
         errors.append("jitter_std must be >= 0")
-    if spec.embed_dim < 1:
-        errors.append("embed_dim must be >= 1")
+    if not 1 <= spec.embed_dim <= MAX_EMBED_DIM:
+        errors.append(f"embed_dim must be in [1, {MAX_EMBED_DIM}]")
     if spec.embed_noise_std < 0:
         errors.append("embed_noise_std must be >= 0")
     if spec.corrupt_frames < 0:

@@ -48,68 +48,53 @@ def _observed_pairs(boxes: Sequence[BBox]) -> np.ndarray:
     return observed
 
 
+def _columnwise(fn, *tables: "TrackTable") -> "TrackTable":
+    """A table of ``fn`` applied to the tables' arrays, position by position."""
+    def leaf(*cols):
+        return type(cols[0])(*map(leaf, *cols)) if isinstance(cols[0], tuple) else fn(*cols)
+    return TrackTable(*map(leaf, *(vars(t).values() for t in tables)))
+
+
 @dataclass
 class TrackTable:
     """Live tracks, one row each, in birth order (hence ascending id).
 
-    ``mean`` (N, 2, 4) and ``cov`` (N, 2, 4, 4) stack every track's motion
-    and shape Kalman filters. ``hits`` counts consecutive matches and
-    ``misses`` consecutive misses, so ``misses == 0`` marks the rows matched
-    or born this frame. ``last_boxes`` is a row-aligned list. The columns
-    from ``recent`` on are the appearance memories, viewed as ``memory``.
+    Every column is state that outlives a frame. ``filters`` stacks every
+    track's motion and shape Kalman filters: means (N, 2, 4), covariances
+    (N, 2, 4, 4). ``hits`` counts consecutive matches and ``misses``
+    consecutive misses, so ``misses == 0`` marks the rows matched or born
+    this frame. ``memory`` holds the appearance memories.
     """
 
     ids: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
     hits: np.ndarray
     misses: np.ndarray
     confirmed: np.ndarray
-    last_boxes: list[BBox]
-    recent: np.ndarray
-    recent_conf: np.ndarray
-    hist: np.ndarray
-    hist_conf: np.ndarray
-    hist_frame: np.ndarray
-    hist_len: np.ndarray
+    filters: kalman.KalmanState
+    memory: MemoryBank
 
     @classmethod
-    def born(cls, first_id: int, boxes: Sequence[BBox], descriptors: np.ndarray,
+    def born(cls, first_id: int, observed: np.ndarray, descriptors: np.ndarray,
              cfg: TrackerConfig, width: int) -> "TrackTable":
-        """Tentative tracks started on ``boxes`` and their (len(boxes), d) ``descriptors``.
+        """Tentative tracks started on the (k, 2, 2) ``observed`` pairs and (k, d) ``descriptors``.
 
         Their histories are empty, with ``width`` slots.
         """
-        n = len(boxes)
-        observed = _observed_pairs(boxes)
+        n = len(observed)
         heights = observed[:, SHAPE, 1:]
-        mean, cov = kalman.init(observed, heights, pos_std=cfg.measurement_noise * heights)
-        return cls(np.arange(first_id, first_id + n), mean, cov, np.ones(n, dtype=int),
+        return cls(np.arange(first_id, first_id + n), np.ones(n, dtype=int),
                    np.zeros(n, dtype=int), np.full(n, cfg.confirm_hits <= 1),
-                   list(boxes), *new_bank(descriptors, width))
-
-    @property
-    def filters(self) -> kalman.KalmanState:
-        return kalman.KalmanState(self.mean, self.cov)
-
-    @property
-    def memory(self) -> MemoryBank:
-        return MemoryBank(*(getattr(self, name) for name in MemoryBank._fields))
-
-    @memory.setter
-    def memory(self, bank: MemoryBank) -> None:
-        vars(self).update(bank._asdict())
+                   kalman.init(observed, heights, pos_std=cfg.measurement_noise * heights),
+                   new_bank(descriptors, width))
 
     def select(self, keep: np.ndarray) -> "TrackTable":
         """The rows where ``keep`` is true."""
         rows = np.flatnonzero(keep)
-        return TrackTable(*([col[r] for r in rows] if isinstance(col, list) else col[rows]
-                            for col in vars(self).values()))
+        return _columnwise(lambda col: col[rows], self)
 
     def append(self, other: "TrackTable") -> "TrackTable":
         """This table's rows followed by ``other``'s, which has as many history slots."""
-        return TrackTable(*(x + y if isinstance(x, list) else np.concatenate([x, y])
-                            for x, y in zip(vars(self).values(), vars(other).values())))
+        return _columnwise(lambda x, y: np.concatenate([x, y]), self, other)
 
 
 @dataclass(frozen=True)
@@ -154,7 +139,7 @@ class Tracker:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
         self.descriptor_source = descriptor_source
         self.use_appearance = use_appearance
-        self.table = TrackTable.born(1, [], np.zeros((0, 0)), self.cfg, 0)
+        self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, 0)), self.cfg, 0)
         self._kind, self._dim = None, 0  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
@@ -202,17 +187,19 @@ class Tracker:
             found = [self._descriptor_for(frame, k) for k in kept_ordinals]
             if found and self._kind is None:  # no track yet: size its descriptor columns
                 self._kind, self._dim = found[0].kind, len(found[0])
-                self.table = TrackTable.born(1, [], np.zeros((0, self._dim)), cfg, 0)
+                self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)),
+                                             cfg, 0)
             descriptors = descriptor_rows(found, self._kind, self._dim)
 
         table = self.table
         with _kalman_arithmetic(frame):
             process_std = cfg.process_noise * kalman.clamped_wh(table.filters)[:, SHAPE, 1:]
-            table.mean, table.cov = kalman.predict(table.filters, process_std)
+            table.filters = kalman.predict(table.filters, process_std)
 
         boxes = [d.bbox for d in survivors]
+        observed = _observed_pairs(boxes)
         pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
-        sm = build_sm_matrix(table.mean[:, MOTION, :2], pred_wh, boxes, cfg)
+        sm = build_sm_matrix(table.filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
             final = fuse_appearance(sm, table.memory, descriptors,
                                     appearance.scorer_for(self._kind), use_ham=cfg.use_ham)
@@ -222,12 +209,12 @@ class Tracker:
 
         rows = [ti for ti, _, _ in assignment.matches]
         cols = [dj for _, dj, _ in assignment.matches]
-        z = _observed_pairs([boxes[dj] for dj in cols])
+        z = observed[cols]
         with _kalman_arithmetic(frame):
-            table.mean[rows], table.cov[rows] = kalman.update(
+            table.filters.mean[rows], table.filters.cov[rows] = kalman.update(
                 table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
-        for ti, dj in zip(rows, cols):
-            table.last_boxes[ti] = boxes[dj]
+        index = np.full(len(table.ids), -1)  # row -> the detection it matched or was born on
+        index[rows] = cols
         if self.use_appearance:
             table.memory = maybe_store_history(
                 table.memory, rows, descriptors[cols], self._kind,
@@ -243,14 +230,14 @@ class Tracker:
             table.memory = decay_confidence(table.memory, missed, cfg.conf_decay)
         dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
 
-        new = assignment.unmatched_detections
+        new = list(assignment.unmatched_detections)
         if dead.any():  # select and append copy every column, the history included
-            table = table.select(~dead)
+            table, index = table.select(~dead), index[~dead]
         if new:
             with _kalman_arithmetic(frame):
-                born = TrackTable.born(self._next_id, [boxes[dj] for dj in new],
-                                       descriptors[list(new)], cfg, table.hist.shape[1])
-            table = table.append(born)
+                born = TrackTable.born(self._next_id, observed[new], descriptors[new], cfg,
+                                       table.memory.hist.shape[1])
+            table, index = table.append(born), np.concatenate([index, new])
         self._next_id += len(new)
         self.table = table
 
@@ -259,7 +246,7 @@ class Tracker:
         for r, track_id in enumerate(table.ids.tolist()):
             if table.misses[r] == 0:
                 if table.confirmed[r] or startup:
-                    outputs.append((track_id, table.last_boxes[r]))
+                    outputs.append((track_id, boxes[index[r]]))
             elif cfg.emit_predicted and table.confirmed[r]:
                 outputs.append((track_id, kalman.predicted_box(
                     table.filters.at((r, MOTION)), table.filters.at((r, SHAPE)))))

@@ -114,6 +114,7 @@ class TestBuildSmMatrix:
         # np.exp and math.exp may differ in the last bit, hence a tolerance.
         rng = np.random.default_rng(5)
         cfg = TrackerConfig(sigma_xy=4000.0)
+        sigma = np.array([[cfg.sigma_xx, cfg.sigma_xy], [cfg.sigma_xy, cfg.sigma_yy]])
         for n, m in ((3, 4), (6, 2), (1, 5), (5, 1), (1, 1)):
             boxes = [BBox(*rng.uniform(10, 200, size=2), *rng.uniform(10, 60, size=2))
                      for _ in range(m)]
@@ -124,7 +125,7 @@ class TestBuildSmMatrix:
             for i in range(n):
                 for j, box in enumerate(boxes):
                     expected = (shape_affinity(wh[i], box, cfg.xi)
-                                * motion_affinity(pos[i], box.center(), cfg.sigma(), cfg.eta))
+                                * motion_affinity(pos[i], box.center(), sigma, cfg.eta))
                     assert sm.values[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_permutation_equivariance(self):
@@ -156,7 +157,8 @@ def sm_oracle(pred_pos, pred_wh, boxes, cfg):
     obs = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes])
     centers, sizes = obs[:, :2], obs[:, 2:]
     d = (centers - pos).reshape(n * m, 2)
-    maha = np.einsum("kj,jl,kl->k", d, np.linalg.inv(cfg.sigma()), d).reshape(n, m)
+    sigma = np.array([[cfg.sigma_xx, cfg.sigma_xy], [cfg.sigma_xy, cfg.sigma_yy]])
+    maha = np.einsum("kj,jl,kl->k", d, np.linalg.inv(sigma), d).reshape(n, m)
     rel = np.abs(wh - sizes) / (wh + sizes)
     values = np.exp(-cfg.xi * (rel[..., 1] + rel[..., 0])) * np.exp(-cfg.eta * maha)
     return values, values > cfg.tau_asc
@@ -203,7 +205,7 @@ class TestInverseSigma:
     def test_cached_read_only_inverse(self):
         cfg = TrackerConfig(sigma_xx=900.0, sigma_xy=-120.0, sigma_yy=400.0)
         inv = inverse_sigma(cfg.sigma_xx, cfg.sigma_xy, cfg.sigma_yy)
-        assert np.array_equal(inv, np.linalg.inv(cfg.sigma()))
+        assert np.array_equal(inv, np.linalg.inv([[900.0, -120.0], [-120.0, 400.0]]))
         assert inverse_sigma(900.0, -120.0, 400.0) is inv
         with pytest.raises(ValueError, match="read-only"):
             inv[0, 0] = 1.0

@@ -110,6 +110,15 @@ event.0.end = 50
         assert proc.stdout == ""
         assert proc.stderr == f"error: {bad}: event.0.by: cannot parse 'q'\n"
 
+    def test_spec_over_a_size_cap_names_the_key(self, tmp_path, capsys):
+        spec = tmp_path / "huge.scn"
+        spec.write_text("fp_rate = 1e9\nobject.0.w = 10\nobject.0.h = 10\n"
+                        "object.0.waypoints = 1:50,50; 3:60,60\n")
+        rc = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: fp_rate must be in [0, ")
+        assert not (tmp_path / "x").exists()
+
     def test_generation_failure_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "wild.scn"
         spec.write_text("n_frames = 3\njitter_std = 1e308\nobject.0.w = 10\n"
@@ -232,6 +241,11 @@ class TestTrack:
         rc, _ = self.run_track(scenario_dir, "--set", "beta=1.5")
         assert rc == 2
         assert "beta out of [0,1]" in capsys.readouterr().err
+
+    def test_hist_max_beyond_int64_is_config_error(self, scenario_dir, capsys):
+        rc, _ = self.run_track(scenario_dir, "--set", f"hist_max={2**63}")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: hist_max must fit in a 64-bit integer\n"
 
     def test_unknown_set_key(self, scenario_dir, capsys):
         rc, _ = self.run_track(scenario_dir, "--set", "bogus=1")

@@ -145,6 +145,12 @@ class TestValidateConfig:
             assert name in joined
         assert len(errors) == 6
 
+    @pytest.mark.parametrize("name", ["hist_max", "hist_window", "confirm_hits", "max_age"])
+    def test_integer_fields_must_fit_int64(self, name):
+        assert validate_config(TrackerConfig(**{name: 2**63 - 1})) == []
+        assert validate_config(TrackerConfig(**{name: 2**63})) == [
+            f"{name} must fit in a 64-bit integer"]
+
     def test_fixed_alpha_mode_accepted(self):
         assert validate_config(TrackerConfig(alpha_mode="0.3")) == []
         assert validate_config(TrackerConfig(alpha_mode="1.5")) != []

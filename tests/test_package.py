@@ -7,12 +7,10 @@ from pathlib import Path
 import hamtrack
 
 PUBLIC = [
-    "AppearanceDescriptor", "AppearanceMemory", "BBox", "ConfidenceRegime",
-    "Detection", "EvalReport", "FrameResult", "GeneratedScenario",
-    "ObjectSpec", "OcclusionEvent", "ScenarioSpec", "Tracker", "TrackerConfig",
-    "clear_mot", "evaluate", "generate", "ham", "idf1", "parse_scenario",
-    "run_sequence", "score_embedding", "score_histogram", "validate_config",
-    "validate_scenario",
+    "AppearanceDescriptor", "BBox", "ConfidenceRegime", "Detection", "EvalReport",
+    "FrameResult", "GeneratedScenario", "ObjectSpec", "OcclusionEvent", "ScenarioSpec",
+    "Tracker", "TrackerConfig", "evaluate", "generate", "parse_scenario", "run_sequence",
+    "validate_config", "validate_scenario",
 ]
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows
-from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent,
+from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_EMBED_DIM, MAX_FP_RATE,
+                               ConfidenceRegime, ObjectSpec, OcclusionEvent,
                                ScenarioSpec, Xoshiro256StarStar, generate,
                                parse_scenario, validate_scenario)
 from scenario_utils import crossing_spec, line_spec
@@ -165,6 +166,18 @@ class TestValidateScenario:
 
     def test_requires_objects(self):
         assert any("object" in e for e in validate_scenario(ScenarioSpec()))
+
+    @pytest.mark.parametrize("key, at_cap, over_cap, message", [
+        ("fp_rate", MAX_FP_RATE, MAX_FP_RATE * 1.001, f"fp_rate must be in [0, {MAX_FP_RATE:g}]"),
+        ("fp_rate", 0.0, float("nan"), f"fp_rate must be in [0, {MAX_FP_RATE:g}]"),
+        ("embed_dim", MAX_EMBED_DIM, MAX_EMBED_DIM + 1, f"embed_dim must be in [1, {MAX_EMBED_DIM}]"),
+        ("canvas_w", MAX_CANVAS_PIXELS // 480, MAX_CANVAS_PIXELS // 480 + 1,
+         f"canvas_w x canvas_h must be at most {MAX_CANVAS_PIXELS} pixels"),
+    ])
+    def test_generation_sizes_capped(self, key, at_cap, over_cap, message):
+        # Validated only: a spec at a cap would take long to generate.
+        assert validate_scenario(line_spec(**{key: at_cap})) == []
+        assert validate_scenario(line_spec(**{key: over_cap})) == [message]
 
 
 SCN_TEXT = """

@@ -73,6 +73,7 @@ class TestStepBasics:
         ({"tau_asc": 2.0}, "tau_asc out of [0,1]"),
         ({"confirm_hits": 0}, "confirm_hits must be >= 1"),
         ({"hist_max": -1}, "hist_max must be >= 0"),
+        ({"hist_max": 2**63}, "hist_max must fit in a 64-bit integer"),
     ])
     def test_invalid_config_rejected(self, setting, problem):
         with pytest.raises(ValueError, match=r"^invalid tracker config: ") as err:
@@ -151,8 +152,10 @@ class TestLifecycle:
                     for _ in range(rng.integers(0, 4))]
             tracker.step(f, dets)
             seen.extend(tracker.table.ids.tolist())
-            table = tracker.table  # every column keeps one row per track
-            assert {len(col) for col in vars(table).values()} == {len(table.ids)}
+            table = tracker.table  # every array keeps one row per track
+            leaves = [table.ids, table.hits, table.misses, table.confirmed,
+                      *table.filters, *table.memory]
+            assert {len(col) for col in leaves} == {len(table.ids)}
         # every id maps to exactly one birth
         assert len(set(seen)) == max(seen)
 
@@ -208,23 +211,23 @@ class TestAppearanceIntegration:
             {**{(f, 0): a for f in range(1, 13)}, (14, 0): b}))
         for f in range(1, 12):
             tracker.step(f, [det(f, 50.0 + 4.0 * f)])
-        assert tracker.table.hist_len[0] == NO_FILTER.hist_max
+        assert tracker.table.memory.hist_len[0] == NO_FILTER.hist_max
         for f, dets in ((12, [det(12, 98.0)]), (13, []), (14, [det(14, 106.0)])):
-            ids, hist = tracker.table.ids, tracker.table.hist
+            ids, hist = tracker.table.ids, tracker.table.memory.hist
             diag = tracker.step(f, dets).diagnostics
             assert (diag.births, diag.deaths, diag.n_tracks) == (0, 0, 1)
             assert tracker.table.ids is ids
-            assert np.shares_memory(tracker.table.hist, hist)
-        assert tracker.table.hist_frame[0].tolist() == list(range(3, 13))  # frame 12 stored
+            assert np.shares_memory(tracker.table.memory.hist, hist)
+        assert tracker.table.memory.hist_frame[0].tolist() == list(range(3, 13))  # 12 stored
         assert tracker.table.misses[0] == 0  # the orthogonal detection matched
 
     def test_match_affinity_becomes_recent_conf(self):
         a, _ = self.descriptors()
         tracker = Tracker(NO_FILTER, descriptor_source=lambda f, o: a)
         tracker.step(1, [det(1, 50.0)])
-        assert tracker.table.recent_conf[0] == 1.0
+        assert tracker.table.memory.recent_conf[0] == 1.0
         tracker.step(2, [det(2, 54.0)])
-        conf = tracker.table.recent_conf[0]
+        conf = tracker.table.memory.recent_conf[0]
         assert 0.9 < conf <= 1.0  # perfect appearance, near-perfect shape/motion
 
     def test_history_grows_only_above_tau_conf(self):
@@ -232,9 +235,9 @@ class TestAppearanceIntegration:
         tracker = Tracker(NO_FILTER, descriptor_source=keyed({(1, 0): a, (2, 0): b, (3, 0): b}))
         tracker.step(1, [det(1, 50.0)])
         tracker.step(2, [det(2, 54.0)])  # orthogonal: affinity ~0.5
-        assert tracker.table.hist_len[0] == 0
+        assert tracker.table.memory.hist_len[0] == 0
         tracker.step(3, [det(3, 58.0)])  # matches recent now
-        assert tracker.table.hist_len[0] == 1
+        assert tracker.table.memory.hist_len[0] == 1
 
     @pytest.mark.parametrize("mode", ["embed", "hist"])
     def test_step_builds_no_memory_objects(self, mode, tmp_path, monkeypatch):
@@ -262,11 +265,11 @@ class TestAppearanceIntegration:
         longest = 0
         for f in range(1, spec.n_frames + 1):
             tracker.step(f, dets.get(f, []))
-            table = tracker.table
-            longest = max(longest, table.hist_len.max(initial=0))
-            assert table.hist.shape[1] == longest  # the longest held so far
+            memory = tracker.table.memory
+            longest = max(longest, memory.hist_len.max(initial=0))
+            assert memory.hist.shape[1] == longest  # the longest held so far
             assert longest <= min(cfg.hist_max, cfg.hist_window + 1)
-            assert table.hist_conf.shape == table.hist_frame.shape == table.hist.shape[:2]
+            assert memory.hist_conf.shape == memory.hist_frame.shape == memory.hist.shape[:2]
         assert longest > 15  # more than the default cap and window allow
 
     def test_scorer_calls_per_frame_at_most_width_plus_one(self, monkeypatch):
@@ -280,7 +283,7 @@ class TestAppearanceIntegration:
         dets, emb, _ = scenario_inputs(generate(spec))
         tracker = Tracker(NO_FILTER, descriptor_source=lambda f, o: emb[(f, o)])
         for f in range(1, spec.n_frames + 1):
-            width = tracker.table.hist.shape[1]
+            width = tracker.table.memory.hist.shape[1]
             calls.clear()
             result = tracker.step(f, dets.get(f, []))
             assert len(calls) <= width + 1
@@ -439,8 +442,9 @@ STREAM = st.lists(st.lists(BOX, max_size=4), min_size=1, max_size=8)
 def run_stream(stream, cfg, use_appearance):
     """Step ``stream`` through a new tracker.
 
-    Returns the results, each frame's (final matrix, assignment) and each
-    frame's live ids, covariances and appearance memory after the step.
+    Returns the results, each frame's detections, each frame's (final matrix,
+    assignment) and each frame's live ids, covariances and appearance memory
+    after the step.
     """
     solved = []
 
@@ -451,15 +455,16 @@ def run_stream(stream, cfg, use_appearance):
 
     chosen = {}
     tracker = Tracker(cfg, descriptor_source=keyed(chosen), use_appearance=use_appearance)
-    results, tables = [], []
+    results, inputs, tables = [], [], []
     with mock.patch.object(tracker_module, "associate", recording):
         for frame, boxes in enumerate(stream, start=1):
             dets = [det(frame, x + dx, y, w, h) for x, dx, y, (w, h), _ in boxes]
             chosen.update({(frame, k): EMBEDDINGS[box[-1]] for k, box in enumerate(boxes)})
             results.append(tracker.step(frame, dets))
+            inputs.append(dets)
             memory = tracker.table.memory._make(a.copy() for a in tracker.table.memory)
-            tables.append((tracker.table.ids.tolist(), tracker.table.cov.copy(), memory))
-    return results, solved, tables
+            tables.append((tracker.table.ids.tolist(), tracker.table.filters.cov.copy(), memory))
+    return results, inputs, solved, tables
 
 
 class TestPipelineProperties:
@@ -471,7 +476,7 @@ class TestPipelineProperties:
                              use_appearance):
         cfg = TrackerConfig(filter_mode="none", tau_asc=tau_asc, confirm_hits=confirm_hits,
                             emit_predicted=emit_predicted)
-        results, solved, tables = run_stream(stream, cfg, use_appearance)
+        results, inputs, solved, tables = run_stream(stream, cfg, use_appearance)
 
         for matrix, assignment in solved:
             for i, j, _ in assignment.matches:
@@ -497,5 +502,21 @@ class TestPipelineProperties:
             assert len(set(emitted)) == len(emitted)
             assert all(np.isfinite([b.x, b.y, b.w, b.h]).all() for _, b in fr.tracks)
 
-        again, _, _ = run_stream(stream, cfg, use_appearance)
+        # A track matched or born this frame emits its own detection's box, the
+        # same object, and no detection is emitted twice; only others are predicted.
+        previous = []
+        for fr, dets, (_, assignment), (ids, _, _) in zip(results, inputs, solved, tables):
+            own = {previous[i]: dets[j].bbox for i, j, _ in assignment.matches}
+            born = [i for i in ids if i not in previous]
+            own.update(zip(born, (dets[j].bbox for j in assignment.unmatched_detections)))
+            for tid, box in fr.tracks:
+                if tid in own:
+                    assert box is own[tid]
+                else:
+                    assert cfg.emit_predicted and all(box is not d.bbox for d in dets)
+            emitted = [id(box) for _, box in fr.tracks if any(box is d.bbox for d in dets)]
+            assert len(set(emitted)) == len(emitted)
+            previous = ids
+
+        again, _, _, _ = run_stream(stream, cfg, use_appearance)
         assert write_result_file(results) == write_result_file(again)
