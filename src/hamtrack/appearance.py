@@ -123,11 +123,6 @@ def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return weights
 
 
-# Past this many bins filled by a frame's one- and two-bin detections, every pair takes the
-# slot loop: d/8, held until a benchmark workload has frames whose detections fill more.
-SUPPORT_MAX_BINS = 64
-
-
 def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
                scorer: Scorer, use_ham: bool = True) -> np.ndarray:
     """Historical appearance matching of bank row ``rows[p]`` to ``z[cols[p]]``, for each pair p.
@@ -135,13 +130,12 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     c_r * s(recent, z) + (1 - c_r) * sum_k w_k * s(hist_k, z), with
     confidence-proportional history weights w_k, clipped to [0, 1]; just
     s(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
-    With ``score_histogram``, the pairs whose detection fills one or two bins
-    are scored, every slot at once, in one pass over the bins those detections
-    fill, if there are at most ``SUPPORT_MAX_BINS``. Each of their products
-    has at most two nonzero terms, and such a sum is one double in any order,
-    so it equals the full-row sum. The other pairs take the slot loop: one
-    scorer call scores the recent slot, then one per history slot k the pairs
-    whose row holds more than k entries.
+    With ``score_histogram``, a pair whose detection fills one or two bins
+    reads just those bins of its recent and history slots, every slot at
+    once. Each of its products has at most two nonzero terms, and such a sum
+    is one double in any order, so it equals the full-row sum. The other
+    pairs take the slot loop: one scorer call scores the recent slot, then
+    one per history slot k the pairs whose row holds more than k entries.
     """
     lengths = np.zeros_like(bank.hist_len)
     if use_ham:
@@ -149,20 +143,22 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     weights = history_weight_rows(bank.hist_conf, lengths)
     looped = np.ones(len(rows), dtype=bool)  # the pairs the slot loop scores
     if scorer is score_histogram:
-        small = np.count_nonzero(z, axis=1) <= 2  # detections filling one or two bins
-        if small.any() and len(bins := np.flatnonzero(z[small].any(axis=0))) <= SUPPORT_MAX_BINS:
-            looped = ~small[cols]
+        looped = np.count_nonzero(filled := z != 0, axis=1)[cols] > 2
     # Looped pairs first, longest histories first: those that reach slot k are then a prefix.
     order = np.lexsort((-lengths[rows], ~looped))
     r, c, n = rows[order], cols[order], lengths[rows[order]]
     q, width = int(np.count_nonzero(looped)), int(n.max(initial=0))
     s = np.zeros((len(r), width + 1))  # column 0 the recent slot, k + 1 slot k
-    if q < len(r):  # (bins, P, W + 1) planes: the sums over bins then add whole planes
-        slots = np.concatenate([bank.recent[:, None, bins], bank.hist[:, :width, bins]], axis=1)
-        x = np.take(slots.transpose(2, 0, 1), r[q:], axis=1)
-        x *= np.take(z[:, bins].T, c[q:], axis=1)[:, :, None]
+    if q < len(r):  # (2, P, W + 1): each slot at the detection's first and last filled bin
+        first, last = filled.argmax(axis=1), z.shape[1] - 1 - filled[:, ::-1].argmax(axis=1)
+        b = np.stack([first, last])[:, c[q:]]
+        x = np.concatenate([bank.recent.T[b, r[q:], None],
+                            bank.hist.transpose(2, 0, 1)[b, r[q:], :width]], axis=2)
+        y = z[c[q:], b]
+        y[1, b[0] == b[1]] = 0.0  # a one-bin detection's bin is added once
+        x *= y[:, :, None]
         np.sqrt(x, out=x)
-        s[q:] = np.clip(x.sum(axis=0), 0.0, 1.0)
+        s[q:] = np.clip(x[0] + x[1], 0.0, 1.0)
     y = z[c[:q]]
     s[:q, 0] = scorer(bank.recent[r[:q]], y)
     for k in range(int(n[:q].max(initial=0))):

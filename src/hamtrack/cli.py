@@ -96,15 +96,14 @@ def _descriptor_source(mode: str, args, dets_by_frame):
     cache: dict[int, object] = {}
 
     def from_frames(frame: int, ordinal: int):
-        if frame not in cache:
-            cache.clear()
-            path = frames_dir / frame_image_name(frame)
-            try:
-                cache[frame] = read_ppm(path.read_bytes())
-            except OSError as exc:
-                raise ValueError(f"cannot read frame image {path}: {exc}") from None
-        det = dets_by_frame[frame][ordinal]
-        return histogram_from_patch(cache[frame], det.bbox)
+        try:
+            if frame not in cache:
+                cache.clear()
+                cache[frame] = read_ppm((frames_dir / frame_image_name(frame)).read_bytes())
+            return histogram_from_patch(cache[frame], dets_by_frame[frame][ordinal].bbox)
+        except (OSError, ValueError) as exc:
+            what = "cannot read frame image" if isinstance(exc, OSError) else "frame image"
+            raise ValueError(f"{what} {frames_dir / frame_image_name(frame)}: {exc}") from None
 
     return from_frames
 

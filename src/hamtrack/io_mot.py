@@ -167,9 +167,12 @@ def read_ppm(data: bytes) -> np.ndarray:
 
     if next_token() != b"P6":
         raise ValueError("not a binary PPM (P6) image")
-    width = int(next_token())
-    height = int(next_token())
-    maxval = int(next_token())
+    fields = {name: next_token() for name in ("width", "height", "maxval")}
+    for name, token in fields.items():
+        if not token.isdigit() or int(token) == 0:
+            shown = token.decode(errors="replace")
+            raise ValueError(f"PPM {name} must be a positive integer, got {shown!r}")
+    width, height, maxval = (int(token) for token in fields.values())
     if maxval != 255:
         raise ValueError(f"only 8-bit PPM supported, got maxval {maxval}")
     pos += 1  # single whitespace after maxval

@@ -31,9 +31,12 @@ _MASK64 = (1 << 64) - 1
 # Caps on the sizes that set a frame's generation work, a few times the largest
 # bundled or benchmark scene. Every false positive and every embedding component
 # is a Python draw, and --frames keeps one canvas-sized RGB image per frame.
+# MAX_DRAWS bounds a run's draws, n_frames x (objects + fp_rate) x embed_dim:
+# at about 5.7 us a draw on a 2-CPU x86-64 host, about ten minutes.
 MAX_FP_RATE = 100.0
 MAX_EMBED_DIM = 1024
 MAX_CANVAS_PIXELS = 3840 * 2160
+MAX_DRAWS = 10**8
 
 
 def _splitmix64(x: int):
@@ -167,6 +170,8 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
         errors.append("jitter_std must be >= 0")
     if not 1 <= spec.embed_dim <= MAX_EMBED_DIM:
         errors.append(f"embed_dim must be in [1, {MAX_EMBED_DIM}]")
+    if spec.n_frames * (len(spec.objects) + spec.fp_rate) * spec.embed_dim > MAX_DRAWS:
+        errors.append(f"n_frames x (objects + fp_rate) x embed_dim must be at most {MAX_DRAWS:,}")
     if spec.embed_noise_std < 0:
         errors.append("embed_noise_std must be >= 0")
     if spec.corrupt_frames < 0:

@@ -359,14 +359,15 @@ def slot_loop_ham_scores(bank, rows, cols, z, scorer, use_ham=True):
 
 # The bins the detections of a frame fill. A sum over 512 bins adds each lane
 # of 8 in a 128-bin block on its own and then joins lanes and blocks pairwise.
-# The one- and two-bin detections, one of them in lane 2's column (10, 18) and
-# one across blocks (3, 300), take the support path. The larger ones take the
-# slot loop. Each of them puts bins where a pairwise sum joins the last two
-# terms first: lanes 1, 4 and 6 of block 0; blocks 0, 2 and 3; lanes 2, 4
-# and 6 of block 0 with 10 and 18 in lane 2's column; one bin in each of four
-# blocks; and lane 0's column of block 0 with bins of later blocks.
+# The one- and two-bin detections, one of them in lane 2's column (10, 18),
+# one across blocks (3, 300) and two at the row's ends (0,) and (0, 511), are
+# scored on their own bins. The larger ones take the slot loop. Each of them
+# puts bins where a pairwise sum joins the last two terms first: lanes 1, 4
+# and 6 of block 0; blocks 0, 2 and 3; lanes 2, 4 and 6 of block 0 with 10
+# and 18 in lane 2's column; one bin in each of four blocks; and lane 0's
+# column of block 0 with bins of later blocks.
 DETECTION_BINS = ((7,), (10, 18), (3, 300), (1, 12, 22), (7, 300, 450), (2, 4, 6, 10, 18),
-                  (5, 200, 300, 450), (64, 72, 80, 130, 260, 500))
+                  (5, 200, 300, 450), (64, 72, 80, 130, 260, 500), (0,), (0, 511))
 
 
 def shared_bins_frame(rng, width, n_tracks=8, d=512):
@@ -450,19 +451,18 @@ class TestHistogramSupportPath:
         in_bin_order = [functools.reduce(operator.add, row[row > 0].tolist()) for row in roots]
         assert np.any(np.array(in_bin_order) != roots.sum(axis=1))
 
-    def test_frame_past_the_cutoff_takes_the_slot_loop(self, monkeypatch):
+    def test_many_two_bin_detections_skip_the_scorer(self, monkeypatch):
         rng = np.random.default_rng(11)
         bank, rows, cols, _ = shared_bins_frame(rng, 4)
         # Forty two-bin detections fill 80 bins between them.
         z = np.zeros((40, 512))
         z[np.repeat(np.arange(40), 2), rng.permutation(512)[:80]] = rng.uniform(0.1, 1.0, 80)
         z /= z.sum(axis=1, keepdims=True)
-        assert np.count_nonzero(z.any(axis=0)) > appearance.SUPPORT_MAX_BINS
+        assert np.count_nonzero(z.any(axis=0)) == 80
         rows, cols = np.indices((len(bank.recent), len(z))).reshape(2, -1)
-        _, _, held = entry_products(bank, rows, cols, z)
         scorer, calls = self.counted(monkeypatch)
         got = ham_scores(bank, rows, cols, z, scorer)
-        assert calls == held.sum(axis=0).tolist()  # one call per slot, over the pairs holding it
+        assert calls == [0]  # the slot loop's recent-slot call, over no pairs
         assert np.array_equal(got, slot_loop_ham_scores(bank, rows, cols, z, score_histogram))
 
 

@@ -119,6 +119,17 @@ event.0.end = 50
         assert capsys.readouterr().err.startswith(f"error: {spec}: fp_rate must be in [0, ")
         assert not (tmp_path / "x").exists()
 
+    def test_spec_over_the_draw_budget_names_the_keys(self, tmp_path, capsys):
+        spec = tmp_path / "long.scn"
+        spec.write_text("n_frames = 100000\nfp_rate = 100\nembed_dim = 1024\nobject.0.w = 10\n"
+                        "object.0.h = 10\nobject.0.waypoints = 1:50,50; 3:60,60\n")
+        rc = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec}: n_frames x (objects + fp_rate) x embed_dim must be at most "
+            "100,000,000\n")
+        assert not (tmp_path / "x").exists()
+
     def test_generation_failure_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "wild.scn"
         spec.write_text("n_frames = 3\njitter_std = 1e308\nobject.0.w = 10\n"
@@ -278,6 +289,33 @@ class TestTrack:
                    "--out", str(out)])
         assert rc == 0
         assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n640 480\n255\n", "not a binary PPM (P6) image"),
+        (b"P6\n-4 480\n255\n", "PPM width must be a positive integer, got '-4'"),
+        (b"P6\nab 480\n255\n", "PPM width must be a positive integer, got 'ab'"),
+    ])
+    def test_bad_frame_image_exits_1_naming_it(self, scenario_dir, capsys, header, message):
+        image = scenario_dir / "frames" / "000003.ppm"
+        image.write_bytes(header + image.read_bytes().split(b"\n", 3)[3])
+        rc = main(["track", "--det", str(scenario_dir / "det.txt"), "--filter", "none",
+                   "--frames-dir", str(scenario_dir / "frames"),
+                   "--out", str(scenario_dir / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: frame image {image}: {message}\n"
+        assert not (scenario_dir / "res.txt").exists()
+
+    def test_box_outside_the_frame_image_exits_1_naming_it(self, scenario_dir, capsys):
+        det = scenario_dir / "det.txt"
+        det.write_text(det.read_text() + "3,-1,5000,5000,30,60,45,-1,-1,-1\n")
+        rc = main(["track", "--det", str(det), "--filter", "none",
+                   "--frames-dir", str(scenario_dir / "frames"),
+                   "--out", str(scenario_dir / "res.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: frame image {scenario_dir / 'frames' / '000003.ppm'}: "
+                              "bbox BBox(x=5000.0")
+        assert err.endswith("does not intersect a 640x480 image\n")
 
     def test_appearance_none_runs_shape_motion_only(self, scenario_dir):
         out = scenario_dir / "res_none.txt"

@@ -175,6 +175,14 @@ class TestPpm:
         with pytest.raises(ValueError, match="maxval"):
             read_ppm(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
 
+    @pytest.mark.parametrize("header, field", [
+        (b"P6\n-4 1\n255\n", "width"), (b"P6\n0 1\n255\n", "width"),
+        (b"P6\n1 ab\n255\n", "height"), (b"P6\n1 1\n+255\n", "maxval"),
+    ])
+    def test_header_field_not_a_positive_integer(self, header, field):
+        with pytest.raises(ValueError, match=f"PPM {field} must be a positive integer"):
+            read_ppm(header + bytes(3))
+
     def test_frame_name(self):
         assert frame_image_name(7) == "000007.ppm"
 

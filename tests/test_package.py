@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import hamtrack
+from hamtrack import tracker
 
 PUBLIC = [
     "AppearanceDescriptor", "BBox", "ConfidenceRegime", "Detection", "EvalReport",
@@ -34,3 +35,20 @@ def test_runtime_imports_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # The benchmark's tracer wraps hamtrack's functions by dotted name; a name
+    # that is renamed or removed would leave its metric absent from a traced run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    step = tracker.Tracker.step
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert tracer.absent == set()
+        assert tracker.Tracker.step is not step
+    finally:
+        tracer.restore()
+    assert tracker.Tracker.step is step

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows
-from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_EMBED_DIM, MAX_FP_RATE,
+from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_DRAWS, MAX_EMBED_DIM, MAX_FP_RATE,
                                ConfidenceRegime, ObjectSpec, OcclusionEvent,
                                ScenarioSpec, Xoshiro256StarStar, generate,
                                parse_scenario, validate_scenario)
@@ -178,6 +178,18 @@ class TestValidateScenario:
         # Validated only: a spec at a cap would take long to generate.
         assert validate_scenario(line_spec(**{key: at_cap})) == []
         assert validate_scenario(line_spec(**{key: over_cap})) == [message]
+
+    def test_draws_of_a_run_capped(self):
+        # Validated only: a spec at the budget would take about ten minutes to generate.
+        message = f"n_frames x (objects + fp_rate) x embed_dim must be at most {MAX_DRAWS:,}"
+        at_budget = line_spec(n_objects=4, n_frames=MAX_DRAWS // (5 * 1000), fp_rate=1.0,
+                              embed_dim=1000)
+        assert validate_scenario(at_budget) == []
+        assert validate_scenario(line_spec(n_objects=4, n_frames=at_budget.n_frames,
+                                           fp_rate=1.001, embed_dim=1000)) == [message]
+        # Each cap alone admits a spec the budget rejects.
+        spec = line_spec(n_frames=MAX_FRAME, fp_rate=MAX_FP_RATE, embed_dim=MAX_EMBED_DIM)
+        assert validate_scenario(spec) == [message]
 
 
 SCN_TEXT = """

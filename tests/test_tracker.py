@@ -313,7 +313,8 @@ class TestDeterminismAndEquivalence:
 
     def test_histogram_support_path_keeps_result_bytes(self, monkeypatch):
         # Patch histograms of a PPM scene fill a few colour bins each, so HAM
-        # scores most pairs on the frame's bins; a cutoff of 0 forces the slot loop.
+        # scores most pairs on their own bins; a scorer that is not
+        # ``score_histogram`` itself forces the slot loop.
         spec = line_spec(n_objects=6, n_frames=80, seed=4, jitter=1.5, fp_rate=0.5,
                          merge_prob=0.3, fragment_prob=0.05, conf_std=5.0)
         scenario = generate(spec, with_frames=True)
@@ -333,7 +334,8 @@ class TestDeterminismAndEquivalence:
             return write_result_file(results), len(calls)
 
         text, support_calls = track()
-        monkeypatch.setattr(appearance, "SUPPORT_MAX_BINS", 0)
+        monkeypatch.setattr(appearance, "scorer_for",
+                            lambda kind: lambda x, y: appearance.score_histogram(x, y))
         loop_text, loop_calls = track()
         assert loop_text == text
         assert 0 < support_calls < loop_calls  # some pairs were looped, in fewer calls
