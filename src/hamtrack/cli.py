@@ -108,17 +108,23 @@ def _descriptor_source(mode: str, args, dets_by_frame):
     return from_frames
 
 
+# FrameDiagnostics fields: the --trace columns after ``frame``, and each manifest total's summand.
+TRACE_COLUMNS = ("tau_sa", "tau_t", "n_raw", "n_kept", "n_tracks", "gated_pairs",
+                 "appearance_evals", "births", "deaths")
+MANIFEST_TOTALS = {"births": "births", "deaths": "deaths", "detections_raw": "n_raw",
+                   "detections_kept": "n_kept", "gated_pairs": "gated_pairs",
+                   "appearance_evals": "appearance_evals"}
+
+
+def _trace_cell(value) -> str:
+    return "" if value is None else f"{value:.4f}" if isinstance(value, float) else str(value)
+
+
 def _trace_csv(results) -> str:
-    lines = ["frame,tau_sa,tau_t,n_raw,n_kept,n_tracks,gated_pairs,"
-             "appearance_evals,births,deaths"]
-    for fr in results:
-        d = fr.diagnostics
-        tau_sa = f"{d.tau_sa:.4f}" if d.tau_sa is not None else ""
-        tau_t = f"{d.tau_t:.4f}" if d.tau_t is not None else ""
-        lines.append(f"{fr.frame},{tau_sa},{tau_t},{d.n_raw},{d.n_kept},"
-                     f"{d.n_tracks},{d.gated_pairs},{d.appearance_evals},"
-                     f"{d.births},{d.deaths}")
-    return "".join(line + "\n" for line in lines)
+    rows = [("frame",) + TRACE_COLUMNS]
+    rows += [(fr.frame,) + tuple(getattr(fr.diagnostics, name) for name in TRACE_COLUMNS)
+             for fr in results]
+    return "".join(",".join(map(_trace_cell, row)) + "\n" for row in rows)
 
 
 def cmd_track(args) -> int:
@@ -135,16 +141,9 @@ def cmd_track(args) -> int:
     _write_text(args.out, write_result_file(results))
     if args.trace:
         _write_text(args.trace, _trace_csv(results))
-    totals = {
-        "frames": len(results),
-        "boxes": sum(len(fr.tracks) for fr in results),
-        "births": sum(fr.diagnostics.births for fr in results),
-        "deaths": sum(fr.diagnostics.deaths for fr in results),
-        "detections_raw": sum(fr.diagnostics.n_raw for fr in results),
-        "detections_kept": sum(fr.diagnostics.n_kept for fr in results),
-        "gated_pairs": sum(fr.diagnostics.gated_pairs for fr in results),
-        "appearance_evals": sum(fr.diagnostics.appearance_evals for fr in results),
-    }
+    totals = {"frames": len(results), "boxes": sum(len(fr.tracks) for fr in results)}
+    for total, name in MANIFEST_TOTALS.items():
+        totals[total] = sum(getattr(fr.diagnostics, name) for fr in results)
     # The config snapshot is what ran (file values plus flag overrides), so
     # the run can be reproduced from its manifest alone.
     manifest = {

@@ -13,6 +13,7 @@ detection's position within its frame in the detection file.
 """
 
 import math
+import re
 from collections import defaultdict
 from typing import Callable, Iterable, Sequence
 
@@ -121,27 +122,24 @@ def parse_gt_file(text: str) -> dict[int, list[tuple[int, BBox]]]:
     return dict(sorted(grouped.items()))
 
 
+def _mot_line(frame: int, obj_id: int, b: BBox, conf_text: str) -> str:
+    return f"{frame},{obj_id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},{conf_text},-1,-1,-1\n"
+
+
 def write_result_file(frame_results) -> str:
     """Result rows ``frame,id,x,y,w,h,1,-1,-1,-1`` sorted by (frame, id)."""
-    rows = []
-    for fr in frame_results:
-        for track_id, box in fr.tracks:
-            rows.append((fr.frame, track_id, box))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    lines = [
-        f"{frame},{track_id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},1,-1,-1,-1"
-        for frame, track_id, b in rows
-    ]
-    return "".join(line + "\n" for line in lines)
+    rows = sorted(((fr.frame, track_id, box) for fr in frame_results
+                   for track_id, box in fr.tracks), key=lambda r: (r[0], r[1]))
+    return "".join(_mot_line(frame, track_id, b, "1") for frame, track_id, b in rows)
 
 
 def write_mot_rows(rows: Iterable[tuple[int, int, BBox, float]]) -> str:
     """Generic 10-field rows (frame, id, box, conf), in the given order."""
-    lines = []
-    for frame, obj_id, b, conf in rows:
-        lines.append(f"{frame},{obj_id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
-                     f"{conf:.4f},-1,-1,-1")
-    return "".join(line + "\n" for line in lines)
+    return "".join(_mot_line(frame, obj_id, b, f"{conf:.4f}") for frame, obj_id, b, conf in rows)
+
+
+# One PPM header token, after any whitespace and ``#`` comments (each to the end of its line).
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def read_ppm(data: bytes) -> np.ndarray:
@@ -150,20 +148,11 @@ def read_ppm(data: bytes) -> np.ndarray:
 
     def next_token() -> bytes:
         nonlocal pos
-        while pos < len(data):
-            if data[pos:pos + 1].isspace():
-                pos += 1
-            elif data[pos:pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PPM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise ValueError("truncated PPM header")
-        return data[start:pos]
+        return match[1]
 
     if next_token() != b"P6":
         raise ValueError("not a binary PPM (P6) image")

@@ -17,7 +17,8 @@ uniforms; the sine branch is discarded).
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ _MASK64 = (1 << 64) - 1
 
 # Caps on the sizes that set a frame's generation work, a few times the largest
 # bundled or benchmark scene. Every false positive and every embedding component
-# is a Python draw, and --frames keeps one canvas-sized RGB image per frame.
+# is a Python draw, and each --frames image is one canvas-sized RGB array.
 # MAX_DRAWS bounds a run's draws, n_frames x (objects + fp_rate) x embed_dim:
 # at about 5.7 us a draw on a 2-CPU x86-64 host, about ten minutes.
 MAX_FP_RATE = 100.0
@@ -105,7 +106,7 @@ class ObjectSpec:
 class OcclusionEvent:
     """Object ``obj`` emits nothing during [start, end]; ``by`` names the occluder."""
 
-    obj: int
+    obj: int = field(metadata={"key": "object"})  # spec attribute name, if not the field's
     start: int
     end: int
     by: Optional[int] = None
@@ -139,6 +140,12 @@ class ScenarioSpec:
     regimes: tuple[ConfidenceRegime, ...] = (ConfidenceRegime(1, 30.0, 5.0),)
 
 
+# Spec groups by key prefix: the ScenarioSpec field each fills and its dataclass.
+SPEC_GROUPS = {"object": ("objects", ObjectSpec), "event": ("events", OcclusionEvent),
+               "regime": ("regimes", ConfidenceRegime)}
+_CONVERTERS = {int: int, float: float, Optional[int]: int}
+
+
 @dataclass
 class GeneratedScenario:
     """Rows are (frame, id, box, confidence); embeddings are (frame, ordinal, vector)."""
@@ -146,10 +153,34 @@ class GeneratedScenario:
     gt_rows: list[tuple[int, int, BBox, float]] = field(default_factory=list)
     det_rows: list[tuple[int, int, BBox, float]] = field(default_factory=list)
     embeddings: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
-    frames: Optional[dict[int, np.ndarray]] = None
+    frames: Optional[Mapping[int, np.ndarray]] = None
     n_merges: int = 0
     n_fragments: int = 0
     n_false_positives: int = 0
+
+
+class _Frames(Mapping):
+    """Flat-colour frame images, each drawn when read from its (object index, box) pairs."""
+
+    def __init__(self, spec: ScenarioSpec, colors, boxes):
+        self._shape, self._colors, self._boxes = (spec.canvas_h, spec.canvas_w, 3), colors, boxes
+
+    def __getitem__(self, frame: int) -> np.ndarray:
+        img = np.full(self._shape, 64, dtype=np.uint8)
+        for i, box in self._boxes[frame]:
+            x0, y0 = int(box.x), int(box.y)
+            x1, y1 = int(box.x + box.w), int(box.y + box.h)
+            img[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = self._colors[i]
+        return img
+
+    def __contains__(self, frame) -> bool:
+        return frame in self._boxes
+
+    def __iter__(self):
+        return iter(self._boxes)
+
+    def __len__(self) -> int:
+        return len(self._boxes)
 
 
 def validate_scenario(spec: ScenarioSpec) -> list[str]:
@@ -268,7 +299,8 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
         for f in range(ev.start, ev.end + 1):
             occluded.setdefault(ev.obj, set()).add(f)
 
-    out = GeneratedScenario(frames={} if with_frames else None)
+    out = GeneratedScenario()
+    visible_by_frame: dict[int, list[tuple[int, BBox]]] = {}
     for frame in range(1, spec.n_frames + 1):
         regime = _active_regime(spec, frame)
         visible: list[tuple[int, BBox]] = []
@@ -279,6 +311,7 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
             visible.append((i, _clamped_box(spec, obj, *center)))
         for i, box in visible:
             out.gt_rows.append((frame, i + 1, box, 1.0))
+        visible_by_frame[frame] = visible
 
         # (box, confidence, descriptor) candidates, one per visible object.
         entries: list[tuple[BBox, float, np.ndarray]] = []
@@ -355,14 +388,7 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
             out.det_rows.append((frame, -1, box, conf))
             out.embeddings.append((frame, ordinal, vec))
 
-        if with_frames:
-            img = np.full((spec.canvas_h, spec.canvas_w, 3), 64, dtype=np.uint8)
-            for i, box in visible:
-                x0, y0 = int(box.x), int(box.y)
-                x1, y1 = int(box.x + box.w), int(box.y + box.h)
-                img[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = colors[i]
-            out.frames[frame] = img
-
+    out.frames = _Frames(spec, colors, visible_by_frame) if with_frames else None
     return out
 
 
@@ -383,21 +409,40 @@ def _parse_waypoints(raw: str, key: str) -> tuple[tuple[int, float, float], ...]
     return tuple(points)
 
 
+def _parse_value(key: str, type_, raw: str):
+    try:
+        return _CONVERTERS[type_](raw)
+    except ValueError:
+        raise ValueError(f"{key}: cannot parse {raw!r}") from None
+
+
+def _build_group(kind: str, index: int, cls, attrs: dict[str, str]):
+    """One ``kind.index.*`` group as a ``cls``; a field with a default is optional."""
+    by_attr = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    for attr in attrs:
+        if attr not in by_attr:
+            raise ValueError(f"unknown scenario key: {kind}.{index}.{attr}")
+    values = {}
+    for attr, f in by_attr.items():
+        key = f"{kind}.{index}.{attr}"
+        if f.name == "waypoints":
+            values[f.name] = _parse_waypoints(attrs.get(attr, ""), key)
+        elif attr in attrs:
+            values[f.name] = _parse_value(key, f.type, attrs[attr])
+        elif f.default is MISSING:
+            raise ValueError(f"{key} is required")
+    return cls(**values)
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Build a spec from `key = value` text (see the bundled .scn files)."""
-    mapping = parse_kv_text(text)
-    scalar_types = {f.name: f.type for f in fields(ScenarioSpec) if f.type in (int, float)}
-    scalars = {}
-    groups: dict[str, dict[int, dict[str, str]]] = {"object": {}, "event": {}, "regime": {}}
-    for key, raw in mapping.items():
+    scalar_types = {f.name: f.type for f in fields(ScenarioSpec) if f.type in _CONVERTERS}
+    values = {}
+    groups: dict[str, dict[int, dict[str, str]]] = {kind: {} for kind in SPEC_GROUPS}
+    for key, raw in parse_kv_text(text).items():
         parts = key.split(".")
-        if len(parts) == 1:
-            if key not in scalar_types:
-                raise ValueError(f"unknown scenario key: {key}")
-            try:
-                scalars[key] = scalar_types[key](raw)
-            except ValueError:
-                raise ValueError(f"{key}: cannot parse {raw!r}") from None
+        if key in scalar_types:
+            values[key] = _parse_value(key, scalar_types[key], raw)
         elif len(parts) == 3 and parts[0] in groups:
             kind, index_part, attr = parts
             try:
@@ -407,42 +452,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
             groups[kind].setdefault(index, {})[attr] = raw
         else:
             raise ValueError(f"unknown scenario key: {key}")
-
-    def take(kind: str, index: int, attrs: dict[str, str], attr: str, conv):
-        if attr not in attrs:
-            raise ValueError(f"{kind}.{index}.{attr} is required")
-        raw = attrs[attr]
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ValueError(f"{kind}.{index}.{attr}: cannot parse {raw!r}") from None
-
-    objects = []
-    for index in sorted(groups["object"]):
-        attrs = groups["object"][index]
-        objects.append(ObjectSpec(
-            waypoints=_parse_waypoints(attrs.get("waypoints", ""),
-                                       f"object.{index}.waypoints"),
-            w=take("object", index, attrs, "w", float),
-            h=take("object", index, attrs, "h", float),
-        ))
-    events = []
-    for index in sorted(groups["event"]):
-        attrs = groups["event"][index]
-        events.append(OcclusionEvent(
-            obj=take("event", index, attrs, "object", int),
-            start=take("event", index, attrs, "start", int),
-            end=take("event", index, attrs, "end", int),
-            by=take("event", index, attrs, "by", int) if "by" in attrs else None,
-        ))
-    regimes = []
-    for index in sorted(groups["regime"]):
-        attrs = groups["regime"][index]
-        regimes.append(ConfidenceRegime(
-            start=take("regime", index, attrs, "start", int),
-            mean=take("regime", index, attrs, "mean", float),
-            std=take("regime", index, attrs, "std", float),
-        ))
-    if regimes:
-        scalars["regimes"] = tuple(regimes)
-    return ScenarioSpec(objects=tuple(objects), events=tuple(events), **scalars)
+    for kind, (name, cls) in SPEC_GROUPS.items():
+        if groups[kind]:
+            values[name] = tuple(_build_group(kind, index, cls, attrs)
+                                 for index, attrs in sorted(groups[kind].items()))
+    return ScenarioSpec(**values)

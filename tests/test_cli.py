@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ import hamtrack
 from hamtrack import cli
 from hamtrack.cli import main
 from hamtrack.io_mot import MAX_FRAME
+from hamtrack.tracker import FrameDiagnostics, FrameResult
 
 
 @pytest.fixture
@@ -280,6 +283,35 @@ class TestTrack:
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("frame,tau_sa,tau_t,n_raw,n_kept")
         assert len(lines) == 31
+
+    def test_trace_csv_exact_bytes(self):
+        results = [
+            FrameResult(1, (), FrameDiagnostics(births=2, n_tracks=2, n_raw=3, n_kept=3)),
+            FrameResult(2, (), FrameDiagnostics(deaths=1, n_tracks=1, n_raw=4, n_kept=2,
+                                                gated_pairs=5, appearance_evals=6, tau_t=30.0)),
+            FrameResult(3, (), FrameDiagnostics(births=1, deaths=2, n_tracks=7, n_raw=9, n_kept=8,
+                                                total_pairs=63, gated_pairs=11,
+                                                appearance_evals=12, tau_sa=12.345678,
+                                                tau_t=np.float64(-0.00004))),
+        ]
+        header = "frame,tau_sa,tau_t,n_raw,n_kept,n_tracks,gated_pairs,appearance_evals,births,deaths\n"
+        assert cli._trace_csv(results) == (header + "1,,,3,3,2,0,0,2,0\n"
+                                           "2,,30.0000,4,2,1,5,6,0,1\n"
+                                           "3,12.3457,-0.0000,9,8,7,11,12,1,2\n")
+        assert cli._trace_csv([]) == header
+
+    def test_manifest_totals_sum_the_trace_columns(self, scenario_dir):
+        trace = scenario_dir / "trace.csv"
+        rc, out = self.run_track(scenario_dir, "--trace", str(trace), "--filter", "sadf")
+        assert rc == 0
+        rows = list(csv.DictReader(trace.read_text().splitlines()))
+        totals = json.loads((scenario_dir / "res.txt.manifest.json").read_text())["totals"]
+        assert totals["frames"] == len(rows) == 30
+        assert totals["boxes"] == len(out.read_text().splitlines())
+        assert set(totals) == {"frames", "boxes", *cli.MANIFEST_TOTALS}
+        for total, column in cli.MANIFEST_TOTALS.items():
+            assert totals[total] == sum(int(row[column]) for row in rows), total
+        assert totals["births"] > 0 and totals["gated_pairs"] > 0
 
     def test_histogram_appearance_from_frames(self, scenario_dir):
         out = scenario_dir / "res_hist.txt"

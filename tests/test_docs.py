@@ -1,0 +1,32 @@
+"""The README's lists of scenario-spec attributes and trace columns match the code."""
+
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
+from hamtrack.cli import MANIFEST_TOTALS, TRACE_COLUMNS
+from hamtrack.synthgen import SPEC_GROUPS
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_spec_group_attributes_match_the_group_dataclasses():
+    listed = {kind: re.findall(r"`(\w+)`( \(optional\))?", attrs)
+              for kind, attrs in re.findall(r"^  - `(\w+)\.<k>`: (.*)$", README, re.M)}
+    declared = {kind: [(f.metadata.get("key", f.name),
+                        "" if f.default is MISSING else " (optional)") for f in fields(cls)]
+                for kind, (_, cls) in SPEC_GROUPS.items()}
+    assert listed == declared
+
+
+def test_trace_columns_match_the_trace_writer():
+    listed = re.search(r"`--trace F` writes a CSV with one row per frame and these columns:"
+                       r"\n(.*?)\. ", README, re.S)
+    assert re.findall(r"`(\w+)`", listed[1]) == ["frame", *TRACE_COLUMNS]
+
+
+def test_manifest_totals_match_the_manifest_writer():
+    listed = re.search(r"The manifest's `totals` give (.*?)\.\n", README, re.S)[1]
+    named = re.findall(r"`(\w+)`(?: \(as `(\w+)`\))?", " ".join(listed.split()))
+    assert {total or column: column for column, total in named} == {
+        "frames": "frames", "boxes": "boxes", **MANIFEST_TOTALS}

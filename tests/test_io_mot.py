@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -135,6 +136,21 @@ class TestWriteResultFile:
                         (box.x, box.y, box.w, box.h)):
             assert a == pytest.approx(b, abs=0.01)
 
+    def test_exact_bytes_sorted_by_frame_then_id(self):
+        rows = [self.result(2, [(9, BBox(1.005, -2.5, 3, 4)), (3, BBox(0.125, 0, 10, 20.999))]),
+                self.result(1, [(7, BBox(5, 5, 5, 5))])]
+        assert write_result_file(rows) == ("1,7,5.00,5.00,5.00,5.00,1,-1,-1,-1\n"
+                                           "2,3,0.12,0.00,10.00,21.00,1,-1,-1,-1\n"
+                                           "2,9,1.00,-2.50,3.00,4.00,1,-1,-1,-1\n")
+
+    def test_mot_rows_exact_bytes_in_given_order(self):
+        rows = [(2, -1, BBox(10.126, 20.5, 30, 60), 45.123456), (1, 3, BBox(0, 0, 1, 1), 1.0),
+                (1, -1, BBox(-3.333, 1e-3, 2.5, 2.5), -0.00004)]
+        assert write_mot_rows(rows) == ("2,-1,10.13,20.50,30.00,60.00,45.1235,-1,-1,-1\n"
+                                        "1,3,0.00,0.00,1.00,1.00,1.0000,-1,-1,-1\n"
+                                        "1,-1,-3.33,0.00,2.50,2.50,-0.0000,-1,-1,-1\n")
+        assert write_mot_rows([]) == ""
+
     def test_round_trip_fixed_point(self):
         text = write_result_file([self.result(1, [(2, BBox(10.12, 20.46, 30.79, 60.01))])])
         parsed = parse_gt_file(text)
@@ -142,6 +158,9 @@ class TestWriteResultFile:
             (f, i, b, 1.0) for f, items in parsed.items() for i, b in items)
         reparsed = parse_gt_file(rewritten)
         assert reparsed == parsed
+
+
+RGB_2X1 = b"P6\n2 1\n255\n" + bytes(range(6))
 
 
 def solid_image(w, h, rgb):
@@ -182,6 +201,38 @@ class TestPpm:
     def test_header_field_not_a_positive_integer(self, header, field):
         with pytest.raises(ValueError, match=f"PPM {field} must be a positive integer"):
             read_ppm(header + bytes(3))
+
+    def test_comment_between_every_pair_of_tokens(self):
+        data = b"# lead\nP6 # c\n# c\n2 # c\n1\t#c\r\n255\n" + bytes(range(6))
+        np.testing.assert_array_equal(read_ppm(data), read_ppm(RGB_2X1))
+
+    @pytest.mark.parametrize("space", list(b" \t\n\r\x0b\x0c"))
+    def test_each_whitespace_byte_separates_tokens(self, space):
+        gap = bytes([space])
+        data = gap + b"P6" + gap * 2 + b"2" + gap + b"1" + gap + b"255" + gap + bytes(range(6))
+        np.testing.assert_array_equal(read_ppm(data), read_ppm(RGB_2X1))
+
+    def test_raster_starts_one_byte_after_maxval(self):
+        # The byte after maxval is the only separator: a second one is raster.
+        img = read_ppm(b"P6\n2 1\n255\n\n" + bytes(range(5)))
+        assert img.tolist() == [[[10, 0, 1], [2, 3, 4]]]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P6\n2 1\n# runs to the end", "truncated PPM header"),
+        (b"P6 # 2 1 255", "truncated PPM header"),
+        (b"P6\n2#1 1\n255\n", "PPM width must be a positive integer, got '2#1'"),
+        (b"P6#\n2 1\n255\n", "not a binary PPM (P6) image"),
+        (b"", "truncated PPM header"),
+        (b"P6", "truncated PPM header"),
+        (b"P6\n2", "truncated PPM header"),
+        (b"P6\n2 1 ", "truncated PPM header"),
+        (b"P6\n2 1\n255", "truncated PPM raster: expected 6 bytes, got 0"),
+        (b"P5", "not a binary PPM (P6) image"),
+        (b"P5\n2", "not a binary PPM (P6) image"),
+    ])
+    def test_header_lexing_errors(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_ppm(data)
 
     def test_frame_name(self):
         assert frame_image_name(7) == "000007.ppm"

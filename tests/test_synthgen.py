@@ -1,9 +1,14 @@
+import re
+import tracemalloc
+from collections.abc import Mapping
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows
+from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows, write_ppm
 from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_DRAWS, MAX_EMBED_DIM, MAX_FP_RATE,
-                               ConfidenceRegime, ObjectSpec, OcclusionEvent,
+                               SPEC_GROUPS, ConfidenceRegime, ObjectSpec, OcclusionEvent,
                                ScenarioSpec, Xoshiro256StarStar, generate,
                                parse_scenario, validate_scenario)
 from scenario_utils import crossing_spec, line_spec
@@ -115,6 +120,33 @@ class TestGenerate:
         second = [conf for frame, _, _, conf in out.det_rows if frame > 500]
         assert np.mean(first) == pytest.approx(61.7, abs=0.5)
         assert np.mean(second) == pytest.approx(21.9, abs=0.5)
+
+    def test_generating_and_writing_frames_keeps_no_image(self):
+        spec = line_spec(n_objects=2, n_frames=200, embed_dim=4)
+        canvas = spec.canvas_w * spec.canvas_h * 3
+        assert canvas == 640 * 480 * 3
+        tracemalloc.start()
+        try:
+            out = generate(spec, with_frames=True)
+            for _, image in out.frames.items():
+                write_ppm(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.frames) == 200
+        assert peak < 10 * canvas
+
+    def test_frames_are_a_read_only_mapping_drawn_alike_each_read(self):
+        out = generate(line_spec(n_objects=2, n_frames=5), with_frames=True)
+        assert isinstance(out.frames, Mapping)
+        first, again = out.frames[3], out.frames[3]
+        assert first is not again
+        np.testing.assert_array_equal(first, again)
+        assert 5 in out.frames and 6 not in out.frames
+        with pytest.raises(KeyError):
+            out.frames[6]
+        with pytest.raises(TypeError):
+            out.frames[1] = first
 
     def test_frames_rendered_with_object_colors(self):
         spec = line_spec(n_frames=5)
@@ -239,3 +271,69 @@ class TestParseScenario:
         text = SCN_TEXT + "\nevent.0.by = 0\n"
         spec = parse_scenario(text)
         assert spec.events[0].by == 0
+
+
+# Every group attribute: a value it cannot parse, the message for that value,
+# and the message when it is missing (None where it is optional).
+FULL_SCN_TEXT = SCN_TEXT + "event.0.by = 0\n"
+GROUP_ATTRIBUTES = [
+    ("object.0.waypoints", "zzz", "object.0.waypoints: expected 'frame:x,y; ...', got 'zzz'",
+     "object.0.waypoints: no waypoints given"),
+    ("object.0.w", "q", "object.0.w: cannot parse 'q'", "object.0.w is required"),
+    ("object.0.h", "q", "object.0.h: cannot parse 'q'", "object.0.h is required"),
+    ("event.0.object", "1.5", "event.0.object: cannot parse '1.5'", "event.0.object is required"),
+    ("event.0.start", "q", "event.0.start: cannot parse 'q'", "event.0.start is required"),
+    ("event.0.end", "2e1", "event.0.end: cannot parse '2e1'", "event.0.end is required"),
+    ("event.0.by", "", "event.0.by: cannot parse ''", None),
+    ("regime.0.start", "1.0", "regime.0.start: cannot parse '1.0'", "regime.0.start is required"),
+    ("regime.0.mean", "q", "regime.0.mean: cannot parse 'q'", "regime.0.mean is required"),
+    ("regime.0.std", "", "regime.0.std: cannot parse ''", "regime.0.std is required"),
+]
+
+
+def scn_with(key, value=None):
+    """FULL_SCN_TEXT with ``key`` set to ``value``, or without it when ``value`` is None."""
+    line = "" if value is None else f"{key} = {value}\n"
+    text, count = re.subn(rf"^{re.escape(key)} = .*\n", line, FULL_SCN_TEXT, flags=re.M)
+    assert count == 1
+    return text
+
+
+class TestParseScenarioGroups:
+    def test_table_covers_every_declared_attribute(self):
+        declared = {f"{kind}.0.{f.metadata.get('key', f.name)}"
+                    for kind, (_, cls) in SPEC_GROUPS.items() for f in fields(cls)}
+        assert {key for key, *_ in GROUP_ATTRIBUTES} == declared
+
+    @pytest.mark.parametrize("key, bad, bad_message, missing_message", GROUP_ATTRIBUTES)
+    def test_missing_attribute(self, key, bad, bad_message, missing_message):
+        if missing_message is None:
+            assert parse_scenario(scn_with(key)).events[0].by is None
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(missing_message)}$"):
+                parse_scenario(scn_with(key))
+
+    @pytest.mark.parametrize("key, bad, bad_message, missing_message", GROUP_ATTRIBUTES)
+    def test_unparsable_attribute(self, key, bad, bad_message, missing_message):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad_message)}$"):
+            parse_scenario(scn_with(key, bad))
+
+    @pytest.mark.parametrize("key", [key for key, *_ in GROUP_ATTRIBUTES] + ["event.0.obj"])
+    def test_unknown_attribute(self, key):
+        typo = key + "x" if key != "event.0.obj" else key
+        with pytest.raises(ValueError, match=f"^unknown scenario key: {re.escape(typo)}$"):
+            parse_scenario(FULL_SCN_TEXT + f"{typo} = 0\n")
+
+    def test_typo_is_named_rather_than_the_field_it_leaves_unset(self):
+        text = FULL_SCN_TEXT.replace("event.0.by = 0", "event.0.bye = 0")
+        with pytest.raises(ValueError, match="^unknown scenario key: event.0.bye$"):
+            parse_scenario(text)
+        text = FULL_SCN_TEXT.replace("regime.0.std = 3", "regime.0.sdt = 9")
+        with pytest.raises(ValueError, match="^unknown scenario key: regime.0.sdt$"):
+            parse_scenario(text)
+
+    def test_full_spec_parses_every_attribute(self):
+        spec = parse_scenario(FULL_SCN_TEXT)
+        assert spec.objects == (ObjectSpec(((1, 50.0, 100.0), (50, 300.0, 120.0)), 30.0, 60.0),)
+        assert spec.events == (OcclusionEvent(obj=0, start=20, end=24, by=0),)
+        assert spec.regimes == (ConfidenceRegime(1, 40.0, 3.0),)
