@@ -12,14 +12,15 @@ import sys
 import time
 from pathlib import Path
 
-from .core import TrackerConfig, config_from_mapping, parse_kv_text, validate_config
+from .core import (EMBEDDING, HISTOGRAM, TrackerConfig, config_from_mapping, parse_kv_text,
+                   validate_config)
 from .io_mot import (frame_image_name, histogram_from_patch, parse_det_file,
-                     parse_embedding_file, parse_gt_file, read_ppm,
+                     parse_embedding_rows, parse_gt_file, read_ppm,
                      write_embedding_file, write_mot_rows, write_ppm,
                      write_result_file)
 from .metrics import evaluate
 from .synthgen import generate, parse_scenario
-from .tracker import run_sequence
+from .tracker import FrameDescriptors, run_sequence
 
 
 class _ConfigError(ValueError):
@@ -80,32 +81,30 @@ def _descriptor_source(mode: str, args, dets_by_frame):
     if mode == "embed":
         if not args.embeddings:
             raise _ConfigError("--appearance embed requires --embeddings")
-        table = _load(args.embeddings, parse_embedding_file)
+        index, units = _load(args.embeddings, parse_embedding_rows)
 
-        def from_table(frame: int, ordinal: int):
+        def from_table(frame: int, ordinals: list[int]):
             try:
-                return table[(frame, ordinal)]
-            except KeyError:
+                return EMBEDDING, units[[index[frame, k] for k in ordinals]]
+            except KeyError as exc:  # the first missing (frame, ordinal)
                 raise ValueError(f"no embedding for frame {frame}, "
-                                 f"ordinal {ordinal}") from None
+                                 f"ordinal {exc.args[0][1]}") from None
 
-        return from_table
+        return FrameDescriptors(from_table)
     if not args.frames_dir:
         raise _ConfigError("--appearance hist requires --frames-dir")
     frames_dir = Path(args.frames_dir)
-    cache: dict[int, object] = {}
 
-    def from_frames(frame: int, ordinal: int):
+    def from_frames(frame: int, ordinals: list[int]):
+        path = frames_dir / frame_image_name(frame)
         try:
-            if frame not in cache:
-                cache.clear()
-                cache[frame] = read_ppm((frames_dir / frame_image_name(frame)).read_bytes())
-            return histogram_from_patch(cache[frame], dets_by_frame[frame][ordinal].bbox)
+            boxes = [dets_by_frame[frame][k].bbox for k in ordinals]
+            return HISTOGRAM, histogram_from_patch(read_ppm(path.read_bytes()), boxes)
         except (OSError, ValueError) as exc:
             what = "cannot read frame image" if isinstance(exc, OSError) else "frame image"
-            raise ValueError(f"{what} {frames_dir / frame_image_name(frame)}: {exc}") from None
+            raise ValueError(f"{what} {path}: {exc}") from None
 
-    return from_frames
+    return FrameDescriptors(from_frames)
 
 
 # FrameDiagnostics fields: the --trace columns after ``frame``, and each manifest total's summand.

@@ -52,6 +52,19 @@ class BBox:
         return (self.cx, self.cy)
 
 
+def unchecked(cls, **values):
+    """A frozen dataclass ``cls`` holding ``values`` without its ``__post_init__``.
+
+    Only for values that already passed the same checks, column by column.
+    Fields are set as ``__init__`` sets them: an instance ``__dict__`` would
+    take about twice the memory.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def box_columns(boxes: Sequence[BBox]) -> np.ndarray:
     """x, y, w and h of the boxes as four rows; a centre is then ``x + w / 2.0``, as ``cx``."""
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes]).reshape(-1, 4).T

@@ -4,7 +4,9 @@ Detection and result files are 10-field CSV rows:
 ``frame,id,x,y,w,h,conf,-1,-1,-1`` with ``id == -1`` for raw detections.
 Ground-truth files may carry extra trailing columns (class, visibility);
 only the first seven fields are read and rows whose seventh field is 0 are
-skipped, matching the usual consider-flag semantics.
+skipped, matching the usual consider-flag semantics. Each parser reads its
+file as one block of floats and checks it column by column; only a file that
+fails a check is read again row by row, for the message naming its line.
 
 Frame images are binary PPM (P6, 8-bit) named ``%06d.ppm``; anything else
 must be converted upstream. Embedding files start with a ``dim=<k>`` header
@@ -15,11 +17,13 @@ detection's position within its frame in the detection file.
 import math
 import re
 from collections import defaultdict
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import AppearanceDescriptor, BBox, Detection
+from .core import (_NORM_TOL, EMBEDDING, VEL_PRIOR_SCALE, AppearanceDescriptor, BBox, Detection,
+                   unchecked)
 
 HIST_BINS_PER_CHANNEL = 8
 HIST_SIZE = HIST_BINS_PER_CHANNEL ** 3
@@ -87,22 +91,71 @@ def _read_rows(lines: Sequence[str], add_row: Callable[[list[str]], None],
             raise ValueError(f"line {lineno}: {exc}") from None
 
 
+def _block(lines: Sequence[str], n_fields: int, at_least: bool = False) -> Optional[np.ndarray]:
+    """The first ``n_fields`` fields of the non-blank lines as one float array, or None when a
+    field count, an empty field or ``float`` fails, which only ``_read_rows`` can name."""
+    def fields(raw: str) -> list[str]:
+        parts = raw.split(",")
+        if len(parts) != n_fields and not (at_least and len(parts) > n_fields
+                                           and all(map(str.strip, parts[n_fields:]))):
+            raise ValueError("the row parser names this line")
+        return parts[:n_fields]
+
+    try:  # streamed: neither the split rows nor the parsed floats are held as lists
+        values = map(float, chain.from_iterable(map(fields, filter(str.strip, lines))))
+        return np.fromiter(values, float).reshape(-1, n_fields)
+    except ValueError:
+        return None
+
+
+def _whole_in(col: np.ndarray, low: float, high: float = math.inf) -> np.ndarray:
+    """Which values are whole numbers in [low, high]."""
+    return np.isfinite(col) & (col >= low) & (col <= high) & (col == np.floor(col))
+
+
+@np.errstate(over="ignore")
+def _boxes(x, y, w, h) -> np.ndarray:
+    """Which rows ``BBox`` accepts."""
+    return np.isfinite([x, y, w, h]).all(axis=0) & (w > 0) & (h > 0) & (w * h != 0)
+
+
+def _grouped(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
+    """The items of ``(frame, item)`` pairs as lists by ascending frame, in the given order."""
+    grouped = defaultdict(list)
+    for frame, item in pairs:
+        grouped[frame].append(item)
+    return dict(sorted(grouped.items()))
+
+
 def parse_det_file(text: str) -> dict[int, list[Detection]]:
     """Detections grouped by frame; within-frame file order is preserved.
 
     A frame above ``MAX_FRAME`` is rejected with its line number.
     """
-    grouped: dict[int, list[Detection]] = defaultdict(list)
+    lines = text.splitlines()
+    block = _block(lines, 10)
+    if block is not None:
+        frame, _, x, y, w, h, conf, *_ = columns = block.T  # views, not copies
+        with np.errstate(over="ignore"):  # the checks of ``Detection``
+            vel_std = VEL_PRIOR_SCALE * h
+            ok = (_whole_in(frame, 1, MAX_FRAME) & _boxes(x, y, w, h) & np.isfinite(conf)
+                  & np.isfinite(x + w / 2.0) & np.isfinite(y + h / 2.0)
+                  & np.isfinite(vel_std * vel_std))
+        if ok.all():  # by columns: a list per row would hold every field at once
+            return _grouped((int(f), unchecked(Detection, frame=int(f), confidence=c,
+                                               bbox=unchecked(BBox, x=x, y=y, w=w, h=h)))
+                            for f, _, x, y, w, h, c in zip(*columns[:7].tolist()))
+    pairs: list[tuple[int, Detection]] = []
 
     def add_row(parts: list[str]) -> None:
         frame, _, x, y, w, h = _frame_box(parts)
         if frame > MAX_FRAME:
             raise ValueError(f"frame {frame} is above the highest trackable frame, {MAX_FRAME}")
         conf = _float(parts[6], "confidence")
-        grouped[frame].append(Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf))
+        pairs.append((frame, Detection(frame=frame, bbox=BBox(x, y, w, h), confidence=conf)))
 
-    _read_rows(text.splitlines(), add_row, 10)
-    return dict(sorted(grouped.items()))
+    _read_rows(lines, add_row, 10)
+    return _grouped(pairs)
 
 
 def parse_gt_file(text: str) -> dict[int, list[tuple[int, BBox]]]:
@@ -111,15 +164,24 @@ def parse_gt_file(text: str) -> dict[int, list[tuple[int, BBox]]]:
     Accepts seven or more fields; extras are ignored. Rows flagged 0 in the
     seventh field are skipped.
     """
-    grouped: dict[int, list[tuple[int, BBox]]] = defaultdict(list)
+    lines = text.splitlines()
+    block = _block(lines, 7, at_least=True)
+    if block is not None:
+        frame, obj_id, x, y, w, h, flag = block.T
+        if (np.isfinite(block).all() and _whole_in(frame, 1).all()
+                and _whole_in(obj_id, -math.inf).all() and _boxes(x, y, w, h)[flag != 0].all()):
+            kept = block[flag != 0, :6].T.tolist()
+            return _grouped((int(f), (int(i), unchecked(BBox, x=x, y=y, w=w, h=h)))
+                            for f, i, x, y, w, h in zip(*kept))
+    pairs: list[tuple[int, tuple[int, BBox]]] = []
 
     def add_row(parts: list[str]) -> None:
         frame, obj_id, x, y, w, h = _frame_box(parts, with_id=True)
         if _float(parts[6], "flag") != 0:
-            grouped[frame].append((obj_id, BBox(x, y, w, h)))
+            pairs.append((frame, (obj_id, BBox(x, y, w, h))))
 
-    _read_rows(text.splitlines(), add_row, 7, at_least=True)
-    return dict(sorted(grouped.items()))
+    _read_rows(lines, add_row, 7, at_least=True)
+    return _grouped(pairs)
 
 
 def _mot_line(frame: int, obj_id: int, b: BBox, conf_text: str) -> str:
@@ -166,10 +228,10 @@ def read_ppm(data: bytes) -> np.ndarray:
         raise ValueError(f"only 8-bit PPM supported, got maxval {maxval}")
     pos += 1  # single whitespace after maxval
     expected = width * height * 3
-    raster = data[pos:pos + expected]
-    if len(raster) != expected:
-        raise ValueError(f"truncated PPM raster: expected {expected} bytes, got {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    got = max(0, min(expected, len(data) - pos))
+    if got != expected:
+        raise ValueError(f"truncated PPM raster: expected {expected} bytes, got {got}")
+    return np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)  # no copy
 
 
 def write_ppm(image: np.ndarray) -> bytes:
@@ -180,27 +242,38 @@ def write_ppm(image: np.ndarray) -> bytes:
     return b"P6\n%d %d\n255\n" % (w, h) + img.tobytes()
 
 
-def histogram_from_patch(image: np.ndarray, bbox: BBox) -> AppearanceDescriptor:
-    """8x8x8 joint RGB histogram over the box, clipped to the image."""
+def histogram_from_patch(image: np.ndarray, boxes: Sequence[BBox]) -> np.ndarray:
+    """8x8x8 joint RGB histograms over the boxes, clipped to the image: (k, 512) rows.
+
+    One bincount over every box's pixel bins, offset by 512 per box. Each row
+    is divided by its own pixel count, a whole-number sum that is exact in
+    any order, so a row holds the bits of a single box's histogram.
+    """
     height, width = image.shape[:2]
-    x0 = max(0, int(math.floor(bbox.x)))
-    y0 = max(0, int(math.floor(bbox.y)))
-    x1 = min(width, int(math.ceil(bbox.x + bbox.w)))
-    y1 = min(height, int(math.ceil(bbox.y + bbox.h)))
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError(f"bbox {bbox} does not intersect a {width}x{height} image")
-    patch = image[y0:y1, x0:x1].astype(np.int64)
-    idx = (patch[..., 0] >> 5) * 64 + (patch[..., 1] >> 5) * 8 + (patch[..., 2] >> 5)
-    counts = np.bincount(idx.ravel(), minlength=HIST_SIZE).astype(float)
-    return AppearanceDescriptor.histogram(counts, normalize=True)
+    patches = [np.zeros((0, 3), np.uint8)]  # so that no boxes concatenate too
+    for b in boxes:  # an x + w past the largest double clips to the edge
+        x0, y0 = max(0, math.floor(b.x)), max(0, math.floor(b.y))
+        x1, y1 = math.ceil(min(b.x + b.w, width)), math.ceil(min(b.y + b.h, height))
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError(f"bbox {b} does not intersect a {width}x{height} image")
+        patches.append(image[y0:y1, x0:x1].reshape(-1, 3))
+    q = (np.concatenate(patches) >> 5).astype(np.intp)
+    bins = q[:, 0] * 64 + q[:, 1] * 8 + q[:, 2]
+    bins += np.repeat(np.arange(len(boxes)) * HIST_SIZE, [len(p) for p in patches[1:]])
+    counts = np.bincount(bins, minlength=len(boxes) * HIST_SIZE).reshape(-1, HIST_SIZE)
+    rows = counts / counts.sum(axis=1, keepdims=True)
+    # The invariant of a histogram descriptor: finite, nonnegative, summing to one.
+    if not (rows.min(initial=0.0) >= 0.0 and np.all(abs(rows.sum(axis=1) - 1.0) <= _NORM_TOL)):
+        raise ValueError("patch histograms must be finite, nonnegative and sum to 1")
+    return rows
 
 
 def frame_image_name(frame: int) -> str:
     return f"{frame:06d}.ppm"
 
 
-def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescriptor]:
-    """Load per-detection embeddings keyed by (frame, within-frame ordinal)."""
+def parse_embedding_rows(text: str) -> tuple[dict[tuple[int, int], int], np.ndarray]:
+    """Per-detection embeddings as (rows, d) unit rows, and the row of each (frame, ordinal)."""
     lines = text.splitlines()
     header_at = next((n for n, raw in enumerate(lines, start=1) if raw.strip()), None)
     if header_at is None:
@@ -214,6 +287,18 @@ def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescripto
         raise ValueError(f"line {header_at}: bad dimension in header {header!r}") from None
     if dim < 1:
         raise ValueError(f"line {header_at}: dimension must be >= 1")
+    block = _block(lines[header_at:], 2 + dim)
+    if block is not None:
+        frame, ordinal, vectors = block[:, 0], block[:, 1], block[:, 2:]
+        # np.vecdot gives a row the bits np.linalg.norm's dot gives it. A zero,
+        # overflowing or non-finite norm leaves a row that is not unit length.
+        with np.errstate(all="ignore"):
+            units = vectors / np.sqrt(np.vecdot(vectors, vectors))[:, None]
+            unit = abs(np.sqrt(np.vecdot(units, units)) - 1.0) <= _NORM_TOL
+        if (unit & _whole_in(frame, 1) & _whole_in(ordinal, 0)).all():
+            index = {(int(f), int(o)): n for n, (f, o) in enumerate(zip(*block[:, :2].T.tolist()))}
+            if len(index) == len(block):  # no duplicate key
+                return index, units
     table: dict[tuple[int, int], AppearanceDescriptor] = {}
 
     def add_row(parts: list[str]) -> None:
@@ -228,7 +313,14 @@ def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescripto
 
     _read_rows(lines[header_at:], add_row, 2 + dim, note=f" for dim={dim}",
                start=header_at + 1)
-    return table
+    return ({key: n for n, key in enumerate(table)},
+            np.array([x.values for x in table.values()]).reshape(len(table), dim))
+
+
+def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescriptor]:
+    """Load per-detection embeddings keyed by (frame, within-frame ordinal)."""
+    index, units = parse_embedding_rows(text)
+    return {key: AppearanceDescriptor(EMBEDDING, units[n]) for key, n in index.items()}
 
 
 def write_embedding_file(dim: int,

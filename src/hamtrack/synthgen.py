@@ -234,6 +234,14 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
             errors.append(f"regime.{k}.start must be >= 1")
         if reg.std < 0:
             errors.append(f"regime.{k}.std must be >= 0")
+    finite = {"jitter_std": [spec.jitter_std], "embed_noise_std": [spec.embed_noise_std]}
+    for k, obj in enumerate(spec.objects):
+        finite |= {f"object.{k}.w": [obj.w], f"object.{k}.h": [obj.h],
+                   f"object.{k}.waypoints": [c for _, *xy in obj.waypoints for c in xy]}
+    for k, reg in enumerate(spec.regimes):
+        finite |= {f"regime.{k}.mean": [reg.mean], f"regime.{k}.std": [reg.std]}
+    errors += [f"{key} must be finite" for key, values in finite.items()
+               if not all(map(math.isfinite, values))]
     return errors
 
 

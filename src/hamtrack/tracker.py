@@ -11,7 +11,7 @@ can run in parallel with separate ``Tracker`` instances.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,14 @@ MOTION, SHAPE = 0, 1
 
 # frame, ordinal within the frame's raw detections -> descriptor
 DescriptorSource = Callable[[int, int], AppearanceDescriptor]
+
+
+class FrameDescriptors(NamedTuple):
+    """A descriptor source by frame: ``rows(frame, ordinals)`` is ``(kind, rows)``, the
+    descriptors of those detections as (len(ordinals), d) rows that already hold the
+    invariant of ``kind``; the kind and d are the same in every frame."""
+
+    rows: Callable[[int, list[int]], tuple[str, np.ndarray]]
 
 
 @contextmanager
@@ -124,20 +132,24 @@ class Tracker:
     """Online tracker state for one sequence.
 
     ``descriptor_source`` supplies appearance descriptors lazily, by frame
-    and ordinal; it is only consulted for detections that survive filtering.
+    and ordinal or as a ``FrameDescriptors``; it is only consulted for
+    detections that survive filtering.
     With ``use_appearance=False`` the tracker runs on shape and motion alone.
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
     listing every problem ``validate_config`` finds.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None,
-                 descriptor_source: Optional[DescriptorSource] = None,
+                 descriptor_source: DescriptorSource | FrameDescriptors | None = None,
                  use_appearance: bool = True):
         self.cfg = cfg if cfg is not None else TrackerConfig()
         problems = validate_config(self.cfg)
         if problems:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
         self.descriptor_source = descriptor_source
+        # Not a bound method, which would keep the tracker alive until the cycle collector runs.
+        by_frame = isinstance(descriptor_source, FrameDescriptors)
+        self._frame_rows = descriptor_source.rows if by_frame else None
         self.use_appearance = use_appearance
         self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, 0)), self.cfg, 0)
         self._kind, self._dim = None, 0  # of the first descriptor seen
@@ -146,12 +158,16 @@ class Tracker:
         self._last_frame = 0
         self._frame_count = 0
 
-    def _descriptor_for(self, frame: int, ordinal: int) -> AppearanceDescriptor:
+    def _rows_by_ordinal(self, frame: int, ordinals: list[int]) -> tuple[str, np.ndarray]:
+        """``FrameDescriptors.rows`` over a per-(frame, ordinal) source, with one kind and
+        length check against the first descriptor seen."""
         if self.descriptor_source is None:
             raise ValueError(
-                f"detection {ordinal} in frame {frame} has no descriptor and "
+                f"detection {ordinals[0]} in frame {frame} has no descriptor and "
                 f"no descriptor source is configured")
-        return self.descriptor_source(frame, ordinal)
+        found = [self.descriptor_source(frame, k) for k in ordinals]
+        kind, d = (found[0].kind, len(found[0])) if self._kind is None else (self._kind, self._dim)
+        return kind, descriptor_rows(found, kind, d)
 
     def _apply_filter(self, frame: int,
                       detections: Sequence[Detection]) -> tuple[list[int], Optional[float], Optional[float]]:
@@ -182,14 +198,13 @@ class Tracker:
 
         kept_ordinals, tau_sa, tau_t = self._apply_filter(frame, detections)
         survivors = [detections[k] for k in kept_ordinals]
-        descriptors = np.zeros((len(survivors), 0))
-        if self.use_appearance:
-            found = [self._descriptor_for(frame, k) for k in kept_ordinals]
-            if found and self._kind is None:  # no track yet: size its descriptor columns
-                self._kind, self._dim = found[0].kind, len(found[0])
+        descriptors = np.zeros((len(survivors), self._dim))
+        if self.use_appearance and kept_ordinals:
+            kind, descriptors = (self._frame_rows or self._rows_by_ordinal)(frame, kept_ordinals)
+            if self._kind is None:  # no track yet: size its descriptor columns
+                self._kind, self._dim = kind, descriptors.shape[1]
                 self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)),
                                              cfg, 0)
-            descriptors = descriptor_rows(found, self._kind, self._dim)
 
         table = self.table
         with _kalman_arithmetic(frame):
@@ -268,7 +283,7 @@ class Tracker:
 
 def run_sequence(detections_by_frame: Mapping[int, Sequence[Detection]],
                  cfg: TrackerConfig | None = None,
-                 descriptor_source: Optional[DescriptorSource] = None,
+                 descriptor_source: DescriptorSource | FrameDescriptors | None = None,
                  use_appearance: bool = True,
                  n_frames: Optional[int] = None) -> list[FrameResult]:
     """Run a whole sequence frame by frame, including frames with no detections.

@@ -133,6 +133,22 @@ event.0.end = 50
             "100,000,000\n")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("regime.0.mean", "nan"), ("regime.0.std", "inf"), ("object.1.w", "nan"),
+        ("object.2.h", "inf"), ("object.0.waypoints", "1:nan,240; 120:-56,240"),
+        ("object.1.waypoints", "1:696,236; 48:inf,236"), ("jitter_std", "nan"),
+        ("embed_noise_std", "inf"), ("regime.0.mean", "-inf"),
+    ])
+    def test_non_finite_spec_value_names_the_key(self, tmp_path, capsys, key, value):
+        # Validated only, before any draw: a later line overrides the bundled value.
+        bundle = resources.files("hamtrack") / "scenarios" / "occlusion.scn"
+        spec = tmp_path / "occlusion.scn"
+        spec.write_text(bundle.read_text() + f"{key} = {value}\n")
+        rc = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {spec}: {key} must be finite\n"
+        assert not (tmp_path / "x").exists()
+
     def test_generation_failure_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "wild.scn"
         spec.write_text("n_frames = 3\njitter_std = 1e308\nobject.0.w = 10\n"
@@ -348,6 +364,28 @@ class TestTrack:
         assert err.startswith(f"error: frame image {scenario_dir / 'frames' / '000003.ppm'}: "
                               "bbox BBox(x=5000.0")
         assert err.endswith("does not intersect a 640x480 image\n")
+
+    def test_box_reaching_past_the_largest_double_exits_1_naming_the_image(self, scenario_dir,
+                                                                            capsys):
+        # x + w overflows to infinity while the centre stays finite.
+        det = scenario_dir / "det.txt"
+        det.write_text(det.read_text() + "2,-1,1e308,0,1e308,10,45,-1,-1,-1\n")
+        rc = main(["track", "--det", str(det), "--filter", "none",
+                   "--frames-dir", str(scenario_dir / "frames"),
+                   "--out", str(scenario_dir / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: frame image {scenario_dir / 'frames' / '000002.ppm'}: bbox "
+            "BBox(x=1e+308, y=0.0, w=1e+308, h=10.0) does not intersect a 640x480 image\n")
+
+    def test_missing_embedding_exits_1_naming_it(self, scenario_dir, capsys):
+        emb = scenario_dir / "embeddings.csv"
+        emb.write_text("".join(line for line in emb.read_text().splitlines(keepends=True)
+                               if not line.startswith("3,1,")))
+        rc = main(["track", "--det", str(scenario_dir / "det.txt"), "--filter", "none",
+                   "--embeddings", str(emb), "--out", str(scenario_dir / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no embedding for frame 3, ordinal 1\n"
 
     def test_appearance_none_runs_shape_motion_only(self, scenario_dir):
         out = scenario_dir / "res_none.txt"

@@ -1,15 +1,24 @@
+import contextlib
+import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamtrack.core import BBox
-from hamtrack.io_mot import (frame_image_name, histogram_from_patch,
-                             parse_det_file, parse_embedding_file,
+from hamtrack import io_mot
+from hamtrack.core import AppearanceDescriptor, BBox
+from hamtrack.io_mot import (HIST_SIZE, frame_image_name, histogram_from_patch,
+                             parse_det_file, parse_embedding_file, parse_embedding_rows,
                              parse_gt_file, read_ppm, write_embedding_file,
                              write_mot_rows, write_ppm, write_result_file)
+from hamtrack.synthgen import generate
 from hamtrack.tracker import FrameResult
+from scenario_utils import line_spec
+from test_cli import FRAME, text_rows
 
 
 class TestParseDetFile:
@@ -241,48 +250,50 @@ class TestPpm:
 class TestHistogramFromPatch:
     def test_uniform_color_single_bin(self):
         img = solid_image(20, 20, (255, 0, 0))
-        hist = histogram_from_patch(img, BBox(2, 2, 10, 10))
-        assert hist.values.max() == pytest.approx(1.0)
-        assert int(np.argmax(hist.values)) == 7 * 64  # r bin 7, g bin 0, b bin 0
+        (hist,) = histogram_from_patch(img, [BBox(2, 2, 10, 10)])
+        assert hist.shape == (HIST_SIZE,)
+        assert hist.max() == 1.0
+        assert int(np.argmax(hist)) == 7 * 64  # r bin 7, g bin 0, b bin 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, size=(30, 30, 3), dtype=np.uint8)
-        a = histogram_from_patch(img, BBox(3, 4, 12, 13))
-        b = histogram_from_patch(img, BBox(3, 4, 12, 13))
-        np.testing.assert_array_equal(a.values, b.values)
+        a = histogram_from_patch(img, [BBox(3, 4, 12, 13)])
+        b = histogram_from_patch(img, [BBox(3, 4, 12, 13)])
+        np.testing.assert_array_equal(a, b)
 
     def test_half_red_half_blue(self):
         img = solid_image(10, 10, (255, 0, 0))
         img[:, 5:] = (0, 0, 255)
-        hist = histogram_from_patch(img, BBox(0, 0, 10, 10))
+        (hist,) = histogram_from_patch(img, [BBox(0, 0, 10, 10)])
         red_bin, blue_bin = 7 * 64, 7
         # independent pixel count: 50 red and 50 blue pixels of 100
-        assert hist.values[red_bin] == pytest.approx(0.5)
-        assert hist.values[blue_bin] == pytest.approx(0.5)
+        assert hist[red_bin] == 0.5
+        assert hist[blue_bin] == 0.5
 
     def test_odd_split_rounding(self):
         img = solid_image(9, 10, (255, 0, 0))
         img[:, 5:] = (0, 0, 255)
-        hist = histogram_from_patch(img, BBox(0, 0, 9, 10))
-        assert hist.values[7 * 64] == pytest.approx(50 / 90)
-        assert hist.values[7] == pytest.approx(40 / 90)
+        (hist,) = histogram_from_patch(img, [BBox(0, 0, 9, 10)])
+        assert hist[7 * 64] == 50 / 90
+        assert hist[7] == 40 / 90
 
     def test_clipped_to_image(self):
         img = solid_image(10, 10, (0, 255, 0))
-        hist = histogram_from_patch(img, BBox(-5, -5, 8, 8))
-        assert hist.values.sum() == pytest.approx(1.0)
+        (hist,) = histogram_from_patch(img, [BBox(-5, -5, 8, 8)])
+        assert hist.sum() == 1.0
 
     def test_outside_image_rejected(self):
         img = solid_image(10, 10, (0, 255, 0))
-        with pytest.raises(ValueError, match="intersect"):
-            histogram_from_patch(img, BBox(50, 50, 5, 5))
+        with pytest.raises(ValueError, match=r"^bbox BBox\(x=50.0, y=50.0, w=5.0, h=5.0\) does "
+                                             r"not intersect a 10x10 image$"):
+            histogram_from_patch(img, [BBox(1, 1, 5, 5), BBox(50, 50, 5, 5), BBox(60, 1, 5, 5)])
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
-        hist = histogram_from_patch(img, BBox(0.7, 3.2, 21.9, 17.1))
-        assert abs(float(hist.values.sum()) - 1.0) <= 1e-9
+        (hist,) = histogram_from_patch(img, [BBox(0.7, 3.2, 21.9, 17.1)])
+        assert abs(float(hist.sum()) - 1.0) <= 1e-9
 
 
 class TestEmbeddingFile:
@@ -342,3 +353,204 @@ class TestEmbeddingFile:
     def test_write_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
             write_embedding_file(3, [(1, 0, [1.0, 0.0])])
+
+
+def outcome(parse, text):
+    """What ``parse(text)`` gives, as text that shows every bit, type and order, or its error."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    if isinstance(value, tuple):  # parse_embedding_rows: the index and the unit rows
+        return repr(value[0]), value[1].shape, value[1].tobytes()
+    return repr(value)  # a float's repr names its double, -0.0 included
+
+
+# Within it every line is read by ``_read_rows``, as before the columnar path.
+ROWS_ONLY = mock.patch.object(io_mot, "_block", lambda *args, **kwargs: None)
+
+
+def by_rows(parse, text):
+    with ROWS_ONLY:
+        return outcome(parse, text)
+
+
+# Numbers as a file may spell them. Three in four are plain, so that whole
+# files often parse; the rest are in float notation, at the edges of the double
+# range, non-finite, padded, or in the notations float() also accepts.
+ODD_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "3.0", "3e0", "+3", "-0.0", "-5", "0.1", " 7 ", "1_0", "1e-170",
+                     "1e-160", "1e160", "1e308", "5e-324", "2.2250738585072011e-308", "NaN",
+                     "-Infinity"]))
+NUMBER = st.sampled_from([1, 1, 1, 0]).flatmap(
+    lambda plain: st.integers(1, 400).map(str) if plain else ODD_NUMBER)
+
+
+def numeric_rows(n_fields: int, header: str = ""):
+    """Files of one to six rows of ``n_fields`` fields, nearly all of them numbers."""
+    row = st.builds(lambda frame, rest: ",".join([frame, *rest]), FRAME,
+                    st.lists(NUMBER, min_size=n_fields - 1, max_size=n_fields - 1))
+    lines = st.lists(st.one_of(row, row, row, st.just(""), st.just(" ")), min_size=1, max_size=6)
+    return lines.map(lambda lines: header + "".join(line + "\n" for line in lines))
+
+
+class TestColumnarParsers:
+    """The columnar parsers against the row parser they fall back to."""
+
+    @given(det=st.one_of(numeric_rows(10), text_rows(8, 10)),
+           gt=st.one_of(numeric_rows(7), numeric_rows(9), text_rows(5, 8)),
+           emb=st.one_of(numeric_rows(4, header="dim=2\n"), text_rows(2, 4, header="dim=2\n")))
+    @settings(max_examples=300, deadline=None)
+    def test_same_values_order_and_messages_as_the_row_parser(self, det, gt, emb):
+        cases = ((parse_det_file, det), (parse_gt_file, gt), (parse_embedding_rows, emb))
+        for parse, text in cases:
+            assert outcome(parse, text) == by_rows(parse, text)
+
+    @pytest.mark.parametrize("rows", [
+        "3,-1,1,1,5,5,1,-1,-1,-1\n1,-1,2,2,5,5,1,-1,-1,-1\n\n3,-1,9,9,5,5,2,-1,-1,-1\n",
+        "1,abc,1,1,5,5,1,x,y,z\n",                    # fields the detection does not read
+        "2,-1,1e308,0,1e308,10,50,-1,-1,-1\n",       # x + w overflows, the centre does not
+        "2,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1\n",   # the centre overflows
+        "1,-1,0,0,1e150,1e150,50,-1,-1,-1\n1,-1,0,0,1e160,1e160,50,-1,-1,-1\n",
+        f"{io_mot.MAX_FRAME + 1},-1,1,1,5,5,1,-1,-1,-1\n",
+    ])
+    def test_det_rows(self, rows):
+        assert outcome(parse_det_file, rows) == by_rows(parse_det_file, rows)
+
+    @pytest.mark.parametrize("rows", [
+        "1,3,10,20,30,60,1,7,0.95\n1,2,1,1,1,1,1\n",
+        "1,3,10,20,-1,60,0\n2,4,10,20,30,60,-0.0\n",  # rows flagged 0 are not boxes
+        "1,3,10,20,30,60,1\n1,4,nan,20,30,60,0\n",     # but their fields are numbers
+        "1e300,-1e300,1,1,1,1,1\n",
+        "1,3,10,20,30,60,1, \n",
+    ])
+    def test_gt_rows(self, rows):
+        assert outcome(parse_gt_file, rows) == by_rows(parse_gt_file, rows)
+
+    @pytest.mark.parametrize("text", [
+        "dim=2\n1,0,1,0\n1,0,0,1\n", "dim=2\n1,0,5e-324,5e-324\n", "dim=2\n1,0,1e308,1e308\n",
+        "dim=2\n1,0,0,0\n", "dim=3\n2,1,1,2,3\n1,0,-0.0,1e-200,0\n",
+    ])
+    def test_embedding_rows(self, text):
+        assert outcome(parse_embedding_rows, text) == by_rows(parse_embedding_rows, text)
+
+    # Each text and the double it must round to, correctly rounded (round half to even).
+    HARD = [("0.1", "0x1.999999999999ap-4"),
+            ("2.2250738585072011e-308", "0x0.fffffffffffffp-1022"),
+            ("2.2250738585072012e-308", "0x1.0000000000000p-1022"),
+            ("18014398509481986", "0x1.0000000000000p+54"),   # 17 digits, halfway: down to even
+            ("18014398509481990", "0x1.0000000000002p+54"),   # 17 digits, halfway: up to even
+            ("1.00000000000000011102230246251565404236316680908203125", "0x1.0000000000000p+0"),
+            ("1.00000000000000011102230246251565404236316680908203126", "0x1.0000000000001p+0"),
+            ("1e-170", "0x1.3529ba7d19eafp-565"),
+            ("4.9406564584124654e-324", "0x0.0000000000001p-1022"),
+            ("1.7976931348623157e308", "0x1.fffffffffffffp+1023")]
+
+    @pytest.mark.parametrize("text, expected", HARD)
+    def test_strings_round_to_the_nearest_double(self, text, expected):
+        for path in (contextlib.nullcontext(), ROWS_ONLY):
+            with path:
+                (det,) = parse_det_file(f"1,-1,0,0,{text},1,{text},-1,-1,-1\n")[1]
+                ((_, box),) = parse_gt_file(f"1,1,0,{text},1,{text},1\n")[1]
+            hexes = [det.bbox.w.hex(), det.confidence.hex(), box.y.hex(), box.h.hex()]
+            assert hexes == [expected] * 4
+
+    def test_tiny_sizes(self):
+        message = "ValueError: line 1: bbox area underflows to 0: w=1e-170, h=1e-170"
+        rows = "1,-1,0,0,1e-170,1e-170,1,-1,-1,-1\n"
+        assert outcome(parse_det_file, rows) == by_rows(parse_det_file, rows) == message
+        (det,) = parse_det_file("1,-1,0,0,1e-160,1e-160,1,-1,-1,-1\n")[1]
+        assert det.bbox.w * det.bbox.h == 1e-320
+
+    def test_unit_rows_keep_the_bits_of_a_per_row_norm(self):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3, 7, 8, 16, 33, 128, 512):
+            for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+                vectors = rng.standard_normal((12, dim)) * scale
+                vectors[rng.random(vectors.shape) < 0.2] = 0.0
+                vectors[:, 0] += scale
+                text = f"dim={dim}\n" + "".join(f"1,{k},{','.join(map(repr, v))}\n"
+                                               for k, v in enumerate(vectors.tolist()))
+                _, units = parse_embedding_rows(text)
+                expected = [v / float(np.linalg.norm(v)) for v in map(np.array, vectors.tolist())]
+                assert units.tobytes() == np.array(expected).tobytes()
+                assert outcome(parse_embedding_rows, text) == by_rows(parse_embedding_rows, text)
+
+    def test_generated_files_take_the_columnar_path(self, monkeypatch):
+        scenario = generate(line_spec(n_objects=3, jitter=1.0, fp_rate=0.5, embed_dim=8))
+        det, gt = write_mot_rows(scenario.det_rows), write_mot_rows(scenario.gt_rows)
+        emb = write_embedding_file(8, scenario.embeddings)
+        cases = ((parse_det_file, det), (parse_gt_file, gt), (parse_embedding_rows, emb))
+        expected = [by_rows(parse, text) for parse, text in cases]
+        monkeypatch.setattr(io_mot, "_read_rows", None)  # the row parser must not run
+        assert [outcome(parse, text) for parse, text in cases] == expected
+        table = parse_embedding_file(emb)
+        index, units = parse_embedding_rows(emb)
+        assert list(table) == list(index)
+        assert all(np.array_equal(table[key].values, units[n]) for key, n in index.items())
+
+
+def single_box_histogram(image, box):
+    """The histogram of one box as it was computed alone: its patch's bins, then normalised."""
+    height, width = image.shape[:2]
+    x0, y0 = max(0, math.floor(box.x)), max(0, math.floor(box.y))
+    x1, y1 = min(width, math.ceil(box.x + box.w)), min(height, math.ceil(box.y + box.h))
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError(f"bbox {box} does not intersect a {width}x{height} image")
+    patch = image[y0:y1, x0:x1].astype(np.int64)
+    idx = (patch[..., 0] >> 5) * 64 + (patch[..., 1] >> 5) * 8 + (patch[..., 2] >> 5)
+    counts = np.bincount(idx.ravel(), minlength=HIST_SIZE).astype(float)
+    return AppearanceDescriptor.histogram(counts, normalize=True).values
+
+
+def noisy_image(seed, w=40, h=30):
+    """Flat colour blocks with pixel noise, so patches fill a few to many bins."""
+    rng = np.random.default_rng(seed)
+    image = np.repeat(np.repeat(rng.integers(0, 256, (3, 4, 3)), 10, axis=0), 10, axis=1)
+    image = image[:h, :w] + rng.integers(-20, 21, (h, w, 3))
+    return np.clip(image, 0, 255).astype(np.uint8)
+
+
+BOX = st.builds(BBox, st.floats(-30.0, 50.0), st.floats(-30.0, 40.0),
+                st.floats(0.05, 60.0), st.floats(0.05, 60.0))
+
+
+class TestFrameHistograms:
+    """A frame's (k, 512) rows against each box's histogram computed alone."""
+
+    @pytest.mark.parametrize("boxes", [
+        [], [BBox(5, 5, 10, 12)],
+        [BBox(-4, 3, 10, 10), BBox(3, -4, 10, 10), BBox(35, 3, 10, 10), BBox(3, 25, 10, 10)],
+        [BBox(-100, -100, 500, 500)],                          # clipped at every edge
+        [BBox(3.25, 4.5, 0.5, 0.25), BBox(39.9, 29.9, 0.05, 0.05), BBox(0, 0, 1e-9, 1e-9)],
+        [BBox(2, 2, 8, 8), BBox(2, 2, 8, 8), BBox(2.5, 2, 8, 8)],  # duplicates
+    ], ids=["empty", "one", "each_edge", "all_edges", "sub_pixel", "duplicates"])
+    def test_rows_equal_single_box_histograms(self, boxes):
+        image = noisy_image(3)
+        rows = histogram_from_patch(image, boxes)
+        assert rows.shape == (len(boxes), HIST_SIZE)
+        expected = np.array([single_box_histogram(image, b) for b in boxes]).reshape(-1, HIST_SIZE)
+        assert np.array_equal(rows, expected)
+
+    @given(seed=st.integers(0, 2**16), boxes=st.lists(BOX, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_random_frames(self, seed, boxes):
+        image = noisy_image(seed)
+        try:
+            expected = np.array([single_box_histogram(image, b) for b in boxes])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                histogram_from_patch(image, boxes)
+            return
+        assert np.array_equal(histogram_from_patch(image, boxes), expected.reshape(-1, HIST_SIZE))
+
+    def test_box_past_the_largest_double_is_outside(self):
+        with pytest.raises(ValueError, match="does not intersect a 40x30 image"):
+            histogram_from_patch(noisy_image(1), [BBox(1e308, 0, 1e308, 10)])
+
+    def test_invariant_is_checked_every_frame(self, monkeypatch):
+        monkeypatch.setattr(io_mot, "_NORM_TOL", -1.0)
+        with pytest.raises(ValueError, match="^patch histograms must be finite, nonnegative "
+                                             "and sum to 1$"):
+            histogram_from_patch(noisy_image(1), [BBox(1, 1, 5, 5)])

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -11,11 +13,11 @@ from hamtrack import appearance
 from hamtrack import tracker as tracker_module
 from hamtrack.cli import main
 from hamtrack.association import associate
-from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
+from hamtrack.core import (HISTOGRAM, AppearanceDescriptor, BBox, Detection,
                            TrackerConfig)
 from hamtrack.io_mot import histogram_from_patch, write_result_file
 from hamtrack.synthgen import OcclusionEvent, ScenarioSpec, generate
-from hamtrack.tracker import Tracker, run_sequence
+from hamtrack.tracker import FrameDescriptors, Tracker, run_sequence
 from scenario_utils import crossing_spec, line_spec, scenario_inputs, track_scenario
 
 E = AppearanceDescriptor.embedding
@@ -311,6 +313,45 @@ class TestDeterminismAndEquivalence:
         assert write_result_file(results) == write_result_file(stepped)
         assert [fr.diagnostics for fr in results] == [fr.diagnostics for fr in stepped]
 
+    def test_frame_descriptors_equal_the_per_detection_source(self):
+        spec = line_spec(n_objects=3, jitter=1.0, seed=8, fp_rate=0.5, conf_std=8.0)
+        dets, emb, _ = scenario_inputs(generate(spec))
+        calls = []
+
+        def rows(frame, ordinals):
+            calls.append((frame, list(ordinals)))
+            return "embedding", np.array([emb[frame, k].values for k in ordinals])
+
+        results = [run_sequence(dets, TrackerConfig(), descriptor_source=source,
+                                n_frames=spec.n_frames)
+                   for source in (FrameDescriptors(rows), lambda f, o: emb[(f, o)])]
+        assert write_result_file(results[0]) == write_result_file(results[1])
+        assert [fr.diagnostics for fr in results[0]] == [fr.diagnostics for fr in results[1]]
+        # One call per frame that kept a detection, with the kept ordinals.
+        kept = [fr.frame for fr in results[0] if fr.diagnostics.n_kept]
+        assert [frame for frame, _ in calls] == kept
+        assert all(ordinals == sorted(ordinals) and ordinals for _, ordinals in calls)
+        assert sum(len(o) for _, o in calls) < sum(map(len, dets.values()))  # SADF dropped some
+
+    @pytest.mark.parametrize("by_frame", [False, True])
+    def test_a_tracker_is_freed_without_the_cycle_collector(self, by_frame):
+        # A reference cycle would hold every dropped tracker's table until a collection.
+        def rows(frame, ordinals):
+            return "embedding", np.tile([1.0, 0.0], (len(ordinals), 1))
+
+        descriptor = E([1.0, 0.0])
+        source = FrameDescriptors(rows) if by_frame else lambda frame, ordinal: descriptor
+        gc.disable()
+        try:
+            tracker = Tracker(NO_FILTER, descriptor_source=source)
+            for frame in range(1, 4):
+                tracker.step(frame, [det(frame, 50.0 + 4 * frame)])
+            alive = weakref.ref(tracker)
+            del tracker
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_histogram_support_path_keeps_result_bytes(self, monkeypatch):
         # Patch histograms of a PPM scene fill a few colour bins each, so HAM
         # scores most pairs on their own bins; a scorer that is not
@@ -321,7 +362,8 @@ class TestDeterminismAndEquivalence:
         dets, _, _ = scenario_inputs(scenario)
 
         def source(frame, ordinal):
-            return histogram_from_patch(scenario.frames[frame], dets[frame][ordinal].bbox)
+            (hist,) = histogram_from_patch(scenario.frames[frame], [dets[frame][ordinal].bbox])
+            return AppearanceDescriptor(HISTOGRAM, hist)
 
         calls, original = [], appearance.score_histogram
         monkeypatch.setattr(appearance, "score_histogram",
