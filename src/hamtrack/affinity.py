@@ -2,8 +2,8 @@
 
 The shape-motion product is cheap and is computed for every pair first. Pairs
 whose product clears the association gate are then scored on appearance and
-the three cues multiplied; everything else is zeroed without ever touching
-the (potentially expensive) appearance scorer.
+the three cues multiplied; everything else is zeroed without ever being
+scored on appearance.
 """
 
 from dataclasses import dataclass
@@ -82,8 +82,8 @@ def fuse_appearance(sm: AffinityMatrix,
     ``memories`` is a bank with one row per track and ``descriptors`` the
     (cols, d) rows of the detections; a list of ``AppearanceMemory`` and one
     of descriptors are turned into those first. Every gated-in pair is scored
-    by ``ham_scores`` in at most W + 1 scorer calls. Gated-out cells become
-    exactly zero and never reach the scorer. A scorer failure aborts the
+    by one ``ham_scores`` call, one inner product per pair. Gated-out cells
+    become exactly zero and are never scored. A scoring failure aborts the
     whole frame with context on the offending track rows and detections.
     """
     if not isinstance(memories, MemoryBank):

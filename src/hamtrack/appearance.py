@@ -21,7 +21,7 @@ import numpy as np
 from .core import EMBEDDING, HISTOGRAM, AppearanceDescriptor, TrackerConfig
 
 # Scores row p of x against row p of y: two (P, d) arrays in, (P,) scores in
-# [0, 1] out, with scorer(x, y) == scorer(y, x) and scorer(x, x) == 1.
+# [0, 1] out. HAM takes the two built-in scorers only.
 Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -89,17 +89,24 @@ def descriptor_rows(descriptors: Sequence[AppearanceDescriptor], kind: str, d: i
     return np.array([x.values for x in descriptors]).reshape(len(descriptors), d)
 
 
+# A built-in score is clip(link(phi(x) . phi(y))) with an affine link: (phi, link) of each.
+HISTOGRAM_FEATURES = (np.sqrt, lambda c: c)
+EMBEDDING_FEATURES = (lambda a: a, lambda c: (1.0 + c) / 2.0)
+
+
+def _score(x: np.ndarray, y: np.ndarray, phi, link) -> np.ndarray:
+    # vecdot gives each pair the bits np.dot gives it; a matrix product does not.
+    return np.clip(link(np.vecdot(phi(x), phi(y))), 0.0, 1.0)
+
+
 def score_histogram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bhattacharyya coefficient sum_k sqrt(x_k * y_k) of each pair of rows."""
-    roots = x * y
-    np.sqrt(roots, out=roots)  # in place: a second (P, d) temporary costs more than the roots
-    return np.clip(roots.sum(axis=-1), 0.0, 1.0)
+    """Bhattacharyya coefficient sum_k sqrt(x_k) * sqrt(y_k) of each pair of rows."""
+    return _score(x, y, *HISTOGRAM_FEATURES)
 
 
 def score_embedding(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cosine similarity of each pair of unit rows, mapped onto [0, 1]."""
-    # vecdot gives each pair the bits np.dot gives it; a matrix product does not.
-    return np.clip((1.0 + np.vecdot(x, y)) / 2.0, 0.0, 1.0)
+    return _score(x, y, *EMBEDDING_FEATURES)
 
 
 def scorer_for(kind: str) -> Scorer:
@@ -107,20 +114,26 @@ def scorer_for(kind: str) -> Scorer:
     return score_histogram if kind == HISTOGRAM else score_embedding
 
 
-def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each row's first ``lengths`` confidences over their total; zero past them.
+def features_of(scorer: Scorer):
+    """The (phi, link) of a built-in scorer, matched when called so a wrapped one is found."""
+    if scorer is score_histogram:
+        return HISTOGRAM_FEATURES
+    if scorer is score_embedding:
+        return EMBEDDING_FEATURES
+    raise ValueError(f"HAM scores with score_histogram or score_embedding only, not {scorer!r}")
 
-    Rows of one length are totalled together over their own entries, in the
-    order a 1-d sum adds them; a zero-padded row sum can differ in the last bit.
+
+def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's first ``lengths`` (at least one) confidences over their total; zero past them.
+
+    The total is a running sum over the row's own entries, so it has the
+    same bits whatever the width of ``hist_conf``.
     """
-    weights = np.zeros_like(hist_conf)
-    for n in np.unique(lengths[lengths > 0]).tolist():
-        rows = np.flatnonzero(lengths == n)
-        total = hist_conf[rows, :n].sum(axis=1)
-        if np.any(total <= 0.0):
-            raise ValueError("all history confidences are zero")
-        weights[rows, :n] = hist_conf[rows, :n] / total[:, None]
-    return weights
+    conf = np.where(np.arange(hist_conf.shape[1]) < lengths[:, None], hist_conf, 0.0)
+    total = np.cumsum(conf, axis=1)[np.arange(len(conf)), lengths - 1, None]
+    if np.any(total <= 0.0):
+        raise ValueError("all history confidences are zero")
+    return conf / total
 
 
 def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
@@ -130,48 +143,20 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     c_r * s(recent, z) + (1 - c_r) * sum_k w_k * s(hist_k, z), with
     confidence-proportional history weights w_k, clipped to [0, 1]; just
     s(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
-    With ``score_histogram``, a pair whose detection fills one or two bins
-    reads just those bins of its recent and history slots, every slot at
-    once. Each of its products has at most two nonzero terms, and such a sum
-    is one double in any order, so it equals the full-row sum. The other
-    pairs take the slot loop: one scorer call scores the recent slot, then
-    one per history slot k the pairs whose row holds more than k entries.
+    The score is affine in phi(x) . phi(z) and the weights sum to one, so each
+    track is one row c_r * phi(recent) + (1 - c_r) * sum_k w_k * phi(hist_k)
+    and each pair one inner product.
     """
-    lengths = np.zeros_like(bank.hist_len)
-    if use_ham:
-        lengths[rows] = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
-    weights = history_weight_rows(bank.hist_conf, lengths)
-    looped = np.ones(len(rows), dtype=bool)  # the pairs the slot loop scores
-    if scorer is score_histogram:
-        looped = np.count_nonzero(filled := z != 0, axis=1)[cols] > 2
-    # Looped pairs first, longest histories first: those that reach slot k are then a prefix.
-    order = np.lexsort((-lengths[rows], ~looped))
-    r, c, n = rows[order], cols[order], lengths[rows[order]]
-    q, width = int(np.count_nonzero(looped)), int(n.max(initial=0))
-    s = np.zeros((len(r), width + 1))  # column 0 the recent slot, k + 1 slot k
-    if q < len(r):  # (2, P, W + 1): each slot at the detection's first and last filled bin
-        first, last = filled.argmax(axis=1), z.shape[1] - 1 - filled[:, ::-1].argmax(axis=1)
-        b = np.stack([first, last])[:, c[q:]]
-        x = np.concatenate([bank.recent.T[b, r[q:], None],
-                            bank.hist.transpose(2, 0, 1)[b, r[q:], :width]], axis=2)
-        y = z[c[q:], b]
-        y[1, b[0] == b[1]] = 0.0  # a one-bin detection's bin is added once
-        x *= y[:, :, None]
-        np.sqrt(x, out=x)
-        s[q:] = np.clip(x[0] + x[1], 0.0, 1.0)
-    y = z[c[:q]]
-    s[:q, 0] = scorer(bank.recent[r[:q]], y)
-    for k in range(int(n[:q].max(initial=0))):
-        p = int(np.count_nonzero(n[:q] > k))
-        s[:p, k + 1] = scorer(bank.hist[r[:p], k], y[:p])
-    # Slots past a row's history have weight 0 and add +0.0, which changes no sum.
-    w, s_hist = weights[r], np.zeros(len(r))
-    for k in range(width):
-        s_hist += w[:, k] * s[:, k + 1]
-    c_r, s_r = bank.recent_conf[r], s[:, 0]
-    scores = np.empty(len(r))
-    scores[order] = np.clip(np.where(n > 0, c_r * s_r + (1.0 - c_r) * s_hist, s_r), 0.0, 1.0)
-    return scores
+    phi, link = features_of(scorer)
+    tracks, at = np.unique(rows, return_inverse=True)
+    x = phi(bank.recent[tracks])
+    n = np.where(use_ham & (bank.recent_conf[tracks] < 1.0), bank.hist_len[tracks], 0)
+    if np.any(n):
+        b = np.flatnonzero(n)
+        t, c = tracks[b], bank.recent_conf[tracks[b], None]
+        w = history_weight_rows(bank.hist_conf[t], n[b])
+        x[b] = c * x[b] + (1.0 - c) * np.einsum("nk,nkd->nd", w, phi(bank.hist[t]))
+    return np.clip(link(np.vecdot(x[at], phi(z)[cols])), 0.0, 1.0)
 
 
 def maybe_store_history(bank: MemoryBank, rows, z: np.ndarray, kind: str, affinity,

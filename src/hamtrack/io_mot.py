@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (_NORM_TOL, EMBEDDING, VEL_PRIOR_SCALE, AppearanceDescriptor, BBox, Detection,
+from .core import (_NORM_TOL, VEL_PRIOR_SCALE, AppearanceDescriptor, BBox, Detection,
                    unchecked)
 
 HIST_BINS_PER_CHANNEL = 8
@@ -315,12 +315,6 @@ def parse_embedding_rows(text: str) -> tuple[dict[tuple[int, int], int], np.ndar
                start=header_at + 1)
     return ({key: n for n, key in enumerate(table)},
             np.array([x.values for x in table.values()]).reshape(len(table), dim))
-
-
-def parse_embedding_file(text: str) -> dict[tuple[int, int], AppearanceDescriptor]:
-    """Load per-detection embeddings keyed by (frame, within-frame ordinal)."""
-    index, units = parse_embedding_rows(text)
-    return {key: AppearanceDescriptor(EMBEDDING, units[n]) for key, n in index.items()}
 
 
 def write_embedding_file(dim: int,

@@ -7,6 +7,7 @@ import numpy as np
 
 from hamtrack import (ConfidenceRegime, ObjectSpec, OcclusionEvent,
                       ScenarioSpec, evaluate, generate, run_sequence)
+from hamtrack.appearance import history_weight_rows
 from hamtrack.core import AppearanceDescriptor, Detection, TrackerConfig
 
 
@@ -87,8 +88,32 @@ def embedding_reference(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def histogram_reference(a: np.ndarray, b: np.ndarray) -> float:
-    """One pair's Bhattacharyya coefficient, clamped to [0, 1]."""
-    return min(1.0, max(0.0, float(np.sqrt(a * b).sum())))
+    """One pair's Bhattacharyya coefficient, taken with ``np.dot`` of square roots and clamped."""
+    return min(1.0, max(0.0, float(np.dot(np.sqrt(a), np.sqrt(b)))))
+
+
+def slot_loop_ham_scores(bank, rows, cols, z, scorer, use_ham=True):
+    """HAM as the weighted sum of one scorer call per memory slot: a reference for ``ham_scores``.
+
+    The recent slot is scored for every pair, then history slot k for the
+    pairs whose track holds more than k entries, and the scores are blended.
+    """
+    lengths = np.zeros_like(bank.hist_len)
+    if use_ham:
+        lengths[rows] = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
+    weights = np.zeros_like(bank.hist_conf)
+    weights[lengths > 0] = history_weight_rows(bank.hist_conf[lengths > 0], lengths[lengths > 0])
+    order = np.argsort(-lengths[rows], kind="stable")
+    r, n, y = rows[order], lengths[rows[order]], z[cols[order]]
+    s = scorer(bank.recent[r], y)
+    s_hist = np.zeros(len(r))
+    for k in range(int(n.max(initial=0))):
+        p = int(np.count_nonzero(n > k))
+        s_hist[:p] += weights[r[:p], k] * scorer(bank.hist[r[:p], k], y[:p])
+    c_r = bank.recent_conf[r]
+    scores = np.empty(len(r))
+    scores[order] = np.clip(np.where(n > 0, c_r * s + (1.0 - c_r) * s_hist, s), 0.0, 1.0)
+    return scores
 
 
 def sparse_histogram(rng, d: int) -> AppearanceDescriptor:

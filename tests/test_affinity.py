@@ -220,15 +220,6 @@ class TestInverseSigma:
         assert len(inverted) == 1
 
 
-def constant_scorer(value, calls=None):
-    """A scorer giving ``value`` to every pair; records each call's (x, y) rows in ``calls``."""
-    def scorer(x, y):
-        if calls is not None:
-            calls.append((x, y))
-        return np.full(len(x), value)
-    return scorer
-
-
 def scalar_ham(memory, z, reference, use_ham):
     """Per-pair HAM: c_r * s(recent) + (1 - c_r) * sum_n w_n * s(history_n), clamped.
 
@@ -256,24 +247,39 @@ class TestFuseAppearance:
         self.memories = [AppearanceMemory(recent=unit([1.0, 0.0])),
                          AppearanceMemory(recent=unit([0.0, 1.0]))]
 
-    def fuse(self, scorer=None, use_ham=True, **cfg_kw):
+    def fuse(self, scorer=score_embedding, use_ham=True, **cfg_kw):
         cfg = TrackerConfig(**cfg_kw)
         pos = [p[:2] for p in self.pred]
         wh = [p[2:] for p in self.pred]
         sm = build_sm_matrix(pos, wh, self.boxes, cfg)
-        return sm, fuse_appearance(sm, self.memories, self.descriptors,
-                                   scorer or score_embedding, use_ham)
+        return sm, fuse_appearance(sm, self.memories, self.descriptors, scorer, use_ham)
 
-    def test_all_gated_out_means_zero_matrix_and_no_scoring(self):
-        calls = []
-        sm, fused = self.fuse(scorer=constant_scorer(1.0, calls), tau_asc=1.0)
+    @staticmethod
+    def scored_pairs(monkeypatch):
+        """The (rows, cols) of each ``ham_scores`` call ``fuse_appearance`` makes."""
+        calls, original = [], affinity.ham_scores
+
+        def counted(bank, rows, cols, *args):
+            calls.append((rows, cols))
+            return original(bank, rows, cols, *args)
+
+        monkeypatch.setattr(affinity, "ham_scores", counted)
+        return calls
+
+    def test_all_gated_out_means_zero_matrix_and_no_scoring(self, monkeypatch):
+        calls = self.scored_pairs(monkeypatch)
+        sm, fused = self.fuse(tau_asc=1.0)
         assert not sm.gate_mask.any()
         assert np.all(fused.values == 0.0)
         assert calls == []
 
     def test_unit_scorer_reproduces_sm(self):
-        sm, fused = self.fuse(scorer=constant_scorer(1.0), tau_asc=0.0)
+        # Every detection is the stored appearance of every track: each score is 1.
+        self.memories = [AppearanceMemory(recent=unit([1.0, 0.0]))] * 2
+        self.descriptors = [unit([1.0, 0.0])] * 2
+        sm, fused = self.fuse(tau_asc=0.0)
         mask = sm.gate_mask
+        assert mask.any()
         np.testing.assert_array_equal(fused.values[mask], sm.values[mask])
         np.testing.assert_array_equal(fused.values[~mask], 0.0)
 
@@ -282,23 +288,19 @@ class TestFuseAppearance:
         cfg = TrackerConfig(tau_asc=0.0)
         sm = build_sm_matrix([(box.cx, box.cy)], [(30.0, 60.0)], [box], cfg)
         sm.values[0, 0] = 0.5
-        fused = fuse_appearance(sm, [self.memories[0]], [self.descriptors[0]],
-                                constant_scorer(0.6))
+        # A cosine of 0.2 scores (1 + 0.2) / 2 = 0.6.
+        fused = fuse_appearance(sm, [self.memories[0]], [unit([0.2, math.sqrt(0.96)])],
+                                score_embedding)
         assert fused.values[0, 0] == pytest.approx(0.30)
 
-    def test_eval_count_equals_gated_pairs(self):
-        # Without history, one scorer call holding exactly the gated-in pairs:
-        # each track's recent appearance against each of its gated detections.
-        calls = []
-        sm, _ = self.fuse(scorer=constant_scorer(1.0, calls))
-        rows, cols = np.nonzero(sm.gate_mask)
+    def test_eval_count_equals_gated_pairs(self, monkeypatch):
+        # One scoring call holding exactly the gated-in pairs.
+        calls = self.scored_pairs(monkeypatch)
+        sm, _ = self.fuse()
         assert len(calls) == 1
-        stored, zs = calls[0]
-        assert np.array_equal(stored, [self.memories[i].recent.values for i in rows])
-        assert np.array_equal(zs, [self.descriptors[j].values for j in cols])
-        evals = len(zs)
-        assert evals == int(sm.gate_mask.sum())
-        assert 0 < evals < sm.values.size
+        rows, cols = calls[0]
+        assert np.array_equal(np.column_stack([rows, cols]), np.argwhere(sm.gate_mask))
+        assert 0 < len(rows) < sm.values.size
 
     def test_gating_changes_cost_not_values(self):
         sm, fused = self.fuse()
@@ -312,18 +314,23 @@ class TestFuseAppearance:
         np.testing.assert_array_equal(fused.values[mask], reference[mask])
 
     def test_scorer_failure_aborts_with_context(self):
-        def broken(a, b):
-            raise KeyError("missing feature")
-
-        with pytest.raises(RuntimeError, match=r"track rows \[0, 1\], "
-                                               r"detections \[0, 1\]: 'missing feature'"):
-            self.fuse(scorer=broken)
+        # A scorer that is not built in, and a history whose confidences are all zero.
+        with pytest.raises(RuntimeError, match=r"track rows \[0, 1\], detections \[0, 1\]: "
+                                               r"HAM scores with score_histogram or "
+                                               r"score_embedding only"):
+            self.fuse(scorer=lambda x, y: np.ones(len(x)))
+        hist = (HistoryEntry(unit([0.0, 1.0]), 0.0, 1), HistoryEntry(unit([1.0, 1.0]), 0.0, 2))
+        self.memories[1] = AppearanceMemory(recent=unit([0.0, 1.0]), recent_conf=0.5,
+                                            history=hist)
+        with pytest.raises(RuntimeError, match=r"track rows \[0, 1\], detections \[0, 1\]: "
+                                               r"all history confidences are zero"):
+            self.fuse()
 
     def test_missing_descriptor_reported(self):
         cfg = TrackerConfig()
         sm = build_sm_matrix([(15.0, 30.0)], [(30.0, 60.0)], [self.boxes[0]], cfg)
         with pytest.raises(ValueError, match="detection 0 has no appearance descriptor"):
-            fuse_appearance(sm, [self.memories[0]], [None], constant_scorer(1.0))
+            fuse_appearance(sm, [self.memories[0]], [None], score_embedding)
 
     def test_gate_values_route(self):
         sm, _ = self.fuse()
@@ -341,12 +348,16 @@ class TestFuseAppearance:
         assert fused_base.values[0, 0] != pytest.approx(fused_ham.values[0, 0])
         expected = score_embedding(self.memories[0].recent.values[None],
                                    self.descriptors[0].values[None])[0]
-        sm, _ = self.fuse(scorer=constant_scorer(1.0))
+        sm, _ = self.fuse()
         assert fused_base.values[0, 0] == pytest.approx(sm.values[0, 0] * expected)
 
 
 class TestFuseMatchesPerPairHam:
-    """fuse_appearance equals a per-pair scalar HAM bit for bit on every gated cell."""
+    """fuse_appearance equals a per-pair scalar HAM on every gated cell, to a few ulp.
+
+    ``ham_scores`` blends each track's feature rows before one inner product,
+    where the scalar HAM blends one score per memory slot.
+    """
 
     # (history length, recent confidence) of each track row: every length up to
     # the default 10-entry cap, each twice (4..7 entries are where a
@@ -383,4 +394,5 @@ class TestFuseMatchesPerPairHam:
         for i, j in np.argwhere(mask):
             expected[i, j] = values[i, j] * scalar_ham(memories[i], descriptors[j],
                                                       reference, use_ham)
-        assert np.array_equal(fused.values, expected)
+        np.testing.assert_allclose(fused.values, expected, rtol=0.0, atol=1e-15)
+        assert np.all(fused.values[~mask] == 0.0)

@@ -1,6 +1,5 @@
-import functools
+import dataclasses
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -10,12 +9,12 @@ from hypothesis import strategies as st
 from hamtrack import appearance
 from hamtrack.appearance import (AppearanceMemory, HistoryEntry, MemoryBank, bank_of,
                                  decay_confidence, descriptor_rows, ham, ham_scores,
-                                 history_weight_rows, history_weights,
-                                 maybe_store_history, new_bank, score_embedding,
-                                 score_histogram, scorer_for)
+                                 history_weights, maybe_store_history, new_bank,
+                                 score_embedding, score_histogram, scorer_for)
 from hamtrack.core import AppearanceDescriptor, BBox, Detection, TrackerConfig, validate_config
 from hamtrack.tracker import Tracker
-from scenario_utils import embedding_reference, histogram_reference, sparse_histogram
+from scenario_utils import (embedding_reference, histogram_reference, slot_loop_ham_scores,
+                            sparse_histogram)
 
 H = AppearanceDescriptor.histogram
 E = AppearanceDescriptor.embedding
@@ -221,32 +220,6 @@ class TestHistoryWeights:
         assert abs(float(w.sum()) - 1.0) <= 1e-9
         assert np.all(w >= 0) and np.all(w <= 1)
 
-    def test_rows_total_like_a_1d_sum(self):
-        # Every length up to a 30-slot width, with lengths mixed across rows:
-        # each row's weights have the bits of c / c.sum() on its own entries.
-        rng = np.random.default_rng(12)
-        lengths = np.repeat(np.arange(31), 6)
-        conf = rng.uniform(0.6, 1.0, size=(len(lengths), 30))
-        weights = history_weight_rows(conf, lengths)
-        for k, n in enumerate(lengths.tolist()):
-            c = np.array(conf[k, :n].tolist())
-            assert np.array_equal(weights[k, :n], c / c.sum() if n else c)
-            assert np.all(weights[k, n:] == 0.0)
-
-
-class StubScorer:
-    """Scores each stored row by a fixed value looked up by its bytes, for arithmetic-oracle tests.
-
-    Each stored descriptor scores the same against every candidate.
-    """
-
-    def __init__(self, table):
-        self.table = {d.values.tobytes(): v for d, v in table}
-
-    def __call__(self, x, y):
-        return np.array([self.table[row.tobytes()] for row in x])
-
-
 class TestHam:
     def test_returns_a_float(self):
         mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=0.5,
@@ -269,23 +242,26 @@ class TestHam:
             pair(score_embedding, entry, z))
 
     def test_worked_example(self):
-        # c_r=0.5, score(recent)=0.8, history confs (0.5, 1.0) scoring (0.2, 0.6)
+        # Against z, c_r=0.5, s(recent)=0.8, history confs (0.5, 1.0) scoring (0.2, 0.6)
         # -> 0.5*0.8 + 0.5*(1/3*0.2 + 2/3*0.6) = 0.63333...
-        recent, h1, h2, z = (unit([1.0, 0.0]), unit([0.0, 1.0]),
-                             unit([1.0, 1.0]), unit([1.0, 2.0]))
-        scorer = StubScorer([(recent, 0.8), (h1, 0.2), (h2, 0.6)])
+        recent, h1, h2, z = (unit([0.6, 0.8]), unit([-0.6, 0.8]),
+                             unit([0.2, math.sqrt(0.96)]), unit([1.0, 0.0]))
         mem = AppearanceMemory(recent=recent, recent_conf=0.5,
                                history=(HistoryEntry(h1, 0.5, 1),
                                         HistoryEntry(h2, 1.0, 2)))
-        assert ham(mem, z, scorer) == pytest.approx(0.5 * 0.8 + 0.5 * (0.2 / 3 + 0.4),
-                                                    abs=1e-12)
-        assert ham(mem, z, scorer) == pytest.approx(0.6333, abs=5e-5)
-        bank, zs = bank_of([mem], [z, recent, h1])
+        assert ham(mem, z, score_embedding) == pytest.approx(0.5 * 0.8 + 0.5 * (0.2 / 3 + 0.4),
+                                                             abs=1e-12)
+        assert ham(mem, z, score_embedding) == pytest.approx(0.6333, abs=5e-5)
+        detections = [z, recent, h1]
+        bank, zs = bank_of([mem], detections)
         pairs = np.zeros(3, dtype=int), np.arange(3)
-        np.testing.assert_array_equal(ham_scores(bank, *pairs, zs, scorer),
-                                      [ham(mem, z, scorer)] * 3)
-        np.testing.assert_array_equal(ham_scores(bank, *pairs, zs, scorer, use_ham=False),
-                                      [0.8] * 3)
+        np.testing.assert_array_equal(ham_scores(bank, *pairs, zs, score_embedding),
+                                      [ham(mem, x, score_embedding) for x in detections])
+        # use_ham=False scores the recent row alone.
+        np.testing.assert_array_equal(
+            ham_scores(bank, *pairs, zs, score_embedding, use_ham=False),
+            [pair(score_embedding, recent, x) for x in detections])
+        assert pair(score_embedding, recent, z) == pytest.approx(0.8, abs=1e-12)
 
     def test_empty_history_degrades_to_baseline(self):
         mem = AppearanceMemory(recent=unit([1.0, 0.0]), recent_conf=0.3)
@@ -293,13 +269,16 @@ class TestHam:
         assert ham(mem, z, score_embedding) == pair(score_embedding, mem.recent, z)
 
     def test_monotone_in_recent_score(self):
-        recent, h1, z = unit([1.0, 0.0]), unit([0.0, 1.0]), unit([1.0, 1.0])
-        mem = AppearanceMemory(recent=recent, recent_conf=0.4,
-                               history=(HistoryEntry(h1, 0.7, 1),))
-        values = []
-        for s in np.linspace(0.0, 1.0, 11):
-            scorer = StubScorer([(recent, float(s)), (h1, 0.5)])
-            values.append(ham(mem, z, scorer))
+        # The recent appearance turns from opposite z to z, its score from 0 to 1.
+        h1, z = unit([0.0, 1.0]), unit([1.0, 0.0])
+        values, recent_scores = [], []
+        for angle in np.linspace(math.pi, 0.0, 11):
+            recent = unit([math.cos(angle), math.sin(angle)])
+            mem = AppearanceMemory(recent=recent, recent_conf=0.4,
+                                   history=(HistoryEntry(h1, 0.7, 1),))
+            recent_scores.append(pair(score_embedding, recent, z))
+            values.append(ham(mem, z, score_embedding))
+        assert recent_scores[0] == pytest.approx(0.0) and recent_scores[-1] == pytest.approx(1.0)
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     @given(st.integers(0, 2**32 - 1))
@@ -315,57 +294,9 @@ class TestHam:
         out = ham(mem, unit(rng.normal(size=6)), score_embedding)
         assert 0.0 <= out <= 1.0
 
-    def test_one_call_per_slot_and_only_gated_pairs(self):
-        # Rows holding 0, 2 and 3 entries: the recent slot plus three history
-        # slots, each scored once over exactly the pairs whose row reaches it.
-        rng = np.random.default_rng(8)
-        memories = [AppearanceMemory(
-            recent=unit(rng.normal(size=4)), recent_conf=0.5,
-            history=tuple(HistoryEntry(unit(rng.normal(size=4)), 0.9, k + 1)
-                          for k in range(n))) for n in (0, 2, 3)]
-        bank, zs = bank_of(memories, [unit(rng.normal(size=4)) for _ in range(4)])
-        pair_rows, pair_cols = np.array([0, 1, 2, 2]), np.array([3, 0, 1, 3])
-        calls = []
-
-        def scorer(x, y):
-            calls.append(len(x))
-            return score_embedding(x, y)
-
-        got = ham_scores(bank, pair_rows, pair_cols, zs, scorer)
-        assert calls == [4, 3, 3, 2]
-        for p, (i, j) in enumerate(zip(pair_rows, pair_cols)):
-            assert got[p] == ham(memories[i], AppearanceDescriptor("embedding", zs[j]),
-                                 score_embedding)
-
-
-def slot_loop_ham_scores(bank, rows, cols, z, scorer, use_ham=True):
-    """HAM with one scorer call per slot on full rows: the reference for the support path."""
-    lengths = np.zeros_like(bank.hist_len)
-    if use_ham:
-        lengths[rows] = np.where(bank.recent_conf[rows] < 1.0, bank.hist_len[rows], 0)
-    weights = history_weight_rows(bank.hist_conf, lengths)
-    order = np.argsort(-lengths[rows], kind="stable")
-    r, n, y = rows[order], lengths[rows[order]], z[cols[order]]
-    s = scorer(bank.recent[r], y)
-    s_hist = np.zeros(len(r))
-    for k in range(int(n.max(initial=0))):
-        p = int(np.count_nonzero(n > k))
-        s_hist[:p] += weights[r[:p], k] * scorer(bank.hist[r[:p], k], y[:p])
-    c_r = bank.recent_conf[r]
-    scores = np.empty(len(r))
-    scores[order] = np.clip(np.where(n > 0, c_r * s + (1.0 - c_r) * s_hist, s), 0.0, 1.0)
-    return scores
-
-
-# The bins the detections of a frame fill. A sum over 512 bins adds each lane
-# of 8 in a 128-bin block on its own and then joins lanes and blocks pairwise.
-# The one- and two-bin detections, one of them in lane 2's column (10, 18),
-# one across blocks (3, 300) and two at the row's ends (0,) and (0, 511), are
-# scored on their own bins. The larger ones take the slot loop. Each of them
-# puts bins where a pairwise sum joins the last two terms first: lanes 1, 4
-# and 6 of block 0; blocks 0, 2 and 3; lanes 2, 4 and 6 of block 0 with 10
-# and 18 in lane 2's column; one bin in each of four blocks; and lane 0's
-# column of block 0 with bins of later blocks.
+# The bins the detections of a frame fill: one and two bins, in one lane of
+# a pairwise sum, across blocks and at the row's ends, and three to six bins
+# spread over lanes and blocks.
 DETECTION_BINS = ((7,), (10, 18), (3, 300), (1, 12, 22), (7, 300, 450), (2, 4, 6, 10, 18),
                   (5, 200, 300, 450), (64, 72, 80, 130, 260, 500), (0,), (0, 511))
 
@@ -406,64 +337,55 @@ def shared_bins_frame(rng, width, n_tracks=8, d=512):
     return bank, rows, cols, z
 
 
-def entry_products(bank, rows, cols, z, use_ham=True):
-    """Each pair's products with its recent and every history slot, their term counts, and
-    which (pair, slot) entries HAM uses."""
-    products = np.concatenate([bank.recent[:, None], bank.hist], axis=1)[rows] * z[cols][:, None]
-    n = np.where(use_ham & (bank.recent_conf[rows] < 1.0), bank.hist_len[rows], 0)
-    held = np.arange(bank.hist.shape[1] + 1) <= n[:, None]
-    return products, np.count_nonzero(products, axis=2), held
-
-
 class TestHistogramSupportPath:
-    """With ``score_histogram``, ``ham_scores`` equals the slot loop on full rows bit for bit."""
+    """With ``score_histogram``, ``ham_scores`` equals the slot loop to a few ulp.
 
-    @staticmethod
-    def counted(monkeypatch):
-        """A counting ``score_histogram``, also installed as the module's own."""
-        calls, original = [], appearance.score_histogram
-        monkeypatch.setattr(appearance, "score_histogram",
-                            lambda x, y: calls.append(len(x)) or original(x, y))
-        return appearance.score_histogram, calls
+    Blending square-root rows before the inner product reorders the slot
+    loop's arithmetic, which moves about a third of the scores by 1-4 ulp.
+    """
 
     @pytest.mark.parametrize("use_ham", [True, False])
     @pytest.mark.parametrize("width", range(TrackerConfig().hist_max + 1))
-    def test_matches_slot_loop(self, width, use_ham, monkeypatch):
+    def test_matches_slot_loop(self, width, use_ham):
         rng = np.random.default_rng(100 + width + 50 * use_ham)
         bank, rows, cols, z = shared_bins_frame(rng, width)
-        scorer, calls = self.counted(monkeypatch)
-        got = ham_scores(bank, rows, cols, z, scorer, use_ham)
+        got = ham_scores(bank, rows, cols, z, score_histogram, use_ham)
         expected = slot_loop_ham_scores(bank, rows, cols, z, score_histogram, use_ham)
-        assert np.array_equal(got, expected)
-        # The scorer saw each entry of the pairs whose detection fills 3+ bins, and no other.
-        _, _, held = entry_products(bank, rows, cols, z, use_ham)
-        assert sum(calls) == np.count_nonzero(held[np.count_nonzero(z, axis=1)[cols] > 2])
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
 
-    def test_frames_hold_every_overlap_and_a_reordered_sum_would_show(self):
-        bank, rows, cols, z = shared_bins_frame(np.random.default_rng(7), 10)
-        products, terms, held = entry_products(bank, rows, cols, z)
-        small = np.count_nonzero(z, axis=1)[cols] <= 2
-        assert set(terms[held & small[:, None]].tolist()) == {0, 1, 2}
-        assert set(np.minimum(terms[held & ~small[:, None]], 4).tolist()) == {0, 1, 2, 3, 4}
-        # Added in bin order, as a sum over the frame's bins adds them, some
-        # entries of three or more terms miss the full row's sum by a bit.
-        roots = np.sqrt(products[terms >= 3])
-        in_bin_order = [functools.reduce(operator.add, row[row > 0].tolist()) for row in roots]
-        assert np.any(np.array(in_bin_order) != roots.sum(axis=1))
 
-    def test_many_two_bin_detections_skip_the_scorer(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        bank, rows, cols, _ = shared_bins_frame(rng, 4)
-        # Forty two-bin detections fill 80 bins between them.
-        z = np.zeros((40, 512))
-        z[np.repeat(np.arange(40), 2), rng.permutation(512)[:80]] = rng.uniform(0.1, 1.0, 80)
-        z /= z.sum(axis=1, keepdims=True)
-        assert np.count_nonzero(z.any(axis=0)) == 80
-        rows, cols = np.indices((len(bank.recent), len(z))).reshape(2, -1)
-        scorer, calls = self.counted(monkeypatch)
-        got = ham_scores(bank, rows, cols, z, scorer)
-        assert calls == [0]  # the slot loop's recent-slot call, over no pairs
-        assert np.array_equal(got, slot_loop_ham_scores(bank, rows, cols, z, score_histogram))
+class TestBatchIndependence:
+    """A pair's score from one ``ham_scores`` call over many tracks equals, bit for bit,
+    ``ham`` of that pair alone on the track's own memory."""
+
+    HIST_MAX = TrackerConfig().hist_max
+
+    @pytest.mark.parametrize("use_ham", [True, False])
+    @pytest.mark.parametrize("kind, d", [("embedding", 128), ("histogram", 512)])
+    def test_pair_alone_equals_pair_in_batch(self, kind, d, use_ham):
+        rng = np.random.default_rng(d + use_ham)
+        make = ((lambda: unit(rng.normal(size=d))) if kind == "embedding"
+                else (lambda: sparse_histogram(rng, d)))
+        # Every length from 0 to hist_max six times; a third of them at recent_conf 1.
+        lengths = np.repeat(np.arange(self.HIST_MAX + 1), 6)
+        memories = [AppearanceMemory(
+            recent=make(), recent_conf=1.0 if k % 3 == 0 else float(rng.uniform(0.0, 1.0)),
+            history=tuple(HistoryEntry(make(), float(rng.uniform(0.05, 1.0)), e + 1)
+                          for e in range(n)))
+            for k, n in enumerate(lengths.tolist())]
+        detections = [make() for _ in range(40)]
+        detections[3] = memories[-1].history[-1].descriptor  # a perfect match
+        bank, z = bank_of(memories, detections)
+        # Slots past a row's history hold stale appearances, as evicted slots do.
+        stale = np.arange(bank.hist.shape[1]) >= bank.hist_len[:, None]
+        bank.hist[stale] = [make().values for _ in range(np.count_nonzero(stale))]
+        bank.hist_conf[stale] = rng.uniform(0.05, 1.0, size=np.count_nonzero(stale))
+        # Every pair once, in a shuffled order.
+        rows, cols = rng.permutation(np.indices((len(memories), len(z))).reshape(2, -1).T).T
+        scores = ham_scores(bank, rows, cols, z, scorer_for(kind), use_ham)
+        for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            alone = memories[i] if use_ham else dataclasses.replace(memories[i], history=())
+            assert scores[p] == ham(alone, detections[j], scorer_for(kind)), (i, j)
 
 
 class ReferenceMemory:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hamtrack import io_mot
 from hamtrack.core import AppearanceDescriptor, BBox
 from hamtrack.io_mot import (HIST_SIZE, frame_image_name, histogram_from_patch,
-                             parse_det_file, parse_embedding_file, parse_embedding_rows,
+                             parse_det_file, parse_embedding_rows,
                              parse_gt_file, read_ppm, write_embedding_file,
                              write_mot_rows, write_ppm, write_result_file)
 from hamtrack.synthgen import generate
@@ -296,35 +296,41 @@ class TestHistogramFromPatch:
         assert abs(float(hist.sum()) - 1.0) <= 1e-9
 
 
+def embeddings(text):
+    """``parse_embedding_rows`` as one unit row per (frame, ordinal), in file order."""
+    index, units = parse_embedding_rows(text)
+    return {key: units[n] for key, n in index.items()}
+
+
 class TestEmbeddingFile:
     def test_unit_vector_kept(self):
-        out = parse_embedding_file("dim=4\n1,0,1,0,0,0\n")
-        np.testing.assert_allclose(out[(1, 0)].values, [1, 0, 0, 0])
+        out = embeddings("dim=4\n1,0,1,0,0,0\n")
+        np.testing.assert_allclose(out[(1, 0)], [1, 0, 0, 0])
 
     def test_normalized_on_load(self):
-        out = parse_embedding_file("dim=4\n1,0,3,4,0,0\n")
-        np.testing.assert_allclose(out[(1, 0)].values, [0.6, 0.8, 0, 0])
+        out = embeddings("dim=4\n1,0,3,4,0,0\n")
+        np.testing.assert_allclose(out[(1, 0)], [0.6, 0.8, 0, 0])
 
     def test_duplicate_key_named(self):
         text = "dim=2\n1,0,1,0\n1,0,0,1\n"
         with pytest.raises(ValueError, match="frame 1, ordinal 0"):
-            parse_embedding_file(text)
+            embeddings(text)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="expected 4 fields"):
-            parse_embedding_file("dim=2\n1,0,1,0,0\n")
+            embeddings("dim=2\n1,0,1,0,0\n")
 
     def test_missing_header(self):
         with pytest.raises(ValueError, match="dim="):
-            parse_embedding_file("1,0,1,0\n")
+            embeddings("1,0,1,0\n")
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_embedding_file("dim=2\n1,0,0,0\n")
+            embeddings("dim=2\n1,0,0,0\n")
 
     @pytest.mark.parametrize("frame,ordinal", [("2.0", "1e0"), ("2e0", "1.0"), ("2", "1")])
     def test_whole_frame_and_ordinal_in_any_notation(self, frame, ordinal):
-        assert set(parse_embedding_file(f"dim=2\n{frame},{ordinal},1,0\n")) == {(2, 1)}
+        assert set(embeddings(f"dim=2\n{frame},{ordinal},1,0\n")) == {(2, 1)}
 
     @pytest.mark.parametrize("row,what", [("2.5,0,1,0", "frame '2.5'"),
                                           ("1,0.5,1,0", "ordinal '0.5'"),
@@ -333,22 +339,22 @@ class TestEmbeddingFile:
         name, value = what.split()
         with pytest.raises(ValueError,
                            match=f"^line 3: {name} is not a whole number: {value}$"):
-            parse_embedding_file("dim=2\n\n" + row + "\n")
+            embeddings("dim=2\n\n" + row + "\n")
 
     def test_overflowing_norm_reports_line_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^line 2: cannot normalize: vector norm "
                                                  "overflows a double$"):
-                parse_embedding_file("dim=2\n10,40,1e308,1\n")
+                embeddings("dim=2\n10,40,1e308,1\n")
 
     def test_write_then_parse(self):
         text = write_embedding_file(3, [(1, 0, [1.0, 0.0, 0.0]),
                                         (1, 1, [0.0, 0.6, 0.8]),
                                         (2, 0, [0.5, 0.5, 0.7071067812])])
-        table = parse_embedding_file(text)
+        table = embeddings(text)
         assert set(table) == {(1, 0), (1, 1), (2, 0)}
-        np.testing.assert_allclose(table[(1, 1)].values, [0.0, 0.6, 0.8], atol=1e-7)
+        np.testing.assert_allclose(table[(1, 1)], [0.0, 0.6, 0.8], atol=1e-7)
 
     def test_write_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
@@ -485,10 +491,6 @@ class TestColumnarParsers:
         expected = [by_rows(parse, text) for parse, text in cases]
         monkeypatch.setattr(io_mot, "_read_rows", None)  # the row parser must not run
         assert [outcome(parse, text) for parse, text in cases] == expected
-        table = parse_embedding_file(emb)
-        index, units = parse_embedding_rows(emb)
-        assert list(table) == list(index)
-        assert all(np.array_equal(table[key].values, units[n]) for key, n in index.items())
 
 
 def single_box_histogram(image, box):

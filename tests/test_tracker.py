@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamtrack import appearance
+from hamtrack import affinity, appearance
 from hamtrack import tracker as tracker_module
 from hamtrack.cli import main
 from hamtrack.association import associate
@@ -18,7 +18,8 @@ from hamtrack.core import (HISTOGRAM, AppearanceDescriptor, BBox, Detection,
 from hamtrack.io_mot import histogram_from_patch, write_result_file
 from hamtrack.synthgen import OcclusionEvent, ScenarioSpec, generate
 from hamtrack.tracker import FrameDescriptors, Tracker, run_sequence
-from scenario_utils import crossing_spec, line_spec, scenario_inputs, track_scenario
+from scenario_utils import (crossing_spec, line_spec, scenario_inputs, slot_loop_ham_scores,
+                            track_scenario)
 
 E = AppearanceDescriptor.embedding
 
@@ -274,24 +275,6 @@ class TestAppearanceIntegration:
             assert memory.hist_conf.shape == memory.hist_frame.shape == memory.hist.shape[:2]
         assert longest > 15  # more than the default cap and window allow
 
-    def test_scorer_calls_per_frame_at_most_width_plus_one(self, monkeypatch):
-        # The scorer is looked up in the appearance module on every step, and
-        # a frame scores the recent slot plus one call per history slot.
-        calls = []
-        original = appearance.score_embedding
-        monkeypatch.setattr(appearance, "score_embedding",
-                            lambda x, y: calls.append(len(x)) or original(x, y))
-        spec = crossing_spec(2)
-        dets, emb, _ = scenario_inputs(generate(spec))
-        tracker = Tracker(NO_FILTER, descriptor_source=lambda f, o: emb[(f, o)])
-        for f in range(1, spec.n_frames + 1):
-            width = tracker.table.memory.hist.shape[1]
-            calls.clear()
-            result = tracker.step(f, dets.get(f, []))
-            assert len(calls) <= width + 1
-            assert sum(calls[:1]) == result.diagnostics.appearance_evals
-        assert width > 1
-
 
 class TestDeterminismAndEquivalence:
     def test_run_twice_bitwise_identical(self):
@@ -352,35 +335,34 @@ class TestDeterminismAndEquivalence:
         finally:
             gc.enable()
 
-    def test_histogram_support_path_keeps_result_bytes(self, monkeypatch):
-        # Patch histograms of a PPM scene fill a few colour bins each, so HAM
-        # scores most pairs on their own bins; a scorer that is not
-        # ``score_histogram`` itself forces the slot loop.
+    def test_result_bytes_equal_the_slot_loop(self, monkeypatch):
+        # One inner product per pair moves some scores by an ulp against one
+        # scorer call per memory slot, and no result byte: checked on patch
+        # histograms of a PPM scene and on a crossing with embeddings.
         spec = line_spec(n_objects=6, n_frames=80, seed=4, jitter=1.5, fp_rate=0.5,
                          merge_prob=0.3, fragment_prob=0.05, conf_std=5.0)
         scenario = generate(spec, with_frames=True)
         dets, _, _ = scenario_inputs(scenario)
 
-        def source(frame, ordinal):
+        def histogram(frame, ordinal):
             (hist,) = histogram_from_patch(scenario.frames[frame], [dets[frame][ordinal].bbox])
             return AppearanceDescriptor(HISTOGRAM, hist)
 
-        calls, original = [], appearance.score_histogram
-        monkeypatch.setattr(appearance, "score_histogram",
-                            lambda x, y: calls.append(len(x)) or original(x, y))
+        crossing = crossing_spec(2)
+        crossing_dets, emb, _ = scenario_inputs(generate(crossing))
+        runs = [(dets, TrackerConfig(), histogram, spec.n_frames),
+                (crossing_dets, NO_FILTER, keyed(emb), crossing.n_frames)]
 
         def track():
-            calls.clear()
-            results = run_sequence(dets, TrackerConfig(), descriptor_source=source,
-                                   n_frames=spec.n_frames)
-            return write_result_file(results), len(calls)
+            return [write_result_file(run_sequence(d, cfg, descriptor_source=source, n_frames=n))
+                    for d, cfg, source, n in runs]
 
-        text, support_calls = track()
-        monkeypatch.setattr(appearance, "scorer_for",
-                            lambda kind: lambda x, y: appearance.score_histogram(x, y))
-        loop_text, loop_calls = track()
-        assert loop_text == text
-        assert 0 < support_calls < loop_calls  # some pairs were looped, in fewer calls
+        shipped = track()
+        looped = []
+        monkeypatch.setattr(affinity, "ham_scores",
+                            lambda *args: looped.append(1) or slot_loop_ham_scores(*args))
+        assert track() == shipped
+        assert len(looped) > 100  # the scoring fuse_appearance looks up is the slot loop
 
     def test_ham_off_equals_empty_history_run(self):
         # With history disabled entirely, scoring history-aware or not must
