@@ -1,13 +1,17 @@
 """The identity corpus: tracking results whose bytes a refactor must not change.
 
-``digests(workdir)`` generates the scenes into ``workdir``, tracks them with
-``hamtrack track`` and returns one SHA-256 per result file:
+``digests(workdir)`` generates the scenes into ``workdir``, tracks them and
+returns one SHA-256 per output:
 
-- the three-object crossings of ``crossing_spec`` seeds 1-3, with ``--ham``
-  on and off (``--filter none``, as acceptance criterion C4 runs them);
+- the three-object crossings of ``crossing_spec`` seeds 1-3, with HAM on and
+  off (``--filter none``, as acceptance criterion C4 runs them), once with
+  ``hamtrack track`` and once in process through ``run_sequence`` with a
+  per-(frame, ordinal) descriptor callable (``crossing_<seed>_library_ham_*``);
 - the bundled ``occlusion.scn`` under every ``--appearance`` (embed, hist,
   none) and ``--filter`` (sadf, const, none) mode, histograms read from its
-  PPM frames.
+  PPM frames: the result file, the ``--trace`` CSV (``*_trace``) and the
+  manifest (``*_manifest``), less its ``duration_sec`` and with its paths
+  relative to ``workdir``.
 
 ``tests/identity_digests.json`` holds the recorded digests and the Python,
 numpy and machine they were recorded on; ``tests/test_identity.py`` checks
@@ -35,9 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from hamtrack.cli import main
-from hamtrack.io_mot import write_embedding_file, write_mot_rows
+from hamtrack.core import TrackerConfig
+from hamtrack.io_mot import write_embedding_file, write_mot_rows, write_result_file
 from hamtrack.synthgen import generate
-from scenario_utils import crossing_spec
+from hamtrack.tracker import run_sequence
+from scenario_utils import crossing_spec, scenario_inputs
 
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 CROSSING_SEEDS = (1, 2, 3)
@@ -62,8 +68,18 @@ def _track(scene: Path, out: Path, *extra: str) -> None:
     _cli("track", "--det", str(scene / "det.txt"), "--out", str(out), *extra)
 
 
+def _manifest(path: Path, workdir: Path) -> bytes:
+    """The manifest at ``path`` without its run time, its paths relative to ``workdir``."""
+    manifest = json.loads(path.read_text())
+    del manifest["duration_sec"]
+    for group in ("inputs", "outputs"):
+        manifest[group] = {key: value and str(Path(value).relative_to(workdir))
+                           for key, value in manifest[group].items()}
+    return json.dumps(manifest, indent=2, sort_keys=True).encode()
+
+
 def digests(workdir: Path) -> dict[str, str]:
-    """``{result name: SHA-256 of its bytes}`` over the whole corpus, built in ``workdir``."""
+    """``{output name: SHA-256 of its bytes}`` over the whole corpus, built in ``workdir``."""
     results = {}
     for seed in CROSSING_SEEDS:
         spec, scene = crossing_spec(seed), workdir / f"crossing_{seed}"
@@ -72,11 +88,16 @@ def digests(workdir: Path) -> dict[str, str]:
         (scene / "det.txt").write_text(write_mot_rows(scenario.det_rows))
         (scene / "embeddings.csv").write_text(
             write_embedding_file(spec.embed_dim, scenario.embeddings))
+        dets, emb, _ = scenario_inputs(scenario)
         for ham in ("on", "off"):
             name = f"crossing_{seed}_ham_{ham}"
-            results[name] = workdir / f"{name}.txt"
-            _track(scene, results[name], "--embeddings", str(scene / "embeddings.csv"),
+            _track(scene, workdir / f"{name}.txt", "--embeddings", str(scene / "embeddings.csv"),
                    "--ham", ham, "--filter", "none")
+            results[name] = (workdir / f"{name}.txt").read_bytes()
+            cfg = TrackerConfig(filter_mode="none", use_ham=ham == "on")
+            tracked = run_sequence(dets, cfg, descriptor_source=lambda f, o: emb[f, o],
+                                   n_frames=spec.n_frames)
+            results[f"crossing_{seed}_library_ham_{ham}"] = write_result_file(tracked).encode()
     scene = workdir / "occlusion"
     _cli("generate", "--spec", str(resources.files("hamtrack") / "scenarios" / "occlusion.scn"),
          "--out", str(scene), "--frames")
@@ -85,11 +106,12 @@ def digests(workdir: Path) -> dict[str, str]:
     for appearance in APPEARANCES:
         for mode in FILTERS:
             name = f"occlusion_{appearance}_{mode}"
-            results[name] = workdir / f"{name}.txt"
-            _track(scene, results[name], "--appearance", appearance, *sources[appearance],
-                   "--filter", mode)
-    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for name, path in results.items()}
+            out, trace = workdir / f"{name}.txt", workdir / f"{name}.csv"
+            _track(scene, out, "--appearance", appearance, *sources[appearance],
+                   "--filter", mode, "--trace", str(trace))
+            results[name], results[f"{name}_trace"] = out.read_bytes(), trace.read_bytes()
+            results[f"{name}_manifest"] = _manifest(Path(f"{out}.manifest.json"), workdir)
+    return {name: hashlib.sha256(data).hexdigest() for name, data in results.items()}
 
 
 def differences(recorded: dict, found: dict[str, str]) -> list[str]:
