@@ -20,10 +20,6 @@ import numpy as np
 
 from .core import EMBEDDING, HISTOGRAM, AppearanceDescriptor, TrackerConfig
 
-# Scores row p of x against row p of y: two (P, d) arrays in, (P,) scores in
-# [0, 1] out. HAM takes the two built-in scorers only.
-Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class HistoryEntry:
@@ -89,38 +85,28 @@ def descriptor_rows(descriptors: Sequence[AppearanceDescriptor], kind: str, d: i
     return np.array([x.values for x in descriptors]).reshape(len(descriptors), d)
 
 
-# A built-in score is clip(link(phi(x) . phi(y))) with an affine link: (phi, link) of each.
-HISTOGRAM_FEATURES = (np.sqrt, lambda c: c)
-EMBEDDING_FEATURES = (lambda a: a, lambda c: (1.0 + c) / 2.0)
+class Scorer(NamedTuple):
+    """A score of row pairs, clip(link(phi(x) . phi(y)), 0, 1) with an affine ``link``: two
+    (P, d) arrays in, (P,) scores in [0, 1] out. HAM takes the two built-in values only."""
+
+    phi: Callable[[np.ndarray], np.ndarray]
+    link: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # vecdot gives each pair the bits np.dot gives it; a matrix product does not.
+        return np.clip(self.link(np.vecdot(self.phi(x), self.phi(y))), 0.0, 1.0)
 
 
-def _score(x: np.ndarray, y: np.ndarray, phi, link) -> np.ndarray:
-    # vecdot gives each pair the bits np.dot gives it; a matrix product does not.
-    return np.clip(link(np.vecdot(phi(x), phi(y))), 0.0, 1.0)
-
-
-def score_histogram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bhattacharyya coefficient sum_k sqrt(x_k) * sqrt(y_k) of each pair of rows."""
-    return _score(x, y, *HISTOGRAM_FEATURES)
-
-
-def score_embedding(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cosine similarity of each pair of unit rows, mapped onto [0, 1]."""
-    return _score(x, y, *EMBEDDING_FEATURES)
+# Embedding and histogram scorers, indexed by ``kind == HISTOGRAM``. HAM and
+# ``scorer_for`` use these values even where the module names are rebound.
+_BUILT_IN = (Scorer(lambda a: a, lambda c: (1.0 + c) / 2.0),  # cosine of unit rows onto [0, 1]
+             Scorer(np.sqrt, lambda c: c))  # Bhattacharyya coefficient
+score_embedding, score_histogram = _BUILT_IN
 
 
 def scorer_for(kind: str) -> Scorer:
-    """The built-in scorer of a descriptor kind, looked up when called."""
-    return score_histogram if kind == HISTOGRAM else score_embedding
-
-
-def features_of(scorer: Scorer):
-    """The (phi, link) of a built-in scorer, matched when called so a wrapped one is found."""
-    if scorer is score_histogram:
-        return HISTOGRAM_FEATURES
-    if scorer is score_embedding:
-        return EMBEDDING_FEATURES
-    raise ValueError(f"HAM scores with score_histogram or score_embedding only, not {scorer!r}")
+    """The built-in scorer of a descriptor kind, as this module defined it."""
+    return _BUILT_IN[kind == HISTOGRAM]
 
 
 def history_weight_rows(hist_conf: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -147,7 +133,9 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     track is one row c_r * phi(recent) + (1 - c_r) * sum_k w_k * phi(hist_k)
     and each pair one inner product.
     """
-    phi, link = features_of(scorer)
+    if scorer not in _BUILT_IN:
+        raise ValueError(f"HAM scores with score_histogram or score_embedding only, not {scorer!r}")
+    phi, link = scorer
     tracks, at = np.unique(rows, return_inverse=True)
     x = phi(bank.recent[tracks])
     n = np.where(use_ham & (bank.recent_conf[tracks] < 1.0), bank.hist_len[tracks], 0)

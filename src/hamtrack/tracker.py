@@ -33,9 +33,26 @@ DescriptorSource = Callable[[int, int], AppearanceDescriptor]
 class FrameDescriptors(NamedTuple):
     """A descriptor source by frame: ``rows(frame, ordinals)`` is ``(kind, rows)``, the
     descriptors of those detections as (len(ordinals), d) rows that already hold the
-    invariant of ``kind``; the kind and d are the same in every frame."""
+    invariant of ``kind``. ``Tracker`` checks that the kind and d stay the first frame's."""
 
     rows: Callable[[int, list[int]], tuple[str, np.ndarray]]
+
+
+def _as_rows(source: DescriptorSource | FrameDescriptors | None):
+    """``source`` as one ``rows(frame, ordinals) -> (kind, rows)`` call, a per-(frame, ordinal)
+    one checked against each frame's first descriptor. It holds the source, not the tracker,
+    which would make every tracker a reference cycle."""
+    if isinstance(source, FrameDescriptors):
+        return source.rows
+
+    def rows(frame: int, ordinals: list[int]) -> tuple[str, np.ndarray]:
+        if source is None:
+            raise ValueError(f"detection {ordinals[0]} in frame {frame} has no descriptor and "
+                             f"no descriptor source is configured")
+        found = [source(frame, k) for k in ordinals]
+        return found[0].kind, descriptor_rows(found, found[0].kind, len(found[0]))
+
+    return rows
 
 
 @contextmanager
@@ -131,9 +148,9 @@ class FrameResult:
 class Tracker:
     """Online tracker state for one sequence.
 
-    ``descriptor_source`` supplies appearance descriptors lazily, by frame
-    and ordinal or as a ``FrameDescriptors``; it is only consulted for
-    detections that survive filtering.
+    ``descriptor_source`` gives appearance descriptors by frame and ordinal or
+    as a ``FrameDescriptors``, once a frame for the detections that survive
+    filtering; every frame's must have the kind and length of the first's.
     With ``use_appearance=False`` the tracker runs on shape and motion alone.
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
     listing every problem ``validate_config`` finds.
@@ -146,10 +163,7 @@ class Tracker:
         problems = validate_config(self.cfg)
         if problems:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
-        self.descriptor_source = descriptor_source
-        # Not a bound method, which would keep the tracker alive until the cycle collector runs.
-        by_frame = isinstance(descriptor_source, FrameDescriptors)
-        self._frame_rows = descriptor_source.rows if by_frame else None
+        self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
         self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, 0)), self.cfg, 0)
         self._kind, self._dim = None, 0  # of the first descriptor seen
@@ -157,17 +171,6 @@ class Tracker:
         self._next_id = 1
         self._last_frame = 0
         self._frame_count = 0
-
-    def _rows_by_ordinal(self, frame: int, ordinals: list[int]) -> tuple[str, np.ndarray]:
-        """``FrameDescriptors.rows`` over a per-(frame, ordinal) source, with one kind and
-        length check against the first descriptor seen."""
-        if self.descriptor_source is None:
-            raise ValueError(
-                f"detection {ordinals[0]} in frame {frame} has no descriptor and "
-                f"no descriptor source is configured")
-        found = [self.descriptor_source(frame, k) for k in ordinals]
-        kind, d = (found[0].kind, len(found[0])) if self._kind is None else (self._kind, self._dim)
-        return kind, descriptor_rows(found, kind, d)
 
     def _apply_filter(self, frame: int,
                       detections: Sequence[Detection]) -> tuple[list[int], Optional[float], Optional[float]]:
@@ -200,11 +203,15 @@ class Tracker:
         survivors = [detections[k] for k in kept_ordinals]
         descriptors = np.zeros((len(survivors), self._dim))
         if self.use_appearance and kept_ordinals:
-            kind, descriptors = (self._frame_rows or self._rows_by_ordinal)(frame, kept_ordinals)
+            kind, descriptors = self._rows(frame, kept_ordinals)
             if self._kind is None:  # no track yet: size its descriptor columns
-                self._kind, self._dim = kind, descriptors.shape[1]
+                self._kind, self._dim = kind, descriptors.shape[-1]
                 self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)),
                                              cfg, 0)
+            if (kind, descriptors.shape) != (self._kind, (len(survivors), self._dim)):
+                raise ValueError(f"descriptor kind or length mismatch in frame {frame}: expected "
+                                 f"{len(survivors)} {self._kind} rows of length {self._dim}, "
+                                 f"got {kind} rows of shape {descriptors.shape}")
 
         table = self.table
         with _kalman_arithmetic(frame):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamtrack import appearance
-from hamtrack.appearance import (AppearanceMemory, HistoryEntry, MemoryBank, bank_of,
-                                 decay_confidence, descriptor_rows, ham, ham_scores,
+from hamtrack.appearance import (AppearanceMemory, HistoryEntry, MemoryBank, Scorer,
+                                 bank_of, decay_confidence, descriptor_rows, ham, ham_scores,
                                  history_weights, maybe_store_history, new_bank,
                                  score_embedding, score_histogram, scorer_for)
 from hamtrack.core import AppearanceDescriptor, BBox, Detection, TrackerConfig, validate_config
@@ -73,11 +74,41 @@ class TestScorers:
             tracker.step(2, [Detection(2, box, 50.0)])
 
     def test_dispatch(self, monkeypatch):
+        assert scorer_for("histogram") is score_histogram
+        assert scorer_for("embedding") is score_embedding
         assert pair(scorer_for("histogram"), H([1.0, 0.0]), H([1.0, 0.0])) == pytest.approx(1.0)
         assert pair(scorer_for("embedding"), E([1.0, 0.0]), E([1.0, 0.0])) == pytest.approx(1.0)
-        # Looked up when called, so a wrapped module function is the one used.
-        monkeypatch.setattr(appearance, "score_embedding", lambda x, y: np.zeros(len(x)))
-        assert pair(scorer_for("embedding"), E([1.0, 0.0]), E([1.0, 0.0])) == 0.0
+        # The module's own values, even while its name is rebound (as a tracer
+        # does); HAM rejects the function the name now holds.
+        patched = lambda x, y: np.zeros(len(x))  # noqa: E731
+        monkeypatch.setattr(appearance, "score_embedding", patched)
+        assert scorer_for("embedding") is score_embedding
+        memory = AppearanceMemory(E([1.0, 0.0]))
+        assert ham(memory, E([1.0, 0.0]), scorer_for("embedding")) == 1.0
+        with pytest.raises(ValueError, match="score_histogram or score_embedding only"):
+            ham(memory, E([1.0, 0.0]), patched)
+
+    @pytest.mark.parametrize("scorer", [
+        functools.wraps(score_embedding)(lambda *args: score_embedding(*args)),  # a tracer's
+        Scorer(lambda a: a, lambda c: c),
+        Scorer(np.sqrt, lambda c: (1.0 + c) / 2.0),
+    ])
+    def test_ham_takes_the_two_built_in_values_only(self, scorer):
+        memory = AppearanceMemory(E([1.0, 0.0]))
+        with pytest.raises(ValueError, match="^HAM scores with score_histogram or "
+                                             "score_embedding only, not "):
+            ham(memory, E([1.0, 0.0]), scorer)
+
+    def test_built_in_scorers_are_their_phi_and_link(self):
+        x = np.array([[0.36, 0.64], [1.0, 0.0]])
+        y = np.array([[0.64, 0.36], [0.0, 1.0]])
+        assert score_histogram.phi is np.sqrt
+        assert np.array_equal(score_histogram.link(x), x)
+        assert np.array_equal(score_embedding.phi(x), x)
+        assert np.array_equal(score_embedding.link(np.array([-1.0, 0.0, 1.0])), [0.0, 0.5, 1.0])
+        for scorer in (score_histogram, score_embedding):
+            phi, link = scorer
+            assert np.array_equal(scorer(x, y), np.clip(link(np.vecdot(phi(x), phi(y))), 0, 1))
 
     @pytest.mark.parametrize("a,b", [(H([0.2, 0.8]), H([0.6, 0.4])),
                                      (E([0.6, 0.8]), E([1.0, 0.0]))])

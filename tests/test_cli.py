@@ -460,6 +460,39 @@ class TestEval:
         assert "gone.txt" in capsys.readouterr().err
 
 
+TINY_SCENE = """
+n_frames = 2
+regime.0.start = 1
+regime.0.mean = 45
+regime.0.std = 0
+object.0.w = 30
+object.0.h = 60
+object.0.waypoints = 1:60,100; 2:64,100
+"""
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["track", "--det", "{d}/det.txt", "--out", "{d}/res.txt", "--set", "beta"], 2,
+     "--set expects key=value, got 'beta'"),
+    (["track", "--det", "{d}/det.txt", "--out", "{d}/res.txt", "--appearance", "embed"], 2,
+     "--appearance embed requires --embeddings"),
+    (["track", "--det", "{d}/det.txt", "--out", "{d}/res.txt", "--appearance", "hist"], 2,
+     "--appearance hist requires --frames-dir"),
+    (["track", "--det", "{d}/det.txt", "--out", "{d}/absent/res.txt"], 1,
+     "cannot write {d}/absent/res.txt: "),
+    (["generate", "--spec", "{d}/scene.scn", "--out", "{d}/det.txt/scene"], 1,
+     "cannot create {d}/det.txt/scene: "),
+])
+def test_error_exits_with_one_line_naming_it(tmp_path, capsys, argv, code, message):
+    (tmp_path / "det.txt").write_text("1,-1,10,20,30,60,45,-1,-1,-1\n")
+    (tmp_path / "scene.scn").write_text(TINY_SCENE)
+    rc = main([arg.format(d=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (code, "")
+    assert captured.err.startswith("error: " + message.format(d=tmp_path))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 # Field text a det, gt or embedding row may hold. Three in four are plain
 # numbers, so that whole files parse often enough to be tracked and scored;
 # the rest are whole numbers in float notation, fractions, NaN and infinities,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
                            TrackerConfig, box_columns, config_from_mapping, parse_kv_text,
                            validate_config)
+from hamtrack.synthgen import parse_scenario
 
 
 class TestBBox:
@@ -151,6 +152,20 @@ class TestValidateConfig:
         assert validate_config(TrackerConfig(**{name: 2**63})) == [
             f"{name} must fit in a 64-bit integer"]
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("eta", -0.5, "eta must be finite and >= 0"),
+        ("eta", math.inf, "eta must be finite and >= 0"),
+        ("tau_conf", 1.5, "tau_conf out of [0,1]"),
+        ("hist_window", 0, "hist_window must be >= 1"),
+        ("tau_const", math.nan, "tau_const must be finite"),
+        ("max_age", 0, "max_age must be >= 1"),
+        ("process_noise", -0.1, "process_noise must be >= 0"),
+        ("measurement_noise", math.inf, "measurement_noise must be >= 0"),
+        ("conf_decay", -0.1, "conf_decay out of [0,1]"),
+    ])
+    def test_each_message(self, name, value, message):
+        assert validate_config(TrackerConfig(**{name: value})) == [message]
+
     def test_fixed_alpha_mode_accepted(self):
         assert validate_config(TrackerConfig(alpha_mode="0.3")) == []
         assert validate_config(TrackerConfig(alpha_mode="1.5")) != []
@@ -167,6 +182,18 @@ class TestKvText:
 
     def test_last_key_wins(self):
         assert parse_kv_text("a = 1\na = 2\n") == {"a": "2"}
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_kv_text, "a = 1\n = 2\n", "line 2: empty key"),
+    (lambda text: config_from_mapping(parse_kv_text(text)), "use_ham = maybe",
+     "config key use_ham: expected a boolean, got 'maybe'"),
+    (parse_scenario, "object.first.w = 30\n", "object.first.w: index must be an integer"),
+])
+def test_parser_messages(parse, text, message):
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 class TestConfigFromMapping:

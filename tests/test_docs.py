@@ -1,10 +1,12 @@
-"""The README's lists of scenario-spec attributes and trace columns match the code."""
+"""The README's configuration table and its lists of spec attributes, trace columns and
+manifest totals match the code."""
 
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 from hamtrack.cli import MANIFEST_TOTALS, TRACE_COLUMNS
+from hamtrack.core import TrackerConfig
 from hamtrack.synthgen import SPEC_GROUPS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -30,3 +32,18 @@ def test_manifest_totals_match_the_manifest_writer():
     named = re.findall(r"`(\w+)`(?: \(as `(\w+)`\))?", " ".join(listed.split()))
     assert {total or column: column for column, total in named} == {
         "frames": "frames", "boxes": "boxes", **MANIFEST_TOTALS}
+
+
+def test_configuration_table_lists_every_field_with_its_default():
+    table = re.search(r"^\| key \| default \| meaning \|\n\|[-|]+\n((?:\|.*\n)+)", README, re.M)[1]
+    listed = {}
+    for keys, defaults in re.findall(r"^\| (.*?) \| (.*?) \|", table, re.M):
+        listed |= zip(re.findall(r"`(\w+)`", keys), defaults.replace("`", "").split(", "),
+                      strict=True)
+    declared = {f.name: f.default for f in fields(TrackerConfig)}
+    assert list(listed) == list(declared)
+    for name, default in declared.items():
+        if isinstance(default, (bool, str)):
+            assert listed[name] == str(default).lower(), name
+        else:
+            assert float(listed[name]) == default, name

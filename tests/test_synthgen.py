@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -198,6 +198,29 @@ class TestValidateScenario:
 
     def test_requires_objects(self):
         assert any("object" in e for e in validate_scenario(ScenarioSpec()))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"canvas_w": 7}, "canvas must be at least 8x8"),
+        ({"canvas_h": 7}, "canvas must be at least 8x8"),
+        ({"jitter_std": -0.5}, "jitter_std must be >= 0"),
+        ({"embed_noise_std": -0.01}, "embed_noise_std must be >= 0"),
+        ({"corrupt_frames": -1}, "corrupt_frames must be >= 0"),
+        ({"objects": (ObjectSpec(waypoints=(), w=30.0, h=60.0),)},
+         "object.0.waypoints is empty"),
+        ({"objects": (ObjectSpec(waypoints=((9, 60.0, 60.0), (2, 90.0, 60.0)), w=30.0, h=60.0),)},
+         "object.0.waypoints frames must be ascending"),
+        ({"objects": (ObjectSpec(waypoints=((0, 60.0, 60.0), (9, 90.0, 60.0)), w=30.0, h=60.0),)},
+         "object.0.waypoints outside [1, 40]"),
+        ({"objects": (ObjectSpec(waypoints=((1, 60.0, 60.0), (41, 90.0, 60.0)), w=30.0, h=60.0),)},
+         "object.0.waypoints outside [1, 40]"),
+        ({"events": (OcclusionEvent(obj=1, start=5, end=6),)}, "event.0.object out of range"),
+        ({"events": (OcclusionEvent(obj=0, start=5, end=6, by=-1),)}, "event.0.by out of range"),
+        ({"regimes": ()}, "at least one confidence regime is required"),
+        ({"regimes": (ConfidenceRegime(0, 45.0, 0.0),)}, "regime.0.start must be >= 1"),
+        ({"regimes": (ConfidenceRegime(1, 45.0, -1.0),)}, "regime.0.std must be >= 0"),
+    ])
+    def test_each_message(self, change, message):
+        assert validate_scenario(replace(line_spec(), **change)) == [message]
 
     @pytest.mark.parametrize("key, at_cap, over_cap, message", [
         ("fp_rate", MAX_FP_RATE, MAX_FP_RATE * 1.001, f"fp_rate must be in [0, {MAX_FP_RATE:g}]"),

@@ -106,6 +106,45 @@ class TestStepBasics:
         with pytest.raises(ValueError, match="descriptor"):
             tracker.step(1, [det(1, 50.0)])
 
+    @pytest.mark.parametrize("changed", [
+        ("histogram", np.array([[0.5, 0.5]])),  # kind
+        ("embedding", np.array([[1.0, 0.0, 0.0]])),  # width
+        ("embedding", np.array([[1.0, 0.0], [0.0, 1.0]])),  # two rows for one detection
+        ("embedding", np.array([1.0, 0.0])),  # not rows
+    ])
+    def test_frame_descriptors_that_change_shape_are_rejected(self, changed):
+        # A by-frame source gets the check a per-detection one gets.
+        def rows(frame, ordinals):
+            fine = ("embedding", np.tile([1.0, 0.0], (len(ordinals), 1)))
+            return changed if frame == 3 else fine
+
+        tracker = Tracker(NO_FILTER, descriptor_source=FrameDescriptors(rows))
+        for frame in (1, 2):
+            tracker.step(frame, [det(frame, 50.0 + 4 * frame)])
+        with pytest.raises(ValueError, match=r"^descriptor kind or length mismatch in frame 3: "
+                                             r"expected 1 embedding rows of length 2"):
+            tracker.step(3, [det(3, 62.0)])
+
+    def test_first_frame_rows_must_match_the_detections(self):
+        tracker = Tracker(NO_FILTER, descriptor_source=FrameDescriptors(
+            lambda frame, ordinals: ("embedding", np.zeros((len(ordinals) + 1, 2)))))
+        with pytest.raises(ValueError, match="^descriptor kind or length mismatch in frame 1"):
+            tracker.step(1, [det(1, 50.0)])
+
+    @pytest.mark.parametrize("changed", [E([1.0, 0.0, 0.0]),
+                                         AppearanceDescriptor.histogram([0.5, 0.5])])
+    def test_per_detection_descriptors_that_change_are_rejected(self, changed):
+        descriptors = {(1, 0): E([1.0, 0.0]), (2, 0): E([0.0, 1.0]), (2, 1): changed,
+                       (3, 0): changed}
+        tracker = Tracker(NO_FILTER, descriptor_source=keyed(descriptors))
+        tracker.step(1, [det(1, 50.0)])
+        with pytest.raises(ValueError, match="^descriptor kind or length mismatch"):
+            tracker.step(2, [det(2, 54.0), det(2, 300.0)])  # within the frame
+        tracker = Tracker(NO_FILTER, descriptor_source=keyed(descriptors))
+        tracker.step(1, [det(1, 50.0)])
+        with pytest.raises(ValueError, match="^descriptor kind or length mismatch in frame 3"):
+            tracker.step(3, [det(3, 58.0)])  # against the first frame
+
 
 class TestLifecycle:
     def test_startup_tracks_emit_immediately(self):
@@ -305,9 +344,14 @@ class TestDeterminismAndEquivalence:
             calls.append((frame, list(ordinals)))
             return "embedding", np.array([emb[frame, k].values for k in ordinals])
 
+        def by_ordinal(frame, ordinal):
+            asked.append((frame, ordinal))
+            return emb[frame, ordinal]
+
+        asked = []
         results = [run_sequence(dets, TrackerConfig(), descriptor_source=source,
                                 n_frames=spec.n_frames)
-                   for source in (FrameDescriptors(rows), lambda f, o: emb[(f, o)])]
+                   for source in (FrameDescriptors(rows), by_ordinal)]
         assert write_result_file(results[0]) == write_result_file(results[1])
         assert [fr.diagnostics for fr in results[0]] == [fr.diagnostics for fr in results[1]]
         # One call per frame that kept a detection, with the kept ordinals.
@@ -315,6 +359,7 @@ class TestDeterminismAndEquivalence:
         assert [frame for frame, _ in calls] == kept
         assert all(ordinals == sorted(ordinals) and ordinals for _, ordinals in calls)
         assert sum(len(o) for _, o in calls) < sum(map(len, dets.values()))  # SADF dropped some
+        assert asked == [(frame, k) for frame, ordinals in calls for k in ordinals]
 
     @pytest.mark.parametrize("by_frame", [False, True])
     def test_a_tracker_is_freed_without_the_cycle_collector(self, by_frame):
