@@ -11,7 +11,9 @@ returns one SHA-256 per output:
   none) and ``--filter`` (sadf, const, none) mode, histograms read from its
   PPM frames: the result file, the ``--trace`` CSV (``*_trace``) and the
   manifest (``*_manifest``), less its ``duration_sec`` and with its paths
-  relative to ``workdir``.
+  relative to ``workdir``;
+- the ``hamtrack eval`` line (``*_eval``) of every ``hamtrack track`` result
+  above, scored against the scene's ground truth.
 
 ``tests/identity_digests.json`` holds the recorded digests and the Python,
 numpy and machine they were recorded on; ``tests/test_identity.py`` checks
@@ -31,7 +33,7 @@ import json
 import platform
 import sys
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
 from pathlib import Path
@@ -57,15 +59,21 @@ def environment() -> dict:
             "machine": platform.machine(), "system": platform.system()}
 
 
-def _cli(*args: str) -> None:
-    with redirect_stderr(StringIO()) as err:
+def _cli(*args: str) -> bytes:
+    """What ``hamtrack *args`` prints to stdout."""
+    with redirect_stderr(StringIO()) as err, redirect_stdout(StringIO()) as out:
         code = main(list(args))
     if code != 0:
         raise RuntimeError(f"hamtrack {' '.join(args)} exited {code}: {err.getvalue()}")
+    return out.getvalue().encode()
 
 
 def _track(scene: Path, out: Path, *extra: str) -> None:
     _cli("track", "--det", str(scene / "det.txt"), "--out", str(out), *extra)
+
+
+def _eval(scene: Path, result: Path) -> bytes:
+    return _cli("eval", "--gt", str(scene / "gt.txt"), "--result", str(result))
 
 
 def _manifest(path: Path, workdir: Path) -> bytes:
@@ -86,6 +94,7 @@ def digests(workdir: Path) -> dict[str, str]:
         scenario = generate(spec)
         scene.mkdir()
         (scene / "det.txt").write_text(write_mot_rows(scenario.det_rows))
+        (scene / "gt.txt").write_text(write_mot_rows(scenario.gt_rows))
         (scene / "embeddings.csv").write_text(
             write_embedding_file(spec.embed_dim, scenario.embeddings))
         dets, emb, _ = scenario_inputs(scenario)
@@ -94,6 +103,7 @@ def digests(workdir: Path) -> dict[str, str]:
             _track(scene, workdir / f"{name}.txt", "--embeddings", str(scene / "embeddings.csv"),
                    "--ham", ham, "--filter", "none")
             results[name] = (workdir / f"{name}.txt").read_bytes()
+            results[f"{name}_eval"] = _eval(scene, workdir / f"{name}.txt")
             cfg = TrackerConfig(filter_mode="none", use_ham=ham == "on")
             tracked = run_sequence(dets, cfg, descriptor_source=lambda f, o: emb[f, o],
                                    n_frames=spec.n_frames)
@@ -111,6 +121,7 @@ def digests(workdir: Path) -> dict[str, str]:
                    "--filter", mode, "--trace", str(trace))
             results[name], results[f"{name}_trace"] = out.read_bytes(), trace.read_bytes()
             results[f"{name}_manifest"] = _manifest(Path(f"{out}.manifest.json"), workdir)
+            results[f"{name}_eval"] = _eval(scene, out)
     return {name: hashlib.sha256(data).hexdigest() for name, data in results.items()}
 
 
