@@ -76,12 +76,14 @@ def new_bank(recent: np.ndarray, width: int = 0) -> MemoryBank:
                       np.zeros((n, width), dtype=int), np.zeros(n, dtype=int))
 
 
-def descriptor_rows(descriptors: Sequence[AppearanceDescriptor], kind: str, d: int) -> np.ndarray:
-    """The values of ``descriptors`` as (len, d) rows, after one kind and length check."""
+def descriptor_rows(descriptors: Sequence[AppearanceDescriptor], kind: str, d: int,
+                    where: str = "") -> np.ndarray:
+    """The values of ``descriptors`` as (len, d) rows, after one kind and length check whose
+    message says ``where`` the descriptors are from."""
     found = {(x.kind, len(x)) for x in descriptors} - {(kind, d)}
     if found:
-        raise ValueError(f"descriptor kind or length mismatch: expected {kind} descriptors of "
-                         f"length {d}, got {sorted(found)}")
+        raise ValueError(f"descriptor kind or length mismatch{where}: expected {kind} "
+                         f"descriptors of length {d}, got {sorted(found)}")
     return np.array([x.values for x in descriptors]).reshape(len(descriptors), d)
 
 

@@ -17,13 +17,6 @@ import numpy as np
 
 from .core import VEL_PRIOR_SCALE, BBox
 
-F = np.array([[1.0, 0.0, 1.0, 0.0],
-              [0.0, 1.0, 0.0, 1.0],
-              [0.0, 0.0, 1.0, 0.0],
-              [0.0, 0.0, 0.0, 1.0]])
-H = np.array([[1.0, 0.0, 0.0, 0.0],
-              [0.0, 1.0, 0.0, 0.0]])
-
 
 class KalmanState(NamedTuple):
     """Means (..., 4) and symmetric PSD covariances (..., 4, 4)."""
@@ -70,9 +63,15 @@ def predict(state: KalmanState, process_std=0.0) -> KalmanState:
     """One-frame constant-velocity prediction: F x, F P F' + Q.
 
     Q is diagonal, ``process_std`` on the observed pair and half of it on the rates.
+    F = [[I, I], [0, I]], so F P F' is a row add, then a column add: each entry has at
+    most two nonzero terms, so it is the double the matrix product gives.
     """
-    cov = F @ state.cov @ F.T + _diag(process_std, np.divide(process_std, 2.0))
-    return KalmanState(state.mean @ F.T, (cov + _transpose(cov)) / 2.0)
+    mean, cov = np.array(state.mean, dtype=float), np.array(state.cov, dtype=float)
+    mean[..., :2] += mean[..., 2:]
+    cov[..., :2, :] += cov[..., 2:, :]
+    cov[..., :2] += cov[..., 2:]
+    cov += _diag(process_std, np.divide(process_std, 2.0))
+    return KalmanState(mean, (cov + _transpose(cov)) / 2.0)
 
 
 def _gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
@@ -93,7 +92,8 @@ def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
     """Correct predicted states with measurements (..., 2) of the observed pair.
 
     Uses the Joseph-form covariance update, which stays PSD for any gain and
-    keeps the matrix symmetric over long operation sequences.
+    keeps the matrix symmetric over long operation sequences. H = [I, 0], so H P H',
+    P H', H x and K H = [K, 0] are slices, the doubles the matrix products give.
     """
     z = np.asarray(measurement, dtype=float)
     if z.shape != state.mean.shape[:-1] + (2,) or not np.all(np.isfinite(z)):
@@ -101,12 +101,12 @@ def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
                          f"got {measurement!r}")
     R = np.eye(2) * np.float_power(measurement_std, 2)[..., None, None]
     P = state.cov
-    S = H @ P @ H.T + R
-    PHt = P @ H.T
+    S = P[..., :2, :2] + R
+    PHt = P[..., :2]
     K = _gain(S, PHt)
-    innovation = z - state.mean @ H.T
+    innovation = z - state.mean[..., :2]
     mean = state.mean + (K @ innovation[..., None])[..., 0]
-    ikh = np.eye(4) - K @ H
+    ikh = np.eye(4) - np.concatenate((K, np.zeros_like(K)), axis=-1)
     cov = ikh @ P @ _transpose(ikh) + K @ R @ _transpose(K)
     return KalmanState(mean, (cov + _transpose(cov)) / 2.0)
 

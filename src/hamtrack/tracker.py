@@ -50,7 +50,8 @@ def _as_rows(source: DescriptorSource | FrameDescriptors | None):
             raise ValueError(f"detection {ordinals[0]} in frame {frame} has no descriptor and "
                              f"no descriptor source is configured")
         found = [source(frame, k) for k in ordinals]
-        return found[0].kind, descriptor_rows(found, found[0].kind, len(found[0]))
+        return found[0].kind, descriptor_rows(found, found[0].kind, len(found[0]),
+                                              f" in frame {frame}")
 
     return rows
 
@@ -204,14 +205,17 @@ class Tracker:
         descriptors = np.zeros((len(survivors), self._dim))
         if self.use_appearance and kept_ordinals:
             kind, descriptors = self._rows(frame, kept_ordinals)
-            if self._kind is None:  # no track yet: size its descriptor columns
-                self._kind, self._dim = kind, descriptors.shape[-1]
+            shape = descriptors.shape if isinstance(descriptors, np.ndarray) else None
+            if self._kind is None and shape is not None and len(shape) == 2:
+                # no track yet: size its descriptor columns
+                self._kind, self._dim = kind, shape[1]
                 self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)),
                                              cfg, 0)
-            if (kind, descriptors.shape) != (self._kind, (len(survivors), self._dim)):
+            if (kind, shape) != (self._kind, (len(survivors), self._dim)):
+                got = f"shape {shape}" if shape is not None else type(descriptors).__name__
                 raise ValueError(f"descriptor kind or length mismatch in frame {frame}: expected "
-                                 f"{len(survivors)} {self._kind} rows of length {self._dim}, "
-                                 f"got {kind} rows of shape {descriptors.shape}")
+                                 f"{len(survivors)} {self._kind or kind} rows of length "
+                                 f"{self._dim or 'd'}, got {kind} rows of {got}")
 
         table = self.table
         with _kalman_arithmetic(frame):

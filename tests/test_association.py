@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from hamtrack.affinity import AffinityMatrix
-from hamtrack.association import FIRST_STEP_BLOCK, _solve_min, associate, hungarian_max
+from hamtrack.association import (FIRST_STEP_BLOCK, Assignment, _solve_min, associate,
+                                  hungarian_max)
 
 
 def reference_solve_min(cost):
@@ -386,3 +387,128 @@ class TestFirstStepBlocks:
         n = int(rng.integers(3 * self.B, 5 * self.B))
         cost = rng.integers(0, 3, size=(n, n + int(rng.integers(0, 8)))).astype(float)
         assert _solve_min(cost) == reference_solve_min(cost)
+
+
+def quantised_crowd_cost(rng, n, m, zero_share, step=0.125):
+    """A crowd grid with affinities rounded to ``step``: long runs of steps whose delta
+    is exactly 0.0, and new reduced costs that tie the minv they are compared with."""
+    affinity = np.round(rng.random((n, m)) / step) * step
+    affinity[rng.random((n, m)) < zero_share] = 0.0
+    return affinity.max() - affinity
+
+
+def ladder_cost(rng, k, extra_rows=0):
+    """A grid on which row ``k``'s search climbs a chain of ``k`` tree rows to one free
+    column F, and each tree row lowers F's minv strictly, ties it or leaves it.
+
+    Row r < k holds column r at cost 0 and offers the next chain column at 0, 1/2 or
+    1 (the step's delta). The searching row k wants column 0. Every value is a
+    multiple of 1/8, so the arithmetic is exact and each tie is a true tie. The
+    columns are then permuted, and ``extra_rows`` quantised rows search after.
+    """
+    big = 10.0 * k + 50.0
+    f = k  # the free column
+    cost = np.full((k + 1, k + 3 + extra_rows), big)
+    minv_f = 4.0 * k + 10.5
+    cost[k, 0], cost[k, f] = 0.0, minv_f
+    delta = 0.0
+    for r in range(k):
+        cost[r, r] = 0.0
+        minv_f -= delta
+        offer = minv_f + rng.choice([-1.0, -0.125, 0.0, 2.0])  # lower, tie or leave
+        cost[r, f] = offer
+        minv_f = min(minv_f, offer)
+        if r < k - 1:
+            delta = float(rng.choice([0.0, 0.5, 1.0]))
+            cost[r, r + 1] = delta
+    cost = cost[:, rng.permutation(cost.shape[1])]
+    if extra_rows:
+        cost = np.vstack([cost, quantised_crowd_cost(rng, extra_rows, cost.shape[1], 0.5)])
+    return cost
+
+
+class TestStepsWithoutWayArray:
+    """Grids that stress a step's ``np.minimum`` and the path's replayed previous columns."""
+
+    @pytest.mark.parametrize("zero_share", [0.3, 0.6, 0.85])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quantised_crowd_grids(self, zero_share, seed):
+        rng = np.random.default_rng(800 + seed)
+        for n, m in ((150, 170), (40, 40), (int(rng.integers(1, 30)), 33)):
+            cost = quantised_crowd_cost(rng, n, m, zero_share)
+            assert _solve_min(cost) == reference_solve_min(cost), (n, m)
+
+    @pytest.mark.parametrize("step", [0.5, 0.25, 1 / 16])
+    def test_coarse_and_fine_quantised_grids(self, step):
+        rng = np.random.default_rng(int(1 / step))
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            cost = quantised_crowd_cost(rng, n, n + int(rng.integers(0, 6)), 0.6, step)
+            assert _solve_min(cost) == reference_solve_min(cost)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, FIRST_STEP_BLOCK, 40])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_path_columns_lowered_by_several_tree_rows(self, k, seed):
+        rng = np.random.default_rng(850 + seed)
+        for extra_rows in (0, 10):
+            cost = ladder_cost(rng, k, extra_rows)
+            assert _solve_min(cost) == reference_solve_min(cost), extra_rows
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_transposes(self, seed):
+        # n > m: hungarian_max solves the transpose and gives the pairs back by row.
+        rng = np.random.default_rng(870 + seed)
+        for cost in (quantised_crowd_cost(rng, 20, 26, 0.6), ladder_cost(rng, 9, 4),
+                     rng.random((7, 12)), np.zeros((3, 5))):
+            want = sorted((j, i) for i, j in enumerate(reference_solve_min(cost)))
+            got = hungarian_max((cost.max() - cost).T)
+            assert got == want
+            assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def loop_associate(matrix, tau_asc):
+    """``associate`` as a loop over the matched pairs, reading one cell at a time."""
+    matches = []
+    matched_tracks, matched_dets = ([False] * k for k in matrix.values.shape)
+    for i, j in hungarian_max(matrix.values):
+        value = float(matrix.values[i, j])
+        if matrix.gate_mask[i, j] and value >= tau_asc:
+            matches.append((i, j, value))
+            matched_tracks[i] = matched_dets[j] = True
+    return Assignment(
+        matches=tuple(matches),
+        unmatched_tracks=tuple(i for i, hit in enumerate(matched_tracks) if not hit),
+        unmatched_detections=tuple(j for j, hit in enumerate(matched_dets) if not hit),
+    )
+
+
+class TestAssociateMatchesLoop:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_gated_matrices(self, seed):
+        rng = np.random.default_rng(880 + seed)
+        n, m = (int(v) for v in rng.integers(0, 12, size=2))
+        tau = float(rng.choice([0.0, 0.25, 0.5]))
+        values = np.round(rng.random((n, m)) * 4) / 4  # many cells equal tau
+        gate = rng.random((n, m)) < 0.7
+        if seed % 3 == 0:
+            values = np.where(gate, values, 0.0)
+        matrix_ = AffinityMatrix(values=values, gate_mask=gate)
+        got = associate(matrix_, tau)
+        assert got == loop_associate(matrix_, tau)
+        assert all(type(x) is int for i, j, _ in got.matches for x in (i, j))
+        assert all(type(v) is float for _, _, v in got.matches)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (1, 1), (4, 6), (6, 4)])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_empty_and_all_zero(self, shape, tau):
+        for gate in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
+            matrix_ = AffinityMatrix(values=np.zeros(shape), gate_mask=gate)
+            assert associate(matrix_, tau) == loop_associate(matrix_, tau)
+
+    def test_values_equal_to_tau_are_kept(self):
+        values = np.array([[0.3, 0.0], [0.0, 0.3], [0.29, 0.0]])
+        matrix_ = AffinityMatrix(values=values, gate_mask=values > 0.0)
+        got = associate(matrix_, 0.3)
+        assert got == loop_associate(matrix_, 0.3)
+        assert got.matches == ((0, 0, 0.3), (1, 1, 0.3))
+        assert got.unmatched_tracks == (2,)

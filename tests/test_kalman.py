@@ -215,3 +215,89 @@ class TestBatched:
         heights = np.array([b.h for b in boxes])
         batched = kalman.init(observed, heights)
         assert_rows_match(batched, [kalman.init_motion(b) for b in boxes])
+
+
+# The generic forms the slices and adds in ``predict`` and ``update`` stand for.
+F = np.array([[1.0, 0.0, 1.0, 0.0],
+              [0.0, 1.0, 0.0, 1.0],
+              [0.0, 0.0, 1.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0]])
+H = np.array([[1.0, 0.0, 0.0, 0.0],
+              [0.0, 1.0, 0.0, 0.0]])
+
+
+def matmul_predict(state, process_std=0.0):
+    cov = F @ state.cov @ F.T + kalman._diag(process_std, np.divide(process_std, 2.0))
+    return kalman.KalmanState(state.mean @ F.T, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
+
+
+def matmul_update(state, measurement, measurement_std=0.0):
+    z = np.asarray(measurement, dtype=float)
+    R = np.eye(2) * np.float_power(measurement_std, 2)[..., None, None]
+    P = state.cov
+    K = kalman._gain(H @ P @ H.T + R, P @ H.T)
+    mean = state.mean + (K @ (z - state.mean @ H.T)[..., None])[..., 0]
+    ikh = np.eye(4) - K @ H
+    cov = ikh @ P @ np.swapaxes(ikh, -1, -2) + K @ R @ np.swapaxes(K, -1, -2)
+    return kalman.KalmanState(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+class TestMatchesMatmulForm:
+    """``predict`` and ``update`` give every double of the F and H matrix products."""
+
+    def check(self, state, process_std, z, measurement_std):
+        assert_same_bits(kalman.predict(state, process_std), matmul_predict(state, process_std))
+        assert_same_bits(kalman.update(state, z, measurement_std),
+                         matmul_update(state, z, measurement_std))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 80))
+        states = stack([random_state(rng) for _ in range(n)])
+        states = kalman.KalmanState(states.mean * 10.0 ** rng.integers(-3, 4, size=(n, 1)),
+                                    states.cov * 10.0 ** rng.integers(-3, 4, size=(n, 1, 1)))
+        self.check(states, rng.uniform(0.0, 5.0, size=n), rng.normal(size=(n, 2)) * 50,
+                   rng.uniform(0.0, 5.0, size=n))
+
+    def test_single_filter(self):
+        rng = np.random.default_rng(930)
+        self.check(random_state(rng), 0.7, rng.normal(size=2), 1.3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tracker_layout_through_a_sequence(self, seed):
+        # (tracks, [motion, shape]) filters from init, with zero rates, diagonal
+        # covariances and the tracker's noise scaled by each track's height.
+        rng = np.random.default_rng(940 + seed)
+        observed = rng.uniform(10.0, 500.0, size=(40, 2, 2))
+        state = kalman.init(observed, observed[:, 1, 1:])
+        for _ in range(6):
+            std = 0.05 * observed[:, 1, 1:]
+            z = observed + rng.normal(size=observed.shape)
+            self.check(state, std, z, std)
+            state = kalman.update(kalman.predict(state, std), z, std)
+
+    def test_zero_rates_and_exactly_zero_entries(self):
+        rng = np.random.default_rng(950)
+        cov = np.stack([random_state(rng).cov for _ in range(30)])
+        cov[:10, :2, 2:] = cov[:10, 2:, :2] = 0.0
+        cov[10:20] = np.diag([0.0, 3.0, 0.0, 1.5])
+        cov[20:, 0, 0] = 0.0
+        mean = rng.normal(size=(30, 4)) * 20
+        mean[::2, 2:] = 0.0
+        self.check(kalman.KalmanState(mean, cov), np.where(np.arange(30) % 3, 1.0, 0.0),
+                   rng.normal(size=(30, 2)), np.where(np.arange(30) % 4, 0.5, 0.0))
+
+    def test_singular_innovation_fallback_row(self):
+        rng = np.random.default_rng(960)
+        states = [random_state(rng) for _ in range(12)]
+        states[5] = kalman.KalmanState(np.array([3.0, 4.0, 1.0, -1.0]),
+                                       np.diag([0.0, 0.0, 2.0, 2.0]))
+        self.check(stack(states), 0.0, rng.normal(size=(12, 2)) * 30, np.zeros(12))
+        self.check(states[5], 0.0, np.array([1.0, 2.0]), 0.0)

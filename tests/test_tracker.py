@@ -131,6 +131,31 @@ class TestStepBasics:
         with pytest.raises(ValueError, match="^descriptor kind or length mismatch in frame 1"):
             tracker.step(1, [det(1, 50.0)])
 
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0]], ([1.0, 0.0],), np.float64(1.0)])
+    def test_frame_descriptors_that_are_not_an_array_are_rejected(self, rows, first):
+        # Rows that are not a numpy array are named, in the first frame or a later one.
+        tracker = Tracker(NO_FILTER, descriptor_source=FrameDescriptors(
+            lambda frame, ordinals: ("embedding", rows if first or frame == 2
+                                     else np.array([[1.0, 0.0]]))))
+        if not first:
+            tracker.step(1, [det(1, 50.0)])
+        frame = 1 if first else 2
+        with pytest.raises(ValueError, match=rf"^descriptor kind or length mismatch in frame "
+                                             rf"{frame}: expected 1 embedding rows of length "
+                                             rf"{'d' if first else 2}, got embedding rows of "):
+            tracker.step(frame, [det(frame, 54.0)])
+
+    @pytest.mark.parametrize("changed", [E([1.0, 0.0, 0.0]),
+                                         AppearanceDescriptor.histogram([0.5, 0.5])])
+    def test_per_detection_descriptors_that_change_within_a_frame_name_it(self, changed):
+        descriptors = {(1, 0): E([1.0, 0.0]), (2, 0): E([0.0, 1.0]), (2, 1): changed}
+        tracker = Tracker(NO_FILTER, descriptor_source=keyed(descriptors))
+        tracker.step(1, [det(1, 50.0)])
+        with pytest.raises(ValueError, match=r"^descriptor kind or length mismatch in frame 2: "
+                                             r"expected embedding descriptors of length 2"):
+            tracker.step(2, [det(2, 54.0), det(2, 300.0)])
+
     @pytest.mark.parametrize("changed", [E([1.0, 0.0, 0.0]),
                                          AppearanceDescriptor.histogram([0.5, 0.5])])
     def test_per_detection_descriptors_that_change_are_rejected(self, changed):
