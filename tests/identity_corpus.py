@@ -13,7 +13,12 @@ returns one SHA-256 per output:
   manifest (``*_manifest``), less its ``duration_sec`` and with its paths
   relative to ``workdir``;
 - the ``hamtrack eval`` line (``*_eval``) of every ``hamtrack track`` result
-  above, scored against the scene's ground truth.
+  above, scored against the scene's ground truth;
+- the generated inputs (``*_inputs``): the det, gt and embedding files of each
+  crossing, of ``occlusion.scn`` as ``hamtrack generate --frames`` writes it
+  (then its PPM frames in name order) and of ``schedule_specs()``, small
+  scenes at the edges of the generator's occlusion, lead-in and confidence
+  regime schedule. Each such digest is taken over the files' own SHA-256s.
 
 ``tests/identity_digests.json`` holds the recorded digests and the Python,
 numpy and machine they were recorded on; ``tests/test_identity.py`` checks
@@ -34,6 +39,7 @@ import platform
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from importlib import resources
 from io import StringIO
 from pathlib import Path
@@ -43,7 +49,8 @@ import numpy as np
 from hamtrack.cli import main
 from hamtrack.core import TrackerConfig
 from hamtrack.io_mot import write_embedding_file, write_mot_rows, write_result_file
-from hamtrack.synthgen import generate
+from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent, ScenarioSpec,
+                               generate)
 from hamtrack.tracker import run_sequence
 from scenario_utils import crossing_spec, scenario_inputs
 
@@ -57,6 +64,46 @@ def environment() -> dict:
     """What the digests were computed on."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "system": platform.system()}
+
+
+def schedule_specs() -> dict[str, ScenarioSpec]:
+    """Scenes at the edges of the generator's schedule: regimes listed out of start order,
+    two sharing a start and none at frame 1; one object with two events whose lead-ins
+    overlap, the later-starting one listed first; and lead-ins of 0 frames and of far more
+    frames than the scene has, one of them reaching back past frame 1."""
+    walkers = tuple(ObjectSpec(waypoints=((1, x, 80.0), (30, x, 400.0)), w=30.0, h=60.0)
+                    for x in (60.0, 150.0, 240.0))
+    base = ScenarioSpec(seed=11, n_frames=30, fp_rate=0.5, jitter_std=1.0, embed_dim=8,
+                        corrupt_frames=4, corrupt_blend=0.6, objects=walkers)
+    events = (OcclusionEvent(obj=1, start=3, end=5, by=2), OcclusionEvent(obj=2, start=25, end=28),
+              OcclusionEvent(obj=1, start=14, end=15, by=0))
+    return {
+        "regimes": replace(base, regimes=(
+            ConfidenceRegime(12, 60.0, 2.0), ConfidenceRegime(5, 40.0, 5.0),
+            ConfidenceRegime(12, 20.0, 1.0), ConfidenceRegime(8, 50.0, 3.0))),
+        "lead_ins": replace(base, events=(OcclusionEvent(obj=0, start=20, end=22, by=1),
+                                          OcclusionEvent(obj=0, start=16, end=17))),
+        "corrupt_0": replace(base, corrupt_frames=0, events=events),
+        "corrupt_huge": replace(base, corrupt_frames=10**6, events=events),
+    }
+
+
+def _write_scene(spec: ScenarioSpec, scene: Path):
+    """Generate ``spec`` into ``scene`` as det, gt and embedding files; the scenario."""
+    scenario = generate(spec)
+    scene.mkdir()
+    (scene / "det.txt").write_text(write_mot_rows(scenario.det_rows))
+    (scene / "gt.txt").write_text(write_mot_rows(scenario.gt_rows))
+    (scene / "embeddings.csv").write_text(
+        write_embedding_file(spec.embed_dim, scenario.embeddings))
+    return scenario
+
+
+def _inputs(scene: Path) -> bytes:
+    """The SHA-256s of a generated scene's files: det, gt, embeddings, then its frames."""
+    paths = [scene / "det.txt", scene / "gt.txt", scene / "embeddings.csv",
+             *sorted((scene / "frames").glob("*.ppm"))]
+    return b"".join(hashlib.sha256(path.read_bytes()).digest() for path in paths)
 
 
 def _cli(*args: str) -> bytes:
@@ -91,12 +138,8 @@ def digests(workdir: Path) -> dict[str, str]:
     results = {}
     for seed in CROSSING_SEEDS:
         spec, scene = crossing_spec(seed), workdir / f"crossing_{seed}"
-        scenario = generate(spec)
-        scene.mkdir()
-        (scene / "det.txt").write_text(write_mot_rows(scenario.det_rows))
-        (scene / "gt.txt").write_text(write_mot_rows(scenario.gt_rows))
-        (scene / "embeddings.csv").write_text(
-            write_embedding_file(spec.embed_dim, scenario.embeddings))
+        scenario = _write_scene(spec, scene)
+        results[f"crossing_{seed}_inputs"] = _inputs(scene)
         dets, emb, _ = scenario_inputs(scenario)
         for ham in ("on", "off"):
             name = f"crossing_{seed}_ham_{ham}"
@@ -111,6 +154,7 @@ def digests(workdir: Path) -> dict[str, str]:
     scene = workdir / "occlusion"
     _cli("generate", "--spec", str(resources.files("hamtrack") / "scenarios" / "occlusion.scn"),
          "--out", str(scene), "--frames")
+    results["occlusion_inputs"] = _inputs(scene)
     sources = {"embed": ("--embeddings", str(scene / "embeddings.csv")),
                "hist": ("--frames-dir", str(scene / "frames")), "none": ()}
     for appearance in APPEARANCES:
@@ -122,6 +166,9 @@ def digests(workdir: Path) -> dict[str, str]:
             results[name], results[f"{name}_trace"] = out.read_bytes(), trace.read_bytes()
             results[f"{name}_manifest"] = _manifest(Path(f"{out}.manifest.json"), workdir)
             results[f"{name}_eval"] = _eval(scene, out)
+    for name, spec in schedule_specs().items():
+        _write_scene(spec, workdir / f"schedule_{name}")
+        results[f"schedule_{name}_inputs"] = _inputs(workdir / f"schedule_{name}")
     return {name: hashlib.sha256(data).hexdigest() for name, data in results.items()}
 
 
