@@ -17,6 +17,7 @@ uniforms; the sine branch is discarded).
 """
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -265,25 +266,6 @@ def _clamped_box(spec: ScenarioSpec, obj: ObjectSpec, cx: float, cy: float) -> B
     return BBox(cx - half_w, cy - half_h, obj.w, obj.h)
 
 
-def _active_regime(spec: ScenarioSpec, frame: int) -> ConfidenceRegime:
-    regimes = sorted(spec.regimes, key=lambda r: r.start)
-    active = regimes[0]
-    for reg in regimes:
-        if reg.start <= frame:
-            active = reg
-    return active
-
-
-def _corrupting_event(spec: ScenarioSpec, obj_idx: int, frame: int) -> Optional[int]:
-    """Index of the occlusion event whose lead-in window covers this frame."""
-    if spec.corrupt_frames == 0:
-        return None
-    for k, ev in enumerate(spec.events):
-        if ev.obj == obj_idx and ev.start - spec.corrupt_frames <= frame < ev.start:
-            return k
-    return None
-
-
 def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario:
     """Produce the scenario deterministically for the spec's seed.
 
@@ -302,19 +284,25 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
     targets = [bases[ev.by] if ev.by is not None else rng.unit_vector(spec.embed_dim)
                for ev in spec.events]
 
-    occluded: dict[int, set[int]] = {}
-    for ev in spec.events:
-        for f in range(ev.start, ev.end + 1):
-            occluded.setdefault(ev.obj, set()).add(f)
+    # The schedule, which no draw depends on. A frame's regime is the last in start order
+    # that has begun (the first before any has). A lead-in corrupts an (object, frame)
+    # through the first event in spec order whose window, clamped at frame 1, covers it.
+    regimes = sorted(spec.regimes, key=lambda r: r.start)
+    starts = [r.start for r in regimes]
+    occluded = {(ev.obj, f) for ev in spec.events for f in range(ev.start, ev.end + 1)}
+    lead_in: dict[tuple[int, int], int] = {}
+    for k, ev in enumerate(spec.events):
+        for f in range(max(ev.start - spec.corrupt_frames, 1), ev.start):
+            lead_in.setdefault((ev.obj, f), k)
 
     out = GeneratedScenario()
     visible_by_frame: dict[int, list[tuple[int, BBox]]] = {}
     for frame in range(1, spec.n_frames + 1):
-        regime = _active_regime(spec, frame)
+        regime = regimes[max(bisect_right(starts, frame) - 1, 0)]
         visible: list[tuple[int, BBox]] = []
         for i, obj in enumerate(spec.objects):
             center = _object_center(obj, frame)
-            if center is None or frame in occluded.get(i, ()):
+            if center is None or (i, frame) in occluded:
                 continue
             visible.append((i, _clamped_box(spec, obj, *center)))
         for i, box in visible:
@@ -334,7 +322,7 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
             conf = rng.normal(regime.mean, regime.std)
             noise = np.array([rng.normal(0.0, spec.embed_noise_std)
                               for _ in range(spec.embed_dim)])
-            event = _corrupting_event(spec, i, frame)
+            event = lead_in.get((i, frame))
             if event is None:
                 vec = bases[i] + noise
             else:

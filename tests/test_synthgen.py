@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 from collections.abc import Mapping
 from dataclasses import fields, replace
@@ -167,6 +168,48 @@ class TestGenerate:
         for frame, ordinal, vec in out.embeddings:
             assert 0 <= ordinal < per_frame[frame]
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+
+    def test_regime_is_the_last_begun_in_start_order(self):
+        regimes = (ConfidenceRegime(12, 60.0, 0.0), ConfidenceRegime(5, 40.0, 0.0),
+                   ConfidenceRegime(12, 20.0, 0.0), ConfidenceRegime(8, 50.0, 0.0))
+        out = generate(replace(line_spec(n_frames=20), regimes=regimes))
+        expected = [40.0] * 7 + [50.0] * 4 + [20.0] * 9  # the first one before any has begun
+        assert [conf for _, _, _, conf in out.det_rows] == expected
+
+    def test_lead_in_takes_the_first_listed_event_that_covers_it(self):
+        spec = line_spec(n_objects=3, n_frames=30, embed_dim=4, embed_noise_std=0.0,
+                         corrupt_frames=6, corrupt_blend=1.0,
+                         events=(OcclusionEvent(obj=0, start=20, end=22, by=1),
+                                 OcclusionEvent(obj=0, start=16, end=17, by=2),
+                                 OcclusionEvent(obj=1, start=3, end=4, by=2)))
+        out = generate(spec)
+        vectors = {}  # (object, frame) -> descriptor; no jitter, merge or false positive
+        for (frame, _, box, _), (_, _, vec) in zip(out.det_rows, out.embeddings):
+            vectors[round((box.y + box.h / 2.0 - 60.0) / 90.0), frame] = vec
+        looks_like = {frame: next(k for k in range(3) if np.array_equal(vectors[0, frame],
+                                                                        vectors[k, 5]))
+                      for frame in range(1, 31) if (0, frame) in vectors}
+        assert looks_like == {**dict.fromkeys(range(1, 10), 0), **dict.fromkeys(range(10, 14), 2),
+                              **dict.fromkeys((14, 15, 18, 19), 1),
+                              **dict.fromkeys(range(23, 31), 0)}
+        # object 1's lead-in reaches back past frame 1 and is clamped there
+        assert np.array_equal(vectors[1, 1], vectors[2, 5])
+        assert np.array_equal(vectors[1, 2], vectors[2, 5])
+
+    def test_lead_ins_far_longer_than_the_scene_cost_what_n_frames_costs(self):
+        spec = line_spec(n_objects=3, n_frames=40, jitter=1.0, embed_dim=4, corrupt_blend=0.5,
+                         events=tuple(OcclusionEvent(obj=k, start=10 + 9 * k, end=12 + 9 * k,
+                                                     by=(k + 1) % 3) for k in range(3)))
+
+        def generated(corrupt_frames):
+            start = time.perf_counter()
+            out = generate(replace(spec, corrupt_frames=corrupt_frames))
+            return time.perf_counter() - start, write_embedding_file(4, out.embeddings)
+
+        seconds, huge = generated(10**6)
+        assert seconds < 0.5  # unclamped, each event's lead-in would list 10**6 frames
+        assert huge == generated(spec.n_frames)[1]
+        assert huge != generated(0)[1]
 
     def test_invalid_spec_rejected(self):
         spec = line_spec()
