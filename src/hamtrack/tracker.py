@@ -20,8 +20,8 @@ from .affinity import build_sm_matrix, fuse_appearance, gate_values
 from .appearance import (MemoryBank, decay_confidence, descriptor_rows, maybe_store_history,
                          new_bank)
 from .association import associate
-from .core import (AppearanceDescriptor, BBox, Detection, TrackerConfig, box_columns,
-                   validate_config)
+from .core import (EMBEDDING, HISTOGRAM, AppearanceDescriptor, BBox, Detection, TrackerConfig,
+                   box_columns, validate_config)
 
 # Index of each track's motion and shape filter in the table's stacked state.
 MOTION, SHAPE = 0, 1
@@ -167,7 +167,7 @@ class Tracker:
         self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
         self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, 0)), self.cfg, 0)
-        self._kind, self._dim = None, 0  # of the first descriptor seen
+        self._kind, self._dim, self._scorer = None, 0, None  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
         self._last_frame = 0
@@ -207,8 +207,11 @@ class Tracker:
             kind, descriptors = self._rows(frame, kept_ordinals)
             shape = descriptors.shape if isinstance(descriptors, np.ndarray) else None
             if self._kind is None and shape is not None and len(shape) == 2:
+                if kind not in (HISTOGRAM, EMBEDDING):
+                    raise ValueError(f"unknown descriptor kind {kind!r} in frame {frame}: "
+                                     f"expected {HISTOGRAM!r} or {EMBEDDING!r}")
                 # no track yet: size its descriptor columns
-                self._kind, self._dim = kind, shape[1]
+                self._kind, self._dim, self._scorer = kind, shape[1], appearance.scorer_for(kind)
                 self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)),
                                              cfg, 0)
             if (kind, shape) != (self._kind, (len(survivors), self._dim)):
@@ -227,8 +230,8 @@ class Tracker:
         pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
         sm = build_sm_matrix(table.filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
-            final = fuse_appearance(sm, table.memory, descriptors,
-                                    appearance.scorer_for(self._kind), use_ham=cfg.use_ham)
+            final = fuse_appearance(sm, table.memory, descriptors, self._scorer,
+                                    use_ham=cfg.use_ham)
         else:
             final = gate_values(sm)
         assignment = associate(final, cfg.tau_asc)

@@ -146,6 +146,18 @@ class TestStepBasics:
                                              rf"{'d' if first else 2}, got embedding rows of "):
             tracker.step(frame, [det(frame, 54.0)])
 
+    @pytest.mark.parametrize("first_kept", [1, 3])
+    def test_frame_descriptors_of_an_unknown_kind_are_rejected(self, first_kept):
+        # Only histograms and embeddings have a scorer: no other kind is scored or stored.
+        tracker = Tracker(NO_FILTER, descriptor_source=FrameDescriptors(
+            lambda frame, ordinals: ("foo", np.tile([1.0, 0.0], (len(ordinals), 1)))))
+        for frame in range(1, first_kept):
+            tracker.step(frame, [])
+        with pytest.raises(ValueError, match=rf"^unknown descriptor kind 'foo' in frame "
+                                             rf"{first_kept}: expected 'histogram' or 'embedding'"):
+            tracker.step(first_kept, [det(first_kept, 50.0)])
+        assert len(tracker.table.ids) == 0
+
     @pytest.mark.parametrize("changed", [E([1.0, 0.0, 0.0]),
                                          AppearanceDescriptor.histogram([0.5, 0.5])])
     def test_per_detection_descriptors_that_change_within_a_frame_name_it(self, changed):
