@@ -18,6 +18,7 @@ import math
 import re
 from collections import defaultdict
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -91,19 +92,26 @@ def _read_rows(lines: Sequence[str], add_row: Callable[[list[str]], None],
             raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _block(lines: Sequence[str], n_fields: int, at_least: bool = False) -> Optional[np.ndarray]:
-    """The first ``n_fields`` fields of the non-blank lines as one float array, or None when a
-    field count, an empty field or ``float`` fails, which only ``_read_rows`` can name."""
-    def fields(raw: str) -> list[str]:
+def _block(lines: Sequence[str], n_fields: int, at_least: bool = False,
+           unread: Sequence[int] = ()) -> Optional[np.ndarray]:
+    """The first ``n_fields`` fields of the non-blank lines, less those at ``unread``, as one
+    float array, or None when a field count, a blank field or ``float`` fails, which only
+    ``_read_rows`` can name. A field at ``unread`` needs only not to be blank."""
+    pick = (itemgetter(*(k for k in range(n_fields) if k not in unread)) if unread
+            else itemgetter(slice(n_fields)))
+    words = itemgetter(*unread) if unread else None
+
+    def fields(raw: str) -> Sequence[str]:
         parts = raw.split(",")
-        if len(parts) != n_fields and not (at_least and len(parts) > n_fields
-                                           and all(map(str.strip, parts[n_fields:]))):
+        if (len(parts) != n_fields and not (at_least and len(parts) > n_fields
+                                            and all(map(str.strip, parts[n_fields:])))
+                or unread and not all(map(str.strip, words(parts)))):
             raise ValueError("the row parser names this line")
-        return parts[:n_fields]
+        return pick(parts)
 
     try:  # streamed: neither the split rows nor the parsed floats are held as lists
         values = map(float, chain.from_iterable(map(fields, filter(str.strip, lines))))
-        return np.fromiter(values, float).reshape(-1, n_fields)
+        return np.fromiter(values, float).reshape(-1, n_fields - len(unread))
     except ValueError:
         return None
 
@@ -133,9 +141,9 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
     A frame above ``MAX_FRAME`` is rejected with its line number.
     """
     lines = text.splitlines()
-    block = _block(lines, 10)
+    block = _block(lines, 10, unread=(1, 7, 8, 9))
     if block is not None:
-        frame, _, x, y, w, h, conf, *_ = columns = block.T  # views, not copies
+        frame, x, y, w, h, conf = columns = block.T  # views, not copies
         with np.errstate(over="ignore"):  # the checks of ``Detection``
             vel_std = VEL_PRIOR_SCALE * h
             ok = (_whole_in(frame, 1, MAX_FRAME) & _boxes(x, y, w, h) & np.isfinite(conf)
@@ -144,7 +152,7 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
         if ok.all():  # by columns: a list per row would hold every field at once
             return _grouped((int(f), unchecked(Detection, frame=int(f), confidence=c,
                                                bbox=unchecked(BBox, x=x, y=y, w=w, h=h)))
-                            for f, _, x, y, w, h, c in zip(*columns[:7].tolist()))
+                            for f, x, y, w, h, c in zip(*columns.tolist()))
     pairs: list[tuple[int, Detection]] = []
 
     def add_row(parts: list[str]) -> None:

@@ -487,8 +487,13 @@ class TestColumnarParsers:
         scenario = generate(line_spec(n_objects=3, jitter=1.0, fp_rate=0.5, embed_dim=8))
         det, gt = write_mot_rows(scenario.det_rows), write_mot_rows(scenario.gt_rows)
         emb = write_embedding_file(8, scenario.embeddings)
-        cases = ((parse_det_file, det), (parse_gt_file, gt), (parse_embedding_rows, emb))
+        # text where a detection reads nothing: the id and the last three fields
+        labelled = re.sub(r"^(\d+),-1,(.*),-1,-1,-1$", r"\1,ped,\2,x, n/a ,?", det, flags=re.M)
+        assert labelled.count(",ped,") == len(scenario.det_rows)
+        cases = ((parse_det_file, det), (parse_det_file, labelled), (parse_gt_file, gt),
+                 (parse_embedding_rows, emb))
         expected = [by_rows(parse, text) for parse, text in cases]
+        assert expected[1] == expected[0]
         monkeypatch.setattr(io_mot, "_read_rows", None)  # the row parser must not run
         assert [outcome(parse, text) for parse, text in cases] == expected
 
