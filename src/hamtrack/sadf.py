@@ -10,7 +10,6 @@ adaptive estimate geometrically.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -60,15 +59,13 @@ def observe_frame(state: SadfState, confidences: Iterable[float], t: int) -> Sad
     if t != state.t + 1:
         raise ValueError(f"frames must be observed in order: got {t} after {state.t}")
     confs = tuple(float(c) for c in confidences)
-    ring = deque(state.recent, maxlen=RECENT_FRAMES)
-    ring.append(confs)
     count, mean, m2 = state.all_count, state.all_mean, state.all_m2
     for c in confs:
         count += 1
         delta = c - mean
         mean += delta / count
         m2 += delta * (c - mean)
-    return replace(state, recent=tuple(ring), all_count=count,
+    return replace(state, recent=(state.recent + (confs,))[-RECENT_FRAMES:], all_count=count,
                    all_mean=mean, all_m2=m2, t=t)
 
 
