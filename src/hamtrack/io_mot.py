@@ -18,7 +18,6 @@ import math
 import re
 from collections import defaultdict
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -92,28 +91,25 @@ def _read_rows(lines: Sequence[str], add_row: Callable[[list[str]], None],
             raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _block(lines: Sequence[str], n_fields: int, at_least: bool = False,
-           unread: Sequence[int] = ()) -> Optional[np.ndarray]:
-    """The first ``n_fields`` fields of the non-blank lines, less those at ``unread``, as one
-    float array, or None when a field count, a blank field or ``float`` fails, which only
-    ``_read_rows`` can name. A field at ``unread`` needs only not to be blank."""
-    pick = (itemgetter(*(k for k in range(n_fields) if k not in unread)) if unread
-            else itemgetter(slice(n_fields)))
-    words = itemgetter(*unread) if unread else None
-
-    def fields(raw: str) -> Sequence[str]:
-        parts = raw.split(",")
-        if (len(parts) != n_fields and not (at_least and len(parts) > n_fields
-                                            and all(map(str.strip, parts[n_fields:])))
-                or unread and not all(map(str.strip, words(parts)))):
-            raise ValueError("the row parser names this line")
-        return pick(parts)
-
+def _floats(rows: Iterable[Sequence[str]], width: int) -> Optional[np.ndarray]:
+    """The fields of ``rows`` as one float array of ``width`` columns, or None when a row or
+    ``float`` raises ValueError, for a fault that only ``_read_rows`` can name."""
     try:  # streamed: neither the split rows nor the parsed floats are held as lists
-        values = map(float, chain.from_iterable(map(fields, filter(str.strip, lines))))
-        return np.fromiter(values, float).reshape(-1, n_fields - len(unread))
+        return np.fromiter(map(float, chain.from_iterable(rows)), float).reshape(-1, width)
     except ValueError:
         return None
+
+
+def _block(lines: Sequence[str], n_fields: int, at_least: bool = False) -> Optional[np.ndarray]:
+    """The first ``n_fields`` fields of the non-blank lines as one float array, or None."""
+    def fields(raw: str) -> list[str]:
+        parts = raw.split(",")
+        if len(parts) != n_fields and not (at_least and len(parts) > n_fields
+                                           and all(map(str.strip, parts[n_fields:]))):
+            raise ValueError("the row parser names this line")
+        return parts[:n_fields]
+
+    return _floats(map(fields, filter(str.strip, lines)), n_fields)
 
 
 def _whole_in(col: np.ndarray, low: float, high: float = math.inf) -> np.ndarray:
@@ -140,8 +136,14 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
 
     A frame above ``MAX_FRAME`` is rejected with its line number.
     """
+    def numbers(raw: str) -> list[str]:  # frame, box and conf; the rest need only not be blank
+        parts = raw.split(",")
+        if len(parts) != 10 or not all(map(str.strip, parts)):
+            raise ValueError("the row parser names this line")
+        return [parts[0], *parts[2:7]]
+
     lines = text.splitlines()
-    block = _block(lines, 10, unread=(1, 7, 8, 9))
+    block = _floats(map(numbers, filter(str.strip, lines)), 6)
     if block is not None:
         frame, x, y, w, h, conf = columns = block.T  # views, not copies
         with np.errstate(over="ignore"):  # the checks of ``Detection``

@@ -1,5 +1,4 @@
 import re
-import time
 import tracemalloc
 from collections.abc import Mapping
 from dataclasses import fields, replace
@@ -12,7 +11,7 @@ from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_DRAWS, MAX_EMBED_DIM, MAX_
                                SPEC_GROUPS, ConfidenceRegime, ObjectSpec, OcclusionEvent,
                                ScenarioSpec, Xoshiro256StarStar, generate,
                                parse_scenario, validate_scenario)
-from scenario_utils import crossing_spec, line_spec
+from scenario_utils import crossing_spec, line_spec, peak_bytes
 
 
 class TestRng:
@@ -202,14 +201,14 @@ class TestGenerate:
                                                      by=(k + 1) % 3) for k in range(3)))
 
         def generated(corrupt_frames):
-            start = time.perf_counter()
-            out = generate(replace(spec, corrupt_frames=corrupt_frames))
-            return time.perf_counter() - start, write_embedding_file(4, out.embeddings)
+            return write_embedding_file(4, generate(replace(spec, corrupt_frames=corrupt_frames))
+                                        .embeddings)
 
-        seconds, huge = generated(10**6)
-        assert seconds < 0.5  # unclamped, each event's lead-in would list 10**6 frames
-        assert huge == generated(spec.n_frames)[1]
-        assert huge != generated(0)[1]
+        # unclamped, each event's lead-in would list 10**6 frames: hundreds of MB
+        assert peak_bytes(lambda: generate(replace(spec, corrupt_frames=10**6))) < 2**20
+        huge = generated(10**6)
+        assert huge == generated(spec.n_frames)
+        assert huge != generated(0)
 
     def test_invalid_spec_rejected(self):
         spec = line_spec()
