@@ -13,7 +13,9 @@ returns one SHA-256 per output:
   manifest (``*_manifest``), less its ``duration_sec`` and with its paths
   relative to ``workdir``;
 - the ``hamtrack eval`` line (``*_eval``) of every ``hamtrack track`` result
-  above, scored against the scene's ground truth;
+  above, scored against the scene's ground truth at the default IoU threshold
+  and at each of ``EVAL_IOUS`` (``*_eval_iou_0.3`` and so on); on these scenes
+  0.3 and 0.7 give the default line, and 0 and 0.9 do not;
 - the generated inputs (``*_inputs``): the det, gt and embedding files of each
   crossing, of ``occlusion.scn`` as ``hamtrack generate --frames`` writes it
   (then its PPM frames in name order) and of ``schedule_specs()``, small
@@ -57,6 +59,7 @@ from scenario_utils import crossing_spec, scenario_inputs
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 CROSSING_SEEDS = (1, 2, 3)
 APPEARANCES = ("embed", "hist", "none")
+EVAL_IOUS = ("0", "0.3", "0.7", "0.9")
 FILTERS = ("sadf", "const", "none")
 
 
@@ -119,8 +122,11 @@ def _track(scene: Path, out: Path, *extra: str) -> None:
     _cli("track", "--det", str(scene / "det.txt"), "--out", str(out), *extra)
 
 
-def _eval(scene: Path, result: Path) -> bytes:
-    return _cli("eval", "--gt", str(scene / "gt.txt"), "--result", str(result))
+def _evals(name: str, scene: Path, result: Path) -> dict[str, bytes]:
+    """The ``hamtrack eval`` lines of ``result``: at the default IoU and at each of EVAL_IOUS."""
+    args = ("eval", "--gt", str(scene / "gt.txt"), "--result", str(result))
+    return {f"{name}_eval": _cli(*args),
+            **{f"{name}_eval_iou_{iou}": _cli(*args, "--iou", iou) for iou in EVAL_IOUS}}
 
 
 def _manifest(path: Path, workdir: Path) -> bytes:
@@ -146,7 +152,7 @@ def digests(workdir: Path) -> dict[str, str]:
             _track(scene, workdir / f"{name}.txt", "--embeddings", str(scene / "embeddings.csv"),
                    "--ham", ham, "--filter", "none")
             results[name] = (workdir / f"{name}.txt").read_bytes()
-            results[f"{name}_eval"] = _eval(scene, workdir / f"{name}.txt")
+            results.update(_evals(name, scene, workdir / f"{name}.txt"))
             cfg = TrackerConfig(filter_mode="none", use_ham=ham == "on")
             tracked = run_sequence(dets, cfg, descriptor_source=lambda f, o: emb[f, o],
                                    n_frames=spec.n_frames)
@@ -165,7 +171,7 @@ def digests(workdir: Path) -> dict[str, str]:
                    "--filter", mode, "--trace", str(trace))
             results[name], results[f"{name}_trace"] = out.read_bytes(), trace.read_bytes()
             results[f"{name}_manifest"] = _manifest(Path(f"{out}.manifest.json"), workdir)
-            results[f"{name}_eval"] = _eval(scene, out)
+            results.update(_evals(name, scene, out))
     for name, spec in schedule_specs().items():
         _write_scene(spec, workdir / f"schedule_{name}")
         results[f"schedule_{name}_inputs"] = _inputs(workdir / f"schedule_{name}")
