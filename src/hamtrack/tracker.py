@@ -173,21 +173,21 @@ class Tracker:
         self._last_frame = 0
         self._frame_count = 0
 
-    def _apply_filter(self, frame: int,
-                      detections: Sequence[Detection]) -> tuple[list[int], Optional[float], Optional[float]]:
-        cfg = self.cfg
+    def _apply_filter(self, detections: Sequence[Detection]) -> tuple[
+            list[int], sadf.SadfState, Optional[float], Optional[float]]:
+        """The kept ordinals, the SADF state after this frame, and the cutoffs."""
+        cfg, state = self.cfg, self.sadf_state
         if cfg.filter_mode == "none":
-            return list(range(len(detections))), None, None
+            return list(range(len(detections))), state, None, None
         if cfg.filter_mode == "const":
             tau_t = cfg.tau_const
             tau_sa = None
         else:
-            self.sadf_state = sadf.observe_frame(
-                self.sadf_state, (d.confidence for d in detections), self.sadf_state.t + 1)
-            tau_sa = sadf.adaptive_cutoff(self.sadf_state, cfg)
-            tau_t = sadf.threshold(self.sadf_state, cfg, tau_sa)
+            state = sadf.observe_frame(state, (d.confidence for d in detections), state.t + 1)
+            tau_sa = sadf.adaptive_cutoff(state, cfg)
+            tau_t = sadf.threshold(state, cfg, tau_sa)
         kept = [k for k, d in enumerate(detections) if d.confidence >= tau_t]
-        return kept, tau_sa, tau_t
+        return kept, state, tau_sa, tau_t
 
     def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
         cfg = self.cfg
@@ -197,28 +197,31 @@ class Tracker:
         for det in detections:
             if det.frame != frame:
                 raise ValueError(f"detection carries frame {det.frame}, stepping frame {frame}")
-        self._last_frame = frame
-        self._frame_count += 1
 
-        kept_ordinals, tau_sa, tau_t = self._apply_filter(frame, detections)
+        # Every check runs before the tracker changes, so a rejected frame leaves no trace.
+        kept_ordinals, sadf_state, tau_sa, tau_t = self._apply_filter(detections)
         survivors = [detections[k] for k in kept_ordinals]
+        first_kind, first_dim = self._kind, self._dim
         descriptors = np.zeros((len(survivors), self._dim))
         if self.use_appearance and kept_ordinals:
             kind, descriptors = self._rows(frame, kept_ordinals)
             shape = descriptors.shape if isinstance(descriptors, np.ndarray) else None
-            if self._kind is None and shape is not None and len(shape) == 2:
+            if first_kind is None and shape is not None and len(shape) == 2:
                 if kind not in (HISTOGRAM, EMBEDDING):
                     raise ValueError(f"unknown descriptor kind {kind!r} in frame {frame}: "
                                      f"expected {HISTOGRAM!r} or {EMBEDDING!r}")
-                # no track yet: size its descriptor columns
-                self._kind, self._dim, self._scorer = kind, shape[1], appearance.scorer_for(kind)
-                self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)),
-                                             cfg, 0)
-            if (kind, shape) != (self._kind, (len(survivors), self._dim)):
+                first_kind, first_dim = kind, shape[1]
+            if (kind, shape) != (first_kind, (len(survivors), first_dim)):
                 got = f"shape {shape}" if shape is not None else type(descriptors).__name__
                 raise ValueError(f"descriptor kind or length mismatch in frame {frame}: expected "
-                                 f"{len(survivors)} {self._kind or kind} rows of length "
-                                 f"{self._dim or 'd'}, got {kind} rows of {got}")
+                                 f"{len(survivors)} {first_kind or kind} rows of length "
+                                 f"{first_dim or 'd'}, got {kind} rows of {got}")
+        self._last_frame, self.sadf_state = frame, sadf_state
+        self._frame_count += 1
+        if first_kind != self._kind:  # no track yet: size its descriptor columns
+            self._kind, self._dim = first_kind, first_dim
+            self._scorer = appearance.scorer_for(first_kind)
+            self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)), cfg, 0)
 
         table = self.table
         with _kalman_arithmetic(frame):

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from hamtrack.association import hungarian_max
 from hamtrack.core import BBox
-from hamtrack.metrics import clear_mot, evaluate, idf1, iou_matrix
+from hamtrack.metrics import (ClearMotCounts, EvalReport, IdentityScores, clear_mot, evaluate,
+                              idf1, iou_matrix)
 from scenario_utils import peak_bytes
 
 
@@ -109,6 +111,25 @@ class TestIouMemory:
         peak = peak_bytes(lambda: iou_matrix(a, b))
         assert peak <= 4.5 * 150 * 160 * 8, peak / (150 * 160 * 8)
 
+
+
+class TestEvaluateMemory:
+    def test_peak_stays_within_six_planes(self):
+        # One frame's IoU matrix is alive at a time: iou_matrix's own temporaries (within
+        # 4.5 planes, as above) plus the reached pairs kept so far. Holding the previous
+        # frame's matrix as well passes 6 planes; holding every frame's would take 60.
+        rng = np.random.default_rng(13)
+        gt, hyp = {}, {}
+        for frame in range(1, 61):
+            a = [box(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2))
+                 for _ in range(150)]
+            b = [box(p.x + rng.normal(0, 3), p.y + rng.normal(0, 3), p.w, p.h) for p in a]
+            b += [box(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2))
+                  for _ in range(10)]
+            gt[frame] = list(enumerate(a))
+            hyp[frame] = [(100 + k, p) for k, p in enumerate(b)]
+        peak = peak_bytes(lambda: evaluate(gt, hyp, 0.5))
+        assert peak <= 6 * 150 * 160 * 8, peak / (150 * 160 * 8)
 
 class TestClearMot:
     def test_perfect_tracking(self):
@@ -305,3 +326,117 @@ class TestEvaluate:
             report = evaluate(gt, hyp, threshold)
         assert (report.fp, report.fn) == fp_fn
         assert (report.idsw, report.idtp, report.idfp, report.idfn) == (0, 0, 1, 1)
+
+
+def two_matrix_clear_mot(gt_by_frame, hyp_by_frame, iou_threshold):
+    """CLEAR-MOT as it was computed on a dense IoU matrix of its own for every frame."""
+    frames = sorted(set(gt_by_frame) | set(hyp_by_frame))
+    last_match = {}
+    gt_total = fp = fn = idsw = 0
+    for frame in frames:
+        gts = list(gt_by_frame.get(frame, ()))
+        hyps = list(hyp_by_frame.get(frame, ()))
+        gt_total += len(gts)
+        ious = iou_matrix([b for _, b in gts], [b for _, b in hyps])
+        hyp_index = {hid: k for k, (hid, _) in reversed(list(enumerate(hyps)))}
+        pairs, used_h = [], set()
+        for g, (gid, _) in enumerate(gts):
+            k = hyp_index.get(last_match.get(gid))
+            if k is not None and k not in used_h and ious[g, k] >= iou_threshold:
+                pairs.append((g, k))
+                used_h.add(k)
+        rest_g = sorted(set(range(len(gts))) - {g for g, _ in pairs})
+        rest_h = sorted(set(range(len(hyps))) - used_h)
+        if rest_g and rest_h:
+            sub = ious[np.ix_(rest_g, rest_h)]
+            grid = np.where(sub >= iou_threshold, sub, 0.0)
+            for a, b in hungarian_max(grid):
+                if grid[a, b] >= iou_threshold:
+                    pairs.append((rest_g[a], rest_h[b]))
+        for g, k in pairs:
+            gid, hid = gts[g][0], hyps[k][0]
+            prev = last_match.get(gid)
+            if prev is not None and prev != hid:
+                idsw += 1
+            last_match[gid] = hid
+        fn += len(gts) - len(pairs)
+        fp += len(hyps) - len(pairs)
+    mota = 1.0 - (fp + fn + idsw) / gt_total
+    return ClearMotCounts(gt_total=gt_total, fp=fp, fn=fn, idsw=idsw, mota=mota)
+
+
+def two_matrix_idf1(gt_by_frame, hyp_by_frame, iou_threshold):
+    """IDF1 as it was computed on a second dense IoU matrix for every frame."""
+    gt_frames = {frame: dict(items) for frame, items in gt_by_frame.items()}
+    hyp_frames = {frame: dict(items) for frame, items in hyp_by_frame.items()}
+    gt_row = {gid: a for a, gid in enumerate(sorted(set().union(*gt_frames.values())))}
+    hyp_col = {hid: b for b, hid in enumerate(sorted(set().union(*hyp_frames.values())))}
+    idtp = 0
+    if gt_row and hyp_col:
+        overlap = np.zeros((len(gt_row), len(hyp_col)))
+        for frame in gt_frames.keys() & hyp_frames.keys():
+            gts, hyps = gt_frames[frame], hyp_frames[frame]
+            overlap[np.ix_([gt_row[i] for i in gts], [hyp_col[i] for i in hyps])] += (
+                iou_matrix(list(gts.values()), list(hyps.values())) >= iou_threshold)
+        idtp = int(sum(overlap[a, b] for a, b in hungarian_max(overlap)))
+    idfp = sum(map(len, hyp_frames.values())) - idtp
+    idfn = sum(map(len, gt_frames.values())) - idtp
+    denom = 2 * idtp + idfp + idfn
+    return IdentityScores(idtp=idtp, idfp=idfp, idfn=idfn,
+                          idf1=(2 * idtp / denom) if denom else 1.0)
+
+
+def random_scene(rng):
+    """Ground truth and hypotheses over 12 frames with repeated ids within a frame, empty
+    frames, frames on one side only, exact copies, near copies and overflowing boxes."""
+    def boxes(n):
+        if rng.random() < 0.1:  # overlapping boxes whose areas overflow: NaN IoU
+            return [box(rng.uniform(0, 1e199), 0, 1e200, 1e200) for _ in range(n)]
+        return [box(*rng.integers(0, 8, 2) * 5.0, *rng.integers(2, 6, 2) * 5.0) for _ in range(n)]
+
+    gt, hyp = {}, {}
+    for frame in range(1, 13):
+        side = rng.integers(0, 5)  # 0: absent from gt, 1: absent from hyp, 2: empty lists
+        gt_boxes = boxes(rng.integers(1, 7))
+        hyp_boxes = [b if rng.random() < 0.3 else
+                     box(b.x + rng.normal(0, 3), b.y + rng.normal(0, 3), b.w, b.h)
+                     for b in gt_boxes[:rng.integers(0, len(gt_boxes) + 1)]]
+        hyp_boxes += boxes(rng.integers(0, 3))
+        if side != 0:
+            gt[frame] = [] if side == 2 else [(int(rng.integers(1, 6)), b) for b in gt_boxes]
+        if side != 1:
+            hyp[frame] = [] if side == 2 else [(int(rng.integers(10, 16)), b)
+                                               for b in rng.permutation(hyp_boxes)]
+    return gt, hyp
+
+
+class TestEvaluateMatchesTwoMatrixReference:
+    THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+    def test_reports_equal_exactly(self):
+        kinds = dict.fromkeys(("repeated gt id", "repeated hyp id", "one side", "empty", "nan",
+                               "exact", "idsw", "idtp"), 0)
+        for seed in range(40):
+            gt, hyp = random_scene(np.random.default_rng(seed))
+            if not any(gt.values()):
+                continue
+            for threshold in self.THRESHOLDS:
+                cm = two_matrix_clear_mot(gt, hyp, threshold)
+                ids = two_matrix_idf1(gt, hyp, threshold)
+                assert clear_mot(gt, hyp, threshold) == cm, (seed, threshold)
+                assert idf1(gt, hyp, threshold) == ids, (seed, threshold)
+                assert evaluate(gt, hyp, threshold) == EvalReport(**vars(cm), **vars(ids))
+                kinds["idsw"] += cm.idsw > 0
+                kinds["idtp"] += 0 < ids.idtp < ids.idtp + ids.idfp
+            for frame in gt.keys() | hyp.keys():
+                g, h = gt.get(frame), hyp.get(frame)
+                kinds["repeated gt id"] += bool(g) and len({i for i, _ in g}) < len(g)
+                kinds["repeated hyp id"] += bool(h) and len({i for i, _ in h}) < len(h)
+                kinds["one side"] += (g is None) != (h is None)
+                kinds["empty"] += g == [] or h == []
+                if g and h:
+                    with np.errstate(all="ignore"):
+                        ious = iou_matrix([b for _, b in g], [b for _, b in h])
+                    kinds["nan"] += bool(np.isnan(ious).any())
+                    kinds["exact"] += bool((ious == 1.0).any())
+        assert min(kinds.values()) >= 10, kinds

@@ -183,6 +183,66 @@ class TestStepBasics:
             tracker.step(3, [det(3, 58.0)])  # against the first frame
 
 
+def _state(tracker):
+    """Everything a step may change: the table's arrays in field order, then the rest."""
+    def leaves(value):
+        return [x for v in value for x in leaves(v)] if isinstance(value, tuple) else [value]
+    arrays = [x for value in vars(tracker.table).values() for x in leaves(value)]
+    return arrays, (tracker.sadf_state, tracker._next_id, tracker._last_frame,
+                    tracker._frame_count, tracker._kind, tracker._dim, tracker._scorer)
+
+
+def _assert_same_state(a, b):
+    (arrays_a, rest_a), (arrays_b, rest_b) = _state(a), _state(b)
+    assert rest_a == rest_b
+    assert len(arrays_a) == len(arrays_b)
+    for x, y in zip(arrays_a, arrays_b):
+        np.testing.assert_array_equal(x, y, strict=True)
+
+
+class TestRejectedFrameLeavesNoTrace:
+    # SADF on, and four walkers with spread confidences: it keeps some and drops some.
+    CFG = TrackerConfig(filter_mode="sadf")
+    BAD = {
+        "unknown kind": lambda n: ("foo", np.tile([1.0, 0.0], (n, 1))),
+        "row count": lambda n: ("embedding", np.tile([1.0, 0.0], (n + 1, 1))),
+        "row length": lambda n: ("embedding", np.tile([1.0, 0.0, 0.0], (n, 1))),
+        "not 2-d": lambda n: ("embedding", np.zeros((n, 2, 1))),
+    }
+
+    @staticmethod
+    def frame(f):
+        return [det(f, 50.0 + 100.0 * k + 4.0 * f, conf=30.0 + 10.0 * k) for k in range(4)]
+
+    @staticmethod
+    def source(at=None, bad=None):
+        """Embeddings by frame; the first call for frame ``at`` answers ``bad(n)`` instead."""
+        calls = []
+
+        def rows(frame, ordinals):
+            calls.append(frame)
+            if frame == at and calls.count(at) == 1:
+                return bad(len(ordinals))
+            return "embedding", np.array([[np.cos(k), np.sin(k)] for k in ordinals])
+        return FrameDescriptors(rows)
+
+    # In frame 1, or in frame 3 after two kept frames; the first frame's rows set the length.
+    @pytest.mark.parametrize("bad, at", [(bad, at) for bad in sorted(BAD) for at in (1, 3)
+                                         if (bad, at) != ("row length", 1)])
+    def test_the_frame_then_steps_as_if_never_rejected(self, bad, at):
+        tracker = Tracker(self.CFG, descriptor_source=self.source(at, self.BAD[bad]))
+        clean = Tracker(self.CFG, descriptor_source=self.source())
+        for f in range(1, at):
+            assert tracker.step(f, self.frame(f)) == clean.step(f, self.frame(f))
+        with pytest.raises(ValueError, match="descriptor kind"):
+            tracker.step(at, self.frame(at))
+        _assert_same_state(tracker, clean)
+        for f in range(at, at + 4):
+            assert tracker.step(f, self.frame(f)) == clean.step(f, self.frame(f))
+        _assert_same_state(tracker, clean)
+        assert clean._frame_count == at + 3 and len(clean.table.ids) > 0
+
+
 class TestLifecycle:
     def test_startup_tracks_emit_immediately(self):
         results = run_sequence(walker(range(1, 4)), NO_FILTER, use_appearance=False)
