@@ -7,6 +7,9 @@ returns one SHA-256 per output:
   off (``--filter none``, as acceptance criterion C4 runs them), once with
   ``hamtrack track`` and once in process through ``run_sequence`` with a
   per-(frame, ordinal) descriptor callable (``crossing_<seed>_library_ham_*``);
+- six lanes with false positives (``LANES``), in process with HAM on and
+  ``filter_mode="none"`` (``lanes_library_ham_on``): on frames 3-6, 8, 9 and 11 a
+  track is born in the frame whose history store widens the bank;
 - the bundled ``occlusion.scn`` under every ``--appearance`` (embed, hist,
   none) and ``--filter`` (sadf, const, none) mode, histograms read from its
   PPM frames: the result file, the ``--trace`` CSV (``*_trace``) and the
@@ -54,13 +57,14 @@ from hamtrack.io_mot import write_embedding_file, write_mot_rows, write_result_f
 from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent, ScenarioSpec,
                                generate)
 from hamtrack.tracker import run_sequence
-from scenario_utils import crossing_spec, scenario_inputs
+from scenario_utils import crossing_spec, line_spec, scenario_inputs
 
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 CROSSING_SEEDS = (1, 2, 3)
 APPEARANCES = ("embed", "hist", "none")
 EVAL_IOUS = ("0", "0.3", "0.7", "0.9")
 FILTERS = ("sadf", "const", "none")
+LANES = line_spec(n_objects=6, n_frames=30, jitter=1.0, fp_rate=2.0, embed_dim=16)
 
 
 def environment() -> dict:
@@ -157,6 +161,10 @@ def digests(workdir: Path) -> dict[str, str]:
             tracked = run_sequence(dets, cfg, descriptor_source=lambda f, o: emb[f, o],
                                    n_frames=spec.n_frames)
             results[f"crossing_{seed}_library_ham_{ham}"] = write_result_file(tracked).encode()
+    dets, emb, _ = scenario_inputs(generate(LANES))
+    tracked = run_sequence(dets, TrackerConfig(filter_mode="none"),
+                           descriptor_source=lambda f, o: emb[f, o], n_frames=LANES.n_frames)
+    results["lanes_library_ham_on"] = write_result_file(tracked).encode()
     scene = workdir / "occlusion"
     _cli("generate", "--spec", str(resources.files("hamtrack") / "scenarios" / "occlusion.scn"),
          "--out", str(scene), "--frames")
