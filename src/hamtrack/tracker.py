@@ -1,16 +1,19 @@
 """Per-frame tracking pipeline: filter, predict, associate, update, birth/death.
 
-Each frame runs in a fixed order: (1) confidence-filter the detections,
+Each frame runs in a fixed order, each stage labelled ``# (n)`` in ``Tracker.step``:
+(1) confidence-filter the detections and check the kept ones' descriptors,
 (2) predict every live track's motion and shape, (3) build the shape-motion
 affinities, (4) fuse appearance on gated-in pairs, (5) solve the assignment,
-(6) update matched tracks, (7) age unmatched tracks and retire the stale
-ones, (8) start tentative tracks from unmatched detections, (9) emit output
-boxes. Processing is strictly sequential per sequence; independent sequences
-can run in parallel with separate ``Tracker`` instances.
+(6) update the matched tracks' filters, (7) start tentative tracks from
+unmatched detections. These write only locals; one commit then sets the
+tracker's state and (8) stores the matched appearances, ages unmatched tracks
+and retires the stale ones. (9) emits output boxes. Processing is strictly
+sequential per sequence; independent sequences can run in parallel with
+separate ``Tracker`` instances.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -50,6 +53,10 @@ def _as_rows(source: DescriptorSource | FrameDescriptors | None):
             raise ValueError(f"detection {ordinals[0]} in frame {frame} has no descriptor and "
                              f"no descriptor source is configured")
         found = [source(frame, k) for k in ordinals]
+        for k, x in zip(ordinals, found):
+            if not isinstance(x, AppearanceDescriptor):
+                raise ValueError(f"detection {k} in frame {frame} has no descriptor: the "
+                                 f"descriptor source returned {type(x).__name__}")
         return found[0].kind, descriptor_rows(found, found[0].kind, len(found[0]),
                                               f" in frame {frame}")
 
@@ -167,7 +174,7 @@ class Tracker:
         self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
         self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, 0)), self.cfg, 0)
-        self._kind, self._dim, self._scorer = None, 0, None  # of the first descriptor seen
+        self._kind, self._dim = None, 0  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
         self._last_frame = 0
@@ -190,6 +197,15 @@ class Tracker:
         return kept, state, tau_sa, tau_t
 
     def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
+        """Track frame ``frame`` from its ``detections``, each of which must carry that frame;
+        frames must strictly increase. Returns the frame's confirmed-track boxes.
+
+        The input checks and stages (1) filter, (2) predict, (3) shape-motion, (4) appearance
+        fusion, (5) assignment, (6) Kalman update and (7) births write only locals. One commit,
+        with no call that can raise, then writes the tracker and (8) stores appearances, ages
+        and retires tracks; (9) emits the boxes. So a frame that raises, on its input or on a
+        Kalman overflow, leaves the tracker as it was, and can be stepped again.
+        """
         cfg = self.cfg
         if frame <= self._last_frame:
             raise ValueError(f"frames must strictly increase: got {frame} "
@@ -198,7 +214,7 @@ class Tracker:
             if det.frame != frame:
                 raise ValueError(f"detection carries frame {det.frame}, stepping frame {frame}")
 
-        # Every check runs before the tracker changes, so a rejected frame leaves no trace.
+        # (1) filter, on a candidate SADF state; then check the kept detections' descriptors
         kept_ordinals, sadf_state, tau_sa, tau_t = self._apply_filter(detections)
         survivors = [detections[k] for k in kept_ordinals]
         first_kind, first_dim = self._kind, self._dim
@@ -216,63 +232,64 @@ class Tracker:
                 raise ValueError(f"descriptor kind or length mismatch in frame {frame}: expected "
                                  f"{len(survivors)} {first_kind or kind} rows of length "
                                  f"{first_dim or 'd'}, got {kind} rows of {got}")
-        self._last_frame, self.sadf_state = frame, sadf_state
-        self._frame_count += 1
-        if first_kind != self._kind:  # no track yet: size its descriptor columns
-            self._kind, self._dim = first_kind, first_dim
-            self._scorer = appearance.scorer_for(first_kind)
-            self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, self._dim)), cfg, 0)
+            if not np.isfinite(descriptors).all():
+                raise ValueError(f"descriptor rows in frame {frame} hold non-finite values")
 
+        # (2) predict, into new arrays that (6) updates in place
         table = self.table
+        if first_kind != self._kind:  # no track yet: size its descriptor columns
+            table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, first_dim)), cfg, 0)
         with _kalman_arithmetic(frame):
             process_std = cfg.process_noise * kalman.clamped_wh(table.filters)[:, SHAPE, 1:]
-            table.filters = kalman.predict(table.filters, process_std)
+            table = replace(table, filters=kalman.predict(table.filters, process_std))
 
+        # (3) shape-motion affinities, (4) appearance fusion, (5) assignment
         boxes = [d.bbox for d in survivors]
         observed = _observed_pairs(boxes)
         pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
         sm = build_sm_matrix(table.filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
-            final = fuse_appearance(sm, table.memory, descriptors, self._scorer,
-                                    use_ham=cfg.use_ham)
+            final = fuse_appearance(sm, table.memory, descriptors,
+                                    appearance.scorer_for(first_kind), use_ham=cfg.use_ham)
         else:
             final = gate_values(sm)
         assignment = associate(final, cfg.tau_asc)
 
+        # (6) update the matched filters, (7) start tentative tracks after the live rows
         rows = [ti for ti, _, _ in assignment.matches]
         cols = [dj for _, dj, _ in assignment.matches]
+        missed, new = list(assignment.unmatched_tracks), list(assignment.unmatched_detections)
+        index = np.full(len(table.ids) + len(new), -1)  # row -> its matched or birth detection
+        index[rows], index[len(table.ids):] = cols, new
         z = observed[cols]
         with _kalman_arithmetic(frame):
             table.filters.mean[rows], table.filters.cov[rows] = kalman.update(
                 table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
-        index = np.full(len(table.ids), -1)  # row -> the detection it matched or was born on
-        index[rows] = cols
+            if new:  # append copies every column, the history included
+                table = table.append(TrackTable.born(self._next_id, observed[new], descriptors[new],
+                                                     cfg, table.memory.hist.shape[1]))
+
+        # Commit: nothing below raises, so the frame lands whole or not at all.
+        self._last_frame, self._frame_count = frame, self._frame_count + 1
+        self.sadf_state, self._kind, self._dim = sadf_state, first_kind, first_dim
+        self._next_id += len(new)
+        # (8) store matched appearances (widening born rows too), age the missed, retire the stale
         if self.use_appearance:
             table.memory = maybe_store_history(
-                table.memory, rows, descriptors[cols], self._kind,
+                table.memory, rows, descriptors[cols], first_kind,
                 [affinity for _, _, affinity in assignment.matches], frame, cfg)
+            table.memory = decay_confidence(table.memory, missed, cfg.conf_decay)
         table.hits[rows] += 1
         table.misses[rows] = 0
         table.confirmed[rows] |= table.hits[rows] >= cfg.confirm_hits
-
-        missed = list(assignment.unmatched_tracks)
         table.misses[missed] += 1
         table.hits[missed] = 0
-        if self.use_appearance:
-            table.memory = decay_confidence(table.memory, missed, cfg.conf_decay)
         dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
-
-        new = list(assignment.unmatched_detections)
-        if dead.any():  # select and append copy every column, the history included
+        if dead.any():  # select copies every column, the history included
             table, index = table.select(~dead), index[~dead]
-        if new:
-            with _kalman_arithmetic(frame):
-                born = TrackTable.born(self._next_id, observed[new], descriptors[new], cfg,
-                                       table.memory.hist.shape[1])
-            table, index = table.append(born), np.concatenate([index, new])
-        self._next_id += len(new)
         self.table = table
 
+        # (9) emit output boxes
         outputs = []
         startup = self._frame_count <= cfg.confirm_hits
         for r, track_id in enumerate(table.ids.tolist()):

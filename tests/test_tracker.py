@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from hamtrack import affinity, appearance
+from hamtrack import affinity, appearance, kalman
 from hamtrack import tracker as tracker_module
 from hamtrack.cli import main
 from hamtrack.association import associate
@@ -189,7 +190,7 @@ def _state(tracker):
         return [x for v in value for x in leaves(v)] if isinstance(value, tuple) else [value]
     arrays = [x for value in vars(tracker.table).values() for x in leaves(value)]
     return arrays, (tracker.sadf_state, tracker._next_id, tracker._last_frame,
-                    tracker._frame_count, tracker._kind, tracker._dim, tracker._scorer)
+                    tracker._frame_count, tracker._kind, tracker._dim)
 
 
 def _assert_same_state(a, b):
@@ -226,21 +227,170 @@ class TestRejectedFrameLeavesNoTrace:
             return "embedding", np.array([[np.cos(k), np.sin(k)] for k in ordinals])
         return FrameDescriptors(rows)
 
-    # In frame 1, or in frame 3 after two kept frames; the first frame's rows set the length.
-    @pytest.mark.parametrize("bad, at", [(bad, at) for bad in sorted(BAD) for at in (1, 3)
-                                         if (bad, at) != ("row length", 1)])
-    def test_the_frame_then_steps_as_if_never_rejected(self, bad, at):
-        tracker = Tracker(self.CFG, descriptor_source=self.source(at, self.BAD[bad]))
-        clean = Tracker(self.CFG, descriptor_source=self.source())
+    def rejects_then_resumes(self, tracker, clean, at, match):
+        """Step both through frame ``at``, which ``tracker`` rejects, then three more; the error."""
         for f in range(1, at):
             assert tracker.step(f, self.frame(f)) == clean.step(f, self.frame(f))
-        with pytest.raises(ValueError, match="descriptor kind"):
+        with pytest.raises(ValueError, match=match) as rejected:
             tracker.step(at, self.frame(at))
         _assert_same_state(tracker, clean)
         for f in range(at, at + 4):
             assert tracker.step(f, self.frame(f)) == clean.step(f, self.frame(f))
         _assert_same_state(tracker, clean)
         assert clean._frame_count == at + 3 and len(clean.table.ids) > 0
+        return rejected.value
+
+    # In frame 1, or in frame 3 after two kept frames; the first frame's rows set the length.
+    @pytest.mark.parametrize("bad, at", [(bad, at) for bad in sorted(BAD) for at in (1, 3)
+                                         if (bad, at) != ("row length", 1)])
+    def test_the_frame_then_steps_as_if_never_rejected(self, bad, at):
+        tracker = Tracker(self.CFG, descriptor_source=self.source(at, self.BAD[bad]))
+        clean = Tracker(self.CFG, descriptor_source=self.source())
+        self.rejects_then_resumes(tracker, clean, at, "descriptor kind")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_non_finite_rows_are_rejected_naming_the_frame(self, value, at):
+        def bad(n):
+            rows = np.tile([1.0, 0.0], (n, 1))
+            rows[-1, 1] = value
+            return "embedding", rows
+        tracker = Tracker(self.CFG, descriptor_source=self.source(at, bad))
+        clean = Tracker(self.CFG, descriptor_source=self.source())
+        self.rejects_then_resumes(tracker, clean, at,
+                                  f"^descriptor rows in frame {at} hold non-finite values$")
+
+    # A per-detection source answering None for the frame's first kept detection or its second.
+    @pytest.mark.parametrize("call", [0, 1])
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_a_source_that_returns_no_descriptor(self, call, at):
+        asked, gave_none = [], []
+
+        def source(frame, ordinal):
+            asked.append(frame)
+            if frame == at and asked.count(at) == call + 1:  # on the first try only
+                gave_none.append(ordinal)
+                return None
+            return E([np.cos(ordinal), np.sin(ordinal)])
+
+        tracker = Tracker(self.CFG, descriptor_source=source)
+        clean = Tracker(self.CFG, descriptor_source=lambda f, k: E([np.cos(k), np.sin(k)]))
+        rejected = self.rejects_then_resumes(tracker, clean, at, "has no descriptor")
+        assert str(rejected) == (f"detection {gave_none[0]} in frame {at} has no descriptor: "
+                                 f"the descriptor source returned NoneType")
+
+
+LANES = 4
+LANE_SETS = st.lists(st.integers(0, LANES - 1), unique=True, max_size=LANES)
+
+
+def _poisoned(value):
+    """A rows answer: the embedding rows with ``value`` in the last one."""
+    def answer(rows):
+        rows = rows.copy()
+        rows[-1, 0] = value
+        return "embedding", rows
+    return answer
+
+
+BAD_ROWS = {  # what a rows call answers instead of its (n, 2) embedding rows, and the error
+    "unknown kind": (lambda rows: ("foo", rows), "descriptor kind"),
+    "row count": (lambda rows: ("embedding", rows[1:]), "^descriptor kind or length mismatch"),
+    "row length": (lambda rows: ("embedding", rows[:, :1]), "^descriptor kind or length mismatch"),
+    "not 2-d": (lambda rows: ("embedding", rows[..., None]), "^descriptor kind or length mismatch"),
+    "nan": (_poisoned(np.nan), "^descriptor rows in frame [0-9]+ hold non-finite values$"),
+    "inf": (_poisoned(-np.inf), "^descriptor rows in frame [0-9]+ hold non-finite values$"),
+}
+
+
+class RejectedInputs(RuleBasedStateMachine):
+    """Valid frames interleaved with every input ``step`` rejects and with a failure at each
+    Kalman, fusion and association stage. A rejection leaves the tracker's state exactly as
+    it was: equal to a shadow tracker's that saw only the valid frames, which must give the
+    same results."""
+
+    # A box 1e150 px tall clears every check, but its birth overflows the Kalman init's
+    # (measurement_noise * h)**2; the lanes' 60 px boxes still track under this noise.
+    CFG = TrackerConfig(filter_mode="sadf", measurement_noise=1e10)
+
+    def __init__(self):
+        super().__init__()
+        self.frame, self.lanes, self.bad = 0, [], None
+        self.tracker = Tracker(self.CFG, descriptor_source=FrameDescriptors(self.rows))
+        self.shadow = Tracker(self.CFG, descriptor_source=FrameDescriptors(self.good_rows))
+
+    def good_rows(self, frame, ordinals):
+        angles = np.array([self.lanes[k] for k in ordinals]) + 0.1 * np.sin(frame)
+        return "embedding", np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    def rows(self, frame, ordinals):
+        kind, rows = self.good_rows(frame, ordinals)
+        return self.bad(rows) if self.bad else (kind, rows)
+
+    def dets(self, frame, lanes, extra=None):
+        """The lanes' walkers in ``frame``, then ``extra``; SADF keeps an extra of confidence
+        1e3, above every walker's, so the frame always asks for descriptors."""
+        self.lanes = [*lanes, LANES] if extra else list(lanes)
+        walkers = [det(frame, 50.0 + 100.0 * k + 4.0 * frame, conf=30.0 + 10.0 * k)
+                   for k in lanes]
+        return walkers + [extra] if extra else walkers
+
+    def rejects(self, frame, dets, match, error=ValueError):
+        with pytest.raises(error, match=match):
+            self.tracker.step(frame, dets)
+        _assert_same_state(self.tracker, self.shadow)
+
+    @rule(lanes=LANE_SETS, skip=st.integers(1, 2))
+    def valid_frame(self, lanes, skip):
+        self.frame += skip
+        dets = self.dets(self.frame, lanes)
+        assert self.tracker.step(self.frame, dets) == self.shadow.step(self.frame, dets)
+        _assert_same_state(self.tracker, self.shadow)
+
+    @rule(back=st.integers(0, 1))
+    def frame_does_not_increase(self, back):
+        self.rejects(self.frame - back, [], "^frames must strictly increase")
+
+    @rule(lanes=LANE_SETS)
+    def detection_of_another_frame(self, lanes):
+        stray = det(self.frame + 2, 900.0)
+        self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes, stray),
+                     "^detection carries frame")
+
+    @rule(lanes=LANE_SETS.filter(bool), bad=st.sampled_from(sorted(BAD_ROWS)))
+    def bad_descriptor_rows(self, lanes, bad):
+        answer, match = BAD_ROWS[bad]
+        assume(bad != "row length" or self.tracker._dim)  # the first rows set the length
+        self.bad = answer
+        try:
+            self.rejects(self.frame + 1,
+                         self.dets(self.frame + 1, lanes, det(self.frame + 1, 900.0, conf=1e3)),
+                         match)
+        finally:
+            self.bad = None
+
+    @rule(lanes=LANE_SETS.filter(bool))
+    def kalman_birth_overflows(self, lanes):
+        tall = Detection(self.frame + 1, BBox(900.0, 0.0, 30.0, 1e150), 1e3)
+        self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes, tall),
+                     "Kalman state overflows")
+
+    @rule(lanes=LANE_SETS, stage=st.sampled_from(["predict", "update", "fuse_appearance",
+                                                  "associate"]))
+    def stage_fails(self, lanes, stage):
+        owner = kalman if stage in ("predict", "update") else tracker_module
+        done = getattr(owner, stage)
+
+        def fails(*args, **kwargs):
+            done(*args, **kwargs)  # first, so that whatever the stage writes is written
+            raise RuntimeError(f"{stage} failed")
+        with mock.patch.object(owner, stage, fails):
+            self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes), f"^{stage} failed$",
+                         RuntimeError)
+
+
+TestRejectedInputs = RejectedInputs.TestCase
+TestRejectedInputs.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
 
 
 class TestLifecycle:
