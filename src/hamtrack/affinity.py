@@ -39,8 +39,9 @@ def inverse_sigma(sigma_xx: float, sigma_xy: float, sigma_yy: float) -> np.ndarr
 
 
 def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
-                    boxes: Sequence[BBox], cfg: TrackerConfig) -> AffinityMatrix:
-    """Shape-motion products for all pairs, plus the strict ``> tau_asc`` gate mask."""
+                    boxes: Sequence[BBox] | np.ndarray, cfg: TrackerConfig) -> AffinityMatrix:
+    """Shape-motion products for all pairs, plus the strict ``> tau_asc`` gate mask.
+    ``boxes`` are ``BBox`` objects or (m, 4) x, y, w, h rows, which are only read."""
     n, m = len(pred_pos), len(boxes)
     values = np.zeros((n, m))
     if n and m:

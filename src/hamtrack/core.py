@@ -65,8 +65,11 @@ def unchecked(cls, **values):
     return obj
 
 
-def box_columns(boxes: Sequence[BBox]) -> np.ndarray:
-    """x, y, w and h of the boxes as four rows; a centre is then ``x + w / 2.0``, as ``cx``."""
+def box_columns(boxes: Sequence[BBox] | np.ndarray) -> np.ndarray:
+    """x, y, w and h of ``BBox`` objects, or of an (m, 4) array of x, y, w, h rows (a view, not
+    a copy), as four rows; a centre is then ``x + w / 2.0``, as ``cx``."""
+    if isinstance(boxes, np.ndarray):
+        return boxes.reshape(-1, 4).T
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes]).reshape(-1, 4).T
 
 

@@ -1,15 +1,15 @@
 """Per-frame tracking pipeline: filter, predict, associate, update, birth/death.
 
 Each frame runs in a fixed order, each stage labelled ``# (n)`` in ``Tracker.step``:
-(1) confidence-filter the detections and check the kept ones' descriptors,
-(2) predict every live track's motion and shape, (3) build the shape-motion
-affinities, (4) fuse appearance on gated-in pairs, (5) solve the assignment,
-(6) update the matched tracks' filters, (7) start tentative tracks from
-unmatched detections. These write only locals; one commit then sets the
-tracker's state and (8) stores the matched appearances, ages unmatched tracks
-and retires the stale ones. (9) emits output boxes. Processing is strictly
-sequential per sequence; independent sequences can run in parallel with
-separate ``Tracker`` instances.
+(1) read the detections once into a (k, 5) array of x, y, w, h and confidence, whose
+columns every later stage reads, confidence-filter it and check the kept detections'
+descriptors, (2) predict every live track's motion and shape, (3) build the shape-motion
+affinities, (4) fuse appearance on gated-in pairs, (5) solve the assignment, (6) update
+the matched tracks' filters, (7) start tentative tracks from unmatched detections. These
+write only locals; one commit then sets the tracker's state and (8) stores the matched
+appearances, ages unmatched tracks and retires the stale ones. (9) emits output boxes,
+each the caller's own ``BBox`` object. Processing is strictly sequential per sequence;
+independent sequences can run in parallel with separate ``Tracker`` instances.
 """
 
 from contextlib import contextmanager
@@ -24,7 +24,7 @@ from .appearance import (MemoryBank, decay_confidence, descriptor_rows, maybe_st
                          new_bank)
 from .association import associate
 from .core import (EMBEDDING, HISTOGRAM, AppearanceDescriptor, BBox, Detection, TrackerConfig,
-                   box_columns, validate_config)
+                   validate_config)
 
 # Index of each track's motion and shape filter in the table's stacked state.
 MOTION, SHAPE = 0, 1
@@ -72,13 +72,6 @@ def _kalman_arithmetic(frame: int):
     except FloatingPointError as exc:
         raise ValueError(f"frame {frame}: Kalman state overflows ({exc}); boxes or "
                          f"noise settings are too large to track") from None
-
-
-def _observed_pairs(boxes: Sequence[BBox]) -> np.ndarray:
-    """What the motion and shape filters observe of each box: (k, 2, 2)."""
-    observed = box_columns(boxes).T.reshape(-1, 2, 2)
-    observed[:, 0] += observed[:, 1] / 2.0
-    return observed
 
 
 def _columnwise(fn, *tables: "TrackTable") -> "TrackTable":
@@ -180,31 +173,30 @@ class Tracker:
         self._last_frame = 0
         self._frame_count = 0
 
-    def _apply_filter(self, detections: Sequence[Detection]) -> tuple[
-            list[int], sadf.SadfState, Optional[float], Optional[float]]:
-        """The kept ordinals, the SADF state after this frame, and the cutoffs."""
+    def _apply_filter(self, conf: np.ndarray) -> tuple[
+            np.ndarray, sadf.SadfState, Optional[float], Optional[float]]:
+        """The kept ordinals of the ``conf`` column, the SADF state after it, and the cutoffs."""
         cfg, state = self.cfg, self.sadf_state
         if cfg.filter_mode == "none":
-            return list(range(len(detections))), state, None, None
+            return np.arange(len(conf)), state, None, None
         if cfg.filter_mode == "const":
-            tau_t = cfg.tau_const
-            tau_sa = None
+            tau_t, tau_sa = cfg.tau_const, None
         else:
-            state = sadf.observe_frame(state, (d.confidence for d in detections), state.t + 1)
+            state = sadf.observe_frame(state, conf.tolist(), state.t + 1)
             tau_sa = sadf.adaptive_cutoff(state, cfg)
             tau_t = sadf.threshold(state, cfg, tau_sa)
-        kept = [k for k, d in enumerate(detections) if d.confidence >= tau_t]
-        return kept, state, tau_sa, tau_t
+        return np.flatnonzero(conf >= tau_t), state, tau_sa, tau_t
 
     def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
         """Track frame ``frame`` from its ``detections``, each of which must carry that frame;
-        frames must strictly increase. Returns the frame's confirmed-track boxes.
+        frames must strictly increase. Returns the frame's confirmed-track boxes: the caller's
+        own ``BBox`` of the detection each track took, or a predicted box.
 
-        The input checks and stages (1) filter, (2) predict, (3) shape-motion, (4) appearance
-        fusion, (5) assignment, (6) Kalman update and (7) births write only locals. One commit,
-        with no call that can raise, then writes the tracker and (8) stores appearances, ages
-        and retires tracks; (9) emits the boxes. So a frame that raises, on its input or on a
-        Kalman overflow, leaves the tracker as it was, and can be stepped again.
+        Stage (1) reads ``detections`` once into a (k, 5) array of x, y, w, h and confidence,
+        whose columns every later stage reads. The checks and stages (1)-(7) write only locals.
+        One commit, with no call that can raise, then writes the tracker and (8) stores
+        appearances, ages and retires tracks; (9) emits the boxes. So a frame that raises, on
+        its input or on a Kalman overflow, leaves the tracker as it was, and can be stepped again.
         """
         cfg = self.cfg
         if frame <= self._last_frame:
@@ -214,23 +206,24 @@ class Tracker:
             if det.frame != frame:
                 raise ValueError(f"detection carries frame {det.frame}, stepping frame {frame}")
 
-        # (1) filter, on a candidate SADF state; then check the kept detections' descriptors
-        kept_ordinals, sadf_state, tau_sa, tau_t = self._apply_filter(detections)
-        survivors = [detections[k] for k in kept_ordinals]
+        # (1) read the frame, filter it on a candidate SADF state, check kept descriptors
+        block = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.confidence)
+                          for d in detections], dtype=float).reshape(-1, 5)
+        kept, sadf_state, tau_sa, tau_t = self._apply_filter(block[:, 4])
         first_kind, first_dim = self._kind, self._dim
-        descriptors = np.zeros((len(survivors), self._dim))
-        if self.use_appearance and kept_ordinals:
-            kind, descriptors = self._rows(frame, kept_ordinals)
+        descriptors = np.zeros((len(kept), self._dim))
+        if self.use_appearance and len(kept):
+            kind, descriptors = self._rows(frame, kept.tolist())
             shape = descriptors.shape if isinstance(descriptors, np.ndarray) else None
             if first_kind is None and shape is not None and len(shape) == 2:
                 if kind not in (HISTOGRAM, EMBEDDING):
                     raise ValueError(f"unknown descriptor kind {kind!r} in frame {frame}: "
                                      f"expected {HISTOGRAM!r} or {EMBEDDING!r}")
                 first_kind, first_dim = kind, shape[1]
-            if (kind, shape) != (first_kind, (len(survivors), first_dim)):
+            if (kind, shape) != (first_kind, (len(kept), first_dim)):
                 got = f"shape {shape}" if shape is not None else type(descriptors).__name__
                 raise ValueError(f"descriptor kind or length mismatch in frame {frame}: expected "
-                                 f"{len(survivors)} {first_kind or kind} rows of length "
+                                 f"{len(kept)} {first_kind or kind} rows of length "
                                  f"{first_dim or 'd'}, got {kind} rows of {got}")
             if not np.isfinite(descriptors).all():
                 raise ValueError(f"descriptor rows in frame {frame} hold non-finite values")
@@ -244,8 +237,7 @@ class Tracker:
             table = replace(table, filters=kalman.predict(table.filters, process_std))
 
         # (3) shape-motion affinities, (4) appearance fusion, (5) assignment
-        boxes = [d.bbox for d in survivors]
-        observed = _observed_pairs(boxes)
+        boxes = block[kept, :4]
         pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
         sm = build_sm_matrix(table.filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
@@ -259,8 +251,10 @@ class Tracker:
         rows = [ti for ti, _, _ in assignment.matches]
         cols = [dj for _, dj, _ in assignment.matches]
         missed, new = list(assignment.unmatched_tracks), list(assignment.unmatched_detections)
-        index = np.full(len(table.ids) + len(new), -1)  # row -> its matched or birth detection
-        index[rows], index[len(table.ids):] = cols, new
+        index = np.full(len(table.ids) + len(new), -1)  # row -> its detection's raw ordinal
+        index[rows], index[len(table.ids):] = kept[cols], kept[new]
+        observed = boxes.reshape(-1, 2, 2)  # what the filters observe: (3) has read the boxes,
+        observed[:, 0] += observed[:, 1] / 2.0  # so their x, y become centres in place
         z = observed[cols]
         with _kalman_arithmetic(frame):
             table.filters.mean[rows], table.filters.cov[rows] = kalman.update(
@@ -295,7 +289,7 @@ class Tracker:
         for r, track_id in enumerate(table.ids.tolist()):
             if table.misses[r] == 0:
                 if table.confirmed[r] or startup:
-                    outputs.append((track_id, boxes[index[r]]))
+                    outputs.append((track_id, detections[index[r]].bbox))
             elif cfg.emit_predicted and table.confirmed[r]:
                 outputs.append((track_id, kalman.predicted_box(
                     table.filters.at((r, MOTION)), table.filters.at((r, SHAPE)))))
@@ -305,7 +299,7 @@ class Tracker:
             deaths=int(dead.sum()),
             n_tracks=len(table.ids),
             n_raw=len(detections),
-            n_kept=len(survivors),
+            n_kept=len(kept),
             total_pairs=int(sm.values.size),
             gated_pairs=int(sm.gate_mask.sum()),
             appearance_evals=int(final.gate_mask.sum()) if self.use_appearance else 0,

@@ -128,6 +128,22 @@ class TestBuildSmMatrix:
                                 * motion_affinity(pos[i], box.center(), sigma, cfg.eta))
                     assert sm.values[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    def test_array_boxes_give_the_bbox_list_bits(self, m):
+        # The (m, 4) x, y, w, h rows ``Tracker.step`` passes, against the same BBox objects.
+        rng = np.random.default_rng(21)
+        boxes = [BBox(*rng.uniform(10, 300, size=2), *rng.uniform(10, 60, size=2))
+                 for _ in range(m)]
+        rows = np.array([(b.x, b.y, b.w, b.h) for b in boxes]).reshape(-1, 4)
+        before = rows.copy()
+        pos, wh = rng.uniform(0, 300, size=(4, 2)), rng.uniform(10, 70, size=(4, 2))
+        listed = build_sm_matrix(pos, wh, boxes, TrackerConfig())
+        columnar = build_sm_matrix(pos, wh, rows, TrackerConfig())
+        assert columnar.values.tobytes() == listed.values.tobytes()
+        assert columnar.gate_mask.tobytes() == listed.gate_mask.tobytes()
+        assert columnar.values.shape == (4, m)
+        assert np.array_equal(rows, before)  # only read
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         cfg = TrackerConfig()

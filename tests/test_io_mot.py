@@ -372,8 +372,9 @@ def outcome(parse, text):
     return repr(value)  # a float's repr names its double, -0.0 included
 
 
-# Within it every line is read by ``_read_rows``, as before the columnar path.
-ROWS_ONLY = mock.patch.object(io_mot, "_block", lambda *args, **kwargs: None)
+# Within it every line is read by ``_read_rows``, as before the columnar path: every
+# columnar parse goes through ``_floats``.
+ROWS_ONLY = mock.patch.object(io_mot, "_floats", lambda *args, **kwargs: None)
 
 
 def by_rows(parse, text):
@@ -403,6 +404,18 @@ def numeric_rows(n_fields: int, header: str = ""):
 
 class TestColumnarParsers:
     """The columnar parsers against the row parser they fall back to."""
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_det_file, "1,-1,1,1,5,5,1,-1,-1,-1\n"),
+        (parse_gt_file, "1,3,10,20,30,60,1\n"),
+        (parse_embedding_rows, "dim=2\n1,0,1,0\n"),
+    ])
+    def test_rows_only_reaches_the_row_parser(self, parse, text):
+        # Each comparison below sets the columnar path against the row parser, not itself.
+        for path, reached in ((contextlib.nullcontext(), False), (ROWS_ONLY, True)):
+            with path, mock.patch.object(io_mot, "_read_rows", wraps=io_mot._read_rows) as rows:
+                parse(text)
+            assert rows.called == reached
 
     @given(det=st.one_of(numeric_rows(10), text_rows(8, 10)),
            gt=st.one_of(numeric_rows(7), numeric_rows(9), text_rows(5, 8)),

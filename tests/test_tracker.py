@@ -44,12 +44,17 @@ OCCLUSION_SCENE = Path(appearance.__file__).parent / "scenarios" / "occlusion.sc
 
 class TestObservedPairs:
     def test_bit_equal_to_the_box_properties(self):
+        # Born filters start on what they observe of each box: its centre, then (w, h).
         rng = np.random.default_rng(13)
         boxes = [BBox(*rng.uniform(-500, 2000, size=2), *rng.uniform(0.5, 300, size=2))
                  for _ in range(40)]
+        tracker = Tracker(TrackerConfig(filter_mode="none", confirm_hits=1),
+                          use_appearance=False)
+        result = tracker.step(1, [Detection(1, box, 50.0) for box in boxes])
         expected = np.array([(b.center(), (b.w, b.h)) for b in boxes])
-        assert np.array_equal(tracker_module._observed_pairs(boxes), expected)
-        assert tracker_module._observed_pairs([]).shape == (0, 2, 2)
+        assert np.array_equal(tracker.table.filters.mean[:, :, :2], expected)
+        assert [id(box) for _, box in result.tracks] == list(map(id, boxes))  # the caller's own
+        assert tracker.step(2, []).diagnostics.n_raw == 0
 
 
 class TestStepBasics:
@@ -581,6 +586,29 @@ class TestDeterminismAndEquivalence:
         stepped = [tracker.step(f, dets.get(f, [])) for f in range(1, spec.n_frames + 1)]
         assert write_result_file(results) == write_result_file(stepped)
         assert [fr.diagnostics for fr in results] == [fr.diagnostics for fr in stepped]
+
+    @pytest.mark.parametrize("filter_mode", ["none", "const", "sadf"])
+    def test_descriptor_sources_get_python_int_ordinals(self, filter_mode):
+        # The kept ordinals reach a source as Python ints, in a list for ``rows``.
+        def rows(frame, ordinals):
+            assert type(ordinals) is list
+            asked.extend(ordinals)
+            return "embedding", np.tile([1.0, 0.0], (len(ordinals), 1))
+
+        def by_ordinal(frame, ordinal):
+            asked.append(ordinal)
+            return E([1.0, 0.0])
+
+        for source in (FrameDescriptors(rows), by_ordinal):
+            asked = []
+            tracker = Tracker(TrackerConfig(filter_mode=filter_mode, tau_const=40.0),
+                              descriptor_source=source)
+            for frame in range(1, 6):
+                tracker.step(frame, [det(frame, 50.0 + 60 * k + 4 * frame, conf=c)
+                                     for k, c in enumerate((30.0, 60.0, 55.0, 20.0))])
+            assert asked and all(type(k) is int for k in asked)
+            if filter_mode == "const":  # tau_const keeps the two confident detections
+                assert set(asked) == {1, 2}
 
     def test_frame_descriptors_equal_the_per_detection_source(self):
         spec = line_spec(n_objects=3, jitter=1.0, seed=8, fp_rate=0.5, conf_std=8.0)
