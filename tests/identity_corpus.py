@@ -23,7 +23,10 @@ returns one SHA-256 per output:
   crossing, of ``occlusion.scn`` as ``hamtrack generate --frames`` writes it
   (then its PPM frames in name order) and of ``schedule_specs()``, small
   scenes at the edges of the generator's occlusion, lead-in and confidence
-  regime schedule. Each such digest is taken over the files' own SHA-256s.
+  regime schedule, and of ``CROWD``, whose 128-d embeddings make each scene
+  draw some 10⁵ uniforms, with scalar draws (jitter, merges, fragments,
+  confidences) between the per-object and per-false-positive vectors. Each such
+  digest is taken over the files' own SHA-256s.
 
 ``tests/identity_digests.json`` holds the recorded digests and the Python,
 numpy and machine they were recorded on; ``tests/test_identity.py`` checks
@@ -65,6 +68,17 @@ APPEARANCES = ("embed", "hist", "none")
 EVAL_IOUS = ("0", "0.3", "0.7", "0.9")
 FILTERS = ("sadf", "const", "none")
 LANES = line_spec(n_objects=6, n_frames=30, jitter=1.0, fp_rate=2.0, embed_dim=16)
+# Eight objects in four rows, each row's pair crossing mid-scene: false positives at a
+# fractional rate, merges, fragments, two occlusions with lead-ins and a confidence shift.
+CROWD = ScenarioSpec(
+    seed=5, n_frames=40, fp_rate=2.5, merge_prob=0.3, fragment_prob=0.1, jitter_std=1.5,
+    embed_dim=128,
+    objects=tuple(ObjectSpec(waypoints=((1, x0, y), (40, 640.0 - x0, y)), w=30.0 + 2.0 * k,
+                             h=60.0 + 4.0 * k)
+                  for k, (x0, y) in enumerate((x0, 80.0 + 100.0 * row)
+                                              for row in range(4) for x0 in (40.0, 600.0))),
+    events=(OcclusionEvent(obj=1, start=12, end=15, by=0), OcclusionEvent(obj=5, start=20, end=22)),
+    regimes=(ConfidenceRegime(1, 40.0, 5.0), ConfidenceRegime(25, 30.0, 6.0)))
 
 
 def environment() -> dict:
@@ -183,6 +197,8 @@ def digests(workdir: Path) -> dict[str, str]:
     for name, spec in schedule_specs().items():
         _write_scene(spec, workdir / f"schedule_{name}")
         results[f"schedule_{name}_inputs"] = _inputs(workdir / f"schedule_{name}")
+    _write_scene(CROWD, workdir / "crowd")
+    results["crowd_inputs"] = _inputs(workdir / "crowd")
     return {name: hashlib.sha256(data).hexdigest() for name, data in results.items()}
 
 
