@@ -12,8 +12,10 @@ that mostly show the thing in front.
 
 All randomness comes from a self-contained xoshiro256** generator seeded via
 splitmix64, with a fixed draw order, so a seed reproduces files byte for
-byte. Normal variates use the Box-Muller transform (one variate per two
-uniforms; the sine branch is discarded).
+byte. The generator draws its stream ahead a chunk at a time, and each draw is
+still the one the seed fixes: the same doubles as drawing one at a time. Normal
+variates use the Box-Muller transform (one variate per two uniforms; the sine
+branch is discarded).
 """
 
 import math
@@ -29,12 +31,13 @@ from .io_mot import MAX_FRAME
 from .metrics import iou_matrix
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 4096  # draws the generator buffers at a time
 
 # Caps on the sizes that set a frame's generation work, a few times the largest
 # bundled or benchmark scene. Every false positive and every embedding component
 # is a Python draw, and each --frames image is one canvas-sized RGB array.
 # MAX_DRAWS bounds a run's draws, n_frames x (objects + fp_rate) x embed_dim:
-# at about 5.7 us a draw on a 2-CPU x86-64 host, about ten minutes.
+# at about 1.5 us a draw on a 2-CPU x86-64 host, about three minutes.
 MAX_FP_RATE = 100.0
 MAX_EMBED_DIM = 1024
 MAX_CANVAS_PIXELS = 3840 * 2160
@@ -50,43 +53,93 @@ def _splitmix64(x: int):
         yield (z ^ (z >> 31)) & _MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
-    """xoshiro256** with splitmix64 seeding; uniform takes the top 53 bits."""
+    """xoshiro256** with splitmix64 seeding; uniform takes the top 53 bits.
+
+    The stream is drawn ahead ``_CHUNK`` draws at a time: a Python loop steps
+    the state and keeps each draw's ``s1``, and numpy applies the ``**``
+    scrambler and the 53-bit conversion to the whole chunk. ``uint64``
+    arithmetic wraps mod 2**64 as the masked Python ints do, and ``r >> 11``
+    is below 2**53, so its float64 is exact and ``+ 0.5`` rounds as Python's
+    float does. Every draw is the one a draw-at-a-time generator makes,
+    whatever the methods' interleaving.
+    """
 
     def __init__(self, seed: int):
         seeder = _splitmix64(seed & _MASK64)
         self._s = [next(seeder) for _ in range(4)]
         if not any(self._s):
             self._s[0] = 1
+        self._u64 = np.empty(0, dtype=np.uint64)  # the buffered draws
+        self._uni: list[float] = []               # the same draws as uniforms
+        self._pos = 0                             # the next unread draw
 
-    def next_u64(self) -> int:
+    def _refill(self) -> None:
+        """Buffer the next ``_CHUNK`` draws; the buffer must have been read to its end."""
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        seen = []
+        keep = seen.append
+        for _ in range(_CHUNK):
+            keep(s1)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
         self._s = [s0, s1, s2, s3]
-        return result
+        r = np.array(seen, dtype=np.uint64) * 5
+        r = ((r << 7) | (r >> 57)) * 9
+        self._u64 = r
+        self._uni = (((r >> 11).astype(np.float64) + 0.5) * 2.0 ** -53).tolist()
+        self._pos = 0
+
+    def _next(self) -> int:
+        """The buffer position of the next draw, refilling the buffer first when it is read."""
+        if self._pos == len(self._uni):
+            self._refill()
+        self._pos += 1
+        return self._pos - 1
+
+    # Each draw method takes its position before it reads the buffer: in
+    # ``self._uni[self._next()]`` the list is read first, so the first draw
+    # after a refill would come from the old chunk.
+    def next_u64(self) -> int:
+        k = self._next()
+        return int(self._u64[k])
 
     def uniform(self) -> float:
         """Uniform in the open interval (0, 1)."""
-        return ((self.next_u64() >> 11) + 0.5) * (2.0 ** -53)
+        k = self._next()
+        return self._uni[k]
+
+    def _uniforms(self, n: int) -> list[float]:
+        """The next n uniforms, read across as many refills as they need."""
+        out: list[float] = []
+        while True:
+            end = min(self._pos + n - len(out), len(self._uni))
+            out += self._uni[self._pos:end]
+            self._pos = end
+            if len(out) == n:
+                return out
+            self._refill()
 
     def normal(self, mu: float = 0.0, sd: float = 1.0) -> float:
         u1 = self.uniform()
         u2 = self.uniform()
         return mu + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def normals(self, n: int, mu: float = 0.0, sd: float = 1.0) -> np.ndarray:
+        """n variates, the same doubles as n ``normal(mu, sd)`` calls."""
+        u = self._uniforms(2 * n)
+        sqrt, log, cos = math.sqrt, math.log, math.cos
+        two_pi = 2.0 * math.pi  # the left product of normal's 2.0 * math.pi * u2
+        return np.array([mu + sd * sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
+                         for u1, u2 in zip(u[::2], u[1::2])], dtype=float)
+
     def unit_vector(self, dim: int) -> np.ndarray:
-        v = np.array([self.normal() for _ in range(dim)])
+        v = self.normals(dim)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             v[0] = 1.0
@@ -320,8 +373,7 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
             h = max(true_box.h + dh, 2.0)
             box = BBox(true_box.cx + dx - w / 2.0, true_box.cy + dy - h / 2.0, w, h)
             conf = rng.normal(regime.mean, regime.std)
-            noise = np.array([rng.normal(0.0, spec.embed_noise_std)
-                              for _ in range(spec.embed_dim)])
+            noise = rng.normals(spec.embed_dim, 0.0, spec.embed_noise_std)
             event = lead_in.get((i, frame))
             if event is None:
                 vec = bases[i] + noise

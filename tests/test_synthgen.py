@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from collections.abc import Mapping
@@ -5,7 +6,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hamtrack import synthgen
 from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows, write_ppm
 from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_DRAWS, MAX_EMBED_DIM, MAX_FP_RATE,
                                SPEC_GROUPS, ConfidenceRegime, ObjectSpec, OcclusionEvent,
@@ -41,6 +45,117 @@ class TestRng:
         rng = Xoshiro256StarStar(7)
         v = rng.unit_vector(16)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+class PerDrawXoshiro:
+    """The draw-at-a-time generator the chunked one replaced, kept as the reference stream."""
+
+    def __init__(self, seed: int):
+        seeder = synthgen._splitmix64(seed & synthgen._MASK64)
+        self._s = [next(seeder) for _ in range(4)]
+        if not any(self._s):
+            self._s[0] = 1
+
+    def next_u64(self) -> int:
+        mask = synthgen._MASK64
+
+        def rotl(x: int, k: int) -> int:
+            return ((x << k) | (x >> (64 - k))) & mask
+
+        s0, s1, s2, s3 = self._s
+        result = (rotl((s1 * 5) & mask, 7) * 9) & mask
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = rotl(s3, 45)
+        self._s = [s0, s1, s2, s3]
+        return result
+
+    def uniform(self) -> float:
+        return ((self.next_u64() >> 11) + 0.5) * (2.0 ** -53)
+
+    def normal(self, mu: float = 0.0, sd: float = 1.0) -> float:
+        u1 = self.uniform()
+        u2 = self.uniform()
+        return mu + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def normals(self, n: int, mu: float = 0.0, sd: float = 1.0) -> np.ndarray:
+        return np.array([self.normal(mu, sd) for _ in range(n)], dtype=float)
+
+    def unit_vector(self, dim: int) -> np.ndarray:
+        v = np.array([self.normal() for _ in range(dim)])
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            v[0] = 1.0
+            norm = 1.0
+        return v / norm
+
+
+# One draw call: the method's name and its arguments.
+DRAWS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "uniform"])),
+    st.tuples(st.just("normal"), st.floats(-1e3, 1e3), st.floats(0.0, 1e2)),
+    st.tuples(st.just("normals"), st.integers(0, 40), st.floats(-1e3, 1e3), st.floats(0.0, 1e2)),
+    st.tuples(st.just("unit_vector"), st.integers(1, 40)))
+
+
+def draw_bits(rng, method: str, *args) -> bytes:
+    """What ``rng.method(*args)`` returns, as bytes, so that equal means bit for bit equal."""
+    value = getattr(rng, method)(*args)
+    if method == "next_u64":
+        return value.to_bytes(8, "little")
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestChunkedStream:
+    """The buffered generator gives the reference's stream, value for value."""
+
+    def check(self, seed: int, chunk: int, calls) -> None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthgen, "_CHUNK", chunk)
+            rng, ref = Xoshiro256StarStar(seed), PerDrawXoshiro(seed)
+            for k, call in enumerate([*calls, ("next_u64",), ("normals", 3 * chunk, 0.0, 1.0)]):
+                assert draw_bits(rng, *call) == draw_bits(ref, *call), (k, call)
+
+    @given(seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 9),
+           calls=st.lists(DRAWS, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_any_interleaving(self, seed, chunk, calls):
+        self.check(seed, chunk, calls)
+
+    @pytest.mark.parametrize("call", [("next_u64",), ("uniform",), ("normal", 2.0, 3.0),
+                                      ("normals", 2, 2.0, 3.0), ("unit_vector", 3)])
+    @pytest.mark.parametrize("chunks_read", [0, 1, 3])
+    def test_first_draw_of_a_chunk(self, call, chunks_read):
+        self.check(17, 4, [("uniform",)] * (4 * chunks_read) + [call, call])
+
+    @pytest.mark.parametrize("n", [5, 8, 9, 100])
+    def test_normals_over_several_chunks(self, n):
+        self.check(3, 4, [("uniform",), ("normals", n, 1.0, 0.5), ("uniform",)])
+
+    def test_a_run_over_many_chunks(self):
+        calls = [("uniform",), ("normal", 0.0, 1.0), ("next_u64",), ("normals", 6, 0.0, 0.02),
+                 ("unit_vector", 5)] * 40
+        self.check(8, 7, calls)
+
+    def test_default_chunk(self):
+        calls = [("normals", 128, 0.0, 0.02), ("normal", 30.0, 5.0), ("uniform",)] * 40
+        self.check(2, synthgen._CHUNK, calls)
+
+    def test_buffer_does_not_grow_with_the_run(self):
+        rng = Xoshiro256StarStar(4)
+
+        def draws():
+            for _ in range(10 * synthgen._CHUNK):
+                rng.uniform()
+            rng.normals(synthgen._CHUNK)
+
+        # A chunk costs about 100 B a draw (the state words, the uint64 and float64
+        # arrays and the float list); normals(n) holds 2n uniforms and n results.
+        assert peak_bytes(draws) < 256 * synthgen._CHUNK
 
 
 class TestGenerate:
