@@ -153,8 +153,9 @@ class TestChunkedStream:
                 rng.uniform()
             rng.normals(synthgen._CHUNK)
 
-        # A chunk costs about 100 B a draw (the state words, the uint64 and float64
-        # arrays and the float list); normals(n) holds 2n uniforms and n results.
+        # About 130 B a chunk draw at the peak: one chunk's state words, arrays and
+        # float list, and normals(n)'s 2n uniforms and n results. Ten chunks kept
+        # alive would be several times the bound.
         assert peak_bytes(draws) < 256 * synthgen._CHUNK
 
 
