@@ -133,7 +133,10 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     s(recent, z) when the history is empty, c_r is 1 or ``use_ham`` is off.
     The score is affine in phi(x) . phi(z) and the weights sum to one, so each
     track is one row c_r * phi(recent) + (1 - c_r) * sum_k w_k * phi(hist_k)
-    and each pair one inner product.
+    and each pair one inner product. The blend runs over the whole bank, with
+    zero weights outside the blended rows, and the products over the gated
+    tracks x every detection, so no (P, d) or history block is gathered; each
+    row and product has the bits the gathered form gives it.
     """
     if scorer not in _BUILT_IN:
         raise ValueError(f"HAM scores with score_histogram or score_embedding only, not {scorer!r}")
@@ -144,9 +147,10 @@ def ham_scores(bank: MemoryBank, rows: np.ndarray, cols: np.ndarray, z: np.ndarr
     if np.any(n):
         b = np.flatnonzero(n)
         t, c = tracks[b], bank.recent_conf[tracks[b], None]
-        w = history_weight_rows(bank.hist_conf[t], n[b])
-        x[b] = c * x[b] + (1.0 - c) * np.einsum("nk,nkd->nd", w, phi(bank.hist[t]))
-    return np.clip(link(np.vecdot(x[at], phi(z)[cols])), 0.0, 1.0)
+        w = np.zeros(bank.hist_conf.shape)
+        w[t] = history_weight_rows(bank.hist_conf[t], n[b])
+        x[b] = c * x[b] + (1.0 - c) * np.einsum("nk,nkd->nd", w, phi(bank.hist))[t]
+    return np.clip(link(np.vecdot(x[:, None], phi(z)[None])[at, cols]), 0.0, 1.0)
 
 
 def maybe_store_history(bank: MemoryBank, rows, z: np.ndarray, kind: str, affinity,

@@ -93,14 +93,15 @@ def solve_tau_sa(mu10: float, sd10: float, mu_all: float, sd_all: float,
     """
     if sd10 < 0 or sd_all < 0:
         raise ValueError("standard deviations must be >= 0")
+    r10, r_all = sd10 * math.sqrt(2.0), sd_all * math.sqrt(2.0)
 
-    def mixed(tau: float) -> float:
-        return (beta * normal_cdf(tau, mu10, sd10)
-                + (1.0 - beta) * normal_cdf(tau, mu_all, sd_all))
+    def mixed(tau: float) -> float:  # normal_cdf of each component inline, in its order
+        p10 = 0.5 * math.erfc((mu10 - tau) / r10) if sd10 else float(tau >= mu10)
+        p_all = 0.5 * math.erfc((mu_all - tau) / r_all) if sd_all else float(tau >= mu_all)
+        return beta * p10 + (1.0 - beta) * p_all
 
     spread = 10.0 * max(sd10, sd_all)
-    lo = min(mu10, mu_all) - spread
-    hi = max(mu10, mu_all) + spread
+    lo, hi = min(mu10, mu_all) - spread, max(mu10, mu_all) + spread
     if lo == hi:
         return lo
     if mixed(lo) >= p_d:
@@ -112,10 +113,7 @@ def solve_tau_sa(mu10: float, sd10: float, mu_all: float, sd_all: float,
         r = mixed(mid) - p_d
         if abs(r) <= _BISECT_TOL:
             return mid
-        if r < 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if r < 0 else (lo, mid)
     return (lo + hi) / 2.0
 
 

@@ -5,15 +5,16 @@ Each frame runs in a fixed order, each stage labelled ``# (n)`` in ``Tracker.ste
 columns every later stage reads, confidence-filter it and check the kept detections'
 descriptors, (2) predict every live track's motion and shape, (3) build the shape-motion
 affinities, (4) fuse appearance on gated-in pairs, (5) solve the assignment, (6) update
-the matched tracks' filters, (7) start tentative tracks from unmatched detections. These
-write only locals; one commit then sets the tracker's state and (8) stores the matched
-appearances, ages unmatched tracks and retires the stale ones. (9) emits output boxes,
+the matched tracks' filters, (7) start the filters of tentative tracks on unmatched
+detections. These write only locals; one commit then sets the tracker's state and (8) stores
+the matched appearances, ages unmatched tracks, retires the stale ones and writes the born
+rows into the table's spare rows. (9) emits output boxes,
 each the caller's own ``BBox`` object. Processing is strictly sequential per sequence;
 independent sequences can run in parallel with separate ``Tracker`` instances.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,14 +75,6 @@ def _kalman_arithmetic(frame: int):
                          f"noise settings are too large to track") from None
 
 
-def _columnwise(fn, *tables: "TrackTable") -> "TrackTable":
-    """A table of ``fn`` applied to the tables' arrays, position by position."""
-    def leaf(*cols):
-        return type(cols[0])(*map(leaf, *cols)) if isinstance(cols[0], tuple) else fn(*cols)
-    return TrackTable(*map(leaf, *(vars(t).values() for t in tables)))
-
-
-@dataclass
 class TrackTable:
     """Live tracks, one row each, in birth order (hence ascending id).
 
@@ -90,37 +83,49 @@ class TrackTable:
     (N, 2, 4, 4). ``hits`` counts consecutive matches and ``misses``
     consecutive misses, so ``misses == 0`` marks the rows matched or born
     this frame. ``memory`` holds the appearance memories.
+
+    Each column is a view of the first N rows of a whole array with spare rows,
+    so the columns are the tracker's live state, which a later ``step``
+    overwrites in place: copy them to keep a snapshot.
     """
 
-    ids: np.ndarray
-    hits: np.ndarray
-    misses: np.ndarray
-    confirmed: np.ndarray
-    filters: kalman.KalmanState
-    memory: MemoryBank
+    def __init__(self, arrays: tuple[np.ndarray, ...], n: int):
+        self._arrays, self._bank = arrays, MemoryBank(*arrays[6:])  # whole, spare rows included
+        self.ids, self.hits, self.misses, self.confirmed, mean, cov, *bank = (a[:n] for a in arrays)
+        self.filters, self.memory = kalman.KalmanState(mean, cov), MemoryBank(*bank)
 
     @classmethod
-    def born(cls, first_id: int, observed: np.ndarray, descriptors: np.ndarray,
-             cfg: TrackerConfig, width: int) -> "TrackTable":
-        """Tentative tracks started on the (k, 2, 2) ``observed`` pairs and (k, d) ``descriptors``.
+    def empty(cls, d: int) -> "TrackTable":
+        """A table without tracks, for descriptors of length ``d``."""
+        return cls((*np.zeros((3, 0), dtype=int), np.zeros(0, dtype=bool), np.zeros((0, 2, 4)),
+                    np.zeros((0, 2, 4, 4)), *new_bank(np.zeros((0, d)))), 0)
 
-        Their histories are empty, with ``width`` slots.
+    def renewed(self, memory: MemoryBank, dead: np.ndarray, first_id: int,
+                born: Optional[kalman.KalmanState], descriptors: np.ndarray,
+                cfg: TrackerConfig) -> "TrackTable":
+        """This table with ``memory`` as its memory's whole arrays, less its ``dead`` rows, and
+        then tentative tracks on the ``born`` filters and (k, d) ``descriptors``, ids from
+        ``first_id``, their histories empty.
+
+        The live rows after the first dead one move down in place, in order. The new rows go
+        into the free rows; when those run out, every array is first copied into a new one
+        twice as long.
         """
-        n = len(observed)
-        heights = observed[:, SHAPE, 1:]
-        return cls(np.arange(first_id, first_id + n), np.ones(n, dtype=int),
-                   np.zeros(n, dtype=int), np.full(n, cfg.confirm_hits <= 1),
-                   kalman.init(observed, heights, pos_std=cfg.measurement_noise * heights),
-                   new_bank(descriptors, width))
-
-    def select(self, keep: np.ndarray) -> "TrackTable":
-        """The rows where ``keep`` is true."""
-        rows = np.flatnonzero(keep)
-        return _columnwise(lambda col: col[rows], self)
-
-    def append(self, other: "TrackTable") -> "TrackTable":
-        """This table's rows followed by ``other``'s, which has as many history slots."""
-        return _columnwise(lambda x, y: np.concatenate([x, y]), self, other)
+        arrays, n, k = (*self._arrays[:6], *memory), len(self.ids), len(descriptors)
+        if dead.any():
+            live = np.flatnonzero(~dead)
+            first, n = int(dead.argmax()), len(live)
+            if first < n:
+                for a in arrays:
+                    a[first:n] = a[live[first:]]
+        if n + k > len(arrays[0]):  # new arrays, each twice as long, repeating its rows
+            arrays = tuple(np.resize(a, (max(2 * len(a), n + k), *a.shape[1:])) for a in arrays)
+        if k:  # each array's value in a new row
+            for a, value in zip(arrays, (np.arange(first_id, first_id + k), 1, 0,
+                                         cfg.confirm_hits <= 1, *born, descriptors, 1.0, 0.0,
+                                         0.0, 0, 0)):
+                a[n:n + k] = value
+        return TrackTable(arrays, n + k)
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ class Tracker:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
         self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
-        self.table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, 0)), self.cfg, 0)
+        self.table = TrackTable.empty(0)
         self._kind, self._dim = None, 0  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
@@ -195,8 +200,9 @@ class Tracker:
         Stage (1) reads ``detections`` once into a (k, 5) array of x, y, w, h and confidence,
         whose columns every later stage reads. The checks and stages (1)-(7) write only locals.
         One commit, with no call that can raise, then writes the tracker and (8) stores
-        appearances, ages and retires tracks; (9) emits the boxes. So a frame that raises, on
-        its input or on a Kalman overflow, leaves the tracker as it was, and can be stepped again.
+        appearances, ages and retires tracks and writes the born rows; (9) emits the boxes. So
+        a frame that raises, on its input or on a Kalman overflow, leaves the tracker as it was,
+        and can be stepped again.
         """
         cfg = self.cfg
         if frame <= self._last_frame:
@@ -228,18 +234,18 @@ class Tracker:
             if not np.isfinite(descriptors).all():
                 raise ValueError(f"descriptor rows in frame {frame} hold non-finite values")
 
-        # (2) predict, into new arrays that (6) updates in place
+        # (2) predict, into new arrays that (6) updates in place and the commit stores
         table = self.table
         if first_kind != self._kind:  # no track yet: size its descriptor columns
-            table = TrackTable.born(1, np.zeros((0, 2, 2)), np.zeros((0, first_dim)), cfg, 0)
+            table = TrackTable.empty(first_dim)
         with _kalman_arithmetic(frame):
             process_std = cfg.process_noise * kalman.clamped_wh(table.filters)[:, SHAPE, 1:]
-            table = replace(table, filters=kalman.predict(table.filters, process_std))
+            filters = kalman.predict(table.filters, process_std)
 
         # (3) shape-motion affinities, (4) appearance fusion, (5) assignment
         boxes = block[kept, :4]
-        pred_wh = kalman.clamped_wh(table.filters)[:, SHAPE]
-        sm = build_sm_matrix(table.filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
+        pred_wh = kalman.clamped_wh(filters)[:, SHAPE]
+        sm = build_sm_matrix(filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:
             final = fuse_appearance(sm, table.memory, descriptors,
                                     appearance.scorer_for(first_kind), use_ham=cfg.use_ham)
@@ -247,41 +253,41 @@ class Tracker:
             final = gate_values(sm)
         assignment = associate(final, cfg.tau_asc)
 
-        # (6) update the matched filters, (7) start tentative tracks after the live rows
+        # (6) update the matched filters, (7) start the filters of tentative tracks
         rows = [ti for ti, _, _ in assignment.matches]
         cols = [dj for _, dj, _ in assignment.matches]
         missed, new = list(assignment.unmatched_tracks), list(assignment.unmatched_detections)
-        index = np.full(len(table.ids) + len(new), -1)  # row -> its detection's raw ordinal
-        index[rows], index[len(table.ids):] = kept[cols], kept[new]
+        index = np.full(len(table.ids), -1)  # row -> its detection's raw ordinal
+        index[rows] = kept[cols]
         observed = boxes.reshape(-1, 2, 2)  # what the filters observe: (3) has read the boxes,
         observed[:, 0] += observed[:, 1] / 2.0  # so their x, y become centres in place
-        z = observed[cols]
+        z, born = observed[cols], None
         with _kalman_arithmetic(frame):
-            table.filters.mean[rows], table.filters.cov[rows] = kalman.update(
-                table.filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
-            if new:  # append copies every column, the history included
-                table = table.append(TrackTable.born(self._next_id, observed[new], descriptors[new],
-                                                     cfg, table.memory.hist.shape[1]))
+            filters.mean[rows], filters.cov[rows] = kalman.update(
+                filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
+            if new:
+                heights = observed[new][:, SHAPE, 1:]
+                born = kalman.init(observed[new], heights, pos_std=cfg.measurement_noise * heights)
 
         # Commit: nothing below raises, so the frame lands whole or not at all.
         self._last_frame, self._frame_count = frame, self._frame_count + 1
         self.sadf_state, self._kind, self._dim = sadf_state, first_kind, first_dim
-        self._next_id += len(new)
-        # (8) store matched appearances (widening born rows too), age the missed, retire the stale
+        table.filters.mean[:], table.filters.cov[:] = filters
+        # (8) store matched appearances, age the missed, retire the stale, add the born last
+        memory = table._bank  # the whole arrays, so that a widened history keeps its spare rows
         if self.use_appearance:
-            table.memory = maybe_store_history(
-                table.memory, rows, descriptors[cols], first_kind,
-                [affinity for _, _, affinity in assignment.matches], frame, cfg)
-            table.memory = decay_confidence(table.memory, missed, cfg.conf_decay)
+            memory = maybe_store_history(memory, rows, descriptors[cols], first_kind,
+                                         [a for _, _, a in assignment.matches], frame, cfg)
+            memory = decay_confidence(memory, missed, cfg.conf_decay)
         table.hits[rows] += 1
         table.misses[rows] = 0
         table.confirmed[rows] |= table.hits[rows] >= cfg.confirm_hits
         table.misses[missed] += 1
         table.hits[missed] = 0
         dead = (table.misses > 0) & (~table.confirmed | (table.misses > cfg.max_age))
-        if dead.any():  # select copies every column, the history included
-            table, index = table.select(~dead), index[~dead]
-        self.table = table
+        index = np.concatenate([index[~dead], kept[new]])
+        self.table = table = table.renewed(memory, dead, self._next_id, born, descriptors[new], cfg)
+        self._next_id += len(new)
 
         # (9) emit output boxes
         outputs = []

@@ -391,19 +391,24 @@ class TestBatchIndependence:
 
     HIST_MAX = TrackerConfig().hist_max
 
+    @staticmethod
+    def memories(rng, make, width, repeats):
+        """Every history length from 0 to ``width``, ``repeats`` times; a third of the
+        memories at recent_conf 1."""
+        lengths = np.repeat(np.arange(width + 1), repeats)
+        return [AppearanceMemory(
+            recent=make(), recent_conf=1.0 if k % 3 == 0 else float(rng.uniform(0.0, 1.0)),
+            history=tuple(HistoryEntry(make(), float(rng.uniform(0.05, 1.0)), e + 1)
+                          for e in range(n)))
+            for k, n in enumerate(lengths.tolist())]
+
     @pytest.mark.parametrize("use_ham", [True, False])
     @pytest.mark.parametrize("kind, d", [("embedding", 128), ("histogram", 512)])
     def test_pair_alone_equals_pair_in_batch(self, kind, d, use_ham):
         rng = np.random.default_rng(d + use_ham)
         make = ((lambda: unit(rng.normal(size=d))) if kind == "embedding"
                 else (lambda: sparse_histogram(rng, d)))
-        # Every length from 0 to hist_max six times; a third of them at recent_conf 1.
-        lengths = np.repeat(np.arange(self.HIST_MAX + 1), 6)
-        memories = [AppearanceMemory(
-            recent=make(), recent_conf=1.0 if k % 3 == 0 else float(rng.uniform(0.0, 1.0)),
-            history=tuple(HistoryEntry(make(), float(rng.uniform(0.05, 1.0)), e + 1)
-                          for e in range(n)))
-            for k, n in enumerate(lengths.tolist())]
+        memories = self.memories(rng, make, self.HIST_MAX, 6)
         detections = [make() for _ in range(40)]
         detections[3] = memories[-1].history[-1].descriptor  # a perfect match
         bank, z = bank_of(memories, detections)
@@ -417,6 +422,42 @@ class TestBatchIndependence:
         for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
             alone = memories[i] if use_ham else dataclasses.replace(memories[i], history=())
             assert scores[p] == ham(alone, detections[j], scorer_for(kind)), (i, j)
+
+    @pytest.mark.parametrize("use_ham", [True, False])
+    @pytest.mark.parametrize("gate", ["one pair", "every pair", "some pairs"])
+    @pytest.mark.parametrize("kind, d, width", [
+        ("embedding", 1, 1), ("embedding", 3, 3), ("embedding", 127, 7), ("embedding", 129, 16),
+        ("histogram", 5, 1), ("histogram", 33, 5), ("histogram", 255, 9)])
+    def test_pairs_equal_ham_alone_on_a_bank_with_spare_rows(self, kind, d, width, gate, use_ham):
+        # The tracker's bank is views of arrays whose spare rows, like the slots past each
+        # history, hold finite stale values; the blend runs over the whole bank and the
+        # products over the gated tracks x every detection.
+        rng = np.random.default_rng([d, width, len(gate), use_ham])
+        make = ((lambda: unit(rng.normal(size=d))) if kind == "embedding"
+                else (lambda: sparse_histogram(rng, d)))
+        memories = self.memories(rng, make, width, 3)
+        detections = [make() for _ in range(9)]
+        bank, z = bank_of(memories, detections)
+        stale = np.arange(bank.hist.shape[1]) >= bank.hist_len[:, None]
+        bank.hist[stale] = [make().values for _ in range(np.count_nonzero(stale))]
+        bank.hist_conf[stale] = rng.uniform(0.05, 1.0, size=np.count_nonzero(stale))
+        n, spare = len(memories), 5
+        spare_rows = MemoryBank(
+            np.array([make().values for _ in range(spare)]), rng.uniform(0.0, 1.0, spare),
+            np.array([[make().values for _ in range(width)] for _ in range(spare)]),
+            rng.uniform(0.05, 1.0, (spare, width)), rng.integers(1, 99, (spare, width)),
+            rng.integers(0, width + 1, spare))
+        bank = MemoryBank(*(np.concatenate([a, b])[:n] for a, b in zip(bank, spare_rows)))
+        if gate == "one pair":
+            rows, cols = rng.integers(0, n, 1), rng.integers(0, len(z), 1)
+        else:
+            mask = rng.uniform(size=(n, len(z))) < (1.0 if gate == "every pair" else 0.3)
+            rows, cols = rng.permutation(np.argwhere(mask)).T
+        scores = ham_scores(bank, rows, cols, z, scorer_for(kind), use_ham)
+        for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            alone = memories[i] if use_ham else dataclasses.replace(memories[i], history=())
+            expected = ham(alone, detections[j], scorer_for(kind))
+            assert scores[p].tobytes() == np.float64(expected).tobytes(), (i, j)
 
 
 class ReferenceMemory:

@@ -111,6 +111,52 @@ class TestSolveTauSa:
                 for p in np.linspace(0.05, 0.95, 19)]
         assert all(b >= a - 1e-9 for a, b in zip(taus, taus[1:]))
 
+    @staticmethod
+    def per_step_solve(mu10, sd10, mu_all, sd_all, beta, p_d):
+        """``solve_tau_sa`` as it was when each bisection step called ``normal_cdf``."""
+        def mixed(tau):
+            return (beta * normal_cdf(tau, mu10, sd10)
+                    + (1.0 - beta) * normal_cdf(tau, mu_all, sd_all))
+
+        spread = 10.0 * max(sd10, sd_all)
+        lo = min(mu10, mu_all) - spread
+        hi = max(mu10, mu_all) + spread
+        if lo == hi:
+            return lo
+        if mixed(lo) >= p_d:
+            return lo
+        if mixed(hi) <= p_d:
+            return hi
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            r = mixed(mid) - p_d
+            if abs(r) <= 1e-9:
+                return mid
+            if r < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2.0
+
+    def test_bits_equal_the_per_step_normal_cdf_solve(self):
+        rng = np.random.default_rng(25)
+        cases = [tuple(float(v) for v in (rng.uniform(-50, 150), rng.uniform(0, 40),
+                                          rng.uniform(-50, 150), rng.uniform(0, 40),
+                                          rng.uniform(0, 1), rng.uniform(0, 1)))
+                 for _ in range(400)]
+        cases += [  # degenerate: point masses, one or both, equal or apart, and extreme targets
+            (30.0, 0.0, 30.0, 0.0, 0.5, 0.4), (30.0, 0.0, 30.0, 5.0, 0.5, 0.7),
+            (30.0, 5.0, 40.0, 0.0, 0.3, 0.4), (10.0, 0.0, 40.0, 0.0, 0.5, 0.5),
+            (-0.0, -0.0, 0.0, 0.0, 1.0, 0.0), (25.0, 3.0, 25.0, 3.0, 0.0, 1.0),
+            (25.0, 3.0, 60.0, 1e-300, 1.0, 0.5), (25.0, 5e-324, 26.0, 2.0, 0.9, 0.2),
+            (1e300, 1.0, -1e300, 1.0, 0.5, 0.5), (40.0, 7.0, 41.0, 7.0, 0.5, 0.0),
+        ]
+        cases += [(mu, sd, mu + shift, sd2, b, p)
+                  for mu, sd, shift, sd2, b, p in rng.uniform(0, 1, size=(100, 6)).tolist()]
+        for case in cases:
+            got, expected = solve_tau_sa(*case), self.per_step_solve(*case)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), case
+
 
 class TestThreshold:
     def test_no_samples_yet_uses_constant(self):

@@ -398,6 +398,102 @@ TestRejectedInputs = RejectedInputs.TestCase
 TestRejectedInputs.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
 
 
+class CopyingTable:
+    """The track table as it was before it kept spare rows: a list of its twelve columns in
+    field order, where a birth appends by concatenating every column and a death selects by
+    gathering every column."""
+
+    def __init__(self, d):
+        self.columns = [np.arange(0), np.ones(0, dtype=int), np.zeros(0, dtype=int),
+                        np.full(0, False), np.zeros((0, 2, 4)), np.zeros((0, 2, 4, 4)),
+                        *appearance.new_bank(np.zeros((0, d)))]
+
+    def append(self, first_id, born, descriptors, confirmed):
+        k, width = len(descriptors), self.columns[8].shape[1]
+        rows = [np.arange(first_id, first_id + k), np.ones(k, dtype=int), np.zeros(k, dtype=int),
+                np.full(k, confirmed), *born, *appearance.new_bank(descriptors, width)]
+        self.columns = [np.concatenate([x, y]) for x, y in zip(self.columns, rows)]
+
+    def select(self, keep):
+        rows = np.flatnonzero(keep)
+        self.columns = [col[rows] for col in self.columns]
+
+
+class TableFrames(RuleBasedStateMachine):
+    """Frames of births, deaths at the head, middle and tail, history stores and growth past
+    the spare rows, applied as ``step`` applies them to a ``TrackTable`` and to a
+    ``CopyingTable``: after every frame the live columns are equal, and ids ascend."""
+
+    D = 3
+    CFG = TrackerConfig(hist_max=3, hist_window=4, tau_conf=0.5, confirm_hits=1)
+
+    def __init__(self):
+        super().__init__()
+        self.table, self.copying = tracker_module.TrackTable.empty(self.D), CopyingTable(self.D)
+        self.frame, self.next_id, self.rng = 0, 1, None
+
+    @rule(seed=st.integers(0, 2**32 - 1), where=st.sampled_from(["none", "head", "middle",
+                                                                  "tail", "scattered", "all"]),
+          births=st.one_of(st.integers(0, 4), st.integers(5, 40)))
+    def frame_of(self, seed, where, births):
+        rng = np.random.default_rng(seed)
+        n, cfg = len(self.table.ids), self.CFG
+        self.frame += 1
+        # (8)'s stores and decays, on stored rows and missed rows drawn apart
+        order = rng.permutation(n)
+        stored, missed = np.sort(order[:n // 2]), order[n // 2:]
+        z, affinity = rng.normal(size=(len(stored), self.D)), rng.uniform(0, 1, len(stored))
+        # counters as a frame leaves them, distinct per row so that every move shows
+        hits, misses = rng.integers(0, 99, n), rng.integers(0, 99, n)
+        dead = np.zeros(n, dtype=bool)
+        if n:
+            span = max(1, int(rng.integers(1, n + 1)) // 3)
+            start = {"head": 0, "middle": n // 3, "tail": n - span}.get(where, 0)
+            if where in ("head", "middle", "tail"):
+                dead[start:start + span] = True
+            elif where == "scattered":
+                dead = rng.uniform(size=n) < 0.4
+            elif where == "all":
+                dead[:] = True
+        born = kalman.KalmanState(rng.normal(size=(births, 2, 4)),
+                                  rng.normal(size=(births, 2, 4, 4)))
+        descriptors = rng.normal(size=(births, self.D))
+
+        # The copy-per-frame order: append the born, store, age, then select the live.
+        old = self.copying
+        if births:
+            old.append(self.next_id, born, descriptors, cfg.confirm_hits <= 1)
+        bank = appearance.maybe_store_history(appearance.MemoryBank(*old.columns[6:]), stored, z,
+                                              "embedding", affinity, self.frame, cfg)
+        old.columns[6:] = appearance.decay_confidence(bank, missed, cfg.conf_decay)
+        old.columns[1][:n], old.columns[2][:n] = hits, misses
+        old.select(np.concatenate([~dead, np.ones(births, dtype=bool)]))
+
+        # The spare-row order: store and age on the whole arrays, then retire and add.
+        table = self.table
+        memory = appearance.maybe_store_history(
+            appearance.MemoryBank(*table._arrays[6:]), stored, z, "embedding", affinity,
+            self.frame, cfg)
+        memory = appearance.decay_confidence(memory, missed, cfg.conf_decay)
+        table.hits[:], table.misses[:] = hits, misses
+        self.table = table.renewed(memory, dead, self.next_id, born if births else None,
+                                   descriptors, cfg)
+        self.next_id += births
+
+        new = self.table
+        live = [new.ids, new.hits, new.misses, new.confirmed, *new.filters, *new.memory]
+        for name, got, expected in zip(("ids", "hits", "misses", "confirmed", "mean", "cov",
+                                        *appearance.MemoryBank._fields), live, old.columns):
+            np.testing.assert_array_equal(got, expected, strict=True, err_msg=name)
+        assert np.all(np.diff(new.ids) > 0)
+        for col, whole in zip(live, new._arrays):
+            assert col.base is whole or col.base is whole.base  # a view of the whole array
+
+
+TestTableFrames = TableFrames.TestCase
+TestTableFrames.settings = settings(max_examples=60, stateful_step_count=20, deadline=None)
+
+
 class TestLifecycle:
     def test_startup_tracks_emit_immediately(self):
         results = run_sequence(walker(range(1, 4)), NO_FILTER, use_appearance=False)
@@ -446,7 +542,7 @@ class TestLifecycle:
                     for _ in range(rng.integers(0, 4))]
             tracker.step(f, dets)
             seen.extend(tracker.table.ids.tolist())
-            table = tracker.table  # every array keeps one row per track
+            table = tracker.table  # every public column keeps one row per track
             leaves = [table.ids, table.hits, table.misses, table.confirmed,
                       *table.filters, *table.memory]
             assert {len(col) for col in leaves} == {len(table.ids)}
@@ -496,24 +592,30 @@ class TestAppearanceIntegration:
             assert np.array_equal(getattr(after, name), getattr(before, name)), name
         assert after.recent_conf[0] == pytest.approx(before.recent_conf[0] * 0.9)
 
-    def test_frame_without_birth_or_death_keeps_the_table_arrays(self):
-        # Only a birth or a death copies the table's columns, the (N, W, d)
-        # history among them; a match that stores into a full history, a miss
-        # or a match that stores nothing reuses them.
+    def test_history_block_is_shared_until_capacity_doubles(self):
+        # Births write into spare rows and deaths move the live rows down in place, so the
+        # (N, W, d) history stays one block across births, deaths and frames with neither;
+        # only a birth past the spare rows copies it, into a block twice as long.
         a, b = self.descriptors()
-        tracker = Tracker(NO_FILTER, descriptor_source=keyed(
-            {**{(f, 0): a for f in range(1, 13)}, (14, 0): b}))
+        tracker = Tracker(NO_FILTER, descriptor_source=lambda f, o: a if o == 0 else b)
         for f in range(1, 12):
             tracker.step(f, [det(f, 50.0 + 4.0 * f)])
-        assert tracker.table.memory.hist_len[0] == NO_FILTER.hist_max
-        for f, dets in ((12, [det(12, 98.0)]), (13, []), (14, [det(14, 106.0)])):
-            ids, hist = tracker.table.ids, tracker.table.memory.hist
+        assert tracker.table.memory.hist_len[0] == NO_FILTER.hist_max  # W no longer widens
+        capacity, before, grown = 1, 0, []  # the walker's birth made room for one row
+        for f, extra in zip(range(12, 21), (1, 1, 0, 3, 1, 0, 2, 5, 0)):
+            # Tentative false positives 500 px from the last frame's die after one frame.
+            dets = [det(f, 50.0 + 4.0 * f)] + [det(f, 600.0 + 300.0 * k, y=400.0 + 500.0 * (f % 2))
+                                               for k in range(extra)]
+            hist = tracker.table.memory.hist
             diag = tracker.step(f, dets).diagnostics
-            assert (diag.births, diag.deaths, diag.n_tracks) == (0, 0, 1)
-            assert tracker.table.ids is ids
-            assert np.shares_memory(tracker.table.memory.hist, hist)
-        assert tracker.table.memory.hist_frame[0].tolist() == list(range(3, 13))  # 12 stored
-        assert tracker.table.misses[0] == 0  # the orthogonal detection matched
+            assert (diag.births, diag.deaths, diag.n_tracks) == (extra, before, 1 + extra)
+            if diag.n_tracks > capacity:
+                capacity = max(2 * capacity, diag.n_tracks)
+                grown.append(f)
+            assert np.shares_memory(tracker.table.memory.hist, hist) == (grown[-1:] != [f])
+            before = extra
+        assert grown == [12, 15, 19] and capacity == 8
+        assert tracker.table.ids[0] == 1 and tracker.table.misses[0] == 0  # the walker held on
 
     def test_match_affinity_becomes_recent_conf(self):
         a, _ = self.descriptors()
