@@ -430,7 +430,7 @@ class TableFrames(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.table, self.copying = tracker_module.TrackTable.empty(self.D), CopyingTable(self.D)
-        self.frame, self.next_id, self.rng = 0, 1, None
+        self.frame, self.next_id = 0, 1
 
     @rule(seed=st.integers(0, 2**32 - 1), where=st.sampled_from(["none", "head", "middle",
                                                                   "tail", "scattered", "all"]),
@@ -443,18 +443,17 @@ class TableFrames(RuleBasedStateMachine):
         order = rng.permutation(n)
         stored, missed = np.sort(order[:n // 2]), order[n // 2:]
         z, affinity = rng.normal(size=(len(stored), self.D)), rng.uniform(0, 1, len(stored))
-        # counters as a frame leaves them, distinct per row so that every move shows
+        # counters as a frame leaves them, random per row so that a row moved wrongly shows
         hits, misses = rng.integers(0, 99, n), rng.integers(0, 99, n)
         dead = np.zeros(n, dtype=bool)
-        if n:
+        if n and where in ("head", "middle", "tail"):
             span = max(1, int(rng.integers(1, n + 1)) // 3)
-            start = {"head": 0, "middle": n // 3, "tail": n - span}.get(where, 0)
-            if where in ("head", "middle", "tail"):
-                dead[start:start + span] = True
-            elif where == "scattered":
-                dead = rng.uniform(size=n) < 0.4
-            elif where == "all":
-                dead[:] = True
+            start = {"head": 0, "middle": n // 3, "tail": n - span}[where]
+            dead[start:start + span] = True
+        elif where == "scattered":
+            dead = rng.uniform(size=n) < 0.4
+        elif where == "all":
+            dead[:] = True
         born = kalman.KalmanState(rng.normal(size=(births, 2, 4)),
                                   rng.normal(size=(births, 2, 4, 4)))
         descriptors = rng.normal(size=(births, self.D))
@@ -471,9 +470,8 @@ class TableFrames(RuleBasedStateMachine):
 
         # The spare-row order: store and age on the whole arrays, then retire and add.
         table = self.table
-        memory = appearance.maybe_store_history(
-            appearance.MemoryBank(*table._arrays[6:]), stored, z, "embedding", affinity,
-            self.frame, cfg)
+        memory = appearance.maybe_store_history(table._bank, stored, z, "embedding", affinity,
+                                                self.frame, cfg)
         memory = appearance.decay_confidence(memory, missed, cfg.conf_decay)
         table.hits[:], table.misses[:] = hits, misses
         self.table = table.renewed(memory, dead, self.next_id, born if births else None,
