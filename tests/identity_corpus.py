@@ -15,6 +15,11 @@ returns one SHA-256 per output:
   PPM frames: the result file, the ``--trace`` CSV (``*_trace``) and the
   manifest (``*_manifest``), less its ``duration_sec`` and with its paths
   relative to ``workdir``;
+- ``occlusion.scn`` under every ``--appearance`` mode again, tracked with
+  ``--filter none --set emit_predicted=true`` (``occlusion_*_predicted``), so
+  that the boxes written for unmatched confirmed tracks are covered, and once
+  more with ``--set confirm_hits=1`` too (``*_predicted_confirm_1``), so that a
+  track is confirmed, and written, in the frame it is born;
 - the ``hamtrack eval`` line (``*_eval``) of every ``hamtrack track`` result
   above, scored against the scene's ground truth at the default IoU threshold
   and at each of ``EVAL_IOUS`` (``*_eval_iou_0.3`` and so on); on these scenes
@@ -193,6 +198,14 @@ def digests(workdir: Path) -> dict[str, str]:
                    "--filter", mode, "--trace", str(trace))
             results[name], results[f"{name}_trace"] = out.read_bytes(), trace.read_bytes()
             results[f"{name}_manifest"] = _manifest(Path(f"{out}.manifest.json"), workdir)
+            results.update(_evals(name, scene, out))
+        for name, extra in ((f"occlusion_{appearance}_predicted", ()),
+                            (f"occlusion_{appearance}_predicted_confirm_1",
+                             ("--set", "confirm_hits=1"))):
+            out = workdir / f"{name}.txt"
+            _track(scene, out, "--appearance", appearance, *sources[appearance],
+                   "--filter", "none", "--set", "emit_predicted=true", *extra)
+            results[name] = out.read_bytes()
             results.update(_evals(name, scene, out))
     for name, spec in schedule_specs().items():
         _write_scene(spec, workdir / f"schedule_{name}")
