@@ -12,8 +12,8 @@ import sys
 import time
 from pathlib import Path
 
-from .core import (EMBEDDING, HISTOGRAM, TrackerConfig, config_from_mapping, parse_kv_text,
-                   validate_config)
+from .core import (EMBEDDING, FILTER_MODES, HISTOGRAM, TrackerConfig, config_from_mapping,
+                   parse_kv_text, validate_config)
 from .io_mot import (frame_image_name, histogram_from_patch, parse_det_file,
                      parse_embedding_rows, parse_gt_file, read_ppm,
                      write_embedding_file, write_mot_rows, write_ppm,
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--frames-dir", help="directory of %%06d.ppm frame images")
     p_track.add_argument("--ham", choices=("on", "off"),
                          help="score appearance against history (default on)")
-    p_track.add_argument("--filter", choices=("sadf", "const", "none"),
+    p_track.add_argument("--filter", choices=FILTER_MODES,
                          help="detection confidence filtering mode")
     p_track.add_argument("--trace", help="write per-frame diagnostics CSV here")
     p_track.add_argument("--manifest", help="manifest path (default <out>.manifest.json)")

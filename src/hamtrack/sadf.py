@@ -21,19 +21,6 @@ _BISECT_TOL = 1e-9
 _BISECT_MAX_ITER = 200
 
 
-def normal_cdf(x: float, mu: float = 0.0, sd: float = 1.0) -> float:
-    """Gaussian CDF via the complementary error function.
-
-    With sd == 0 the distribution is a point mass at ``mu`` and the CDF is a
-    unit step (1 at and above ``mu``).
-    """
-    if sd < 0:
-        raise ValueError(f"sd must be >= 0, got {sd}")
-    if sd == 0.0:
-        return 1.0 if x >= mu else 0.0
-    return 0.5 * math.erfc((mu - x) / (sd * math.sqrt(2.0)))
-
-
 @dataclass(frozen=True)
 class SadfState:
     """Running confidence statistics.
@@ -87,15 +74,15 @@ def solve_tau_sa(mu10: float, sd10: float, mu_all: float, sd_all: float,
                  beta: float, p_d: float) -> float:
     """Quantile of the mixed CDF: the tau with beta*P10(tau) + (1-beta)*Pall(tau) = p_d.
 
-    The mixed CDF is nondecreasing, so the minimizer of the squared residual
-    is its root, found by bisection. Degenerate sd == 0 components turn into
-    unit steps and bisection converges onto the jump instead.
+    Each component's CDF is ``0.5 * erfc((mu - tau) / (sd * sqrt(2)))``, or with sd == 0
+    a unit step (1 at and above mu). The mixed CDF is nondecreasing, so the minimizer of
+    the squared residual is its root, found by bisection, which converges onto a step's jump.
     """
     if sd10 < 0 or sd_all < 0:
         raise ValueError("standard deviations must be >= 0")
     r10, r_all = sd10 * math.sqrt(2.0), sd_all * math.sqrt(2.0)
 
-    def mixed(tau: float) -> float:  # normal_cdf of each component inline, in its order
+    def mixed(tau: float) -> float:
         p10 = 0.5 * math.erfc((mu10 - tau) / r10) if sd10 else float(tau >= mu10)
         p_all = 0.5 * math.erfc((mu_all - tau) / r_all) if sd_all else float(tau >= mu_all)
         return beta * p10 + (1.0 - beta) * p_all

@@ -70,9 +70,8 @@ class Xoshiro256StarStar:
         self._s = [next(seeder) for _ in range(4)]
         if not any(self._s):
             self._s[0] = 1
-        self._u64 = np.empty(0, dtype=np.uint64)  # the buffered draws
-        self._uni: list[float] = []               # the same draws as uniforms
-        self._pos = 0                             # the next unread draw
+        self._uni: list[float] = []  # the buffered draws, as uniforms
+        self._pos = 0                # the next unread draw
 
     def _refill(self) -> None:
         """Buffer the next ``_CHUNK`` draws; the buffer must have been read to its end."""
@@ -91,28 +90,15 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         r = np.array(seen, dtype=np.uint64) * 5
         r = ((r << 7) | (r >> 57)) * 9
-        self._u64 = r
         self._uni = (((r >> 11).astype(np.float64) + 0.5) * 2.0 ** -53).tolist()
         self._pos = 0
 
-    def _next(self) -> int:
-        """The buffer position of the next draw, refilling the buffer first when it is read."""
+    def uniform(self) -> float:
+        """Uniform in the open interval (0, 1)."""
         if self._pos == len(self._uni):
             self._refill()
         self._pos += 1
-        return self._pos - 1
-
-    # Each draw method takes its position before it reads the buffer: in
-    # ``self._uni[self._next()]`` the list is read first, so the first draw
-    # after a refill would come from the old chunk.
-    def next_u64(self) -> int:
-        k = self._next()
-        return int(self._u64[k])
-
-    def uniform(self) -> float:
-        """Uniform in the open interval (0, 1)."""
-        k = self._next()
-        return self._uni[k]
+        return self._uni[self._pos - 1]
 
     def _uniforms(self, n: int) -> list[float]:
         """The next n uniforms, read across as many refills as they need."""

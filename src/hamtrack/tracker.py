@@ -231,6 +231,9 @@ class Tracker:
                 raise ValueError(f"descriptor kind or length mismatch in frame {frame}: expected "
                                  f"{len(kept)} {first_kind or kind} rows of length "
                                  f"{first_dim or 'd'}, got {kind} rows of {got}")
+            if descriptors.dtype.kind not in "biuf":
+                raise ValueError(f"descriptor rows in frame {frame} are {descriptors.dtype}, "
+                                 f"not real numbers")
             if not np.isfinite(descriptors).all():
                 raise ValueError(f"descriptor rows in frame {frame} hold non-finite values")
 
@@ -254,9 +257,10 @@ class Tracker:
         assignment = associate(final, cfg.tau_asc)
 
         # (6) update the matched filters, (7) start the filters of tentative tracks
-        rows = [ti for ti, _, _ in assignment.matches]
-        cols = [dj for _, dj, _ in assignment.matches]
-        missed, new = list(assignment.unmatched_tracks), list(assignment.unmatched_detections)
+        matches = np.array(assignment.matches, dtype=float).reshape(-1, 3)
+        (rows, cols), affinity = matches[:, :2].astype(int).T, matches[:, 2]
+        missed = np.array(assignment.unmatched_tracks, dtype=int)
+        new = np.array(assignment.unmatched_detections, dtype=int)
         index = np.full(len(table.ids), -1)  # row -> its detection's raw ordinal
         index[rows] = kept[cols]
         observed = boxes.reshape(-1, 2, 2)  # what the filters observe: (3) has read the boxes,
@@ -265,7 +269,7 @@ class Tracker:
         with _kalman_arithmetic(frame):
             filters.mean[rows], filters.cov[rows] = kalman.update(
                 filters.at(rows), z, cfg.measurement_noise * z[:, SHAPE, 1:])
-            if new:
+            if len(new):
                 heights = observed[new][:, SHAPE, 1:]
                 born = kalman.init(observed[new], heights, pos_std=cfg.measurement_noise * heights)
 
@@ -276,8 +280,8 @@ class Tracker:
         # (8) store matched appearances, age the missed, retire the stale, add the born last
         memory = table._bank  # the whole arrays, so that a widened history keeps its spare rows
         if self.use_appearance:
-            memory = maybe_store_history(memory, rows, descriptors[cols], first_kind,
-                                         [a for _, _, a in assignment.matches], frame, cfg)
+            memory = maybe_store_history(memory, rows, descriptors[cols], first_kind, affinity,
+                                         frame, cfg)
             memory = decay_confidence(memory, missed, cfg.conf_decay)
         table.hits[rows] += 1
         table.misses[rows] = 0
@@ -289,17 +293,16 @@ class Tracker:
         self.table = table = table.renewed(memory, dead, self._next_id, born, descriptors[new], cfg)
         self._next_id += len(new)
 
-        # (9) emit output boxes
-        outputs = []
+        # (9) emit output boxes: a matched or born row's detection box, a missed row's prediction
         startup = self._frame_count <= cfg.confirm_hits
-        for r, track_id in enumerate(table.ids.tolist()):
-            if table.misses[r] == 0:
-                if table.confirmed[r] or startup:
-                    outputs.append((track_id, detections[index[r]].bbox))
-            elif cfg.emit_predicted and table.confirmed[r]:
-                outputs.append((track_id, kalman.predicted_box(
-                    table.filters.at((r, MOTION)), table.filters.at((r, SHAPE)))))
+        fresh = table.misses == 0  # matched or born this frame
+        emitted = np.flatnonzero(fresh & startup | table.confirmed & (fresh | cfg.emit_predicted))
+        columns = (emitted, table.ids[emitted], fresh[emitted], index[emitted])
+        outputs = [(track_id, detections[k].bbox if matched else kalman.predicted_box(
+                        table.filters.at((r, MOTION)), table.filters.at((r, SHAPE))))
+                   for r, track_id, matched, k in zip(*(c.tolist() for c in columns))]
 
+        gated = int(sm.gate_mask.sum())
         diag = FrameDiagnostics(
             births=len(new),
             deaths=int(dead.sum()),
@@ -307,8 +310,8 @@ class Tracker:
             n_raw=len(detections),
             n_kept=len(kept),
             total_pairs=int(sm.values.size),
-            gated_pairs=int(sm.gate_mask.sum()),
-            appearance_evals=int(final.gate_mask.sum()) if self.use_appearance else 0,
+            gated_pairs=gated,
+            appearance_evals=gated if self.use_appearance else 0,
             tau_sa=tau_sa,
             tau_t=tau_t,
         )

@@ -27,7 +27,7 @@ class TestRng:
     def test_deterministic_streams(self):
         a = Xoshiro256StarStar(99)
         b = Xoshiro256StarStar(99)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+        assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
 
     def test_uniform_open_interval(self):
         rng = Xoshiro256StarStar(5)
@@ -96,7 +96,7 @@ class PerDrawXoshiro:
 
 # One draw call: the method's name and its arguments.
 DRAWS = st.one_of(
-    st.tuples(st.sampled_from(["next_u64", "uniform"])),
+    st.tuples(st.just("uniform")),
     st.tuples(st.just("normal"), st.floats(-1e3, 1e3), st.floats(0.0, 1e2)),
     st.tuples(st.just("normals"), st.integers(0, 40), st.floats(-1e3, 1e3), st.floats(0.0, 1e2)),
     st.tuples(st.just("unit_vector"), st.integers(1, 40)))
@@ -104,10 +104,7 @@ DRAWS = st.one_of(
 
 def draw_bits(rng, method: str, *args) -> bytes:
     """What ``rng.method(*args)`` returns, as bytes, so that equal means bit for bit equal."""
-    value = getattr(rng, method)(*args)
-    if method == "next_u64":
-        return value.to_bytes(8, "little")
-    return np.asarray(value, dtype=np.float64).tobytes()
+    return np.asarray(getattr(rng, method)(*args), dtype=np.float64).tobytes()
 
 
 class TestChunkedStream:
@@ -117,7 +114,7 @@ class TestChunkedStream:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synthgen, "_CHUNK", chunk)
             rng, ref = Xoshiro256StarStar(seed), PerDrawXoshiro(seed)
-            for k, call in enumerate([*calls, ("next_u64",), ("normals", 3 * chunk, 0.0, 1.0)]):
+            for k, call in enumerate([*calls, ("uniform",), ("normals", 3 * chunk, 0.0, 1.0)]):
                 assert draw_bits(rng, *call) == draw_bits(ref, *call), (k, call)
 
     @given(seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 9),
@@ -126,7 +123,7 @@ class TestChunkedStream:
     def test_any_interleaving(self, seed, chunk, calls):
         self.check(seed, chunk, calls)
 
-    @pytest.mark.parametrize("call", [("next_u64",), ("uniform",), ("normal", 2.0, 3.0),
+    @pytest.mark.parametrize("call", [("uniform",), ("normal", 2.0, 3.0),
                                       ("normals", 2, 2.0, 3.0), ("unit_vector", 3)])
     @pytest.mark.parametrize("chunks_read", [0, 1, 3])
     def test_first_draw_of_a_chunk(self, call, chunks_read):
@@ -137,7 +134,7 @@ class TestChunkedStream:
         self.check(3, 4, [("uniform",), ("normals", n, 1.0, 0.5), ("uniform",)])
 
     def test_a_run_over_many_chunks(self):
-        calls = [("uniform",), ("normal", 0.0, 1.0), ("next_u64",), ("normals", 6, 0.0, 0.02),
+        calls = [("uniform",), ("normal", 0.0, 1.0), ("normals", 6, 0.0, 0.02),
                  ("unit_vector", 5)] * 40
         self.check(8, 7, calls)
 

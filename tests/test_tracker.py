@@ -305,6 +305,12 @@ BAD_ROWS = {  # what a rows call answers instead of its (n, 2) embedding rows, a
     "not 2-d": (lambda rows: ("embedding", rows[..., None]), "^descriptor kind or length mismatch"),
     "nan": (_poisoned(np.nan), "^descriptor rows in frame [0-9]+ hold non-finite values$"),
     "inf": (_poisoned(-np.inf), "^descriptor rows in frame [0-9]+ hold non-finite values$"),
+    "text": (lambda rows: ("embedding", rows.astype(str)),
+             "^descriptor rows in frame [0-9]+ are <U32, not real numbers$"),
+    "object": (lambda rows: ("embedding", rows.astype(object)),
+               "^descriptor rows in frame [0-9]+ are object, not real numbers$"),
+    "complex": (lambda rows: ("embedding", rows + 0j),
+                "^descriptor rows in frame [0-9]+ are complex128, not real numbers$"),
 }
 
 
