@@ -17,6 +17,46 @@ def observe_stream(frames):
     return state
 
 
+class TestNormalCdf:
+    """Each component's CDF inside ``solve_tau_sa``, seen through its quantile.
+
+    With ``beta`` at 1 (or 0) the mix is the recent (or global) component alone,
+    so the solver's root is that component's Gaussian quantile.
+    """
+
+    @staticmethod
+    def quantile(mu, sd, p, recent):
+        other = (5.0, 3.0)
+        if recent:
+            return solve_tau_sa(mu, sd, *other, beta=1.0, p_d=p)
+        return solve_tau_sa(*other, mu, sd, beta=0.0, p_d=p)
+
+    def test_against_scipy(self):
+        for recent in (True, False):
+            for p in np.linspace(0.01, 0.99, 99):
+                got = self.quantile(0.0, 1.0, float(p), recent)
+                assert got == pytest.approx(stats.norm.ppf(p), abs=1e-7), (recent, p)
+
+    def test_location_scale(self):
+        for recent in (True, False):
+            assert self.quantile(30.0, 10.0, 0.5, recent) == pytest.approx(30.0, abs=1e-7)
+            assert self.quantile(30.0, 10.0, float(stats.norm.cdf(1.0)), recent) == \
+                pytest.approx(40.0, abs=1e-6)
+
+    def test_degenerate_step(self):
+        # sd == 0 is a unit step: every quantile of the step alone is its jump ...
+        for p in (0.01, 0.4, 0.99):
+            assert solve_tau_sa(30.0, 0.0, 0.0, 1.0, beta=1.0, p_d=p) == pytest.approx(30.0, abs=1e-9)
+        # ... and the step is 1 at mu itself: halved with N(30, 5), the mix is 0.25 + 0.5 = 0.75
+        # at 30, which is the bracket [-20, 80]'s first midpoint, so the solver stops there.
+        assert solve_tau_sa(30.0, 0.0, 30.0, 5.0, beta=0.5, p_d=0.75) == 30.0
+
+    def test_negative_sd_rejected(self):
+        for sd10, sd_all in ((-1.0, 5.0), (5.0, -1.0)):
+            with pytest.raises(ValueError, match="standard deviations must be >= 0"):
+                solve_tau_sa(30.0, sd10, 30.0, sd_all, 0.5, 0.4)
+
+
 class TestObserveFrame:
     def test_ring_keeps_last_ten_frames(self):
         state = observe_stream([[float(t)] for t in range(1, 12)])
@@ -89,11 +129,6 @@ class TestSolveTauSa:
         assert solve_tau_sa(30.0, 0.0, 30.0, 0.0, 0.5, 0.4) == pytest.approx(30.0)
         got = solve_tau_sa(30.0, 0.0, 30.0, 5.0, 0.5, 0.7)
         assert 25.0 < got < 35.0
-
-    def test_negative_sd_rejected(self):
-        for sd10, sd_all in ((-1.0, 5.0), (5.0, -1.0)):
-            with pytest.raises(ValueError, match="standard deviations must be >= 0"):
-                solve_tau_sa(30.0, sd10, 30.0, sd_all, 0.5, 0.4)
 
     def test_monotone_in_target_quantile(self):
         taus = [solve_tau_sa(20.0, 6.0, 35.0, 12.0, 0.5, p)

@@ -123,8 +123,10 @@ class TestChunkedStream:
     def test_any_interleaving(self, seed, chunk, calls):
         self.check(seed, chunk, calls)
 
+    # The last call reads no draw: it must neither refill nor skip the chunk's first draw.
     @pytest.mark.parametrize("call", [("uniform",), ("normal", 2.0, 3.0),
-                                      ("normals", 2, 2.0, 3.0), ("unit_vector", 3)])
+                                      ("normals", 2, 2.0, 3.0), ("unit_vector", 3),
+                                      ("normals", 0, 2.0, 3.0)])
     @pytest.mark.parametrize("chunks_read", [0, 1, 3])
     def test_first_draw_of_a_chunk(self, call, chunks_read):
         self.check(17, 4, [("uniform",)] * (4 * chunks_read) + [call, call])
