@@ -33,16 +33,23 @@ returns one SHA-256 per output:
   confidences) between the per-object and per-false-positive vectors. Each such
   digest is taken over the files' own SHA-256s.
 
-``tests/identity_digests.json`` holds the recorded digests and the Python,
-numpy and machine they were recorded on; ``tests/test_identity.py`` checks
-them. From the repository root:
+The full set (``--full``, ``full_digests(workdir)``) adds the three scenes of
+the benchmark's ``cli_hist_sadf`` workload at each of its seeds ``CLI_SEEDS``
+(``cli_hist_sadf_<seed>_<scene>``): the ``hamtrack track`` result with
+histograms from the PPM frames and SADF, and its eval lines as above. It takes
+longer than the default set, which tier-1 checks.
 
-    PYTHONPATH=src:tests python tests/identity_corpus.py --check
-    PYTHONPATH=src:tests python tests/identity_corpus.py --write
+``tests/identity_digests.json`` holds the recorded digests (the full set's
+under ``full_digests``) and the Python, numpy and machine they were recorded
+on; ``tests/test_identity.py`` checks the default set. From the repository
+root:
+
+    PYTHONPATH=src:tests python tests/identity_corpus.py --check [--full]
+    PYTHONPATH=src:tests python tests/identity_corpus.py --write [--full]
 
 ``--check`` names each result that differs and exits 1. ``--write`` records
-the current digests; only a change meant to alter output bytes may do so,
-and it says which digests moved and why.
+the current digests, the full set's only with ``--full``; only a change meant
+to alter output bytes may do so, and it says which digests moved and why.
 """
 
 import argparse
@@ -61,14 +68,17 @@ import numpy as np
 
 from hamtrack.cli import main
 from hamtrack.core import TrackerConfig
-from hamtrack.io_mot import write_embedding_file, write_mot_rows, write_result_file
+from hamtrack.io_mot import (frame_image_name, write_embedding_file, write_mot_rows, write_ppm,
+                             write_result_file)
 from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent, ScenarioSpec,
                                generate)
 from hamtrack.tracker import run_sequence
 from scenario_utils import crossing_spec, line_spec, scenario_inputs
 
 DIGESTS = Path(__file__).with_name("identity_digests.json")
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 CROSSING_SEEDS = (1, 2, 3)
+CLI_SEEDS = (1, 2, 3)
 APPEARANCES = ("embed", "hist", "none")
 EVAL_IOUS = ("0", "0.3", "0.7", "0.9")
 FILTERS = ("sadf", "const", "none")
@@ -215,6 +225,33 @@ def digests(workdir: Path) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in results.items()}
 
 
+def full_digests(workdir: Path) -> dict[str, str]:
+    """``{output name: SHA-256}`` of the full set's extra outputs, built in ``workdir``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    n_objects, n_frames = workloads.FULL["cli_hist_sadf"]
+    results = {}
+    for seed in CLI_SEEDS:
+        for k in range(workloads.CLI_SCENES):
+            # As CliWorkload.setup and CliWorkload.track run them.
+            spec = workloads.cli_spec(seed * workloads.CLI_SCENES + k, n_objects, n_frames)
+            name, scenario = f"cli_hist_sadf_{seed}_{k}", generate(spec, with_frames=True)
+            scene = workdir / name
+            (scene / "frames").mkdir(parents=True)
+            (scene / "det.txt").write_text(write_mot_rows(scenario.det_rows))
+            (scene / "gt.txt").write_text(write_mot_rows(scenario.gt_rows))
+            for frame, image in scenario.frames.items():
+                (scene / "frames" / frame_image_name(frame)).write_bytes(write_ppm(image))
+            del scenario
+            out = workdir / f"{name}.txt"
+            _track(scene, out, "--frames-dir", str(scene / "frames"))
+            results[name] = out.read_bytes()
+            results.update(_evals(name, scene, out))
+    return {name: hashlib.sha256(data).hexdigest() for name, data in results.items()}
+
+
 def differences(recorded: dict, found: dict[str, str]) -> list[str]:
     """The names whose digest is missing, extra or different."""
     return sorted(name for name in recorded.keys() | found.keys()
@@ -226,20 +263,25 @@ def _main(argv: list[str]) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--check", action="store_true", help="compare with the recorded digests")
     action.add_argument("--write", action="store_true", help="record the current digests")
+    parser.add_argument("--full", action="store_true",
+                        help="the full set too: the cli_hist_sadf scenes")
     args = parser.parse_args(argv)
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        found = digests(Path(tmp))
+        found = {"digests": digests(Path(tmp))}
+        if args.full:
+            found["full_digests"] = full_digests(Path(tmp))
     if args.write:
-        DIGESTS.write_text(json.dumps({"environment": environment(), "digests": found},
+        DIGESTS.write_text(json.dumps({**recorded, "environment": environment(), **found},
                                       indent=2) + "\n")
-        print(f"recorded {len(found)} digests in {DIGESTS.name}")
+        print(f"recorded {sum(map(len, found.values()))} digests in {DIGESTS.name}")
         return 0
-    recorded = json.loads(DIGESTS.read_text())
-    differ = differences(recorded["digests"], found)
+    differ = [name for key, digests_found in found.items()
+              for name in differences(recorded.get(key, {}), digests_found)]
     for name in differ:
         print(f"differs: {name}")
-    print(f"{len(differ)} of {len(recorded['digests'])} results differ from the digests recorded "
-          f"on {recorded['environment']}; this is {environment()}")
+    print(f"{len(differ)} of {sum(len(recorded.get(key, {})) for key in found)} results differ "
+          f"from the digests recorded on {recorded['environment']}; this is {environment()}")
     return 1 if differ else 0
 
 
