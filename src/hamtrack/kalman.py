@@ -11,6 +11,8 @@ Noise is expressed as standard deviations in pixels. Callers typically scale
 them by the current object height so near and far objects behave alike.
 """
 
+import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +74,23 @@ def predict(state: KalmanState, process_std=0.0) -> KalmanState:
     cov[..., :2] += cov[..., 2:]
     cov += _diag(process_std, np.divide(process_std, 2.0))
     return KalmanState(mean, (cov + _transpose(cov)) / 2.0)
+
+
+def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
+    """The largest scale (object height) whose filters, started by ``init`` with ``pos_std =
+    pos_ratio * scale``, survive ``n_predicts`` predicts with ``process_std = process_ratio *
+    scale`` with a factor of 16 to spare; for scales of at least 1, below which ``Tracker``
+    takes its process noise from a height of 1.
+
+    From a birth covariance diag(a², a², b², b²), with b = VEL_PRIOR_SCALE * scale, n predicts
+    under Q = diag(q, q, q/4, q/4) make the largest entry, the observed pair's variance,
+    a² + n² b² + q (n + n(n - 1)/8 + n(n - 1)(n - 2)/12), and predict forms twice it. Every
+    term is a multiple of scale², so the scale is the square root of a ratio.
+    """
+    n = n_predicts
+    growth = math.hypot(pos_ratio, VEL_PRIOR_SCALE * n,
+                        process_ratio * math.sqrt(n + n * (n - 1) / 8 + n * (n - 1) * (n - 2) / 12))
+    return math.sqrt(sys.float_info.max / 32) / growth
 
 
 def _gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each frame runs in a fixed order, each stage labelled ``# (n)`` in ``Tracker.step``:
 (1) read the detections once into a (k, 5) array of x, y, w, h and confidence, whose
-columns every later stage reads, confidence-filter it and check the kept detections'
-descriptors, (2) predict every live track's motion and shape, (3) build the shape-motion
+columns every later stage reads, confidence-filter it and check the kept detections' heights
+and descriptors, (2) predict every live track's motion and shape, (3) build the shape-motion
 affinities, (4) fuse appearance on gated-in pairs, (5) solve the assignment, (6) update
 the matched tracks' filters, (7) start the filters of tentative tracks on unmatched
 detections. These write only locals; one commit then sets the tracker's state and (8) stores
@@ -159,7 +159,9 @@ class Tracker:
     filtering; every frame's must have the kind and length of the first's.
     With ``use_appearance=False`` the tracker runs on shape and motion alone.
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
-    listing every problem ``validate_config`` finds.
+    listing every problem ``validate_config`` finds. ``step`` rejects a kept box taller
+    than ``tallest``, whose Kalman state would overflow before a track on it had coasted
+    ``max_age`` + 1 frames.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None,
@@ -169,6 +171,8 @@ class Tracker:
         problems = validate_config(self.cfg)
         if problems:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
+        self.tallest = kalman.tallest(self.cfg.max_age + 1, self.cfg.measurement_noise,
+                                      self.cfg.process_noise)
         self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
         self.table = TrackTable.empty(0)
@@ -212,10 +216,17 @@ class Tracker:
             if det.frame != frame:
                 raise ValueError(f"detection carries frame {det.frame}, stepping frame {frame}")
 
-        # (1) read the frame, filter it on a candidate SADF state, check kept descriptors
+        # (1) read the frame, filter it on a candidate SADF state, check kept heights and
+        # descriptors
         block = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.confidence)
                           for d in detections], dtype=float).reshape(-1, 5)
         kept, sadf_state, tau_sa, tau_t = self._apply_filter(block[:, 4])
+        boxes = block[kept, :4]
+        if len(kept) and boxes[:, 3].max() > self.tallest:
+            k = int(kept[np.argmax(boxes[:, 3] > self.tallest)])
+            raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3])!r} px tall, "
+                             f"above {self.tallest!r}: its Kalman state overflows before a "
+                             f"track has coasted max_age + 1 = {cfg.max_age + 1} frames")
         first_kind, first_dim = self._kind, self._dim
         descriptors = np.zeros((len(kept), self._dim))
         if self.use_appearance and len(kept):
@@ -246,7 +257,6 @@ class Tracker:
             filters = kalman.predict(table.filters, process_std)
 
         # (3) shape-motion affinities, (4) appearance fusion, (5) assignment
-        boxes = block[kept, :4]
         pred_wh = kalman.clamped_wh(filters)[:, SHAPE]
         sm = build_sm_matrix(filters.mean[:, MOTION, :2], pred_wh, boxes, cfg)
         if self.use_appearance:

@@ -208,15 +208,17 @@ class TestTrack:
         assert not (tmp_path / "res.txt").exists()
 
     def test_kalman_overflow_on_huge_boxes_exits_1_without_warnings(self, tmp_path):
-        # 1e153 boxes pass the det-file check, but their predicted covariance
-        # overflows once their velocity prior is added to the position term.
+        # 1e153 boxes pass the det-file check, but a track's predicted covariance
+        # would overflow before it had coasted max_age + 1 frames: the first is
+        # rejected at intake, before any track starts on it.
         det = tmp_path / "det.txt"
         det.write_text("".join(f"{f},-1,{f * 1e152!r},0,1e153,1e153,50,-1,-1,-1\n"
                                for f in range(1, 30) if f % 7))
         proc = cli_process("track", "--det", str(det), "--filter", "none",
                            "--out", str(tmp_path / "res.txt"))
         assert_clean_error(proc, 1)
-        assert proc.stderr.startswith("error: frame 2: Kalman state overflows")
+        assert proc.stderr.startswith("error: frame 1: detection 0 is 1e+153 px tall, above ")
+        assert "Kalman state overflows" in proc.stderr
         assert not (tmp_path / "res.txt").exists()
 
     def test_fractional_frame_exits_1_naming_the_line(self, tmp_path, capsys):

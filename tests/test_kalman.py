@@ -66,6 +66,35 @@ class TestPredict:
         assert np.trace(out.cov) > np.trace(cov)
 
 
+class TestTallest:
+    @pytest.mark.parametrize("n, pos_ratio, process_ratio", [
+        (11, 0.1, 0.05), (1, 0.1, 0.05), (31, 0.5, 2.0), (4, 30.0, 0.0)])
+    def test_closed_form_is_the_coasted_variance(self, n, pos_ratio, process_ratio):
+        scale = 37.0
+        state = kalman.init(np.zeros(2), scale, pos_ratio * scale)
+        for _ in range(n):
+            state = kalman.predict(state, process_ratio * scale)
+        limit = kalman.tallest(n, pos_ratio, process_ratio)
+        # The limit is where twice the largest entry reaches the largest double, over 16.
+        bound = np.finfo(float).max / 32 * (scale / limit) ** 2
+        assert state.cov.max() == state.cov[0, 0] == pytest.approx(bound, rel=1e-12)
+
+    @pytest.mark.parametrize("n, pos_ratio, process_ratio", [(11, 0.1, 0.05), (31, 0.5, 2.0)])
+    def test_predict_overflows_at_four_times_the_limit(self, n, pos_ratio, process_ratio):
+        # The factor of 16 to spare on the variance is 4 on the scale.
+        limit = kalman.tallest(n, pos_ratio, process_ratio)
+
+        def coast(scale):
+            state = kalman.init(np.zeros(2), scale, pos_ratio * scale)
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(n):
+                    state = kalman.predict(state, process_ratio * scale)
+
+        coast(4 * 0.999 * limit)
+        with pytest.raises(FloatingPointError):
+            coast(4 * 1.001 * limit)
+
+
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
         st = kalman.KalmanState(np.array([5.0, 6.0, 1.0, 1.0]), np.eye(4))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hamtrack import metrics
 from hamtrack.association import hungarian_max
 from hamtrack.core import BBox
 from hamtrack.metrics import (ClearMotCounts, EvalReport, IdentityScores, clear_mot, evaluate,
@@ -130,6 +131,26 @@ class TestEvaluateMemory:
             hyp[frame] = [(100 + k, p) for k, p in enumerate(b)]
         peak = peak_bytes(lambda: evaluate(gt, hyp, 0.5))
         assert peak <= 6 * 150 * 160 * 8, peak / (150 * 160 * 8)
+
+    def test_threshold_0_peaks_within_twice_the_threshold_half_peak(self):
+        # At threshold 0 every pair of a frame counts, yet none is listed unless its IoU
+        # is not 0: the 24,000 pairs a frame of this scene has would take 69 MB.
+        gt, hyp = crowd_frames(np.random.default_rng(13))
+        at_zero, at_half = (peak_bytes(lambda: evaluate(gt, hyp, t)) for t in (0.0, 0.5))
+        assert at_zero <= 2 * at_half, (at_zero, at_half)
+
+
+def crowd_frames(rng):
+    """60 frames of 150 boxes in 1900 x 1900, tracked by 150 near copies and 10 others."""
+    gt, hyp = {}, {}
+    for frame in range(1, 61):
+        a = [box(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2)) for _ in range(150)]
+        b = [box(p.x + rng.normal(0, 3), p.y + rng.normal(0, 3), p.w, p.h) for p in a]
+        b += [box(*rng.uniform(0, 1900, size=2), *rng.uniform(20, 80, size=2))
+              for _ in range(10)]
+        gt[frame] = list(enumerate(a))
+        hyp[frame] = [(100 + k, p) for k, p in enumerate(b)]
+    return gt, hyp
 
 class TestClearMot:
     def test_perfect_tracking(self):
@@ -440,3 +461,75 @@ class TestEvaluateMatchesTwoMatrixReference:
                     kinds["nan"] += bool(np.isnan(ious).any())
                     kinds["exact"] += bool((ious == 1.0).any())
         assert min(kinds.values()) >= 10, kinds
+
+
+def sweep_scene(rng):
+    """Up to 9 frames whose boxes sit on a grid of 5 px, so edges often touch, or at
+    1e17 + 16k, where x + w == x below w = 8 and rounding makes IoUs above 1 and below 0, or
+    overflow their areas (NaN IoU); with repeated ids and frames on one side only."""
+    def boxes(kind, n):
+        if kind == "nan":
+            return [box(rng.uniform(0, 1e199), 0, 1e200, 1e200) for _ in range(n)]
+        if kind == "far":
+            return [box(1e17 + 16.0 * rng.integers(0, 4), 1e17 + 16.0 * rng.integers(0, 4),
+                        *rng.integers(1, 40, 2).astype(float)) for _ in range(n)]
+        return [box(*rng.integers(0, 12, 2) * 5.0, *rng.integers(1, 6, 2) * 5.0)
+                for _ in range(n)]
+
+    gt, hyp = {}, {}
+    for frame in sorted(rng.choice(20, rng.integers(1, 10), replace=False) + 1):
+        kind = rng.choice(["grid", "grid", "far", "nan"])
+        gt_boxes = boxes(kind, rng.integers(0, 8))
+        hyp_boxes = [b if rng.random() < 0.4 else box(b.x + 5.0 * rng.integers(-1, 2), b.y,
+                                                      b.w, b.h)
+                     for b in gt_boxes if rng.random() < 0.8] + boxes(kind, rng.integers(0, 3))
+        side = rng.integers(0, 6)  # 0: absent from gt, 1: absent from hyp
+        if side != 0:
+            gt[int(frame)] = [(int(rng.integers(1, 5)), b) for b in gt_boxes]
+        if side != 1:
+            hyp[int(frame)] = [(int(rng.integers(10, 15)), b) for b in rng.permutation(hyp_boxes)]
+    return gt, hyp
+
+
+class TestSweepMatchesTwoMatrixReference:
+    THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+    # Blocks of 1, 3 and 8 boxes a side and candidate pairs, and the default.
+    @pytest.mark.parametrize("block", [1, 3, 8, None])
+    def test_reports_equal_exactly(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(metrics, "BLOCK", block)
+        kinds = dict.fromkeys(("split", "chunked", "x + w == x", "touch", "nan", "above 1",
+                               "below 0", "one side", "repeated gt id", "repeated hyp id",
+                               "idsw", "idtp"), 0)
+        for seed in range(60):
+            gt, hyp = sweep_scene(np.random.default_rng(seed))
+            if not any(gt.values()):
+                continue
+            for threshold in self.THRESHOLDS:
+                cm = two_matrix_clear_mot(gt, hyp, threshold)
+                ids = two_matrix_idf1(gt, hyp, threshold)
+                assert evaluate(gt, hyp, threshold) == EvalReport(**vars(cm), **vars(ids)), (
+                    seed, threshold)
+                kinds["idsw"] += cm.idsw > 0
+                kinds["idtp"] += 0 < ids.idtp < ids.idtp + ids.idfp
+            frames = sorted(gt.keys() | hyp.keys())
+            kinds["split"] += len(list(metrics._blocks(frames, gt, hyp))) > 1
+            for frame in frames:
+                g, h = gt.get(frame), hyp.get(frame)
+                kinds["one side"] += (g is None) != (h is None)
+                kinds["repeated gt id"] += bool(g) and len({i for i, _ in g}) < len(g)
+                kinds["repeated hyp id"] += bool(h) and len({i for i, _ in h}) < len(h)
+                kinds["x + w == x"] += any(b.x + b.w == b.x for _, b in (g or []) + (h or []))
+                if g and h:
+                    kinds["chunked"] += len(g) * len(h) > metrics.BLOCK
+                    kinds["touch"] += any(p.x + p.w == q.x or q.x + q.w == p.x
+                                          for _, p in g for _, q in h)
+                    with np.errstate(all="ignore"):
+                        ious = iou_matrix([b for _, b in g], [b for _, b in h])
+                    kinds["nan"] += bool(np.isnan(ious).any())
+                    kinds["above 1"] += bool((ious > 1).any())
+                    kinds["below 0"] += bool((ious < 0).any())
+        if block is None:  # every scene is one block
+            del kinds["split"], kinds["chunked"]
+        assert min(kinds.values()) >= 5, kinds

@@ -285,6 +285,43 @@ class TestRejectedFrameLeavesNoTrace:
                                  f"the descriptor source returned NoneType")
 
 
+class TestTallestBox:
+    CFG = TrackerConfig(filter_mode="none", confirm_hits=1)
+
+    def test_the_tallest_box_coasts_a_whole_life(self):
+        tracker = Tracker(self.CFG, use_appearance=False)
+        tracker.step(1, [det(1, 0.0, h=tracker.tallest)])
+        for f in range(2, self.CFG.max_age + 2):  # missed max_age times: still alive
+            tracker.step(f, [])
+        assert tracker.table.misses.tolist() == [self.CFG.max_age]
+        tracker.step(self.CFG.max_age + 2, [])  # the (max_age + 1)th predict, then death
+        assert len(tracker.table.ids) == 0
+        assert tracker.step(self.CFG.max_age + 3, [det(self.CFG.max_age + 3, 0.0)]).tracks
+
+    def test_a_taller_kept_box_is_rejected_naming_frame_and_detection(self):
+        tracker, clean = (Tracker(self.CFG, use_appearance=False) for _ in range(2))
+        taller = float(np.nextafter(tracker.tallest, np.inf))
+        dets = [det(1, 0.0), det(1, 300.0, h=taller)]
+        with pytest.raises(ValueError) as rejected:
+            tracker.step(1, dets)
+        assert str(rejected.value) == (
+            f"frame 1: detection 1 is {taller!r} px tall, above {tracker.tallest!r}: its Kalman "
+            f"state overflows before a track has coasted max_age + 1 = 11 frames")
+        _assert_same_state(tracker, clean)
+        assert tracker.step(1, dets[:1]) == clean.step(1, dets[:1])
+
+    def test_a_box_the_filter_drops_is_not_checked(self):
+        cfg = dataclasses.replace(self.CFG, filter_mode="const", tau_const=10.0)
+        tracker = Tracker(cfg, use_appearance=False)
+        dropped = det(1, 300.0, h=float(np.nextafter(tracker.tallest, np.inf)), conf=5.0)
+        assert len(tracker.step(1, [det(1, 0.0), dropped]).tracks) == 1
+
+    def test_the_limit_follows_the_config(self):
+        long_lived = dataclasses.replace(self.CFG, max_age=100, measurement_noise=1.0)
+        assert Tracker(long_lived).tallest == kalman.tallest(101, 1.0, 0.05) < Tracker(
+            self.CFG).tallest
+
+
 LANES = 4
 LANE_SETS = st.lists(st.integers(0, LANES - 1), unique=True, max_size=LANES)
 
