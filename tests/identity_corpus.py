@@ -68,8 +68,7 @@ import numpy as np
 
 from hamtrack.cli import main
 from hamtrack.core import TrackerConfig
-from hamtrack.io_mot import (frame_image_name, write_embedding_file, write_mot_rows, write_ppm,
-                             write_result_file)
+from hamtrack.io_mot import write_embedding_file, write_mot_rows, write_result_file
 from hamtrack.synthgen import (ConfidenceRegime, ObjectSpec, OcclusionEvent, ScenarioSpec,
                                generate)
 from hamtrack.tracker import run_sequence
@@ -231,21 +230,12 @@ def full_digests(workdir: Path) -> dict[str, str]:
         sys.path.insert(0, str(PERFBENCH))
     import workloads
 
-    n_objects, n_frames = workloads.FULL["cli_hist_sadf"]
     results = {}
     for seed in CLI_SEEDS:
-        for k in range(workloads.CLI_SCENES):
-            # As CliWorkload.setup and CliWorkload.track run them.
-            spec = workloads.cli_spec(seed * workloads.CLI_SCENES + k, n_objects, n_frames)
-            name, scenario = f"cli_hist_sadf_{seed}_{k}", generate(spec, with_frames=True)
-            scene = workdir / name
-            (scene / "frames").mkdir(parents=True)
-            (scene / "det.txt").write_text(write_mot_rows(scenario.det_rows))
-            (scene / "gt.txt").write_text(write_mot_rows(scenario.gt_rows))
-            for frame, image in scenario.frames.items():
-                (scene / "frames" / frame_image_name(frame)).write_bytes(write_ppm(image))
-            del scenario
-            out = workdir / f"{name}.txt"
+        workload = workloads.make("cli_hist_sadf")
+        workload.setup(seed, workdir / f"cli_hist_sadf_{seed}")
+        for k, scene in enumerate(workload.dirs):  # tracked as CliWorkload.track runs them
+            name, out = f"cli_hist_sadf_{seed}_{k}", workdir / f"cli_hist_sadf_{seed}_{k}.txt"
             _track(scene, out, "--frames-dir", str(scene / "frames"))
             results[name] = out.read_bytes()
             results.update(_evals(name, scene, out))
