@@ -138,9 +138,12 @@ def _candidates(gt, gt_frame, hyp, hyp_frame):
     about BLOCK pairs; every other pair has no width in common, so its IoU is 0."""
     gx, hx = gt[:, 0], hyp[:, 0]
     order = np.lexsort((gx, gt_frame))
-    # x + w rounds monotonically in x, so the rows sorted by x are also sorted by x + widest.
-    hi = _before(gt_frame, gx, order, hyp_frame, hx + hyp[:, 2], "left")
-    lo = _before(gt_frame, gx + gt[:, 2].max(), order, hyp_frame, hx, "right")
+    # x + w rounds monotonically in x, so the rows sorted by x are also sorted by x + widest;
+    # a sum that overflows is inf, past every x.
+    with np.errstate(over="ignore"):
+        ends, reach = hx + hyp[:, 2], gx + gt[:, 2].max()
+    hi = _before(gt_frame, gx, order, hyp_frame, ends, "left")
+    lo = _before(gt_frame, reach, order, hyp_frame, hx, "right")
     counts = np.maximum(hi - lo, 0)
     ends = np.cumsum(counts)
     cuts = np.searchsorted(ends, np.arange(BLOCK, ends[-1], BLOCK), "right").tolist()

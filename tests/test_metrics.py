@@ -466,10 +466,13 @@ class TestEvaluateMatchesTwoMatrixReference:
 def sweep_scene(rng):
     """Up to 9 frames whose boxes sit on a grid of 5 px, so edges often touch, or at
     1e17 + 16k, where x + w == x below w = 8 and rounding makes IoUs above 1 and below 0, or
-    overflow their areas (NaN IoU); with repeated ids and frames on one side only."""
+    overflow their areas (NaN IoU) or x + w; with repeated ids and frames on one side only."""
     def boxes(kind, n):
         if kind == "nan":
             return [box(rng.uniform(0, 1e199), 0, 1e200, 1e200) for _ in range(n)]
+        if kind == "inf":
+            return [box(rng.uniform(0.5, 1.7) * 1e308, rng.integers(0, 4) * 5.0,
+                        rng.uniform(0.1, 1.7) * 1e308, 10.0) for _ in range(n)]
         if kind == "far":
             return [box(1e17 + 16.0 * rng.integers(0, 4), 1e17 + 16.0 * rng.integers(0, 4),
                         *rng.integers(1, 40, 2).astype(float)) for _ in range(n)]
@@ -478,7 +481,7 @@ def sweep_scene(rng):
 
     gt, hyp = {}, {}
     for frame in sorted(rng.choice(20, rng.integers(1, 10), replace=False) + 1):
-        kind = rng.choice(["grid", "grid", "far", "nan"])
+        kind = rng.choice(["grid", "grid", "far", "far", "nan", "inf"])
         gt_boxes = boxes(kind, rng.integers(0, 8))
         hyp_boxes = [b if rng.random() < 0.4 else box(b.x + 5.0 * rng.integers(-1, 2), b.y,
                                                       b.w, b.h)
@@ -499,9 +502,9 @@ class TestSweepMatchesTwoMatrixReference:
     def test_reports_equal_exactly(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(metrics, "BLOCK", block)
-        kinds = dict.fromkeys(("split", "chunked", "x + w == x", "touch", "nan", "above 1",
-                               "below 0", "one side", "repeated gt id", "repeated hyp id",
-                               "idsw", "idtp"), 0)
+        kinds = dict.fromkeys(("split", "chunked", "x + w == x", "x + w overflows", "touch",
+                               "nan", "above 1", "below 0", "one side", "repeated gt id",
+                               "repeated hyp id", "idsw", "idtp"), 0)
         for seed in range(60):
             gt, hyp = sweep_scene(np.random.default_rng(seed))
             if not any(gt.values()):
@@ -521,6 +524,8 @@ class TestSweepMatchesTwoMatrixReference:
                 kinds["repeated gt id"] += bool(g) and len({i for i, _ in g}) < len(g)
                 kinds["repeated hyp id"] += bool(h) and len({i for i, _ in h}) < len(h)
                 kinds["x + w == x"] += any(b.x + b.w == b.x for _, b in (g or []) + (h or []))
+                kinds["x + w overflows"] += any(math.isinf(b.x + b.w)
+                                                for _, b in (g or []) + (h or []))
                 if g and h:
                     kinds["chunked"] += len(g) * len(h) > metrics.BLOCK
                     kinds["touch"] += any(p.x + p.w == q.x or q.x + q.w == p.x
