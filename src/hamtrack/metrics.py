@@ -141,8 +141,8 @@ def _candidates(gt, gt_frame, hyp, hyp_frame):
     # x + w rounds monotonically in x, so the rows sorted by x are also sorted by x + widest;
     # a sum that overflows is inf, past every x.
     with np.errstate(over="ignore"):
-        ends, reach = hx + hyp[:, 2], gx + gt[:, 2].max()
-    hi = _before(gt_frame, gx, order, hyp_frame, ends, "left")
+        right, reach = hx + hyp[:, 2], gx + gt[:, 2].max()
+    hi = _before(gt_frame, gx, order, hyp_frame, right, "left")
     lo = _before(gt_frame, reach, order, hyp_frame, hx, "right")
     counts = np.maximum(hi - lo, 0)
     ends = np.cumsum(counts)
