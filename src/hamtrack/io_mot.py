@@ -117,7 +117,7 @@ def _whole_in(col: np.ndarray, low: float, high: float = math.inf) -> np.ndarray
     return np.isfinite(col) & (col >= low) & (col <= high) & (col == np.floor(col))
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _boxes(x, y, w, h) -> np.ndarray:
     """Which rows ``BBox`` accepts."""
     return np.isfinite([x, y, w, h]).all(axis=0) & (w > 0) & (h > 0) & (w * h != 0)
@@ -146,7 +146,7 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
     block = _floats(map(numbers, filter(str.strip, lines)), 6)
     if block is not None:
         frame, x, y, w, h, conf = columns = block.T  # views, not copies
-        with np.errstate(over="ignore"):  # the checks of ``Detection``
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks of ``Detection``
             vel_std = VEL_PRIOR_SCALE * h
             ok = (_whole_in(frame, 1, MAX_FRAME) & _boxes(x, y, w, h) & np.isfinite(conf)
                   & np.isfinite(x + w / 2.0) & np.isfinite(y + h / 2.0)

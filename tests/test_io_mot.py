@@ -431,6 +431,8 @@ class TestColumnarParsers:
         "1,abc,1,1,5,5,1,x,y,z\n",                    # fields the detection does not read
         "2,-1,1e308,0,1e308,10,50,-1,-1,-1\n",       # x + w overflows, the centre does not
         "2,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1\n",   # the centre overflows
+        "1,1,inf,1,-inf,1,1,1,1,1\n",                # the centre is inf - inf
+        "1,-1,0,0,inf,0,5,-1,-1,-1\n",               # the area is inf * 0
         "1,-1,0,0,1e150,1e150,50,-1,-1,-1\n1,-1,0,0,1e160,1e160,50,-1,-1,-1\n",
         f"{io_mot.MAX_FRAME + 1},-1,1,1,5,5,1,-1,-1,-1\n",
     ])

@@ -152,6 +152,7 @@ def crowd_frames(rng):
         hyp[frame] = [(100 + k, p) for k, p in enumerate(b)]
     return gt, hyp
 
+
 class TestClearMot:
     def test_perfect_tracking(self):
         gt = track_frames(1, range(1, 11))
