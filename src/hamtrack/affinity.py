@@ -38,10 +38,14 @@ def inverse_sigma(sigma_xx: float, sigma_xy: float, sigma_yy: float) -> np.ndarr
     return inv
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
                     boxes: Sequence[BBox] | np.ndarray, cfg: TrackerConfig) -> AffinityMatrix:
     """Shape-motion products for all pairs, plus the strict ``> tau_asc`` gate mask.
-    ``boxes`` are ``BBox`` objects or (m, 4) x, y, w, h rows, which are only read."""
+    ``boxes`` are ``BBox`` objects or (m, 4) x, y, w, h rows, which are only read.
+
+    Overflow is silent: an overflowed distance gives a product of 0 or NaN, neither of which
+    passes the gate, and an overflowed sum of two sizes a relative difference of 0."""
     n, m = len(pred_pos), len(boxes)
     values = np.zeros((n, m))
     if n and m:

@@ -16,9 +16,6 @@ EMBEDDING = "embedding"
 
 _NORM_TOL = 1e-9
 
-# Uninformed Kalman velocity prior, as a multiple of object height.
-VEL_PRIOR_SCALE = 10.0
-
 
 @dataclass(frozen=True)
 class BBox:
@@ -142,6 +139,7 @@ class Detection:
 
     Confidences are kept as raw reals; different detector families emit
     different scales and the filtering stage adapts to whatever arrives.
+    Only the frame and confidence are checked: ``Tracker.step`` decides what it can track.
     """
 
     frame: int
@@ -153,10 +151,6 @@ class Detection:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
         if not math.isfinite(self.confidence):
             raise ValueError("detection confidence must be finite")
-        cx, cy = self.bbox.center()
-        vel_std = VEL_PRIOR_SCALE * self.bbox.h  # the Kalman velocity prior
-        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(vel_std * vel_std)):
-            raise ValueError(f"detection box is too large to track: {self.bbox}")
 
 
 @dataclass(frozen=True)

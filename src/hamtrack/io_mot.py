@@ -22,8 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (_NORM_TOL, VEL_PRIOR_SCALE, AppearanceDescriptor, BBox, Detection,
-                   unchecked)
+from .core import _NORM_TOL, AppearanceDescriptor, BBox, Detection, unchecked
 
 HIST_BINS_PER_CHANNEL = 8
 HIST_SIZE = HIST_BINS_PER_CHANNEL ** 3
@@ -132,10 +131,8 @@ def _grouped(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
 
 
 def parse_det_file(text: str) -> dict[int, list[Detection]]:
-    """Detections grouped by frame; within-frame file order is preserved.
-
-    A frame above ``MAX_FRAME`` is rejected with its line number.
-    """
+    """Detections grouped by frame; within-frame file order is preserved. Only the format is
+    checked: whole frames in [1, ``MAX_FRAME``], the ``BBox`` rules and a finite confidence."""
     def numbers(raw: str) -> list[str]:  # frame, box and conf; the rest need only not be blank
         parts = raw.split(",")
         if len(parts) != 10 or not all(map(str.strip, parts)):
@@ -146,11 +143,7 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
     block = _floats(map(numbers, filter(str.strip, lines)), 6)
     if block is not None:
         frame, x, y, w, h, conf = columns = block.T  # views, not copies
-        with np.errstate(over="ignore", invalid="ignore"):  # the checks of ``Detection``
-            vel_std = VEL_PRIOR_SCALE * h
-            ok = (_whole_in(frame, 1, MAX_FRAME) & _boxes(x, y, w, h) & np.isfinite(conf)
-                  & np.isfinite(x + w / 2.0) & np.isfinite(y + h / 2.0)
-                  & np.isfinite(vel_std * vel_std))
+        ok = _whole_in(frame, 1, MAX_FRAME) & _boxes(x, y, w, h) & np.isfinite(conf)
         if ok.all():  # by columns: a list per row would hold every field at once
             return _grouped((int(f), unchecked(Detection, frame=int(f), confidence=c,
                                                bbox=unchecked(BBox, x=x, y=y, w=w, h=h)))

@@ -17,7 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import VEL_PRIOR_SCALE, BBox
+from .core import BBox
+
+# Uninformed velocity prior, as a multiple of object height.
+VEL_PRIOR_SCALE = 10.0
 
 
 class KalmanState(NamedTuple):

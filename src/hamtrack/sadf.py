@@ -17,6 +17,10 @@ from .core import TrackerConfig
 
 RECENT_FRAMES = 10
 
+# Largest confidence magnitude the statistics take: deviations stay under 2e100 and squares under
+# 4e200, so window and Welford sums of fewer than about 1e107 confidences stay below 1.8e308.
+MAX_CONFIDENCE = 1e100
+
 _BISECT_TOL = 1e-9
 _BISECT_MAX_ITER = 200
 

@@ -2,13 +2,13 @@
 
 Each frame runs in a fixed order, each stage labelled ``# (n)`` in ``Tracker.step``:
 (1) read the detections once into a (k, 5) array of x, y, w, h and confidence, whose
-columns every later stage reads, confidence-filter it and check the kept detections' heights
-and descriptors, (2) predict every live track's motion and shape, (3) build the shape-motion
-affinities, (4) fuse appearance on gated-in pairs, (5) solve the assignment, (6) update
-the matched tracks' filters, (7) start the filters of tentative tracks on unmatched
-detections. These write only locals; one commit then sets the tracker's state and (8) stores
-the matched appearances, ages unmatched tracks, retires the stale ones and writes the born
-rows into the table's spare rows. (9) emits output boxes,
+columns every later stage reads, check its confidences under SADF, confidence-filter it and
+check the kept detections' heights, centres and descriptors, (2) predict every live track's
+motion and shape, (3) build the shape-motion affinities, (4) fuse appearance on gated-in
+pairs, (5) solve the assignment, (6) update the matched tracks' filters, (7) start the filters
+of tentative tracks on unmatched detections. These write only locals; one commit then sets
+the tracker's state and (8) stores the matched appearances, ages unmatched tracks, retires the
+stale ones and writes the born rows into the table's spare rows. (9) emits output boxes,
 each the caller's own ``BBox`` object. Processing is strictly sequential per sequence;
 independent sequences can run in parallel with separate ``Tracker`` instances.
 """
@@ -159,10 +159,8 @@ class Tracker:
     filtering; every frame's must have the kind and length of the first's.
     With ``use_appearance=False`` the tracker runs on shape and motion alone.
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
-    listing every problem ``validate_config`` finds. ``step`` rejects a kept box taller
-    than ``tallest``, whose Kalman state would overflow before a track on it had coasted
-    ``max_age`` + 1 frames.
-    """
+    listing every problem ``validate_config`` finds. ``tallest`` is the tallest box
+    ``step`` takes: a track on it can coast ``max_age`` + 1 frames."""
 
     def __init__(self, cfg: TrackerConfig | None = None,
                  descriptor_source: DescriptorSource | FrameDescriptors | None = None,
@@ -182,31 +180,18 @@ class Tracker:
         self._last_frame = 0
         self._frame_count = 0
 
-    def _apply_filter(self, conf: np.ndarray) -> tuple[
-            np.ndarray, sadf.SadfState, Optional[float], Optional[float]]:
-        """The kept ordinals of the ``conf`` column, the SADF state after it, and the cutoffs."""
-        cfg, state = self.cfg, self.sadf_state
-        if cfg.filter_mode == "none":
-            return np.arange(len(conf)), state, None, None
-        if cfg.filter_mode == "const":
-            tau_t, tau_sa = cfg.tau_const, None
-        else:
-            state = sadf.observe_frame(state, conf.tolist(), state.t + 1)
-            tau_sa = sadf.adaptive_cutoff(state, cfg)
-            tau_t = sadf.threshold(state, cfg, tau_sa)
-        return np.flatnonzero(conf >= tau_t), state, tau_sa, tau_t
-
     def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
         """Track frame ``frame`` from its ``detections``, each of which must carry that frame;
         frames must strictly increase. Returns the frame's confirmed-track boxes: the caller's
         own ``BBox`` of the detection each track took, or a predicted box.
 
-        Stage (1) reads ``detections`` once into a (k, 5) array of x, y, w, h and confidence,
-        whose columns every later stage reads. The checks and stages (1)-(7) write only locals.
-        One commit, with no call that can raise, then writes the tracker and (8) stores
-        appearances, ages and retires tracks and writes the born rows; (9) emits the boxes. So
-        a frame that raises, on its input or on a Kalman overflow, leaves the tracker as it was,
-        and can be stepped again.
+        Stage (1) alone decides which detections can be tracked, naming frame and detection: under
+        SADF, a confidence beyond ``sadf.MAX_CONFIDENCE``; of the kept boxes, one taller than
+        ``tallest`` or whose centre overflows. The checks and stages (1)-(7) write only locals. One
+        commit, with no call that can raise, then writes the tracker and (8) stores appearances,
+        ages and retires tracks and writes the born rows; (9) emits the boxes. So a frame that
+        raises, on its input or on a Kalman overflow, leaves the tracker as it was, and can be
+        stepped again.
         """
         cfg = self.cfg
         if frame <= self._last_frame:
@@ -216,17 +201,35 @@ class Tracker:
             if det.frame != frame:
                 raise ValueError(f"detection carries frame {det.frame}, stepping frame {frame}")
 
-        # (1) read the frame, filter it on a candidate SADF state, check kept heights and
-        # descriptors
+        # (1) read the frame, filter it on a candidate SADF state, check the kept boxes and
+        # their descriptors
         block = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.confidence)
                           for d in detections], dtype=float).reshape(-1, 5)
-        kept, sadf_state, tau_sa, tau_t = self._apply_filter(block[:, 4])
+        conf, sadf_state, tau_sa, tau_t = block[:, 4], self.sadf_state, None, None
+        if cfg.filter_mode == "sadf":  # SADF observes every confidence, the dropped ones too
+            if abs(conf).max(initial=0.0) > sadf.MAX_CONFIDENCE:
+                k = int(np.argmax(abs(conf) > sadf.MAX_CONFIDENCE))
+                raise ValueError(f"frame {frame}: detection {k}'s confidence {float(conf[k])!r} is "
+                                 f"beyond ±{sadf.MAX_CONFIDENCE!r}: SADF's statistics overflow")
+            sadf_state = sadf.observe_frame(sadf_state, conf.tolist(), sadf_state.t + 1)
+            tau_sa = sadf.adaptive_cutoff(sadf_state, cfg)
+            tau_t = sadf.threshold(sadf_state, cfg, tau_sa)
+        elif cfg.filter_mode == "const":
+            tau_t = cfg.tau_const
+        kept = np.arange(len(conf)) if tau_t is None else np.flatnonzero(conf >= tau_t)
         boxes = block[kept, :4]
+        observed = boxes.reshape(-1, 2, 2).copy()  # what the filters observe: centres, sizes
+        with np.errstate(over="ignore"):
+            observed[:, 0] += observed[:, 1] / 2.0
         if len(kept) and boxes[:, 3].max() > self.tallest:
             k = int(kept[np.argmax(boxes[:, 3] > self.tallest)])
             raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3])!r} px tall, "
                              f"above {self.tallest!r}: its Kalman state overflows before a "
                              f"track has coasted max_age + 1 = {cfg.max_age + 1} frames")
+        if not np.isfinite(observed).all():
+            k = int(kept[np.argmax(~np.isfinite(observed).all(axis=(1, 2)))])
+            raise ValueError(f"frame {frame}: detection {k} has its centre beyond the largest "
+                             f"double: {detections[k].bbox}")
         first_kind, first_dim = self._kind, self._dim
         descriptors = np.zeros((len(kept), self._dim))
         if self.use_appearance and len(kept):
@@ -273,8 +276,6 @@ class Tracker:
         new = np.array(assignment.unmatched_detections, dtype=int)
         index = np.full(len(table.ids), -1)  # row -> its detection's raw ordinal
         index[rows] = kept[cols]
-        observed = boxes.reshape(-1, 2, 2)  # what the filters observe: (3) has read the boxes,
-        observed[:, 0] += observed[:, 1] / 2.0  # so their x, y become centres in place
         z, born = observed[cols], None
         with _kalman_arithmetic(frame):
             filters.mean[rows], filters.cov[rows] = kalman.update(

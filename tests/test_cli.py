@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hamtrack
@@ -193,7 +193,7 @@ class TestTrack:
         det.write_text("1,-1,0,0,1e160,1e160,50,-1,-1,-1\n")
         proc = cli_process("track", "--det", str(det), "--out", str(tmp_path / "res.txt"))
         assert_clean_error(proc, 1)
-        assert "line 1" in proc.stderr
+        assert proc.stderr.startswith("error: frame 1: detection 0 is 1e+160 px tall")
 
     @pytest.mark.parametrize("setting", ["measurement_noise=1e200", "process_noise=1e200"])
     def test_overflowing_noise_exits_1_without_warnings(self, tmp_path, setting):
@@ -537,9 +537,39 @@ def run_main(argv: list[str]) -> int:
     return rc
 
 
+# Det files the parser accepts whose tracking once failed: a confidence that overflows SADF's
+# sums (an OverflowError), and two boxes stepped in two frames whose sizes or centres overflow
+# a sum in the shape-motion matrix (a RuntimeWarning), with the stderr each run ends with.
+INTAKE_CASES = {
+    "sadf_confidence": ("1,-1,10,10,30,60,1e155,-1,-1,-1\n1,-1,300,10,30,60,1,-1,-1,-1\n", "sadf",
+                        "error: frame 1: detection 0's confidence 1e+155 is beyond ±1e+100: "
+                        "SADF's statistics overflow\n"),
+    "sizes_overflow": ("1,-1,0,0,1e308,10,50,-1,-1,-1\n2,-1,0,0,1e308,10,50,-1,-1,-1\n", "none",
+                       "tracked 2 frames"),
+    "distance_overflows": ("1,-1,-1e308,0,10,10,50,-1,-1,-1\n2,-1,1e308,0,10,10,50,-1,-1,-1\n",
+                           "none", "tracked 2 frames"),
+}
+
+
+@pytest.mark.parametrize("case", INTAKE_CASES)
+def test_intake_case_exits_without_traceback_or_warning(tmp_path, capsys, case):
+    det, filter_mode, err = INTAKE_CASES[case]
+    (tmp_path / "det.txt").write_text(det)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["track", "--det", str(tmp_path / "det.txt"), "--filter", filter_mode,
+                   "--out", str(tmp_path / "res.txt")])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (0 if filter_mode == "none" else 1, "")
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
 @given(det=text_rows(8, 10), gt=text_rows(5, 8), emb=text_rows(2, 4, header="dim=2\n"),
        filter_mode=st.sampled_from(["sadf", "const", "none"]))
 @settings(max_examples=80, deadline=None)
+@example(det=INTAKE_CASES["sadf_confidence"][0], gt="", emb="dim=2\n", filter_mode="sadf")
+@example(det=INTAKE_CASES["sizes_overflow"][0], gt="", emb="dim=2\n", filter_mode="none")
+@example(det=INTAKE_CASES["distance_overflows"][0], gt="", emb="dim=2\n", filter_mode="none")
 def test_generated_inputs_keep_the_exit_contract(det, gt, emb, filter_mode):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)

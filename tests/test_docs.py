@@ -1,5 +1,5 @@
-"""The README's configuration table and its lists of spec attributes, trace columns and
-manifest totals match the code."""
+"""The README's configuration table, its lists of spec attributes, trace columns and
+manifest totals, and its intake limits match the code."""
 
 import re
 from dataclasses import MISSING, fields
@@ -7,7 +7,9 @@ from pathlib import Path
 
 from hamtrack.cli import MANIFEST_TOTALS, TRACE_COLUMNS
 from hamtrack.core import TrackerConfig
+from hamtrack.sadf import MAX_CONFIDENCE
 from hamtrack.synthgen import SPEC_GROUPS
+from hamtrack.tracker import Tracker
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -47,3 +49,12 @@ def test_configuration_table_lists_every_field_with_its_default():
             assert listed[name] == str(default).lower(), name
         else:
             assert float(listed[name]) == default, name
+
+
+def test_intake_limits_match_the_tracker():
+    listed = " ".join(re.search(r"^## Intake limits\n(.*?)^## ", README, re.S | re.M)[1].split())
+    bound = re.search(r"±`sadf\.MAX_CONFIDENCE` \(([^)]+)\)", listed)[1]
+    assert float(bound) == MAX_CONFIDENCE
+    assert f"beyond ±{MAX_CONFIDENCE!r}: SADF's statistics overflow" in listed
+    tallest = re.search(r"`Tracker\.tallest` \(about ([0-9.e]+) px at the default", listed)[1]
+    assert tallest == f"{Tracker().tallest:.1e}".replace("e+", "e")

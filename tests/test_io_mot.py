@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamtrack import io_mot
-from hamtrack.core import AppearanceDescriptor, BBox
+from hamtrack.core import AppearanceDescriptor, BBox, TrackerConfig
 from hamtrack.io_mot import (HIST_SIZE, frame_image_name, histogram_from_patch,
                              parse_det_file, parse_embedding_rows,
                              parse_gt_file, read_ppm, write_embedding_file,
                              write_mot_rows, write_ppm, write_result_file)
 from hamtrack.synthgen import generate
-from hamtrack.tracker import FrameResult
+from hamtrack.tracker import FrameResult, Tracker
 from scenario_utils import line_spec
 from test_cli import FRAME, text_rows
 
@@ -56,13 +56,17 @@ class TestParseDetFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_det_file("1,-1,10,20,0,60,45.0,-1,-1,-1\n")
 
-    @pytest.mark.parametrize("row", [
-        "1,-1,0,0,1e160,1e160,50,-1,-1,-1",
-        "1,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1",
+    @pytest.mark.parametrize("row, named", [
+        ("1,-1,0,0,1e160,1e160,50,-1,-1,-1", "detection 1 is 1e+160 px tall"),
+        ("1,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1",
+         "detection 1 has its centre beyond the largest double"),
     ], ids=["velocity_prior_overflows", "center_overflows"])
-    def test_untrackably_large_box_reports_line(self, row):
-        with pytest.raises(ValueError, match="line 2: detection box is too large"):
-            parse_det_file("1,-1,10,20,30,60,45.0,-1,-1,-1\n" + row + "\n")
+    def test_untrackably_large_box_parses_and_step_names_it(self, row, named):
+        # The parser checks the format alone; stage (1) of the tracker names the detection.
+        out = parse_det_file("1,-1,10,20,30,60,45.0,-1,-1,-1\n" + row + "\n")
+        assert out[1][1].bbox.w == float(row.split(",")[4])
+        with pytest.raises(ValueError, match="^frame 1: " + re.escape(named)):
+            Tracker(TrackerConfig(filter_mode="none"), use_appearance=False).step(1, out[1])
 
     @pytest.mark.parametrize("frame", ["3", "3.0", "3e0", "+3", "30e-1"])
     def test_whole_frame_in_any_notation(self, frame):

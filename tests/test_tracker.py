@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import re
+import sys
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from hamtrack import affinity, appearance, kalman
+from hamtrack import affinity, appearance, kalman, sadf
 from hamtrack import tracker as tracker_module
 from hamtrack.cli import main
 from hamtrack.association import associate
@@ -357,8 +359,8 @@ class RejectedInputs(RuleBasedStateMachine):
     it was: equal to a shadow tracker's that saw only the valid frames, which must give the
     same results."""
 
-    # A box 1e150 px tall clears every check, but its birth overflows the Kalman init's
-    # (measurement_noise * h)**2; the lanes' 60 px boxes still track under this noise.
+    # A box 1e150 px tall is above this noise's ``tallest``; the lanes' 60 px boxes still
+    # track under it.
     CFG = TrackerConfig(filter_mode="sadf", measurement_noise=1e10)
 
     def __init__(self):
@@ -422,6 +424,20 @@ class RejectedInputs(RuleBasedStateMachine):
         tall = Detection(self.frame + 1, BBox(900.0, 0.0, 30.0, 1e150), 1e3)
         self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes, tall),
                      "Kalman state overflows")
+
+    @rule(lanes=LANE_SETS.filter(bool), x=st.sampled_from([1.7e308, sys.float_info.max]))
+    def kept_centre_overflows(self, lanes, x):
+        wide = Detection(self.frame + 1, BBox(x, 0.0, x, 60.0), 1e3)
+        self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes, wide),
+                     f"^frame {self.frame + 1}: detection {len(lanes)} has its centre beyond")
+
+    @rule(lanes=LANE_SETS, conf=st.sampled_from([np.nextafter(sadf.MAX_CONFIDENCE, np.inf),
+                                                 -1e155, sys.float_info.max]))
+    def confidence_beyond_sadf_bound(self, lanes, conf):
+        loud = det(self.frame + 1, 900.0, conf=float(conf))
+        self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes, loud),
+                     f"^frame {self.frame + 1}: detection {len(lanes)}'s confidence "
+                     f"{re.escape(repr(float(conf)))} is beyond")
 
     @rule(lanes=LANE_SETS, stage=st.sampled_from(["predict", "update", "fuse_appearance",
                                                   "associate"]))
