@@ -33,11 +33,13 @@ returns one SHA-256 per output:
   confidences) between the per-object and per-false-positive vectors. Each such
   digest is taken over the files' own SHA-256s.
 
-The full set (``--full``, ``full_digests(workdir)``) adds the three scenes of
-the benchmark's ``cli_hist_sadf`` workload at each of its seeds ``CLI_SEEDS``
-(``cli_hist_sadf_<seed>_<scene>``): the ``hamtrack track`` result with
-histograms from the PPM frames and SADF, and its eval lines as above. It takes
-longer than the default set, which tier-1 checks.
+The full set (``--full``, ``full_digests(workdir)``) adds C4's other crossings,
+seeds ``FULL_CROSSING_SEEDS`` (4-30): the inputs and, with HAM on and off, the
+``hamtrack track`` result and its eval lines, as for seeds 1-3 above. It also adds
+the three scenes of the benchmark's ``cli_hist_sadf`` workload at each of its
+seeds ``CLI_SEEDS`` (``cli_hist_sadf_<seed>_<scene>``): the ``hamtrack track``
+result with histograms from the PPM frames and SADF, and its eval lines as
+above. It takes longer than the default set, which tier-1 checks.
 
 ``tests/identity_digests.json`` holds the recorded digests (the full set's
 under ``full_digests``) and the Python, numpy and machine they were recorded
@@ -77,6 +79,7 @@ from scenario_utils import crossing_spec, line_spec, scenario_inputs
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 CROSSING_SEEDS = (1, 2, 3)
+FULL_CROSSING_SEEDS = tuple(range(4, 31))  # the rest of acceptance criterion C4's crossings
 CLI_SEEDS = (1, 2, 3)
 APPEARANCES = ("embed", "hist", "none")
 EVAL_IOUS = ("0", "0.3", "0.7", "0.9")
@@ -171,24 +174,32 @@ def _manifest(path: Path, workdir: Path) -> bytes:
     return json.dumps(manifest, indent=2, sort_keys=True).encode()
 
 
-def digests(workdir: Path) -> dict[str, str]:
-    """``{output name: SHA-256 of its bytes}`` over the whole corpus, built in ``workdir``."""
-    results = {}
-    for seed in CROSSING_SEEDS:
-        spec, scene = crossing_spec(seed), workdir / f"crossing_{seed}"
-        scenario = _write_scene(spec, scene)
-        results[f"crossing_{seed}_inputs"] = _inputs(scene)
-        dets, emb, _ = scenario_inputs(scenario)
-        for ham in ("on", "off"):
-            name = f"crossing_{seed}_ham_{ham}"
-            _track(scene, workdir / f"{name}.txt", "--embeddings", str(scene / "embeddings.csv"),
-                   "--ham", ham, "--filter", "none")
-            results[name] = (workdir / f"{name}.txt").read_bytes()
-            results.update(_evals(name, scene, workdir / f"{name}.txt"))
+def _crossing(seed: int, workdir: Path, library: bool) -> dict[str, bytes]:
+    """The outputs of crossing ``seed``: its inputs, then with HAM on and off its
+    ``hamtrack track`` result and eval lines and, if ``library``, its ``run_sequence`` result."""
+    spec, scene = crossing_spec(seed), workdir / f"crossing_{seed}"
+    scenario = _write_scene(spec, scene)
+    results = {f"crossing_{seed}_inputs": _inputs(scene)}
+    dets, emb, _ = scenario_inputs(scenario)
+    for ham in ("on", "off"):
+        name = f"crossing_{seed}_ham_{ham}"
+        _track(scene, workdir / f"{name}.txt", "--embeddings", str(scene / "embeddings.csv"),
+               "--ham", ham, "--filter", "none")
+        results[name] = (workdir / f"{name}.txt").read_bytes()
+        results.update(_evals(name, scene, workdir / f"{name}.txt"))
+        if library:
             cfg = TrackerConfig(filter_mode="none", use_ham=ham == "on")
             tracked = run_sequence(dets, cfg, descriptor_source=lambda f, o: emb[f, o],
                                    n_frames=spec.n_frames)
             results[f"crossing_{seed}_library_ham_{ham}"] = write_result_file(tracked).encode()
+    return results
+
+
+def digests(workdir: Path) -> dict[str, str]:
+    """``{output name: SHA-256 of its bytes}`` over the whole corpus, built in ``workdir``."""
+    results = {}
+    for seed in CROSSING_SEEDS:
+        results.update(_crossing(seed, workdir, library=True))
     dets, emb, _ = scenario_inputs(generate(LANES))
     tracked = run_sequence(dets, TrackerConfig(filter_mode="none"),
                            descriptor_source=lambda f, o: emb[f, o], n_frames=LANES.n_frames)
@@ -231,6 +242,8 @@ def full_digests(workdir: Path) -> dict[str, str]:
     import workloads
 
     results = {}
+    for seed in FULL_CROSSING_SEEDS:
+        results.update(_crossing(seed, workdir, library=False))
     for seed in CLI_SEEDS:
         workload = workloads.make("cli_hist_sadf")
         workload.setup(seed, workdir / f"cli_hist_sadf_{seed}")
@@ -254,7 +267,7 @@ def _main(argv: list[str]) -> int:
     action.add_argument("--check", action="store_true", help="compare with the recorded digests")
     action.add_argument("--write", action="store_true", help="record the current digests")
     parser.add_argument("--full", action="store_true",
-                        help="the full set too: the cli_hist_sadf scenes")
+                        help="the full set too: C4's crossings 4-30 and the cli_hist_sadf scenes")
     args = parser.parse_args(argv)
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
