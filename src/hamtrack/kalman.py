@@ -83,7 +83,8 @@ def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
     """The largest scale (object height) whose filters, started by ``init`` with ``pos_std =
     pos_ratio * scale``, survive ``n_predicts`` predicts with ``process_std = process_ratio *
     scale`` with a factor of 16 to spare; for scales of at least 1, below which ``Tracker``
-    takes its process noise from a height of 1.
+    takes its process noise from a height of 1. ``Tracker`` bounds a box's longer side by it,
+    so that a centre ``x + w/2`` or ``y + h/2`` stays finite too.
 
     From a birth covariance diag(a², a², b², b²), with b = VEL_PRIOR_SCALE * scale, n predicts
     under Q = diag(q, q, q/4, q/4) make the largest entry, the observed pair's variance,

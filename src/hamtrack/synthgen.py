@@ -390,7 +390,8 @@ def generate(spec: ScenarioSpec, with_frames: bool = False) -> GeneratedScenario
                 x1 = max(ba.x + ba.w, bb.x + bb.w)
                 y1 = max(ba.y + ba.h, bb.y + bb.h)
                 blend = (va + vb) / 2.0
-                blend = blend / float(np.linalg.norm(blend))
+                norm = float(np.linalg.norm(blend))
+                blend = blend / norm if norm > 0 else va
                 merged.append((BBox(x0, y0, x1 - x0, y1 - y0), (ca + cb) / 2.0, blend))
                 out.n_merges += 1
             entries = [e for k, e in enumerate(entries) if k not in merged_away] + merged

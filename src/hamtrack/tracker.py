@@ -3,7 +3,7 @@
 Each frame runs in a fixed order, each stage labelled ``# (n)`` in ``Tracker.step``:
 (1) read the detections once into a (k, 5) array of x, y, w, h and confidence, whose
 columns every later stage reads, check its confidences under SADF, confidence-filter it and
-check the kept detections' heights, centres and descriptors, (2) predict every live track's
+check the kept detections' sizes and descriptors, (2) predict every live track's
 motion and shape, (3) build the shape-motion affinities, (4) fuse appearance on gated-in
 pairs, (5) solve the assignment, (6) update the matched tracks' filters, (7) start the filters
 of tentative tracks on unmatched detections. These write only locals; one commit then sets
@@ -159,7 +159,7 @@ class Tracker:
     filtering; every frame's must have the kind and length of the first's.
     With ``use_appearance=False`` the tracker runs on shape and motion alone.
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
-    listing every problem ``validate_config`` finds. ``tallest`` is the tallest box
+    listing every problem ``validate_config`` finds. ``tallest`` is the longest side of a box
     ``step`` takes: a track on it can coast ``max_age`` + 1 frames."""
 
     def __init__(self, cfg: TrackerConfig | None = None,
@@ -186,8 +186,8 @@ class Tracker:
         own ``BBox`` of the detection each track took, or a predicted box.
 
         Stage (1) alone decides which detections can be tracked, naming frame and detection: under
-        SADF, a confidence beyond ``sadf.MAX_CONFIDENCE``; of the kept boxes, one taller than
-        ``tallest`` or whose centre overflows. The checks and stages (1)-(7) write only locals. One
+        SADF, a confidence beyond ``sadf.MAX_CONFIDENCE``; of the kept boxes, one taller or wider
+        than ``tallest``. The checks and stages (1)-(7) write only locals. One
         commit, with no call that can raise, then writes the tracker and (8) stores appearances,
         ages and retires tracks and writes the born rows; (9) emits the boxes. So a frame that
         raises, on its input or on a Kalman overflow, leaves the tracker as it was, and can be
@@ -218,18 +218,16 @@ class Tracker:
             tau_t = cfg.tau_const
         kept = np.arange(len(conf)) if tau_t is None else np.flatnonzero(conf >= tau_t)
         boxes = block[kept, :4]
+        if len(kept) and boxes[:, 2:].max() > self.tallest:  # then no centre below overflows
+            # the first such box by its (h, w), so that one too tall and too wide is named tall
+            row, wide = divmod(int(np.argmax(boxes[:, :1:-1] > self.tallest)), 2)
+            k = int(kept[row])
+            raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3 - wide])!r} px "
+                             f"{('tall', 'wide')[wide]}, above {self.tallest!r}: its Kalman state "
+                             f"{('overflows', 'may overflow')[wide]} before a track has coasted "
+                             f"max_age + 1 = {cfg.max_age + 1} frames")
         observed = boxes.reshape(-1, 2, 2).copy()  # what the filters observe: centres, sizes
-        with np.errstate(over="ignore"):
-            observed[:, 0] += observed[:, 1] / 2.0
-        if len(kept) and boxes[:, 3].max() > self.tallest:
-            k = int(kept[np.argmax(boxes[:, 3] > self.tallest)])
-            raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3])!r} px tall, "
-                             f"above {self.tallest!r}: its Kalman state overflows before a "
-                             f"track has coasted max_age + 1 = {cfg.max_age + 1} frames")
-        if not np.isfinite(observed).all():
-            k = int(kept[np.argmax(~np.isfinite(observed).all(axis=(1, 2)))])
-            raise ValueError(f"frame {frame}: detection {k} has its centre beyond the largest "
-                             f"double: {detections[k].bbox}")
+        observed[:, 0] += observed[:, 1] / 2.0
         first_kind, first_dim = self._kind, self._dim
         descriptors = np.zeros((len(kept), self._dim))
         if self.use_appearance and len(kept):

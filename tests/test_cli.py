@@ -367,18 +367,20 @@ class TestTrack:
                               "bbox BBox(x=5000.0")
         assert err.endswith("does not intersect a 640x480 image\n")
 
-    def test_box_reaching_past_the_largest_double_exits_1_naming_the_image(self, scenario_dir,
-                                                                            capsys):
-        # x + w overflows to infinity while the centre stays finite.
+    def test_box_reaching_past_the_largest_double_exits_1_as_too_wide(self, scenario_dir, capsys):
+        # x + w overflows to infinity while the centre stays finite; stage (1) rejects the box
+        # before its image is read (TestFrameHistograms in test_io_mot.py covers the clipping).
         det = scenario_dir / "det.txt"
+        k = sum(line.startswith("2,") for line in det.read_text().splitlines())
         det.write_text(det.read_text() + "2,-1,1e308,0,1e308,10,45,-1,-1,-1\n")
         rc = main(["track", "--det", str(det), "--filter", "none",
                    "--frames-dir", str(scenario_dir / "frames"),
                    "--out", str(scenario_dir / "res.txt")])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: frame image {scenario_dir / 'frames' / '000002.ppm'}: bbox "
-            "BBox(x=1e+308, y=0.0, w=1e+308, h=10.0) does not intersect a 640x480 image\n")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: frame 2: detection {k} is 1e+308 px wide, above ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (scenario_dir / "res.txt").exists()
 
     def test_missing_embedding_exits_1_naming_it(self, scenario_dir, capsys):
         emb = scenario_dir / "embeddings.csv"
@@ -539,28 +541,29 @@ def run_main(argv: list[str]) -> int:
 
 # Det files the parser accepts whose tracking once failed: a confidence that overflows SADF's
 # sums (an OverflowError), and two boxes stepped in two frames whose sizes or centres overflow
-# a sum in the shape-motion matrix (a RuntimeWarning), with the stderr each run ends with.
+# a sum in the shape-motion matrix (a RuntimeWarning), with the exit code and the stderr each
+# run now ends with. Boxes 1e308 px wide are rejected at intake.
 INTAKE_CASES = {
     "sadf_confidence": ("1,-1,10,10,30,60,1e155,-1,-1,-1\n1,-1,300,10,30,60,1,-1,-1,-1\n", "sadf",
-                        "error: frame 1: detection 0's confidence 1e+155 is beyond ±1e+100: "
-                        "SADF's statistics overflow\n"),
+                        1, "error: frame 1: detection 0's confidence 1e+155 is beyond ±1e+100: "
+                           "SADF's statistics overflow\n"),
     "sizes_overflow": ("1,-1,0,0,1e308,10,50,-1,-1,-1\n2,-1,0,0,1e308,10,50,-1,-1,-1\n", "none",
-                       "tracked 2 frames"),
+                       1, "error: frame 1: detection 0 is 1e+308 px wide, above "),
     "distance_overflows": ("1,-1,-1e308,0,10,10,50,-1,-1,-1\n2,-1,1e308,0,10,10,50,-1,-1,-1\n",
-                           "none", "tracked 2 frames"),
+                           "none", 0, "tracked 2 frames"),
 }
 
 
 @pytest.mark.parametrize("case", INTAKE_CASES)
 def test_intake_case_exits_without_traceback_or_warning(tmp_path, capsys, case):
-    det, filter_mode, err = INTAKE_CASES[case]
+    det, filter_mode, code, err = INTAKE_CASES[case]
     (tmp_path / "det.txt").write_text(det)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["track", "--det", str(tmp_path / "det.txt"), "--filter", filter_mode,
                    "--out", str(tmp_path / "res.txt")])
     captured = capsys.readouterr()
-    assert (rc, captured.out) == (0 if filter_mode == "none" else 1, "")
+    assert (rc, captured.out) == (code, "")
     assert captured.err.startswith(err) and captured.err.count("\n") == 1
 
 

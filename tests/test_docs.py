@@ -5,8 +5,11 @@ import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import pytest
+
+from hamtrack import kalman
 from hamtrack.cli import MANIFEST_TOTALS, TRACE_COLUMNS
-from hamtrack.core import TrackerConfig
+from hamtrack.core import BBox, Detection, TrackerConfig
 from hamtrack.sadf import MAX_CONFIDENCE
 from hamtrack.synthgen import SPEC_GROUPS
 from hamtrack.tracker import Tracker
@@ -58,3 +61,20 @@ def test_intake_limits_match_the_tracker():
     assert f"beyond ±{MAX_CONFIDENCE!r}: SADF's statistics overflow" in listed
     tallest = re.search(r"`Tracker\.tallest` \(about ([0-9.e]+) px at the default", listed)[1]
     assert tallest == f"{Tracker().tallest:.1e}".replace("e+", "e")
+    largest = re.search(r"the limit is at most about ([0-9.e]+),", listed)[1]
+    assert largest == f"{kalman.tallest(2, 0.0, 0.0):.1e}".replace("e+", "e")  # max_age 1
+    tracker = Tracker(TrackerConfig(filter_mode="none"), use_appearance=False)
+    big = 2.0 * tracker.tallest
+    for name, size in (("w", (big, 60.0)), ("h", (30.0, big))):
+        dets = [Detection(7, BBox(100.0 * k, 0.0, *(size if k == 2 else (30.0, 60.0))), 1.0)
+                for k in range(3)]
+        with pytest.raises(ValueError) as rejected:
+            tracker.step(7, dets)
+        text = str(rejected.value)
+        for value, placeholder in (("frame 7:", "frame <n>:"), ("detection 2 ", "detection <k> "),
+                                   (repr(big), f"<{name}>"), (repr(tracker.tallest), "<limit>"),
+                                   ("= 11 frames", "= <m> frames")):
+            assert text.count(value) == 1, (value, text)
+            text = text.replace(value, placeholder)
+        assert f"`{text}`" in listed
+    assert "**Centre.**" not in listed and "centre beyond" not in listed

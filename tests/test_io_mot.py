@@ -58,9 +58,8 @@ class TestParseDetFile:
 
     @pytest.mark.parametrize("row, named", [
         ("1,-1,0,0,1e160,1e160,50,-1,-1,-1", "detection 1 is 1e+160 px tall"),
-        ("1,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1",
-         "detection 1 has its centre beyond the largest double"),
-    ], ids=["velocity_prior_overflows", "center_overflows"])
+        ("1,-1,1.7e308,0,1.7e308,10,50,-1,-1,-1", "detection 1 is 1.7e+308 px wide"),
+    ], ids=["velocity_prior_overflows", "too_wide"])
     def test_untrackably_large_box_parses_and_step_names_it(self, row, named):
         # The parser checks the format alone; stage (1) of the tracker names the detection.
         out = parse_det_file("1,-1,10,20,30,60,45.0,-1,-1,-1\n" + row + "\n")

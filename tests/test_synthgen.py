@@ -223,6 +223,17 @@ class TestGenerate:
         assert out.n_false_positives > 0
         assert out.n_fragments > 0
 
+    def test_a_merge_whose_vectors_blend_to_zero_keeps_a_unit_vector(self):
+        # Two opposite 1-d unit vectors average to 0: the merge keeps the first one's, as a
+        # detection whose noisy vector is 0 keeps its object's.
+        spec = ScenarioSpec(seed=5, n_frames=3, embed_dim=1, merge_prob=1.0, objects=tuple(
+            ObjectSpec(waypoints=((1, x, 100.0), (3, x, 100.0)), w=30.0, h=60.0)
+            for x in (100.0, 110.0)))
+        out = generate(spec)
+        assert out.n_merges == 3
+        assert [abs(float(v[0])) for _, _, v in out.embeddings] == [1.0] * 3
+        assert "nan" not in write_embedding_file(1, out.embeddings)
+
     def test_confidence_regimes(self):
         spec = ScenarioSpec(
             seed=3, n_frames=1000,

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import re
 import sys
 import weakref
@@ -20,7 +21,7 @@ from hamtrack.core import (HISTOGRAM, AppearanceDescriptor, BBox, Detection,
                            TrackerConfig)
 from hamtrack.io_mot import histogram_from_patch, write_result_file
 from hamtrack.synthgen import OcclusionEvent, ScenarioSpec, generate
-from hamtrack.tracker import FrameDescriptors, Tracker, run_sequence
+from hamtrack.tracker import MOTION, FrameDescriptors, Tracker, run_sequence
 from scenario_utils import (crossing_spec, line_spec, scenario_inputs, slot_loop_ham_scores,
                             track_scenario)
 
@@ -323,6 +324,76 @@ class TestTallestBox:
         assert Tracker(long_lived).tallest == kalman.tallest(101, 1.0, 0.05) < Tracker(
             self.CFG).tallest
 
+    def test_the_widest_box_coasts_a_whole_life(self):
+        tracker = Tracker(self.CFG, use_appearance=False)
+        tracker.step(1, [det(1, 0.0, w=tracker.tallest), det(1, 0.0, w=tracker.tallest,
+                                                            h=tracker.tallest)])
+        for f in range(2, self.CFG.max_age + 2):  # missed max_age times: still alive
+            tracker.step(f, [])
+        assert tracker.table.misses.tolist() == [self.CFG.max_age] * 2
+        tracker.step(self.CFG.max_age + 2, [])  # the (max_age + 1)th predict, then death
+        assert len(tracker.table.ids) == 0
+
+    def test_a_wider_kept_box_is_rejected_naming_frame_and_detection(self):
+        tracker, clean = (Tracker(self.CFG, use_appearance=False) for _ in range(2))
+        wider = float(np.nextafter(tracker.tallest, np.inf))
+        dets = [det(1, 0.0), det(1, 300.0, w=wider)]
+        with pytest.raises(ValueError) as rejected:
+            tracker.step(1, dets)
+        assert str(rejected.value) == (
+            f"frame 1: detection 1 is {wider!r} px wide, above {tracker.tallest!r}: its Kalman "
+            f"state may overflow before a track has coasted max_age + 1 = 11 frames")
+        _assert_same_state(tracker, clean)
+        assert tracker.step(1, dets[:1]) == clean.step(1, dets[:1])
+
+    @pytest.mark.parametrize("over, k, side", [
+        (("h", "w"), 0, "tall"), (("w", "h"), 0, "wide"), (("wh", ""), 0, "tall"),
+        (("", "wh"), 1, "tall")], ids=["tall_then_wide", "wide_then_tall", "both", "second"])
+    def test_the_first_box_over_on_either_side_is_named(self, over, k, side):
+        tracker = Tracker(self.CFG, use_appearance=False)
+        big = 2.0 * tracker.tallest
+        dets = [det(1, 300.0 * j, **dict.fromkeys(sides, big)) for j, sides in enumerate(over)]
+        with pytest.raises(ValueError, match=f"^frame 1: detection {k} is {re.escape(repr(big))} "
+                                             f"px {side}, above "):
+            tracker.step(1, dets)
+
+    def test_a_too_wide_box_the_filter_drops_is_not_checked(self):
+        cfg = dataclasses.replace(self.CFG, filter_mode="const", tau_const=10.0)
+        tracker = Tracker(cfg, use_appearance=False)
+        dropped = det(1, 300.0, w=sys.float_info.max, conf=5.0)
+        assert len(tracker.step(1, [det(1, 0.0), dropped]).tracks) == 1
+
+    # The config whose tallest is the largest any valid config allows: max_age 1, no noise.
+    LARGEST = TrackerConfig(filter_mode="none", max_age=1, process_noise=0.0,
+                            measurement_noise=0.0, confirm_hits=1)
+
+    def test_no_accepted_box_has_a_centre_past_the_largest_double(self):
+        tracker = Tracker(self.LARGEST, use_appearance=False)
+        side, top = tracker.tallest, sys.float_info.max
+        assert side == math.sqrt(top / 32) / 20  # kalman.tallest's growth is at least 20
+        corners = [Detection(1, BBox(-top, -top, side, side), 1.0),
+                   Detection(1, BBox(top - side, top - side, side, side), 1.0)]
+        assert len(tracker.step(1, corners).tracks) == 2
+        assert np.isfinite(tracker.table.filters.mean[:, MOTION]).all()
+        for f in range(2, self.LARGEST.max_age + 3):
+            tracker.step(f, [])
+        assert len(tracker.table.ids) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("centre", [0.0, -sys.float_info.max, sys.float_info.max])
+    @pytest.mark.parametrize("cfg", ["CFG", "LARGEST"])
+    def test_widest_and_narrowest_boxes_in_turn_track_and_coast(self, cfg, centre):
+        # Each frame's one box matches the last frame's: the shape filter's width jumps by
+        # tallest every frame, and then coasts.
+        cfg = getattr(self, cfg)
+        tracker, ids = Tracker(cfg, use_appearance=False), set()
+        for f in range(1, 41):
+            w = tracker.tallest if f % 2 else 5e-324
+            ids |= {i for i, _ in tracker.step(f, [det(f, centre - w / 2.0, w=w)]).tracks}
+        for f in range(41, 43 + cfg.max_age):
+            tracker.step(f, [])
+        assert ids == {1} and len(tracker.table.ids) == 0
+
 
 LANES = 4
 LANE_SETS = st.lists(st.integers(0, LANES - 1), unique=True, max_size=LANES)
@@ -426,10 +497,11 @@ class RejectedInputs(RuleBasedStateMachine):
                      "Kalman state overflows")
 
     @rule(lanes=LANE_SETS.filter(bool), x=st.sampled_from([1.7e308, sys.float_info.max]))
-    def kept_centre_overflows(self, lanes, x):
+    def kept_box_too_wide(self, lanes, x):
         wide = Detection(self.frame + 1, BBox(x, 0.0, x, 60.0), 1e3)
         self.rejects(self.frame + 1, self.dets(self.frame + 1, lanes, wide),
-                     f"^frame {self.frame + 1}: detection {len(lanes)} has its centre beyond")
+                     f"^frame {self.frame + 1}: detection {len(lanes)} is {re.escape(repr(x))} "
+                     f"px wide, above ")
 
     @rule(lanes=LANE_SETS, conf=st.sampled_from([np.nextafter(sadf.MAX_CONFIDENCE, np.inf),
                                                  -1e155, sys.float_info.max]))
