@@ -17,6 +17,7 @@ detection's position within its frame in the detection file.
 import math
 import re
 from collections import defaultdict
+from collections.abc import Iterator, Mapping
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -161,8 +162,42 @@ def parse_det_file(text: str) -> dict[int, list[Detection]]:
     return _grouped(pairs)
 
 
-def parse_gt_file(text: str) -> dict[int, list[tuple[int, BBox]]]:
-    """(id, box) pairs by frame from a ground-truth or result file.
+class FrameRows(Mapping):
+    """(id, box) pairs by ascending frame over ``rows``, a read-only (n, 6) block of frame, id,
+    x, y, w, h sorted stably by frame; ``starts`` is where each frame's rows begin. A frame's
+    ``(int, BBox)`` list is built each time it is read. The view compares, iterates and
+    prints as the dict of those lists."""
+
+    __slots__ = ("rows", "starts")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows[rows[:, 0].argsort(kind="stable")]
+        self.rows.flags.writeable = False
+        self.starts = np.flatnonzero(np.diff(self.rows[:, 0], prepend=-np.inf))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[int]:
+        return map(int, self.rows[self.starts, 0].tolist())
+
+    def __getitem__(self, frame) -> list[tuple[int, BBox]]:
+        try:  # a key equal to no double, such as 2**53 + 1, is no frame
+            key = float(frame)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(frame) from None
+        a, b = (np.searchsorted(self.rows[:, 0], key, side) for side in ("left", "right"))
+        if key != frame or a == b:
+            raise KeyError(frame)
+        return [(int(i), unchecked(BBox, x=x, y=y, w=w, h=h))
+                for i, x, y, w, h in self.rows[a:b, 1:].tolist()]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def parse_gt_file(text: str) -> FrameRows:
+    """(id, box) pairs by frame from a ground-truth or result file, as a ``FrameRows``.
 
     Accepts seven or more fields; extras are ignored. Rows flagged 0 in the
     seventh field are skipped.
@@ -173,18 +208,17 @@ def parse_gt_file(text: str) -> dict[int, list[tuple[int, BBox]]]:
         frame, obj_id, x, y, w, h, flag = block.T
         if (np.isfinite(block).all() and _whole_in(frame, 1).all()
                 and _whole_in(obj_id, -math.inf).all() and _boxes(x, y, w, h)[flag != 0].all()):
-            kept = block[flag != 0, :6].T.tolist()
-            return _grouped((int(f), (int(i), unchecked(BBox, x=x, y=y, w=w, h=h)))
-                            for f, i, x, y, w, h in zip(*kept))
-    pairs: list[tuple[int, tuple[int, BBox]]] = []
+            return FrameRows(block[flag != 0, :6])
+    rows: list[tuple] = []
 
     def add_row(parts: list[str]) -> None:
         frame, obj_id, x, y, w, h = _frame_box(parts, with_id=True)
         if _float(parts[6], "flag") != 0:
-            pairs.append((frame, (obj_id, BBox(x, y, w, h))))
+            BBox(x, y, w, h)  # its checks, for their message
+            rows.append((frame, obj_id, x, y, w, h))
 
     _read_rows(lines, add_row, 7, at_least=True)
-    return _grouped(pairs)
+    return FrameRows(np.array(rows, dtype=float).reshape(-1, 6))
 
 
 def _mot_line(frame: int, obj_id: int, b: BBox, conf_text: str) -> str:

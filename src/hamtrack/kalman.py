@@ -97,6 +97,18 @@ def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
     return math.sqrt(sys.float_info.max / 32) / growth
 
 
+def shortest(pos_ratio: float, process_ratio: float) -> float:
+    """The least scale (object height) whose updates divide by a normal double, 16 times the
+    smallest, or 0 where the process noise alone does; below it the gain is NaN. An
+    innovation variance holds the process noise ``process_ratio``² (``Tracker`` takes it from
+    a height of at least 1) plus the measurement noise ``(pos_ratio * scale)``², or without
+    that, at a filter's first update, its velocity prior ``(VEL_PRIOR_SCALE * scale)``²."""
+    root = math.sqrt(16 * sys.float_info.min)
+    if process_ratio >= root:
+        return 0.0
+    return root / (pos_ratio if pos_ratio > 0 else VEL_PRIOR_SCALE)
+
+
 def _gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
     """Kalman gain P H' inv(S) for each filter."""
     try:

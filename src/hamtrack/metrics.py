@@ -16,6 +16,7 @@ import numpy as np
 
 from .association import hungarian_max
 from .core import BBox, box_columns
+from .io_mot import FrameRows
 
 FrameBoxes = Mapping[int, Sequence[tuple[int, BBox]]]
 
@@ -71,58 +72,66 @@ BLOCK = 1024
 class Overlaps(NamedTuple):
     """What CLEAR-MOT and IDF1 read of a sequence's box pairs at one IoU threshold.
 
-    Rows are numbered through the sequence, frame by frame in frame order.
-    ``gt_row``, ``hyp_row`` and ``iou`` list in row-major order the pairs whose
-    IoU reaches the threshold, and at threshold 0 those whose IoU is not 0 (so
-    also NaN and negative ones, which reach no threshold): every other pair's
-    IoU is 0 or short of the threshold. ``first`` marks the listed pairs whose
-    hypothesis row is the first of its id in the frame. ``identity`` holds, for
-    each (gt id, hyp id) in sorted id order, the number of frames in which their
-    boxes' IoU reaches the threshold, a repeated id keeping its last box; its
-    last row and column take the other boxes of a repeated id. ``boxes`` is the
-    number of (frame, id)s of ground truth and of hypotheses.
+    Rows are numbered through the sequence, frame by frame in frame order: frame k's are
+    ``gt_start[k]:gt_start[k + 1]`` and ``hyp_start[k]:hyp_start[k + 1]``. ``gt_id`` and
+    ``hyp_id`` hold each row's id as its place in its side's sorted ids, ``hyp_first``
+    whether a row is the first of its id in its frame. ``gt_row``, ``hyp_row`` and ``iou``
+    list in row-major order the pairs whose IoU reaches the threshold, and at threshold 0
+    those whose IoU is not 0 (so also NaN and negative ones, which reach no threshold):
+    every other pair's IoU is 0 or short of the threshold. ``identity`` holds, for each
+    (gt id, hyp id), the number of frames in which their boxes' IoU reaches the threshold,
+    a repeated id keeping its last box; its last row and column take the other boxes of a
+    repeated id. ``boxes`` is the number of (frame, id)s of ground truth and of hypotheses.
     """
 
+    gt_start: np.ndarray
+    hyp_start: np.ndarray
+    gt_id: np.ndarray
+    hyp_id: np.ndarray
+    hyp_first: np.ndarray
     gt_row: np.ndarray
     hyp_row: np.ndarray
     iou: np.ndarray
-    first: np.ndarray
     identity: np.ndarray
     boxes: tuple[int, int]
 
 
-def _blocks(frames: list, gt: FrameBoxes, hyp: FrameBoxes):
-    """Runs of consecutive ``frames`` with at most BLOCK boxes a side, or of a single frame."""
-    block, n_gt, n_hyp = [], 0, 0
-    for frame in frames:
-        a, b = len(gt.get(frame, ())), len(hyp.get(frame, ()))
-        if block and (n_gt + a > BLOCK or n_hyp + b > BLOCK):
-            yield block
-            block, n_gt, n_hyp = [], 0, 0
-        block.append(frame)
-        n_gt, n_hyp = n_gt + a, n_hyp + b
-    if block:
-        yield block
+def _blocks(gt_counts: list[int], hyp_counts: list[int], size: int):
+    """Runs ``(a, b)`` of consecutive frames with at most ``size`` boxes a side, or of a
+    single frame, from each frame's number of boxes a side."""
+    a = n_gt = n_hyp = 0
+    for k, (g, h) in enumerate(zip(gt_counts, hyp_counts)):
+        if k > a and (n_gt + g > size or n_hyp + h > size):
+            yield a, k
+            a, n_gt, n_hyp = k, 0, 0
+        n_gt, n_hyp = n_gt + g, n_hyp + h
+    if len(gt_counts) > a:
+        yield a, len(gt_counts)
 
 
-def _rows(by_frame: FrameBoxes, frames: list, index: dict) -> tuple:
-    """The boxes of ``frames`` in frame then row order: x, y, w, h as an (n, 4) array, each
-    row's frame as its position in ``frames``, its id's ``index`` (or ``len(index)`` where a
-    later row of the frame repeats the id) and whether it is its id's first row in the frame."""
-    counts = [len(by_frame.get(frame, ())) for frame in frames]
-    n = sum(counts)
-    fields = np.fromiter(chain.from_iterable((b.x, b.y, b.w, b.h, index[i]) for frame in frames
-                                             for i, b in by_frame.get(frame, ())),
-                         float, 5 * n).reshape(n, 5)
-    row_frame = np.repeat(np.arange(len(frames)), counts)
-    ids = fields[:, 4].astype(np.intp)
-    key = row_frame * len(index) + ids
-    order = key.argsort(kind="stable")
-    change = key[order[1:]] != key[order[:-1]]
-    first, last = np.empty(n, bool), np.empty(n, bool)
-    first[order] = np.r_[True, change]
-    last[order] = np.r_[change, True]
-    return fields[:, :4], row_frame, np.where(last, ids, len(index)), first
+def _side(by_frame: FrameBoxes) -> tuple:
+    """A side's frames in ascending order, their numbers of boxes, its number of ids, and
+    ``read(i, j)``: the boxes of its frames i to j - 1, in frame then row order, as x, y, w,
+    h rows and each row's id as its place in the sorted ids. A ``FrameRows`` is sliced, its
+    ids placed by one ``np.unique``; any other mapping is streamed, its ids placed through a
+    dict, so that they keep their identity as Python objects."""
+    if isinstance(by_frame, FrameRows):
+        rows, starts = by_frame.rows, np.r_[by_frame.starts, len(by_frame.rows)].tolist()
+        ids, col = np.unique(rows[:, 1], return_inverse=True)
+        return (list(by_frame), np.diff(starts), len(ids),
+                lambda i, j: (rows[starts[i]:starts[j], 2:], col[starts[i]:starts[j]]))
+    frames = sorted(by_frame)
+    items = [by_frame[frame] for frame in frames]
+    index = {i: a for a, i in enumerate(sorted({i for pairs in items for i, _ in pairs}))}
+    counts = [len(pairs) for pairs in items]
+
+    def read(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        fields = np.fromiter(chain.from_iterable((b.x, b.y, b.w, b.h, index[i])
+                                                 for pairs in items[lo:hi] for i, b in pairs),
+                             float, 5 * sum(counts[lo:hi])).reshape(-1, 5)
+        return fields[:, :4], fields[:, 4].astype(np.intp)
+
+    return frames, counts, len(index), read
 
 
 def _before(frame_a, a, order, frame_b, b, side: str) -> np.ndarray:
@@ -160,17 +169,34 @@ def box_overlaps(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
                  iou_threshold: float) -> Overlaps:
     """The ``Overlaps`` of ground truth and hypotheses at ``iou_threshold``, swept a block of
     frames at a time: IoU is computed only for the pairs whose x-extents overlap."""
-    frames = sorted(gt_by_frame.keys() | hyp_by_frame.keys())
-    gt_index, hyp_index = (
-        {i: a for a, i in enumerate(sorted({i for items in by_frame.values() for i, _ in items}))}
-        for by_frame in (gt_by_frame, hyp_by_frame))
-    identity = np.zeros((len(gt_index) + 1, len(hyp_index) + 1))
-    pieces, n_gt, n_hyp, boxes = [], 0, 0, [0, 0]
-    for block in _blocks(frames, gt_by_frame, hyp_by_frame):
-        gt, gt_frame, gt_col, _ = _rows(gt_by_frame, block, gt_index)
-        hyp, hyp_frame, hyp_col, hyp_first = _rows(hyp_by_frame, block, hyp_index)
-        boxes[0] += int(np.count_nonzero(gt_col < len(gt_index)))
-        boxes[1] += int(np.count_nonzero(hyp_col < len(hyp_index)))
+    sides = [_side(gt_by_frame), _side(hyp_by_frame)]
+    frames = sorted(set(sides[0][0]).union(sides[1][0]))
+    at = {frame: k for k, frame in enumerate(frames)}
+    places = [np.array([at[frame] for frame in side[0]], np.intp) for side in sides]
+    starts = np.zeros((2, len(frames) + 1), np.intp)
+    for start, place, side in zip(starts, places, sides):
+        start[place + 1] = side[1]
+    gt_start, hyp_start = starts = starts.cumsum(axis=1)
+    gt_id, hyp_id = ids = [np.empty(start[-1], np.intp) for start in starts]
+    hyp_first = np.empty(len(hyp_id), bool)
+    identity = np.zeros((sides[0][2] + 1, sides[1][2] + 1))
+    pieces, boxes = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))], [0, 0]
+    for a, b in _blocks(*np.diff(starts).tolist(), BLOCK):
+        block = []
+        for (_, _, n_ids, read), place, start, side_ids in zip(sides, places, starts, ids):
+            rows, col = read(*np.searchsorted(place, (a, b)).tolist())
+            side_ids[start[a]:start[b]] = col
+            row_frame = np.repeat(np.arange(b - a), np.diff(start[a:b + 1]))
+            key = row_frame * n_ids + col  # the row's (frame, id)
+            first, last = np.zeros((2, len(col)), bool)
+            first[np.unique(key, return_index=True)[1]] = True
+            last[len(col) - 1 - np.unique(key[::-1], return_index=True)[1]] = True
+            block.append((rows, row_frame, np.where(last, col, n_ids), first))
+        (gt, gt_frame, gt_col, _), (hyp, hyp_frame, hyp_col, first) = block
+        g0, h0 = gt_start[a], hyp_start[a]
+        hyp_first[h0:h0 + len(hyp)] = first
+        boxes[0] += int(np.count_nonzero(gt_col < sides[0][2]))
+        boxes[1] += int(np.count_nonzero(hyp_col < sides[1][2]))
         if len(gt) and len(hyp):
             listed = []
             for g, h in _candidates(gt, gt_frame, hyp, hyp_frame):
@@ -186,18 +212,16 @@ def box_overlaps(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
                 # Every pair of a frame reaches 0 but the listed ones short of it: count
                 # the frames each (gt id, hyp id) shares, from 0/1 frame x id matrices,
                 # less those pairs.
-                (gt_ids, gt_at), (hyp_ids, hyp_at) = (np.unique(col, return_inverse=True)
-                                                      for col in (gt_col, hyp_col))
-                gt_in, hyp_in = (np.zeros((len(block), len(ids))) for ids in (gt_ids, hyp_ids))
-                gt_in[gt_frame, gt_at] = hyp_in[hyp_frame, hyp_at] = 1.0
-                identity[np.ix_(gt_ids, hyp_ids)] += gt_in.T @ hyp_in
+                (gt_cols, gt_of), (hyp_cols, hyp_of) = (np.unique(col, return_inverse=True)
+                                                        for col in (gt_col, hyp_col))
+                gt_in, hyp_in = (np.zeros((b - a, len(cols))) for cols in (gt_cols, hyp_cols))
+                gt_in[gt_frame, gt_of] = hyp_in[hyp_frame, hyp_of] = 1.0
+                identity[np.ix_(gt_cols, hyp_cols)] += gt_in.T @ hyp_in
                 short = ~(ious >= 0)
                 np.subtract.at(identity, (gt_col[g[short]], hyp_col[h[short]]), 1.0)
-            pieces.append((g + n_gt, h + n_hyp, ious, hyp_first[h]))
-        n_gt, n_hyp = n_gt + len(gt), n_hyp + len(hyp)
-    if not pieces:
-        pieces = [(np.zeros(0, np.intp),) * 2 + (np.zeros(0), np.zeros(0, bool))]
-    return Overlaps(*map(np.concatenate, zip(*pieces)), identity, tuple(boxes))
+            pieces.append((g + g0, h + h0, ious))
+    return Overlaps(gt_start, hyp_start, gt_id, hyp_id, hyp_first,
+                    *map(np.concatenate, zip(*pieces)), identity, tuple(boxes))
 
 
 @dataclass(frozen=True)
@@ -209,63 +233,84 @@ class ClearMotCounts:
     mota: float
 
 
+def _matching(rest: list, iou_threshold: float, size: int) -> list | None:
+    """The (g, h) of the reached pairs ``rest``, (g, h, IoU) in row-major order, where the
+    solver keeps them whole from its grid of them, zeros elsewhere, of at most ``size`` rows
+    and columns; else None. Above threshold 0 the optimum keeps every pair of a matching;
+    the solver reads an IoU v as max - v, rounded by max·2⁻⁵³, and sums at most 2·size² such
+    costs, so no v above max·size²·2⁻⁴⁰ is lost (a NaN or inf max, where it raises, is no
+    skip)."""
+    if iou_threshold <= 0 or not rest:
+        return None
+    g, h, v = zip(*rest)
+    if len(set(g)) == len(g) == len(set(h)) and min(v) > max(v) * size * size * 2.0 ** -40:
+        return list(zip(g, h))
+    return None
+
+
 def clear_mot(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
               iou_threshold: float = 0.5, *, overlaps: Overlaps | None = None) -> ClearMotCounts:
     """Count FP/FN/IDSw against ground truth and derive MOTA; ``overlaps`` is
     ``box_overlaps`` of the same arguments, built here when None."""
     if overlaps is None:
         overlaps = box_overlaps(gt_by_frame, hyp_by_frame, iou_threshold)
-    frames = sorted(gt_by_frame.keys() | hyp_by_frame.keys())
-    gt_rows = np.cumsum([0] + [len(gt_by_frame.get(frame, ())) for frame in frames])
-    hyp_rows = np.cumsum([0] + [len(hyp_by_frame.get(frame, ())) for frame in frames]).tolist()
-    ends = np.searchsorted(overlaps.gt_row, gt_rows).tolist()
-    gt_rows = gt_rows.tolist()
+    gt_start, hyp_start = overlaps.gt_start.tolist(), overlaps.hyp_start.tolist()
+    ends = np.searchsorted(overlaps.gt_row, overlaps.gt_start).tolist()
     last_match: dict[int, int] = {}
-    gt_total = fp = fn = idsw = 0
-    for k, frame in enumerate(frames):
-        gts, hyps = gt_by_frame.get(frame, ()), hyp_by_frame.get(frame, ())
-        gt_total += len(gts)
-        at = slice(ends[k], ends[k + 1])
-        g_at = (overlaps.gt_row[at] - gt_rows[k]).tolist()
-        h_at = (overlaps.hyp_row[at] - hyp_rows[k]).tolist()
-        v_at = overlaps.iou[at].tolist()
-        if iou_threshold > 0:
-            # Last frame's pairing carries over through the id's first row where it still
-            # reaches the threshold; every listed pair reaches it.
-            carry = [(g, h) for g, h, first in zip(g_at, h_at, overlaps.first[at].tolist())
-                     if first and last_match.get(gts[g][0]) == hyps[h][0]]
-        else:  # every pair but the listed ones short of 0 reaches it
-            short = {(g, h) for g, h, v in zip(g_at, h_at, v_at) if not v >= 0}
-            hyp_index = {hid: h for h, (hid, _) in reversed(list(enumerate(hyps)))}
-            carry = [(g, h) for g, (gid, _) in enumerate(gts)
-                     if (h := hyp_index.get(last_match.get(gid))) is not None
-                     and (g, h) not in short]
-        pairs: list[tuple[int, int]] = []
-        used_g, used_h = set(), set()
-        for g, h in carry:
-            if h not in used_h:
-                pairs.append((g, h))
-                used_g.add(g)
-                used_h.add(h)
-        # The rest's reached IoUs, 0 elsewhere; above threshold 0, a zero grid pairs nothing.
-        rest = [(g, h, v) for g, h, v in zip(g_at, h_at, v_at)
-                if v >= iou_threshold and g not in used_g and h not in used_h]
-        if rest or (iou_threshold == 0 and len(pairs) < min(len(gts), len(hyps))):
-            rest_g = [g for g in range(len(gts)) if g not in used_g]
-            rest_h = [h for h in range(len(hyps)) if h not in used_h]
-            at_g, at_h = {g: a for a, g in enumerate(rest_g)}, {h: b for b, h in enumerate(rest_h)}
-            grid = np.zeros((len(rest_g), len(rest_h)))
-            for g, h, v in rest:
-                grid[at_g[g], at_h[h]] = v
-            for a, b in hungarian_max(grid):
-                if grid[a, b] >= iou_threshold:
-                    pairs.append((rest_g[a], rest_h[b]))
-        for g, h in pairs:
-            gid, hid = gts[g][0], hyps[h][0]
-            idsw += last_match.get(gid, hid) != hid
-            last_match[gid] = hid
-        fn += len(gts) - len(pairs)
-        fp += len(hyps) - len(pairs)
+    fp = fn = idsw = 0
+    # Rows and pairs become lists a quarter block of frames at a time, numbered from its
+    # start: a list of ints or floats takes about five times its array's bytes.
+    for a, b in _blocks(np.diff(gt_start).tolist(), np.diff(hyp_start).tolist(), BLOCK // 4):
+        g0, g1, h0, h1, p0, p1 = (x[k] for x in (gt_start, hyp_start, ends) for k in (a, b))
+        gt_id, hyp_id, first, g_all, h_all, v_all = (x.tolist() for x in (
+            overlaps.gt_id[g0:g1], overlaps.hyp_id[h0:h1], overlaps.hyp_first[h0:h1],
+            overlaps.gt_row[p0:p1] - g0, overlaps.hyp_row[p0:p1] - h0, overlaps.iou[p0:p1]))
+        for k in range(a, b):
+            gts = range(gt_start[k] - g0, gt_start[k + 1] - g0)
+            hyps = range(hyp_start[k] - h0, hyp_start[k + 1] - h0)
+            g_at, h_at, v_at = (x[ends[k] - p0:ends[k + 1] - p0] for x in (g_all, h_all, v_all))
+            if iou_threshold > 0:
+                # Last frame's pairing carries over through the id's first row where it
+                # still reaches the threshold; every listed pair reaches it.
+                carry = [(g, h) for g, h in zip(g_at, h_at)
+                         if first[h] and last_match.get(gt_id[g]) == hyp_id[h]]
+            else:  # every pair but the listed ones short of 0 reaches it
+                short = {(g, h) for g, h, v in zip(g_at, h_at, v_at) if not v >= 0}
+                hyp_index = {hyp_id[h]: h for h in reversed(hyps)}
+                carry = [(g, h) for g in gts
+                         if (h := hyp_index.get(last_match.get(gt_id[g]))) is not None
+                         and (g, h) not in short]
+            pairs: list[tuple[int, int]] = []
+            used_g, used_h = set(), set()
+            for g, h in carry:
+                if h not in used_h:
+                    pairs.append((g, h))
+                    used_g.add(g)
+                    used_h.add(h)
+            # The rest's reached IoUs, 0 elsewhere; above threshold 0, a zero grid pairs
+            # nothing.
+            rest = [(g, h, v) for g, h, v in zip(g_at, h_at, v_at)
+                    if v >= iou_threshold and g not in used_g and h not in used_h]
+            if rest or (iou_threshold == 0 and len(pairs) < min(len(gts), len(hyps))):
+                matched = _matching(rest, iou_threshold, max(len(gts), len(hyps)))
+                if matched is None:
+                    rest_g = [g for g in gts if g not in used_g]
+                    rest_h = [h for h in hyps if h not in used_h]
+                    at_g, at_h = ({g: r for r, g in enumerate(rest_g)},
+                                  {h: c for c, h in enumerate(rest_h)})
+                    grid = np.zeros((len(rest_g), len(rest_h)))
+                    for g, h, v in rest:
+                        grid[at_g[g], at_h[h]] = v
+                    matched = [(rest_g[r], rest_h[c]) for r, c in hungarian_max(grid)
+                               if grid[r, c] >= iou_threshold]
+                pairs += matched
+            for g, h in pairs:
+                gid, hid = gt_id[g], hyp_id[h]
+                idsw += last_match.get(gid, hid) != hid
+                last_match[gid] = hid
+            fn += len(gts) - len(pairs)
+            fp += len(hyps) - len(pairs)
+    gt_total = gt_start[-1]
     if gt_total == 0:
         raise ValueError("ground truth is empty; MOTA is undefined")
     mota = 1.0 - (fp + fn + idsw) / gt_total

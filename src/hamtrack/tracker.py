@@ -160,7 +160,8 @@ class Tracker:
     With ``use_appearance=False`` the tracker runs on shape and motion alone.
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
     listing every problem ``validate_config`` finds. ``tallest`` is the longest side of a box
-    ``step`` takes: a track on it can coast ``max_age`` + 1 frames."""
+    ``step`` takes: a track on it can coast ``max_age`` + 1 frames. ``shortest`` is the least
+    height, 0 unless the process noise is below 6e-154: the Kalman gain stays finite."""
 
     def __init__(self, cfg: TrackerConfig | None = None,
                  descriptor_source: DescriptorSource | FrameDescriptors | None = None,
@@ -171,6 +172,7 @@ class Tracker:
             raise ValueError("invalid tracker config: " + "; ".join(problems))
         self.tallest = kalman.tallest(self.cfg.max_age + 1, self.cfg.measurement_noise,
                                       self.cfg.process_noise)
+        self.shortest = kalman.shortest(self.cfg.measurement_noise, self.cfg.process_noise)
         self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
         self.table = TrackTable.empty(0)
@@ -187,11 +189,11 @@ class Tracker:
 
         Stage (1) alone decides which detections can be tracked, naming frame and detection: under
         SADF, a confidence beyond ``sadf.MAX_CONFIDENCE``; of the kept boxes, one taller or wider
-        than ``tallest``. The checks and stages (1)-(7) write only locals. One
-        commit, with no call that can raise, then writes the tracker and (8) stores appearances,
-        ages and retires tracks and writes the born rows; (9) emits the boxes. So a frame that
-        raises, on its input or on a Kalman overflow, leaves the tracker as it was, and can be
-        stepped again.
+        than ``tallest`` or shorter than ``shortest``. The checks and stages (1)-(7) write only
+        locals. One commit, with no call that can raise, then writes the tracker and (8) stores
+        appearances, ages and retires tracks and writes the born rows; (9) emits the boxes. So a
+        frame that raises, on its input or on a Kalman overflow, leaves the tracker as it was,
+        and can be stepped again.
         """
         cfg = self.cfg
         if frame <= self._last_frame:
@@ -218,10 +220,17 @@ class Tracker:
             tau_t = cfg.tau_const
         kept = np.arange(len(conf)) if tau_t is None else np.flatnonzero(conf >= tau_t)
         boxes = block[kept, :4]
-        if len(kept) and boxes[:, 2:].max() > self.tallest:  # then no centre below overflows
+        # Sides above tallest (then no centre below overflows) or a height below shortest.
+        if len(kept) and (boxes[:, 2:].max() > self.tallest or boxes[:, 3].min() < self.shortest):
             # the first such box by its (h, w), so that one too tall and too wide is named tall
-            row, wide = divmod(int(np.argmax(boxes[:, :1:-1] > self.tallest)), 2)
+            out = boxes[:, :1:-1] > self.tallest
+            out[:, 0] |= boxes[:, 3] < self.shortest
+            row, wide = divmod(int(np.argmax(out)), 2)
             k = int(kept[row])
+            if block[k, 3] < self.shortest:
+                raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3])!r} px tall, "
+                                 f"below {self.shortest!r}: too small for its Kalman gain to stay "
+                                 f"finite")
             raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3 - wide])!r} px "
                              f"{('tall', 'wide')[wide]}, above {self.tallest!r}: its Kalman state "
                              f"{('overflows', 'may overflow')[wide]} before a track has coasted "

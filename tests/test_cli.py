@@ -195,6 +195,16 @@ class TestTrack:
         assert_clean_error(proc, 1)
         assert proc.stderr.startswith("error: frame 1: detection 0 is 1e+160 px tall")
 
+    def test_untrackably_small_box_exits_1_naming_it(self, tmp_path):
+        # Without process noise, a box 1e-160 px tall once made every update's gain NaN.
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,0,0,1e-160,1e-160,50,-1,-1,-1\n2,-1,0,0,1e-160,1e-160,50,-1,-1,-1\n")
+        args = ("track", "--det", str(det), "--filter", "none", "--out", str(tmp_path / "res.txt"))
+        proc = cli_process(*args, "--set", "process_noise=0")
+        assert_clean_error(proc, 1)
+        assert proc.stderr.startswith("error: frame 1: detection 0 is 1e-160 px tall, below ")
+        assert cli_process(*args).returncode == 0
+
     @pytest.mark.parametrize("setting", ["measurement_noise=1e200", "process_noise=1e200"])
     def test_overflowing_noise_exits_1_without_warnings(self, tmp_path, setting):
         bundle = resources.files("hamtrack") / "scenarios" / "occlusion.scn"

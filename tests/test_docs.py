@@ -78,3 +78,19 @@ def test_intake_limits_match_the_tracker():
             text = text.replace(value, placeholder)
         assert f"`{text}`" in listed
     assert "**Centre.**" not in listed and "centre beyond" not in listed
+
+
+def test_least_height_matches_the_tracker():
+    listed = " ".join(re.search(r"^## Intake limits\n(.*?)^## ", README, re.S | re.M)[1].split())
+    tracker = Tracker(TrackerConfig(filter_mode="none", process_noise=0.0), use_appearance=False)
+    least = re.search(r"`Tracker\.shortest` tall \(about ([0-9.e-]+) px", listed)[1]
+    assert least == f"{tracker.shortest:.1e}" and Tracker().shortest == 0.0
+    low = tracker.shortest / 2
+    with pytest.raises(ValueError) as rejected:
+        tracker.step(7, [Detection(7, BBox(0.0, 0.0, 30.0, low), 1.0)])
+    text = str(rejected.value)
+    for value, placeholder in (("frame 7:", "frame <n>:"), ("detection 0 ", "detection <k> "),
+                               (repr(low), "<h>"), (repr(tracker.shortest), "<limit>")):
+        assert text.count(value) == 1, (value, text)
+        text = text.replace(value, placeholder)
+    assert f"`{text}`" in listed

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,27 @@ class TestTallest:
         coast(4 * 0.999 * limit)
         with pytest.raises(FloatingPointError):
             coast(4 * 1.001 * limit)
+
+
+class TestShortest:
+    def test_process_noise_alone_keeps_the_gain_finite(self):
+        assert kalman.shortest(0.1, 0.05) == kalman.shortest(0.0, 1.5e-153) == 0.0
+        assert kalman.shortest(0.1, 0.0) == math.sqrt(16 * sys.float_info.min) / 0.1
+
+    # Without measurement noise the floor is the first update's velocity prior.
+    @pytest.mark.parametrize("pos_ratio", [0.1, 1.0, 30.0, 0.0])
+    def test_updates_stay_finite_at_the_limit_and_not_far_below(self, pos_ratio):
+        limit = kalman.shortest(pos_ratio, 0.0)
+
+        def finite_after_updates(scale):
+            state = kalman.init(np.zeros(2), scale, pos_ratio * scale)
+            with np.errstate(all="ignore"):
+                for _ in range(100):
+                    state = kalman.update(kalman.predict(state), np.zeros(2), pos_ratio * scale)
+            return bool(np.isfinite(state.cov).all())
+
+        assert finite_after_updates(limit)
+        assert not finite_after_updates(limit / 16)
 
 
 class TestUpdate:

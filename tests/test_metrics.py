@@ -9,6 +9,7 @@ from hamtrack.association import hungarian_max
 from hamtrack.core import BBox
 from hamtrack.metrics import (ClearMotCounts, EvalReport, IdentityScores, clear_mot, evaluate,
                               idf1, iou_matrix)
+from hamtrack.io_mot import parse_gt_file
 from scenario_utils import peak_bytes
 
 
@@ -518,7 +519,8 @@ class TestSweepMatchesTwoMatrixReference:
                 kinds["idsw"] += cm.idsw > 0
                 kinds["idtp"] += 0 < ids.idtp < ids.idtp + ids.idfp
             frames = sorted(gt.keys() | hyp.keys())
-            kinds["split"] += len(list(metrics._blocks(frames, gt, hyp))) > 1
+            counts = ([len(side.get(frame, ())) for frame in frames] for side in (gt, hyp))
+            kinds["split"] += len(list(metrics._blocks(*counts, metrics.BLOCK))) > 1
             for frame in frames:
                 g, h = gt.get(frame), hyp.get(frame)
                 kinds["one side"] += (g is None) != (h is None)
@@ -539,3 +541,112 @@ class TestSweepMatchesTwoMatrixReference:
         if block is None:  # every scene is one block
             del kinds["split"], kinds["chunked"]
         assert min(kinds.values()) >= 5, kinds
+
+
+def scene_text(by_frame, rng):
+    """A result file of ``by_frame``: the frames' rows interleaved at random, each frame's in
+    its order, so frames come unsorted; a flag-0 row after some rows, extra columns on some."""
+    queues = [[(frame, i, b) for i, b in pairs] for frame, pairs in by_frame.items() if pairs]
+    lines = []
+    while queues:
+        queue = queues[rng.integers(len(queues))]
+        frame, i, b = queue.pop(0)
+        if not queue:
+            queues.remove(queue)
+        extra = ",7,0.25" if rng.random() < 0.3 else ""
+        lines.append(f"{frame},{i},{b.x!r},{b.y!r},{b.w!r},{b.h!r},1{extra}\n")
+        if rng.random() < 0.2:  # not a box: flagged 0
+            lines.append(f"{frame},{i + 1},-3,0,-1,0,0\n")
+    return "".join(lines)
+
+
+class TestEvaluateOnParsedFiles:
+    THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+    @pytest.mark.parametrize("scene", [random_scene, sweep_scene])
+    def test_view_dict_and_reference_agree(self, scene):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            gt, hyp = scene(rng)
+            gt_view, hyp_view = (parse_gt_file(scene_text(side, rng)) for side in (gt, hyp))
+            if not any(gt.values()):
+                continue
+            gt_dict, hyp_dict = dict(gt_view), dict(hyp_view)
+            assert gt_dict == {f: p for f, p in gt.items() if p}
+            for threshold in self.THRESHOLDS:
+                expected = EvalReport(**vars(two_matrix_clear_mot(gt_dict, hyp_dict, threshold)),
+                                      **vars(two_matrix_idf1(gt_dict, hyp_dict, threshold)))
+                assert evaluate(gt_view, hyp_view, threshold) == expected, (seed, threshold)
+                assert evaluate(gt_dict, hyp_dict, threshold) == expected, (seed, threshold)
+                assert evaluate(gt_view, hyp_dict, threshold) == expected, (seed, threshold)
+
+    def test_distinct_ids_above_2_53_stay_distinct(self):
+        # 2**53 and 2**53 + 1 are one double: placed through a float column, they would merge.
+        big, ids = 2 ** 53, (2 ** 60, 2 ** 60 + 1)
+        gt, hyp = {}, {}
+        for frame in range(1, 9):
+            gt[frame] = [(big, box(0.0)), (big + 1, box(100.0))]
+            swap = frame % 3 == 0
+            hyp[frame] = [(ids[swap], box(1.0)), (ids[not swap], box(101.0))]
+        for threshold in (0.0, 0.5):
+            cm = two_matrix_clear_mot(gt, hyp, threshold)
+            scores = two_matrix_idf1(gt, hyp, threshold)
+            assert evaluate(gt, hyp, threshold) == EvalReport(**vars(cm), **vars(scores))
+        assert (cm.idsw, scores.idtp) == (8, 12)  # at 0.5, as two ids a side
+
+
+def tiny_iou_scene(rng):
+    """Frames of unit boxes, each with a box inside it whose IoU is 1e-300 to 1, so that a
+    frame's reached pairs often form a matching of IoUs far apart."""
+    gt, hyp = {}, {}
+    for frame in range(1, 13):
+        n = int(rng.integers(1, 6))
+        outer = [box(3.0 * k, 0.0, 1.0, 1.0) for k in range(n)]
+        side = 10.0 ** rng.uniform(-150, 0, n)
+        inner = [box(b.x, 0.0, s, s) for b, s in zip(outer, side)]
+        gt[frame] = [(int(rng.integers(1, 4)), b) for b in outer]
+        kept = rng.permutation(inner)[:n - 1 + int(rng.integers(0, 2))]
+        hyp[frame] = [(int(rng.integers(10, 14)), b) for b in kept]
+    return gt, hyp
+
+
+class TestSolverSkip:
+    """``clear_mot`` takes a frame's reached pairs as they are where they already form a
+    matching, under a gate; everywhere else it calls the solver."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-300, 0.5])
+    def test_skip_equals_the_solver_on_random_grids(self, threshold):
+        rng = np.random.default_rng(41)
+        taken = solved = differs = 0
+        for _ in range(3000):
+            n, m = (int(v) for v in rng.integers(1, 7, 2))
+            grid = np.zeros((n, m))
+            k = int(rng.integers(1, min(n, m) + 1))
+            values = np.where(rng.random(k) < 0.5, 10.0 ** rng.uniform(-300, 0, k),
+                              rng.uniform(0.4, 1.0, k))
+            grid[rng.permutation(n)[:k], rng.permutation(m)[:k]] = values
+            if rng.random() < 0.2:  # a second pair in a row or column
+                grid[rng.integers(n), rng.integers(m)] = rng.uniform(0.4, 1.0)
+            reached = np.where(grid >= threshold, grid, 0.0) if threshold > 0 else grid
+            rest = [(g, h, grid[g, h]) for g, h in zip(*np.nonzero(reached))]
+            solver = [(a, b) for a, b in hungarian_max(reached) if reached[a, b] >= threshold]
+            skip = metrics._matching([(int(g), int(h), float(v)) for g, h, v in rest],
+                                     threshold, max(n, m))
+            if skip is None:
+                solved += 1
+                differs += solver != [(int(g), int(h)) for g, h, _ in rest]
+            else:
+                taken += 1
+                assert skip == solver
+        if threshold == 0.0:
+            assert taken == 0
+        else:  # both branches, and grids on which the solver drops a tiny pair the gate keeps
+            assert min(taken, solved) >= 300, (taken, solved)
+            assert differs >= (100 if threshold < 1e-200 else 0), differs
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-300, 1e-100, 0.5])
+    def test_reports_equal_the_solver_alone(self, monkeypatch, threshold):
+        scenes = [tiny_iou_scene(np.random.default_rng(seed)) for seed in range(40)]
+        skipped = [evaluate(gt, hyp, threshold) for gt, hyp in scenes]
+        monkeypatch.setattr(metrics, "_matching", lambda *args: None)
+        assert skipped == [evaluate(gt, hyp, threshold) for gt, hyp in scenes]

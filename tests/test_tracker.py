@@ -363,6 +363,42 @@ class TestTallestBox:
         dropped = det(1, 300.0, w=sys.float_info.max, conf=5.0)
         assert len(tracker.step(1, [det(1, 0.0), dropped]).tracks) == 1
 
+    NO_PROCESS_NOISE = dataclasses.replace(CFG, process_noise=0.0)
+
+    def test_a_shorter_kept_box_is_rejected_naming_frame_and_detection(self):
+        tracker, clean = (Tracker(self.NO_PROCESS_NOISE, use_appearance=False) for _ in range(2))
+        shorter = float(np.nextafter(tracker.shortest, 0.0))
+        dets = [det(1, 0.0), det(1, 300.0, w=1e-160, h=shorter)]
+        with pytest.raises(ValueError) as rejected:
+            tracker.step(1, dets)
+        assert str(rejected.value) == (
+            f"frame 1: detection 1 is {shorter!r} px tall, below {tracker.shortest!r}: too small "
+            f"for its Kalman gain to stay finite")
+        _assert_same_state(tracker, clean)
+        assert tracker.step(1, dets[:1]) == clean.step(1, dets[:1])
+
+    def test_process_noise_sets_no_least_height(self):
+        tracker = Tracker(self.CFG, use_appearance=False)
+        assert tracker.shortest == 0.0
+        for f in range(1, 30):
+            assert tracker.step(f, [det(f, 0.0, h=1e-160)]).tracks
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise", [0.1, 1e-3, 0.0])
+    def test_shortest_and_tallest_boxes_in_turn_track_and_coast(self, noise):
+        # Without process noise a matched filter's variances shrink with every update; at
+        # the least height the gain still stays finite, whatever the track saw before.
+        cfg = dataclasses.replace(self.NO_PROCESS_NOISE, measurement_noise=noise, max_age=3)
+        tracker, ids = Tracker(cfg, use_appearance=False), set()
+        assert tracker.shortest > 0
+        for f in range(1, 201):
+            h = (tracker.shortest, tracker.tallest, 1.0)[f % 3] if f % 7 else tracker.shortest
+            ids |= {i for i, _ in tracker.step(f, [det(f, 0.0, w=h, h=h)]).tracks}
+            assert np.isfinite(tracker.table.filters.mean).all()
+        for f in range(201, 206):
+            tracker.step(f, [])
+        assert len(tracker.table.ids) == 0
+
     # The config whose tallest is the largest any valid config allows: max_age 1, no noise.
     LARGEST = TrackerConfig(filter_mode="none", max_age=1, process_noise=0.0,
                             measurement_noise=0.0, confirm_hits=1)
