@@ -170,7 +170,8 @@ def box_overlaps(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
     """The ``Overlaps`` of ground truth and hypotheses at ``iou_threshold``, swept a block of
     frames at a time: IoU is computed only for the pairs whose x-extents overlap."""
     sides = [_side(gt_by_frame), _side(hyp_by_frame)]
-    frames = sorted(set(sides[0][0]).union(sides[1][0]))
+    (gt_frames, _, n_gt_ids, _), (hyp_frames, _, n_hyp_ids, _) = sides
+    frames = sorted(set(gt_frames).union(hyp_frames))
     at = {frame: k for k, frame in enumerate(frames)}
     places = [np.array([at[frame] for frame in side[0]], np.intp) for side in sides]
     starts = np.zeros((2, len(frames) + 1), np.intp)
@@ -179,7 +180,7 @@ def box_overlaps(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
     gt_start, hyp_start = starts = starts.cumsum(axis=1)
     gt_id, hyp_id = ids = [np.empty(start[-1], np.intp) for start in starts]
     hyp_first = np.empty(len(hyp_id), bool)
-    identity = np.zeros((sides[0][2] + 1, sides[1][2] + 1))
+    identity = np.zeros((n_gt_ids + 1, n_hyp_ids + 1))
     pieces, boxes = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))], [0, 0]
     for a, b in _blocks(*np.diff(starts).tolist(), BLOCK):
         block = []
@@ -195,8 +196,8 @@ def box_overlaps(gt_by_frame: FrameBoxes, hyp_by_frame: FrameBoxes,
         (gt, gt_frame, gt_col, _), (hyp, hyp_frame, hyp_col, first) = block
         g0, h0 = gt_start[a], hyp_start[a]
         hyp_first[h0:h0 + len(hyp)] = first
-        boxes[0] += int(np.count_nonzero(gt_col < sides[0][2]))
-        boxes[1] += int(np.count_nonzero(hyp_col < sides[1][2]))
+        boxes[0] += int(np.count_nonzero(gt_col < n_gt_ids))
+        boxes[1] += int(np.count_nonzero(hyp_col < n_hyp_ids))
         if len(gt) and len(hyp):
             listed = []
             for g, h in _candidates(gt, gt_frame, hyp, hyp_frame):
