@@ -161,7 +161,7 @@ class Tracker:
     The live tracks are ``table``. An invalid ``cfg`` raises a ValueError
     listing every problem ``validate_config`` finds. ``tallest`` is the longest side of a box
     ``step`` takes: a track on it can coast ``max_age`` + 1 frames. ``shortest`` is the least
-    height, 0 unless the process noise is below 6e-154: the Kalman gain stays finite."""
+    height, 0 unless the process noise is below about 6e-154: the Kalman gain stays finite."""
 
     def __init__(self, cfg: TrackerConfig | None = None,
                  descriptor_source: DescriptorSource | FrameDescriptors | None = None,
