@@ -6,6 +6,7 @@ value objects and safe to share across threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -15,6 +16,9 @@ HISTOGRAM = "histogram"
 EMBEDDING = "embedding"
 
 _NORM_TOL = 1e-9
+
+# The least noise ratio whose square, the variance it adds, is a normal double 16 times over.
+LEAST_NOISE = math.sqrt(16 * sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -254,6 +258,8 @@ def validate_config(cfg: TrackerConfig) -> list[str]:
         errors.append("process_noise must be >= 0")
     if not (math.isfinite(cfg.measurement_noise) and cfg.measurement_noise >= 0):
         errors.append("measurement_noise must be >= 0")
+    elif cfg.measurement_noise == 0 and 0 < cfg.process_noise < LEAST_NOISE:
+        errors.append(f"measurement_noise = 0 needs process_noise = 0 or >= {LEAST_NOISE!r}")
     if not 0.0 <= cfg.conf_decay <= 1.0:
         errors.append("conf_decay out of [0,1]")
     if cfg.filter_mode not in FILTER_MODES:

@@ -4,8 +4,14 @@ Each track carries two independent 4-state filters over dt = 1 frame:
 motion on the box center [cx, cy, vx, vy] and shape on the box size
 [w, h, dw, dh]. Both use the same linear model, so the operations here are
 shared; only the initialization differs. Every operation runs on one filter
-or on a stack of them: means (..., 4) and covariances (..., 4, 4), with the
-noise arguments broadcast over the leading axes.
+or on a stack of them, with the noise arguments broadcast over the leading axes.
+
+A filter's 4 x 4 covariance is always two equal 2 x 2 blocks, one per axis, with no
+cross terms: births set the same variances on both axes, Q = diag(q², q², (q/2)², (q/2)²)
+and R = r² I, and F and H act on each axis alone. So a state is its means (..., 4) and
+(p, c, v) (..., 3): each axis's position variance, position-rate covariance and rate
+variance. Each operation computes, entry by entry, the double the 4 x 4 matrix products
+F x, F P F' + Q, P H' inv(H P H' + R) and the Joseph form give.
 
 Noise is expressed as standard deviations in pixels. Callers typically scale
 them by the current object height so near and far objects behave alike.
@@ -17,14 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BBox
+from .core import LEAST_NOISE, BBox
 
 # Uninformed velocity prior, as a multiple of object height.
 VEL_PRIOR_SCALE = 10.0
 
 
 class KalmanState(NamedTuple):
-    """Means (..., 4) and symmetric PSD covariances (..., 4, 4)."""
+    """Means (..., 4) and covariances (..., 3) as (p, c, v), the same on both axes."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -34,18 +40,6 @@ class KalmanState(NamedTuple):
         return KalmanState(self.mean[index], self.cov[index])
 
 
-def _transpose(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
-def _diag(pair_std, rate_std) -> np.ndarray:
-    """Diagonal covariances: ``pair_std`` on the observed pair, ``rate_std`` on the rates."""
-    # float_power rounds as Python's float ``**`` (libm pow); x * x can differ in the last bit.
-    pair_var, rate_var = np.float_power(pair_std, 2), np.float_power(rate_std, 2)
-    var = np.stack(np.broadcast_arrays(pair_var, pair_var, rate_var, rate_var), axis=-1)
-    return var[..., None] * np.eye(4)
-
-
 def init(observed, scale, pos_std=None) -> KalmanState:
     """New filters on an observed pair (..., 2), with rates at zero.
 
@@ -53,9 +47,10 @@ def init(observed, scale, pos_std=None) -> KalmanState:
     times it, and the default spread on the pair, a tenth of it.
     """
     observed = np.asarray(observed, dtype=float)
-    lead = observed.shape[:-1]
     pos_std = 0.1 * scale if pos_std is None else pos_std
-    cov = _diag(np.broadcast_to(pos_std, lead), np.broadcast_to(VEL_PRIOR_SCALE * scale, lead))
+    cov = np.zeros(observed.shape[:-1] + (3,))
+    # float_power rounds as Python's float ``**`` (libm pow); x * x can differ in the last bit.
+    cov[..., 0], cov[..., 2] = np.float_power(pos_std, 2), np.float_power(VEL_PRIOR_SCALE * scale, 2)
     return KalmanState(np.concatenate([observed, np.zeros_like(observed)], axis=-1), cov)
 
 
@@ -67,16 +62,19 @@ def init_motion(bbox: BBox, pos_std: float | None = None) -> KalmanState:
 def predict(state: KalmanState, process_std=0.0) -> KalmanState:
     """One-frame constant-velocity prediction: F x, F P F' + Q.
 
-    Q is diagonal, ``process_std`` on the observed pair and half of it on the rates.
-    F = [[I, I], [0, I]], so F P F' is a row add, then a column add: each entry has at
-    most two nonzero terms, so it is the double the matrix product gives.
+    ``process_std`` is q: Q adds q² to p, 0 to c and (q/2)² to v. F P F' is a row add, then
+    a column add: p' = (p + c) + (c + v), c' = c + v and v' = v. As the matrix form
+    symmetrizes (P + P')/2, each entry is doubled, then halved.
     """
-    mean, cov = np.array(state.mean, dtype=float), np.array(state.cov, dtype=float)
+    mean = np.array(state.mean, dtype=float)
     mean[..., :2] += mean[..., 2:]
-    cov[..., :2, :] += cov[..., 2:, :]
-    cov[..., :2] += cov[..., 2:]
-    cov += _diag(process_std, np.divide(process_std, 2.0))
-    return KalmanState(mean, (cov + _transpose(cov)) / 2.0)
+    cov = np.array(state.cov, dtype=float)
+    cov[..., :2] += cov[..., 1:]
+    cov[..., 0] += cov[..., 1]
+    cov += np.float_power(np.multiply.outer(process_std, (1.0, 0.0, 0.5)), 2)
+    cov += cov
+    cov /= 2.0
+    return KalmanState(mean, cov)
 
 
 def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
@@ -86,10 +84,10 @@ def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
     takes its process noise from a height of 1. ``Tracker`` bounds a box's longer side by it,
     so that a centre ``x + w/2`` or ``y + h/2`` stays finite too.
 
-    From a birth covariance diag(a², a², b², b²), with b = VEL_PRIOR_SCALE * scale, n predicts
-    under Q = diag(q, q, q/4, q/4) make the largest entry, the observed pair's variance,
-    a² + n² b² + q (n + n(n - 1)/8 + n(n - 1)(n - 2)/12), and predict forms twice it. Every
-    term is a multiple of scale², so the scale is the square root of a ratio.
+    From a birth (p, c, v) = (a², 0, b²), with b = VEL_PRIOR_SCALE * scale, n predicts under
+    process noise q make the largest entry, p, a² + n² b² + q² (n + n(n - 1)/8 + n(n - 1)(n -
+    2)/12), and predict forms twice it. Every term is a multiple of scale², so the scale is
+    the square root of a ratio.
     """
     n = n_predicts
     growth = math.hypot(pos_ratio, VEL_PRIOR_SCALE * n,
@@ -99,51 +97,50 @@ def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
 
 def shortest(pos_ratio: float, process_ratio: float) -> float:
     """The least scale (object height) whose updates divide by a normal double, 16 times the
-    smallest, or 0 where the process noise alone does; below it the gain is NaN. An
-    innovation variance holds the process noise ``process_ratio``² (``Tracker`` takes it from
-    a height of at least 1) plus the measurement noise ``(pos_ratio * scale)``², or without
-    that, at a filter's first update, its velocity prior ``(VEL_PRIOR_SCALE * scale)``²."""
-    root = math.sqrt(16 * sys.float_info.min)
-    if process_ratio >= root:
+    smallest, or 0 where the process noise alone does; below it the gain overflows. An
+    innovation variance p + r² holds the process noise ``process_ratio``² (``Tracker`` takes
+    it from a height of at least 1) plus the measurement noise ``(pos_ratio * scale)``², or
+    without that, at a filter's first update, its velocity prior ``(VEL_PRIOR_SCALE *
+    scale)``²."""
+    if process_ratio >= LEAST_NOISE:
         return 0.0
-    return root / (pos_ratio if pos_ratio > 0 else VEL_PRIOR_SCALE)
-
-
-def _gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
-    """Kalman gain P H' inv(S) for each filter."""
-    try:
-        return _transpose(np.linalg.solve(_transpose(S), _transpose(PHt)))
-    except np.linalg.LinAlgError:
-        if S.ndim > 2:
-            # Solve the stack filter by filter, so only the singular ones fall back.
-            rows = [_gain(s, p) for s, p in zip(S.reshape(-1, 2, 2), PHt.reshape(-1, 4, 2))]
-            return np.reshape(rows, PHt.shape)
-        # Singular innovation covariance: the state is already exactly known
-        # in the measured subspace; the pseudo-inverse yields a zero gain there.
-        return PHt @ np.linalg.pinv(S)
+    return LEAST_NOISE / (pos_ratio if pos_ratio > 0 else VEL_PRIOR_SCALE)
 
 
 def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
     """Correct predicted states with measurements (..., 2) of the observed pair.
 
-    Uses the Joseph-form covariance update, which stays PSD for any gain and
-    keeps the matrix symmetric over long operation sequences. H = [I, 0], so H P H',
-    P H', H x and K H = [K, 0] are slices, the doubles the matrix products give.
+    Uses the Joseph-form covariance update, which stays PSD for any gain. With H = [I, 0],
+    each axis's innovation variance is S = p + r² and its gain (k1, k2) = (p, c) / S, taken
+    as (p, c) times 1/S, the doubles the matrix solve gives; where S is 0 the state is
+    already exactly known on the pair and the gain is 0, as the pseudo-inverse gives.
+    (I - KH) P is formed first, then times (I - KH)', then K R K' is added.
     """
     z = np.asarray(measurement, dtype=float)
-    if z.shape != state.mean.shape[:-1] + (2,) or not np.all(np.isfinite(z)):
+    if z.shape != state.mean.shape[:-1] + (2,) or not np.isfinite(z).all():
         raise ValueError(f"measurement must be finite pairs matching the state, "
                          f"got {measurement!r}")
-    R = np.eye(2) * np.float_power(measurement_std, 2)[..., None, None]
-    P = state.cov
-    S = P[..., :2, :2] + R
-    PHt = P[..., :2]
-    K = _gain(S, PHt)
+    r2 = np.float_power(measurement_std, 2)
+    cov = state.cov
+    p, c, v = cov.transpose(cov.ndim - 1, *range(cov.ndim - 1)).copy()
+    s = p + r2
+    inverse = 1.0 / np.where(s == 0.0, np.inf, s)
+    k1, k2 = p * inverse, c * inverse
     innovation = z - state.mean[..., :2]
-    mean = state.mean + (K @ innovation[..., None])[..., 0]
-    ikh = np.eye(4) - np.concatenate((K, np.zeros_like(K)), axis=-1)
-    cov = ikh @ P @ _transpose(ikh) + K @ R @ _transpose(K)
-    return KalmanState(mean, (cov + _transpose(cov)) / 2.0)
+    mean = state.mean.copy()
+    mean[..., :2] += k1[..., None] * innovation
+    mean[..., 2:] += k2[..., None] * innovation
+    a = 1.0 - k1  # (I - KH) is [[a, 0], [-k2, 1]] on each axis
+    ap, ac, ck = a * p, a * c, c - k2 * p
+    kr1, kr2 = k1 * r2, k2 * r2
+    out = np.empty(cov.shape)
+    p = ap * a + kr1 * k1
+    np.add(p, p, out=out[..., 0])
+    np.add((ac - ap * k2) + kr1 * k2, ck * a + kr2 * k1, out=out[..., 1])
+    v = ((v - k2 * c) - ck * k2) + kr2 * k2
+    np.add(v, v, out=out[..., 2])
+    out /= 2.0
+    return KalmanState(mean, out)
 
 
 def position(state: KalmanState) -> np.ndarray:

@@ -80,7 +80,7 @@ class TrackTable:
 
     Every column is state that outlives a frame. ``filters`` stacks every
     track's motion and shape Kalman filters: means (N, 2, 4), covariances
-    (N, 2, 4, 4). ``hits`` counts consecutive matches and ``misses``
+    (N, 2, 3) as ``kalman.KalmanState``'s (p, c, v). ``hits`` counts consecutive matches and ``misses``
     consecutive misses, so ``misses == 0`` marks the rows matched or born
     this frame. ``memory`` holds the appearance memories.
 
@@ -98,7 +98,7 @@ class TrackTable:
     def empty(cls, d: int) -> "TrackTable":
         """A table without tracks, for descriptors of length ``d``."""
         return cls((*np.zeros((3, 0), dtype=int), np.zeros(0, dtype=bool), np.zeros((0, 2, 4)),
-                    np.zeros((0, 2, 4, 4)), *new_bank(np.zeros((0, d)))), 0)
+                    np.zeros((0, 2, 3)), *new_bank(np.zeros((0, d)))), 0)
 
     def renewed(self, memory: MemoryBank, dead: np.ndarray, first_id: int,
                 born: Optional[kalman.KalmanState], descriptors: np.ndarray,

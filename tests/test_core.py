@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamtrack.core import (AppearanceDescriptor, BBox, Detection,
+from hamtrack.core import (LEAST_NOISE, AppearanceDescriptor, BBox, Detection,
                            TrackerConfig, box_columns, config_from_mapping, parse_kv_text,
                            validate_config)
 from hamtrack.synthgen import parse_scenario
@@ -165,6 +166,21 @@ class TestValidateConfig:
     ])
     def test_each_message(self, name, value, message):
         assert validate_config(TrackerConfig(**{name: value})) == [message]
+
+    # Without measurement noise, a process noise below LEAST_NOISE adds a variance below 16
+    # times the smallest normal double, and the Kalman gain divides by it.
+    @pytest.mark.parametrize("process_noise", [1e-160, 5e-324, np.nextafter(LEAST_NOISE, 0.0)])
+    def test_zero_measurement_noise_needs_process_noise_zero_or_normal(self, process_noise):
+        for cfg in (TrackerConfig(filter_mode="none", process_noise=process_noise,
+                                  measurement_noise=0.0, confirm_hits=1),
+                    TrackerConfig(process_noise=process_noise, measurement_noise=0.0, max_age=10)):
+            assert validate_config(cfg) == [
+                f"measurement_noise = 0 needs process_noise = 0 or >= {LEAST_NOISE!r}"]
+        assert LEAST_NOISE == math.sqrt(16 * sys.float_info.min)
+        for process_noise, measurement_noise in ((0.0, 0.0), (LEAST_NOISE, 0.0), (1e300, 0.0),
+                                                 (process_noise, 5e-324)):
+            assert validate_config(TrackerConfig(process_noise=process_noise,
+                                                 measurement_noise=measurement_noise)) == []
 
     def test_fixed_alpha_mode_accepted(self):
         assert validate_config(TrackerConfig(alpha_mode="0.3")) == []

@@ -9,7 +9,7 @@ import pytest
 
 from hamtrack import kalman
 from hamtrack.cli import MANIFEST_TOTALS, TRACE_COLUMNS
-from hamtrack.core import BBox, Detection, TrackerConfig
+from hamtrack.core import LEAST_NOISE, BBox, Detection, TrackerConfig, validate_config
 from hamtrack.sadf import MAX_CONFIDENCE
 from hamtrack.synthgen import SPEC_GROUPS
 from hamtrack.tracker import Tracker
@@ -52,6 +52,11 @@ def test_configuration_table_lists_every_field_with_its_default():
             assert listed[name] == str(default).lower(), name
         else:
             assert float(listed[name]) == default, name
+    least = re.search(r"^\| `measurement_noise` \|.*; 0 needs a `process_noise` of 0 or at least "
+                      r"([0-9.e-]+) \(`core\.LEAST_NOISE`\) \|$", table, re.M)[1]
+    assert least == f"{LEAST_NOISE:.1e}"
+    assert validate_config(TrackerConfig(measurement_noise=0.0, process_noise=LEAST_NOISE)) == []
+    assert validate_config(TrackerConfig(measurement_noise=0.0, process_noise=LEAST_NOISE / 2))
 
 
 def test_intake_limits_match_the_tracker():

@@ -17,7 +17,7 @@ from hamtrack import affinity, appearance, kalman, sadf
 from hamtrack import tracker as tracker_module
 from hamtrack.cli import main
 from hamtrack.association import associate
-from hamtrack.core import (HISTOGRAM, AppearanceDescriptor, BBox, Detection,
+from hamtrack.core import (HISTOGRAM, LEAST_NOISE, AppearanceDescriptor, BBox, Detection,
                            TrackerConfig)
 from hamtrack.io_mot import histogram_from_patch, write_result_file
 from hamtrack.synthgen import OcclusionEvent, ScenarioSpec, generate
@@ -377,6 +377,25 @@ class TestTallestBox:
         _assert_same_state(tracker, clean)
         assert tracker.step(1, dets[:1]) == clean.step(1, dets[:1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("process_noise", [LEAST_NOISE, 1e-150, 0.0])
+    def test_no_measurement_noise_tracks_at_any_accepted_process_noise(self, process_noise):
+        # One 60 px box a frame, then boxes of the least height, tallest and 1 px in turn:
+        # below LEAST_NOISE (which validate_config now rejects) the first raised on 38 of
+        # 40 frames and the second left non-finite means.
+        cfg = dataclasses.replace(self.CFG, process_noise=process_noise, measurement_noise=0.0)
+        tracker = Tracker(cfg, use_appearance=False)
+        assert all(tracker.step(f, [det(f, 0.0)]).tracks for f in range(1, 41))
+        tracker = Tracker(cfg, use_appearance=False)
+        least = tracker.shortest or 1e-160
+        for f in range(1, 201):
+            h = (least, tracker.tallest, 1.0)[f % 3] if f % 7 else least
+            assert tracker.step(f, [det(f, 0.0, w=h, h=h)]).tracks
+            assert np.isfinite(tracker.table.filters.mean).all()
+        with pytest.raises(ValueError, match="^invalid tracker config: measurement_noise = 0 "
+                                             "needs process_noise = 0 or >= "):
+            Tracker(dataclasses.replace(cfg, process_noise=1e-160))
+
     def test_process_noise_sets_no_least_height(self):
         tracker = Tracker(self.CFG, use_appearance=False)
         assert tracker.shortest == 0.0
@@ -572,7 +591,7 @@ class CopyingTable:
 
     def __init__(self, d):
         self.columns = [np.arange(0), np.ones(0, dtype=int), np.zeros(0, dtype=int),
-                        np.full(0, False), np.zeros((0, 2, 4)), np.zeros((0, 2, 4, 4)),
+                        np.full(0, False), np.zeros((0, 2, 4)), np.zeros((0, 2, 3)),
                         *appearance.new_bank(np.zeros((0, d)))]
 
     def append(self, first_id, born, descriptors, confirmed):
@@ -622,7 +641,7 @@ class TableFrames(RuleBasedStateMachine):
         elif where == "all":
             dead[:] = True
         born = kalman.KalmanState(rng.normal(size=(births, 2, 4)),
-                                  rng.normal(size=(births, 2, 4, 4)))
+                                  rng.normal(size=(births, 2, 3)))
         descriptors = rng.normal(size=(births, self.D))
 
         # The copy-per-frame order: append the born, store, age, then select the live.
@@ -1107,7 +1126,8 @@ class TestPipelineProperties:
             highest = max([highest, *ids])
             live = set(ids)
             assert np.all(np.isfinite(cov))
-            eig = np.linalg.eigvalsh(cov)
+            p, c, v = np.moveaxis(cov, -1, 0)  # each filter's [[p, c], [c, v]] on both axes
+            eig = np.linalg.eigvalsh(np.stack([p, c, c, v], axis=-1).reshape(*p.shape, 2, 2))
             assert np.all(eig >= -1e-9 * np.maximum(1.0, np.abs(eig).max(initial=0.0)))
 
         for fr in results:
