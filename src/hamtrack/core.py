@@ -6,7 +6,6 @@ value objects and safe to share across threads.
 """
 
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -17,8 +16,8 @@ EMBEDDING = "embedding"
 
 _NORM_TOL = 1e-9
 
-# The least noise ratio whose square, the variance it adds, is a normal double 16 times over.
-LEAST_NOISE = math.sqrt(16 * sys.float_info.min)
+# The least noise ratio whose square, the variance it adds, is 16 times the least normal double.
+LEAST_NOISE = 2.0 ** -509
 
 
 @dataclass(frozen=True)

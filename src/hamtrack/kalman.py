@@ -6,12 +6,10 @@ motion on the box center [cx, cy, vx, vy] and shape on the box size
 shared; only the initialization differs. Every operation runs on one filter
 or on a stack of them, with the noise arguments broadcast over the leading axes.
 
-A filter's 4 x 4 covariance is always two equal 2 x 2 blocks, one per axis, with no
-cross terms: births set the same variances on both axes, Q = diag(q², q², (q/2)², (q/2)²)
-and R = r² I, and F and H act on each axis alone. So a state is its means (..., 4) and
-(p, c, v) (..., 3): each axis's position variance, position-rate covariance and rate
-variance. Each operation computes, entry by entry, the double the 4 x 4 matrix products
-F x, F P F' + Q, P H' inv(H P H' + R) and the Joseph form give.
+A filter's 4 x 4 covariance is always two equal 2 x 2 blocks, one per axis, with no cross
+terms, as births, Q, R, F and H treat the two axes alike and apart. So a state is means
+(..., 4) and (p, c, v) (..., 3): each axis's position variance, position-rate covariance and
+rate variance. Every entry is the double the 4 x 4 matrix forms give.
 
 Noise is expressed as standard deviations in pixels. Callers typically scale
 them by the current object height so near and far objects behave alike.
@@ -97,11 +95,10 @@ def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
 
 def shortest(pos_ratio: float, process_ratio: float) -> float:
     """The least scale (object height) whose updates divide by a normal double, 16 times the
-    smallest, or 0 where the process noise alone does; below it the gain overflows. An
-    innovation variance p + r² holds the process noise ``process_ratio``² (``Tracker`` takes
-    it from a height of at least 1) plus the measurement noise ``(pos_ratio * scale)``², or
-    without that, at a filter's first update, its velocity prior ``(VEL_PRIOR_SCALE *
-    scale)``²."""
+    smallest, or 0 where the process noise alone does; below it the gain overflows. S = p + r²
+    holds the process noise ``process_ratio``² (``Tracker`` takes it from a height of at least
+    1) plus the measurement noise ``(pos_ratio * scale)``², or without that, at a filter's
+    first update, its velocity prior ``(VEL_PRIOR_SCALE * scale)``²."""
     if process_ratio >= LEAST_NOISE:
         return 0.0
     return LEAST_NOISE / (pos_ratio if pos_ratio > 0 else VEL_PRIOR_SCALE)
@@ -110,11 +107,10 @@ def shortest(pos_ratio: float, process_ratio: float) -> float:
 def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
     """Correct predicted states with measurements (..., 2) of the observed pair.
 
-    Uses the Joseph-form covariance update, which stays PSD for any gain. With H = [I, 0],
-    each axis's innovation variance is S = p + r² and its gain (k1, k2) = (p, c) / S, taken
-    as (p, c) times 1/S, the doubles the matrix solve gives; where S is 0 the state is
-    already exactly known on the pair and the gain is 0, as the pseudo-inverse gives.
-    (I - KH) P is formed first, then times (I - KH)', then K R K' is added.
+    Each axis's innovation variance is S = p + r², and its gain (k1, k2) is (p, c) times 1/S,
+    the doubles a matrix solve gives; where S is 0 the pair is exactly known and the gain is
+    0, as the pseudo-inverse gives. The Joseph form, PSD for any gain, is formed as
+    ((I - KH) P) (I - KH)' + K R K'.
     """
     z = np.asarray(measurement, dtype=float)
     if z.shape != state.mean.shape[:-1] + (2,) or not np.isfinite(z).all():
@@ -122,7 +118,7 @@ def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
                          f"got {measurement!r}")
     r2 = np.float_power(measurement_std, 2)
     cov = state.cov
-    p, c, v = cov.transpose(cov.ndim - 1, *range(cov.ndim - 1)).copy()
+    p, c, v = cov.transpose(cov.ndim - 1, *range(cov.ndim - 1)).copy()  # contiguous: faster
     s = p + r2
     inverse = 1.0 / np.where(s == 0.0, np.inf, s)
     k1, k2 = p * inverse, c * inverse
