@@ -1,11 +1,17 @@
 """A guard on the work of ``Tracker.step`` that timing cannot give: the Python and C calls one
 step makes, counted with ``sys.setprofile`` on a fixed small crowd. The count depends only on
-the code paths, not on the host's speed."""
+the code paths, not on the host's speed.
+
+Two scenes run the same crowd. The first tracks it on shape and motion alone under the default
+SADF filtering, whose bisection and sums make a large share of its count. The second filters
+nothing and fuses HAM on embeddings from a per-(frame, ordinal) source, so the histories fill
+to ``hist_max`` and every stage of the appearance path runs."""
 
 import sys
 from collections import Counter
 
 from hamtrack import ConfidenceRegime, ObjectSpec, OcclusionEvent, ScenarioSpec, generate
+from hamtrack.core import TrackerConfig
 from hamtrack.tracker import Tracker
 from scenario_utils import scenario_inputs
 
@@ -24,18 +30,23 @@ CROWD = ScenarioSpec(
 # Python 3.11.7); with 4 x 4 Kalman covariances they made 21,443, about 715 a step.
 CALLS = 17_689
 
+# The calls CROWD's 30 steps made with no filtering and HAM on embeddings, when this bound was set.
+APPEARANCE_CALLS = 17_146
 
-def calls(spec: ScenarioSpec) -> int:
+
+def calls(spec: ScenarioSpec, cfg: TrackerConfig | None = None,
+          use_appearance: bool = False) -> int:
     """The ``call`` and ``c_call`` profile events of every ``step`` over ``spec``, on a fresh
-    tracker after one warm-up run, so that no first-call cost is counted."""
-    dets, _, _ = scenario_inputs(generate(spec))
+    tracker after one warm-up run, so that no first-call cost is counted. With
+    ``use_appearance``, descriptors come from the scene's embeddings by (frame, ordinal)."""
+    dets, emb, _ = scenario_inputs(generate(spec))
     events = Counter()
 
     def count(frame, event, arg):
         events[event] += 1
 
     for warm in (True, False):
-        tracker = Tracker(use_appearance=False)
+        tracker = Tracker(cfg, lambda f, o: emb[(f, o)], use_appearance=use_appearance)
         for frame in range(1, spec.n_frames + 1):
             if not warm:
                 sys.setprofile(count)
@@ -48,3 +59,7 @@ def calls(spec: ScenarioSpec) -> int:
 
 def test_steps_make_no_more_calls_than_they_did():
     assert calls(CROWD) <= CALLS
+
+
+def test_appearance_steps_make_no_more_calls_than_they_did():
+    assert calls(CROWD, TrackerConfig(filter_mode="none"), use_appearance=True) <= APPEARANCE_CALLS
