@@ -23,7 +23,8 @@ class AffinityMatrix:
     ``values`` of a fused matrix are final affinities in [0, 1] with gated-out
     cells exactly zero. The intermediate shape-motion matrix keeps raw
     products in all cells (the mask alone records the gate) so that callers
-    can verify gating changes cost, never scores.
+    can verify gating changes cost, never scores. A fused or gated matrix
+    shares the shape-motion matrix's ``gate_mask`` array, which nothing writes.
     """
 
     values: np.ndarray
@@ -74,8 +75,7 @@ def build_sm_matrix(pred_pos: Sequence, pred_wh: Sequence,
 
 def gate_values(sm: AffinityMatrix) -> AffinityMatrix:
     """Final matrix when no appearance cue is available (appearance == 1)."""
-    return AffinityMatrix(values=np.where(sm.gate_mask, sm.values, 0.0),
-                          gate_mask=sm.gate_mask.copy())
+    return AffinityMatrix(values=np.where(sm.gate_mask, sm.values, 0.0), gate_mask=sm.gate_mask)
 
 
 def fuse_appearance(sm: AffinityMatrix,
@@ -104,4 +104,4 @@ def fuse_appearance(sm: AffinityMatrix,
             raise RuntimeError(f"appearance scoring failed for track rows {rows.tolist()}, "
                                f"detections {cols.tolist()}: {exc}") from exc
         values[rows, cols] = sm.values[rows, cols] * a
-    return AffinityMatrix(values=values, gate_mask=sm.gate_mask.copy())
+    return AffinityMatrix(values=values, gate_mask=sm.gate_mask)

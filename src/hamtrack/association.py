@@ -11,9 +11,10 @@ the first step of a block of ``FIRST_STEP_BLOCK`` rows is one subtraction and
 one ``argmin``, a later step keeps its reduced-cost row and lowers ``minv`` with
 one ``np.minimum``, and when a search ends it recovers the previous column of
 each column on its augmenting path alone and adds its nonzero potential updates.
+``associate`` hands on as arrays the matched rows and columns ``_solve_max`` orders by row.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,13 +26,14 @@ from .affinity import AffinityMatrix
 FIRST_STEP_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Partition of track and detection indices after association."""
+class Assignment(NamedTuple):
+    """Track and detection indices after association, as intp arrays: ``matches`` the (m, 2)
+    (track, detection) rows by track, ``affinity`` their values, the unmatched ascending."""
 
-    matches: tuple[tuple[int, int, float], ...]
-    unmatched_tracks: tuple[int, ...]
-    unmatched_detections: tuple[int, ...]
+    matches: np.ndarray
+    affinity: np.ndarray
+    unmatched_tracks: np.ndarray
+    unmatched_detections: np.ndarray
 
 
 def _solve_min(cost: np.ndarray) -> list[int]:
@@ -101,19 +103,22 @@ def _solve_min(cost: np.ndarray) -> list[int]:
     return out
 
 
-def _solve_max(mat: np.ndarray) -> tuple[list[int], bool]:
-    """The column of each row of float ``mat``, or of ``mat.T`` (then True) if it is taller."""
+def _solve_max(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matched (rows, cols) of float ``mat``, intp arrays ordered by row."""
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
     n, m = mat.shape
     if n == 0 or m == 0:
-        return [], False
+        return np.zeros((2, 0), dtype=np.intp)
     if not np.all(np.isfinite(mat)):
         raise ValueError("affinity matrix contains non-finite values")
-    transposed = n > m
-    work = mat.T if transposed else mat
+    work = mat.T if n > m else mat
     cost = np.subtract(float(work.max()), work, order="C")  # the solver reads rows
-    return _solve_min(cost), transposed
+    cols = np.array(_solve_min(cost), dtype=np.intp)
+    if n > m:  # cols holds the row of each column: order the pairs by row
+        order = cols.argsort()
+        return cols[order], order
+    return np.arange(n), cols
 
 
 def hungarian_max(values) -> list[tuple[int, int]]:
@@ -122,8 +127,8 @@ def hungarian_max(values) -> list[tuple[int, int]]:
     Returns (row, col) pairs sorted by row. The smaller side is matched
     completely, which is optimal for nonnegative affinities.
     """
-    cols, transposed = _solve_max(np.asarray(values, dtype=float))
-    return sorted(zip(cols, range(len(cols)))) if transposed else list(enumerate(cols))
+    rows, cols = _solve_max(np.asarray(values, dtype=float))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def associate(matrix: AffinityMatrix, tau_asc: float) -> Assignment:
@@ -134,18 +139,11 @@ def associate(matrix: AffinityMatrix, tau_asc: float) -> Assignment:
     ``tau_asc = 0``, a pair outside ``gate_mask`` is never a match.
     """
     values = np.asarray(matrix.values, dtype=float)
-    cols, transposed = _solve_max(values)
-    rows, cols = np.arange(len(cols)), np.array(cols, dtype=np.intp)
-    if transposed:  # cols holds the row of each column: order the pairs by row
-        order = cols.argsort()
-        rows, cols = cols[order], order
+    rows, cols = _solve_max(values)
     kept = values[rows, cols]
     keep = matrix.gate_mask[rows, cols] & (kept >= tau_asc)
     rows, cols = rows[keep], cols[keep]
     free_tracks, free_dets = (np.ones(k, dtype=bool) for k in values.shape)
     free_tracks[rows] = free_dets[cols] = False
-    return Assignment(
-        matches=tuple(zip(rows.tolist(), cols.tolist(), kept[keep].tolist())),
-        unmatched_tracks=tuple(np.flatnonzero(free_tracks).tolist()),
-        unmatched_detections=tuple(np.flatnonzero(free_dets).tolist()),
-    )
+    return Assignment(np.array((rows, cols)).T, kept[keep], np.flatnonzero(free_tracks),
+                      np.flatnonzero(free_dets))

@@ -274,13 +274,10 @@ class Tracker:
                                     appearance.scorer_for(first_kind), use_ham=cfg.use_ham)
         else:
             final = gate_values(sm)
-        assignment = associate(final, cfg.tau_asc)
+        matches, affinity, missed, new = associate(final, cfg.tau_asc)
 
         # (6) update the matched filters, (7) start the filters of tentative tracks
-        matches = np.array(assignment.matches, dtype=float).reshape(-1, 3)
-        (rows, cols), affinity = matches[:, :2].astype(int).T, matches[:, 2]
-        missed = np.array(assignment.unmatched_tracks, dtype=int)
-        new = np.array(assignment.unmatched_detections, dtype=int)
+        rows, cols = matches.T
         index = np.full(len(table.ids), -1)  # row -> its detection's raw ordinal
         index[rows] = kept[cols]
         z, born = observed[cols], None

@@ -239,32 +239,45 @@ class TestBatchedFirstStep:
         assert _solve_min(cost) == reference_solve_min(cost)
 
 
+def check_arrays(out, values):
+    """``out`` is an ``Assignment`` of intp index arrays, its unmatched indices ascending,
+    and its ``affinity`` the matched cells of ``values``, bit for bit."""
+    assert out.matches.dtype == np.intp and out.matches.shape == (len(out.affinity), 2)
+    assert out.affinity.dtype == np.float64 and out.affinity.ndim == 1
+    for free in (out.unmatched_tracks, out.unmatched_detections):
+        assert free.dtype == np.intp and free.ndim == 1
+        assert np.all(np.diff(free) > 0)
+    cells = np.asarray(values, dtype=float)[out.matches[:, 0], out.matches[:, 1]]
+    assert out.affinity.tobytes() == cells.tobytes()
+
+
 class TestAssociate:
     def test_zero_matrix_everything_unmatched(self):
         out = associate(matrix(np.zeros((2, 3))), tau_asc=0.05)
-        assert out.matches == ()
-        assert out.unmatched_tracks == (0, 1)
-        assert out.unmatched_detections == (0, 1, 2)
+        check_arrays(out, np.zeros((2, 3)))
+        assert out.matches.shape == (0, 2)
+        assert out.unmatched_tracks.tolist() == [0, 1]
+        assert out.unmatched_detections.tolist() == [0, 1, 2]
 
     def test_clean_diagonal(self):
         out = associate(matrix([[0.9, 0.0], [0.0, 0.8]]), tau_asc=0.05)
-        assert [(i, j) for i, j, _ in out.matches] == [(0, 0), (1, 1)]
-        assert out.unmatched_tracks == ()
-        assert out.unmatched_detections == ()
+        assert out.matches.tolist() == [[0, 0], [1, 1]]
+        assert out.unmatched_tracks.tolist() == []
+        assert out.unmatched_detections.tolist() == []
 
     def test_below_threshold_demoted(self):
         out = associate(matrix([[0.04]]), tau_asc=0.05)
-        assert out.matches == ()
-        assert out.unmatched_tracks == (0,)
-        assert out.unmatched_detections == (0,)
+        assert out.matches.shape == (0, 2)
+        assert out.unmatched_tracks.tolist() == [0]
+        assert out.unmatched_detections.tolist() == [0]
 
     def test_at_threshold_kept(self):
         out = associate(matrix([[0.05]]), tau_asc=0.05)
-        assert [(i, j) for i, j, _ in out.matches] == [(0, 0)]
+        assert out.matches.tolist() == [[0, 0]]
 
     def test_match_carries_affinity(self):
         out = associate(matrix([[0.73]]), tau_asc=0.0)
-        assert out.matches[0][2] == pytest.approx(0.73)
+        assert out.affinity.tolist() == [0.73]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_partition_invariant(self, seed):
@@ -272,25 +285,26 @@ class TestAssociate:
         n, m = (int(v) for v in rng.integers(0, 9, size=2))
         vals = rng.random((n, m)) if n and m else np.zeros((n, m))
         out = associate(matrix(vals), tau_asc=0.3)
-        seen_tracks = [i for i, _, _ in out.matches] + list(out.unmatched_tracks)
-        seen_dets = [j for _, j, _ in out.matches] + list(out.unmatched_detections)
+        check_arrays(out, vals)
+        seen_tracks = out.matches[:, 0].tolist() + out.unmatched_tracks.tolist()
+        seen_dets = out.matches[:, 1].tolist() + out.unmatched_detections.tolist()
         assert sorted(seen_tracks) == list(range(n))
         assert sorted(seen_dets) == list(range(m))
 
     def test_demotion_frees_both_sides(self):
         vals = np.array([[0.9, 0.0], [0.0, 0.02]])
         out = associate(matrix(vals), tau_asc=0.05)
-        assert [(i, j) for i, j, _ in out.matches] == [(0, 0)]
-        assert out.unmatched_tracks == (1,)
-        assert out.unmatched_detections == (1,)
+        assert out.matches.tolist() == [[0, 0]]
+        assert out.unmatched_tracks.tolist() == [1]
+        assert out.unmatched_detections.tolist() == [1]
 
     def test_zero_threshold_keeps_only_gated_pairs(self):
         vals = np.array([[0.0, 0.0], [0.0, 0.6]])
         gate = np.array([[False, False], [False, True]])
         out = associate(AffinityMatrix(values=vals, gate_mask=gate), tau_asc=0.0)
-        assert [(i, j) for i, j, _ in out.matches] == [(1, 1)]
-        assert out.unmatched_tracks == (0,)
-        assert out.unmatched_detections == (0,)
+        assert out.matches.tolist() == [[1, 1]]
+        assert out.unmatched_tracks.tolist() == [0]
+        assert out.unmatched_detections.tolist() == [0]
 
 
 def block_starts(n, search_rows, block):
@@ -468,18 +482,28 @@ class TestStepsWithoutWayArray:
 
 def loop_associate(matrix, tau_asc):
     """``associate`` as a loop over the matched pairs, reading one cell at a time."""
-    matches = []
+    matches, affinity = [], []
     matched_tracks, matched_dets = ([False] * k for k in matrix.values.shape)
     for i, j in hungarian_max(matrix.values):
-        value = float(matrix.values[i, j])
+        value = matrix.values[i, j]
         if matrix.gate_mask[i, j] and value >= tau_asc:
-            matches.append((i, j, value))
+            matches.append((i, j))
+            affinity.append(value)
             matched_tracks[i] = matched_dets[j] = True
     return Assignment(
-        matches=tuple(matches),
-        unmatched_tracks=tuple(i for i, hit in enumerate(matched_tracks) if not hit),
-        unmatched_detections=tuple(j for j, hit in enumerate(matched_dets) if not hit),
+        matches=np.array(matches, dtype=np.intp).reshape(-1, 2),
+        affinity=np.array(affinity, dtype=float),
+        unmatched_tracks=np.array([i for i, hit in enumerate(matched_tracks) if not hit],
+                                  dtype=np.intp),
+        unmatched_detections=np.array([j for j, hit in enumerate(matched_dets) if not hit],
+                                      dtype=np.intp),
     )
+
+
+def assert_same(got, want):
+    """Equal ``Assignment`` arrays: the same dtype, shape and bytes in every field."""
+    for name, g, w in zip(Assignment._fields, got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
 
 
 class TestAssociateMatchesLoop:
@@ -494,21 +518,28 @@ class TestAssociateMatchesLoop:
             values = np.where(gate, values, 0.0)
         matrix_ = AffinityMatrix(values=values, gate_mask=gate)
         got = associate(matrix_, tau)
-        assert got == loop_associate(matrix_, tau)
-        assert all(type(x) is int for i, j, _ in got.matches for x in (i, j))
-        assert all(type(v) is float for _, _, v in got.matches)
+        assert_same(got, loop_associate(matrix_, tau))
+        check_arrays(got, values)
+        assert all(type(x) is int for pair in hungarian_max(values) for x in pair)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (1, 1), (4, 6), (6, 4)])
     @pytest.mark.parametrize("tau", [0.0, 0.3])
     def test_empty_and_all_zero(self, shape, tau):
         for gate in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
             matrix_ = AffinityMatrix(values=np.zeros(shape), gate_mask=gate)
-            assert associate(matrix_, tau) == loop_associate(matrix_, tau)
+            got = associate(matrix_, tau)
+            assert_same(got, loop_associate(matrix_, tau))
+            check_arrays(got, matrix_.values)
+            if 0 in shape:
+                assert got.matches.shape == (0, 2)
+                assert got.unmatched_tracks.tolist() == list(range(shape[0]))
+                assert got.unmatched_detections.tolist() == list(range(shape[1]))
 
     def test_values_equal_to_tau_are_kept(self):
         values = np.array([[0.3, 0.0], [0.0, 0.3], [0.29, 0.0]])
         matrix_ = AffinityMatrix(values=values, gate_mask=values > 0.0)
         got = associate(matrix_, 0.3)
-        assert got == loop_associate(matrix_, 0.3)
-        assert got.matches == ((0, 0, 0.3), (1, 1, 0.3))
-        assert got.unmatched_tracks == (2,)
+        assert_same(got, loop_associate(matrix_, 0.3))
+        assert got.matches.tolist() == [[0, 0], [1, 1]]
+        assert got.affinity.tolist() == [0.3, 0.3]
+        assert got.unmatched_tracks.tolist() == [2]

@@ -1111,7 +1111,7 @@ class TestPipelineProperties:
         results, inputs, solved, tables = run_stream(stream, cfg, use_appearance)
 
         for matrix, assignment in solved:
-            for i, j, _ in assignment.matches:
+            for i, j in assignment.matches.tolist():
                 assert matrix.gate_mask[i, j], f"ungated pair ({i}, {j}) matched"
 
         live, highest, longest = set(), 0, 0
@@ -1139,9 +1139,9 @@ class TestPipelineProperties:
         # same object, and no detection is emitted twice; only others are predicted.
         previous = []
         for fr, dets, (_, assignment), (ids, _, _) in zip(results, inputs, solved, tables):
-            own = {previous[i]: dets[j].bbox for i, j, _ in assignment.matches}
+            own = {previous[i]: dets[j].bbox for i, j in assignment.matches.tolist()}
             born = [i for i in ids if i not in previous]
-            own.update(zip(born, (dets[j].bbox for j in assignment.unmatched_detections)))
+            own.update(zip(born, (dets[j].bbox for j in assignment.unmatched_detections.tolist())))
             for tid, box in fr.tracks:
                 if tid in own:
                     assert box is own[tid]
