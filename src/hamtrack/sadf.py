@@ -49,7 +49,7 @@ def observe_frame(state: SadfState, confidences: Iterable[float], t: int) -> Sad
     """Fold one frame's raw confidences into the statistics."""
     if t != state.t + 1:
         raise ValueError(f"frames must be observed in order: got {t} after {state.t}")
-    confs = tuple(float(c) for c in confidences)
+    confs = tuple(map(float, confidences))
     count, mean, m2 = state.all_count, state.all_mean, state.all_m2
     for c in confs:
         count += 1
@@ -63,7 +63,7 @@ def observe_frame(state: SadfState, confidences: Iterable[float], t: int) -> Sad
 def _moments(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    var = sum([(v - mean) ** 2 for v in values]) / n
     return mean, math.sqrt(max(var, 0.0))
 
 

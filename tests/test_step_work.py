@@ -26,12 +26,14 @@ CROWD = ScenarioSpec(
     events=(OcclusionEvent(obj=1, start=8, end=11, by=6), OcclusionEvent(obj=7, start=18, end=20)),
     regimes=(ConfidenceRegime(1, 40.0, 5.0),))
 
-# The calls CROWD's 30 steps made when this bound was set, about 590 a step (numpy 2.4.6,
-# Python 3.11.7); with 4 x 4 Kalman covariances they made 21,443, about 715 a step.
-CALLS = 17_689
+# The calls CROWD's 30 steps made when this bound was set, about 476 a step (numpy 2.4.6,
+# Python 3.11.7); with 4 x 4 Kalman covariances they made 21,443, and with SADF's per-confidence
+# generators and association's tuples 17,689.
+CALLS = 14_281
 
-# The calls CROWD's 30 steps made with no filtering and HAM on embeddings, when this bound was set.
-APPEARANCE_CALLS = 17_146
+# The same with no filtering and HAM on embeddings, about 561 a step; 17,146 with association's
+# tuples.
+APPEARANCE_CALLS = 16_833
 
 
 def calls(spec: ScenarioSpec, cfg: TrackerConfig | None = None,
