@@ -27,12 +27,10 @@ CROWD = ScenarioSpec(
     regimes=(ConfidenceRegime(1, 40.0, 5.0),))
 
 # The calls CROWD's 30 steps made when this bound was set, about 476 a step (numpy 2.4.6,
-# Python 3.11.7); with 4 x 4 Kalman covariances they made 21,443, and with SADF's per-confidence
-# generators and association's tuples 17,689.
+# Python 3.11.7).
 CALLS = 14_281
 
-# The same with no filtering and HAM on embeddings, about 561 a step; 17,146 with association's
-# tuples.
+# The same with no filtering and HAM on embeddings, about 561 a step.
 APPEARANCE_CALLS = 16_833
 
 
