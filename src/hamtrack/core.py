@@ -222,8 +222,14 @@ def _alpha_mode_ok(mode: str) -> bool:
 
 
 def validate_config(cfg: TrackerConfig) -> list[str]:
-    """Return one message per violated invariant; an empty list means valid."""
-    errors = []
+    """Return one message per violated invariant, or only those of fields of the wrong type (a
+    bool field not a bool, an int field not an integer); an empty list means valid."""
+    kinds = {bool: ("a bool", (bool, np.bool_)), int: ("an integer", (int, np.integer))}
+    errors = [f"{f.name} must be {kinds[f.type][0]}, got {getattr(cfg, f.name)!r}"
+              for f in fields(cfg)
+              if f.type in kinds and not isinstance(getattr(cfg, f.name), kinds[f.type][1])]
+    if errors:
+        return errors
     if not (math.isfinite(cfg.xi) and cfg.xi >= 0):
         errors.append("xi must be finite and >= 0")
     if not (math.isfinite(cfg.eta) and cfg.eta >= 0):

@@ -61,8 +61,8 @@ def predict(state: KalmanState, process_std=0.0) -> KalmanState:
     """One-frame constant-velocity prediction: F x, F P F' + Q.
 
     ``process_std`` is q: Q adds q² to p, 0 to c and (q/2)² to v. F P F' is a row add, then
-    a column add: p' = (p + c) + (c + v), c' = c + v and v' = v. As the matrix form
-    symmetrizes (P + P')/2, each entry is doubled, then halved.
+    a column add: p' = (p + c) + (c + v), c' = c + v and v' = v. The matrix form's (P + P')/2
+    changes none of them, as each entry's two products are one expression.
     """
     mean = np.array(state.mean, dtype=float)
     mean[..., :2] += mean[..., 2:]
@@ -70,22 +70,20 @@ def predict(state: KalmanState, process_std=0.0) -> KalmanState:
     cov[..., :2] += cov[..., 1:]
     cov[..., 0] += cov[..., 1]
     cov += np.float_power(np.multiply.outer(process_std, (1.0, 0.0, 0.5)), 2)
-    cov += cov
-    cov /= 2.0
     return KalmanState(mean, cov)
 
 
 def tallest(n_predicts: int, pos_ratio: float, process_ratio: float) -> float:
     """The largest scale (object height) whose filters, started by ``init`` with ``pos_std =
     pos_ratio * scale``, survive ``n_predicts`` predicts with ``process_std = process_ratio *
-    scale`` with a factor of 16 to spare; for scales of at least 1, below which ``Tracker``
-    takes its process noise from a height of 1. ``Tracker`` bounds a box's longer side by it,
-    so that a centre ``x + w/2`` or ``y + h/2`` stays finite too.
+    scale`` with their variance 32 times below the largest double; for scales of at least 1,
+    below which ``Tracker`` takes its process noise from a height of 1. ``Tracker`` bounds a
+    box's longer side by it, so that a centre ``x + w/2`` or ``y + h/2`` stays finite too.
 
     From a birth (p, c, v) = (a², 0, b²), with b = VEL_PRIOR_SCALE * scale, n predicts under
     process noise q make the largest entry, p, a² + n² b² + q² (n + n(n - 1)/8 + n(n - 1)(n -
-    2)/12), and predict forms twice it. Every term is a multiple of scale², so the scale is
-    the square root of a ratio.
+    2)/12), the largest number predict forms. Every term is a multiple of scale², so the scale
+    is the square root of a ratio.
     """
     n = n_predicts
     growth = math.hypot(pos_ratio, VEL_PRIOR_SCALE * n,
@@ -110,7 +108,7 @@ def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
     Each axis's innovation variance is S = p + r², and its gain (k1, k2) is (p, c) times 1/S,
     the doubles a matrix solve gives; where S is 0 the pair is exactly known and the gain is
     0, as the pseudo-inverse gives. The Joseph form, PSD for any gain, is formed as
-    ((I - KH) P) (I - KH)' + K R K'.
+    ((I - KH) P) (I - KH)' + K R K'; (P + P')/2 moves only c, whose two products differ.
     """
     z = np.asarray(measurement, dtype=float)
     if z.shape != state.mean.shape[:-1] + (2,) or not np.isfinite(z).all():
@@ -130,12 +128,9 @@ def update(state: KalmanState, measurement, measurement_std=0.0) -> KalmanState:
     ap, ac, ck = a * p, a * c, c - k2 * p
     kr1, kr2 = k1 * r2, k2 * r2
     out = np.empty(cov.shape)
-    p = ap * a + kr1 * k1
-    np.add(p, p, out=out[..., 0])
-    np.add((ac - ap * k2) + kr1 * k2, ck * a + kr2 * k1, out=out[..., 1])
-    v = ((v - k2 * c) - ck * k2) + kr2 * k2
-    np.add(v, v, out=out[..., 2])
-    out /= 2.0
+    out[..., 0] = ap * a + kr1 * k1
+    out[..., 1] = (((ac - ap * k2) + kr1 * k2) + (ck * a + kr2 * k1)) / 2.0
+    out[..., 2] = ((v - k2 * c) - ck * k2) + kr2 * k2
     return KalmanState(mean, out)
 
 

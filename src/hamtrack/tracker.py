@@ -15,7 +15,7 @@ independent sequences can run in parallel with separate ``Tracker`` instances.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -182,10 +182,10 @@ class Tracker:
         self._last_frame = 0
         self._frame_count = 0
 
-    def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
-        """Track frame ``frame`` from its ``detections``, each of which must carry that frame;
-        frames must strictly increase. Returns the frame's confirmed-track boxes: the caller's
-        own ``BBox`` of the detection each track took, or a predicted box.
+    def step(self, frame: int, detections: Iterable[Detection]) -> FrameResult:
+        """Track frame ``frame``, a whole number above the last, below 2**63, from ``detections``,
+        an iterable read once of detections that carry it. Returns the frame's confirmed-track
+        boxes: the caller's own ``BBox`` of the detection each track took, or a predicted box.
 
         Stage (1) alone decides which detections can be tracked, naming frame and detection: under
         SADF, a confidence beyond ``sadf.MAX_CONFIDENCE``; of the kept boxes, one taller or wider
@@ -196,9 +196,11 @@ class Tracker:
         and can be stepped again.
         """
         cfg = self.cfg
-        if frame <= self._last_frame:
-            raise ValueError(f"frames must strictly increase: got {frame} "
-                             f"after {self._last_frame}")
+        # nan fails every comparison; the history keeps frames as 64-bit integers
+        if not (self._last_frame < frame < 2**63 and frame % 1 == 0):
+            raise ValueError(f"frames must strictly increase and be whole numbers below 2**63: got "
+                             f"{frame} after {self._last_frame}")
+        detections = list(detections)
         for det in detections:
             if det.frame != frame:
                 raise ValueError(f"detection carries frame {det.frame}, stepping frame {frame}")
@@ -333,7 +335,7 @@ class Tracker:
         return FrameResult(frame=frame, tracks=tuple(outputs), diagnostics=diag)
 
 
-def run_sequence(detections_by_frame: Mapping[int, Sequence[Detection]],
+def run_sequence(detections_by_frame: Mapping[int, Iterable[Detection]],
                  cfg: TrackerConfig | None = None,
                  descriptor_source: DescriptorSource | FrameDescriptors | None = None,
                  use_appearance: bool = True,
@@ -347,8 +349,4 @@ def run_sequence(detections_by_frame: Mapping[int, Sequence[Detection]],
                       use_appearance=use_appearance)
     last = n_frames if n_frames is not None else (
         max(detections_by_frame) if detections_by_frame else 0)
-    results = []
-    for frame in range(1, last + 1):
-        dets = list(detections_by_frame.get(frame, ()))
-        results.append(tracker.step(frame, dets))
-    return results
+    return [tracker.step(frame, detections_by_frame.get(frame, ())) for frame in range(1, last + 1)]

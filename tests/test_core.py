@@ -182,6 +182,29 @@ class TestValidateConfig:
             assert validate_config(TrackerConfig(process_noise=process_noise,
                                                  measurement_noise=measurement_noise)) == []
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("emit_predicted", "yes", "emit_predicted must be a bool, got 'yes'"),
+        ("use_ham", "no", "use_ham must be a bool, got 'no'"),
+        ("use_ham", 1, "use_ham must be a bool, got 1"),
+        ("hist_max", 1.5, "hist_max must be an integer, got 1.5"),
+        ("confirm_hits", 2.5, "confirm_hits must be an integer, got 2.5"),
+        ("max_age", "10", "max_age must be an integer, got '10'"),
+        ("hist_window", np.float64(3.0), "hist_window must be an integer, got np.float64(3.0)"),
+    ])
+    def test_fields_of_the_wrong_type(self, name, value, message):
+        assert validate_config(TrackerConfig(**{name: value})) == [message]
+
+    def test_wrong_types_are_reported_one_message_each_and_alone(self):
+        # Ranges are not checked on a field of the wrong type, nor on the others.
+        cfg = TrackerConfig(hist_max="3", emit_predicted=None, beta=2.0, confirm_hits=7)
+        assert validate_config(cfg) == ["hist_max must be an integer, got '3'",
+                                        "emit_predicted must be a bool, got None"]
+
+    def test_numpy_bools_and_integers_pass(self):
+        cfg = TrackerConfig(use_ham=np.False_, emit_predicted=np.True_, hist_max=np.int32(5),
+                            hist_window=np.uint8(3), confirm_hits=np.int64(2), max_age=np.int16(4))
+        assert validate_config(cfg) == []
+
     def test_fixed_alpha_mode_accepted(self):
         assert validate_config(TrackerConfig(alpha_mode="0.3")) == []
         assert validate_config(TrackerConfig(alpha_mode="1.5")) != []

@@ -102,8 +102,8 @@ class TestTallest:
         assert state.cov.max() == state.cov[0] == pytest.approx(bound, rel=1e-12)
 
     @pytest.mark.parametrize("n, pos_ratio, process_ratio", [(11, 0.1, 0.05), (31, 0.5, 2.0)])
-    def test_predict_overflows_at_four_times_the_limit(self, n, pos_ratio, process_ratio):
-        # The factor of 16 to spare on the variance is 4 on the scale.
+    def test_predict_overflows_at_sqrt_32_times_the_limit(self, n, pos_ratio, process_ratio):
+        # The factor of 32 to spare on the variance is √32 = 4√2 on the scale.
         limit = kalman.tallest(n, pos_ratio, process_ratio)
 
         def coast(scale):
@@ -112,9 +112,9 @@ class TestTallest:
                 for _ in range(n):
                     state = kalman.predict(state, process_ratio * scale)
 
-        coast(4 * 0.999 * limit)
+        coast(math.sqrt(32) * 0.999 * limit)
         with pytest.raises(FloatingPointError):
-            coast(4 * 1.001 * limit)
+            coast(math.sqrt(32) * 1.001 * limit)
 
 
 class TestShortest:

@@ -105,6 +105,26 @@ class TestStepBasics:
         with pytest.raises(ValueError, match="strictly increase"):
             tracker.step(3, [])
 
+    def test_the_last_frame_that_fits_in_int64_stores_its_history(self):
+        tracker = Tracker(TrackerConfig(filter_mode="none", tau_conf=0.0, confirm_hits=1),
+                          keyed({(f, 0): E(np.array([1.0, 0.0])) for f in (1, 2**63 - 1)}))
+        tracker.step(1, [det(1, 50.0)])
+        assert len(tracker.step(2**63 - 1, [det(2**63 - 1, 54.0)]).tracks) == 1
+        assert tracker.table.memory.hist_frame.tolist() == [[2**63 - 1]]
+
+    def test_an_iterator_or_a_set_of_detections_steps_as_a_list(self):
+        # Four walkers that match from frame 2 on, so stage (9) reads matched detections too.
+        frames = {f: {det(f, 50.0 + 100.0 * k + 4.0 * f, conf=30.0 + k) for k in range(4)}
+                  for f in range(1, 9)}
+        listed = run_sequence({f: list(s) for f, s in frames.items()}, NO_FILTER,
+                              use_appearance=False)
+        assert {tid for fr in listed for tid, _ in fr.tracks} == {1, 2, 3, 4}
+        for given in (iter, lambda s: s):
+            tracker = Tracker(NO_FILTER, use_appearance=False)
+            assert [tracker.step(f, given(s)) for f, s in frames.items()] == listed
+        assert run_sequence({f: iter(s) for f, s in frames.items()}, NO_FILTER,
+                            use_appearance=False) == listed
+
     def test_detection_frame_must_match(self):
         tracker = Tracker(NO_FILTER, use_appearance=False)
         with pytest.raises(ValueError, match="frame"):
@@ -526,6 +546,14 @@ class RejectedInputs(RuleBasedStateMachine):
     @rule(back=st.integers(0, 1))
     def frame_does_not_increase(self, back):
         self.rejects(self.frame - back, [], "^frames must strictly increase")
+
+    @rule(offset=st.sampled_from([math.inf, -math.inf, math.nan, 0.5, np.float64(1.5), 2**63,
+                                  1e300]))
+    def frame_not_whole_or_beyond_int64(self, offset):
+        frame = self.frame + offset
+        self.rejects(frame, [], "^" + re.escape(
+            f"frames must strictly increase and be whole numbers below 2**63: got {frame} after "
+            f"{self.frame}") + "$")
 
     @rule(lanes=LANE_SETS)
     def detection_of_another_frame(self, lanes):
