@@ -216,15 +216,17 @@ def _alpha_mode_ok(mode: str) -> bool:
         return True
     try:
         v = float(mode)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
     return 0.0 <= v <= 1.0
 
 
 def validate_config(cfg: TrackerConfig) -> list[str]:
     """Return one message per violated invariant, or only those of fields of the wrong type (a
-    bool field not a bool, an int field not an integer); an empty list means valid."""
-    kinds = {bool: ("a bool", (bool, np.bool_)), int: ("an integer", (int, np.integer))}
+    bool field not a bool, an int field not an integer, a float field not a real number); an
+    empty list means valid."""
+    kinds = {bool: ("a bool", (bool, np.bool_)), int: ("an integer", (int, np.integer)),
+             float: ("a real number", (int, float, np.integer, np.floating))}
     errors = [f"{f.name} must be {kinds[f.type][0]}, got {getattr(cfg, f.name)!r}"
               for f in fields(cfg)
               if f.type in kinds and not isinstance(getattr(cfg, f.name), kinds[f.type][1])]

@@ -11,7 +11,7 @@ adaptive estimate geometrically.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import TrackerConfig
 
@@ -41,9 +41,6 @@ class SadfState:
     all_m2: float = 0.0
     t: int = 0
 
-    def recent_values(self) -> list[float]:
-        return [c for frame in self.recent for c in frame]
-
 
 def observe_frame(state: SadfState, confidences: Iterable[float], t: int) -> SadfState:
     """Fold one frame's raw confidences into the statistics."""
@@ -58,20 +55,6 @@ def observe_frame(state: SadfState, confidences: Iterable[float], t: int) -> Sad
         m2 += delta * (c - mean)
     return replace(state, recent=(state.recent + (confs,))[-RECENT_FRAMES:], all_count=count,
                    all_mean=mean, all_m2=m2, t=t)
-
-
-def _moments(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    var = sum([(v - mean) ** 2 for v in values]) / n
-    return mean, math.sqrt(max(var, 0.0))
-
-
-def all_moments(state: SadfState) -> tuple[float, float]:
-    """Mean and population std over every confidence observed so far."""
-    if state.all_count == 0:
-        raise ValueError("no confidences observed yet")
-    return state.all_mean, math.sqrt(max(state.all_m2 / state.all_count, 0.0))
 
 
 def solve_tau_sa(mu10: float, sd10: float, mu_all: float, sd_all: float,
@@ -116,12 +99,12 @@ def adaptive_cutoff(state: SadfState, cfg: TrackerConfig) -> Optional[float]:
     """
     if state.all_count == 0:
         return None
-    recent = state.recent_values()
-    mu_all, sd_all = all_moments(state)
+    mu_all, sd_all = state.all_mean, math.sqrt(max(state.all_m2 / state.all_count, 0.0))
+    mu10, sd10 = mu_all, sd_all
+    recent = [c for frame in state.recent for c in frame]
     if recent:
-        mu10, sd10 = _moments(recent)
-    else:
-        mu10, sd10 = mu_all, sd_all
+        mu10 = sum(recent) / len(recent)
+        sd10 = math.sqrt(max(sum([(v - mu10) ** 2 for v in recent]) / len(recent), 0.0))
     return solve_tau_sa(mu10, sd10, mu_all, sd_all, cfg.beta, cfg.p_d)
 
 

@@ -176,7 +176,7 @@ class Tracker:
         self._rows = _as_rows(descriptor_source)
         self.use_appearance = use_appearance
         self.table = TrackTable.empty(0)
-        self._kind, self._dim = None, 0  # of the first descriptor seen
+        self._kind = None  # of the first descriptor seen
         self.sadf_state = sadf.SadfState()
         self._next_id = 1
         self._last_frame = 0
@@ -224,23 +224,21 @@ class Tracker:
         boxes = block[kept, :4]
         # Sides above tallest (then no centre below overflows) or a height below shortest.
         if len(kept) and (boxes[:, 2:].max() > self.tallest or boxes[:, 3].min() < self.shortest):
-            # the first such box by its (h, w), so that one too tall and too wide is named tall
-            out = boxes[:, :1:-1] > self.tallest
-            out[:, 0] |= boxes[:, 3] < self.shortest
-            row, wide = divmod(int(np.argmax(out)), 2)
-            k = int(kept[row])
-            if block[k, 3] < self.shortest:
-                raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3])!r} px tall, "
-                                 f"below {self.shortest!r}: too small for its Kalman gain to stay "
-                                 f"finite")
-            raise ValueError(f"frame {frame}: detection {k} is {float(block[k, 3 - wide])!r} px "
-                             f"{('tall', 'wide')[wide]}, above {self.tallest!r}: its Kalman state "
-                             f"{('overflows', 'may overflow')[wide]} before a track has coasted "
-                             f"max_age + 1 = {cfg.max_age + 1} frames")
+            for k, (w, h) in zip(kept.tolist(), boxes[:, 2:].tolist()):
+                if h < self.shortest:
+                    raise ValueError(f"frame {frame}: detection {k} is {h!r} px tall, below "
+                                     f"{self.shortest!r}: too small for its Kalman gain to stay "
+                                     f"finite")
+                if max(h, w) > self.tallest:
+                    wide = h <= self.tallest  # so a box too tall and too wide is named tall
+                    raise ValueError(f"frame {frame}: detection {k} is {(h, w)[wide]!r} px "
+                                     f"{('tall', 'wide')[wide]}, above {self.tallest!r}: its "
+                                     f"Kalman state {('overflows', 'may overflow')[wide]} before "
+                                     f"a track has coasted max_age + 1 = {cfg.max_age + 1} frames")
         observed = boxes.reshape(-1, 2, 2).copy()  # what the filters observe: centres, sizes
         observed[:, 0] += observed[:, 1] / 2.0
-        first_kind, first_dim = self._kind, self._dim
-        descriptors = np.zeros((len(kept), self._dim))
+        first_kind, first_dim = self._kind, self.table.memory.recent.shape[1]
+        descriptors = np.zeros((len(kept), first_dim))
         if self.use_appearance and len(kept):
             kind, descriptors = self._rows(frame, kept.tolist())
             shape = descriptors.shape if isinstance(descriptors, np.ndarray) else None
@@ -292,7 +290,7 @@ class Tracker:
 
         # Commit: nothing below raises, so the frame lands whole or not at all.
         self._last_frame, self._frame_count = frame, self._frame_count + 1
-        self.sadf_state, self._kind, self._dim = sadf_state, first_kind, first_dim
+        self.sadf_state, self._kind = sadf_state, first_kind
         table.filters.mean[:], table.filters.cov[:] = filters
         # (8) store matched appearances, age the missed, retire the stale, add the born last
         memory = table._bank  # the whole arrays, so that a widened history keeps its spare rows

@@ -262,6 +262,23 @@ class TestTrack:
         assert proc.stderr == (f"error: {emb}: line 2: cannot normalize: "
                                f"vector norm overflows a double\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("\n\n", "empty embedding file"),
+        ("dim=x\n1,0,1\n", "line 1: bad dimension in header 'dim=x'"),
+        ("dim=-2\n", "line 1: dimension must be >= 1"),
+    ])
+    def test_embedding_header_fault_exits_1_naming_the_file(self, tmp_path, capsys, text,
+                                                            message):
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,10,20,30,60,45,-1,-1,-1\n")
+        emb = tmp_path / "e.txt"
+        emb.write_text(text)
+        rc = main(["track", "--det", str(det), "--embeddings", str(emb),
+                   "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {emb}: {message}\n"
+        assert not (tmp_path / "res.txt").exists()
+
     def test_memory_error_exits_1_without_traceback(self, scenario_dir, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError

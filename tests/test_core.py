@@ -190,6 +190,11 @@ class TestValidateConfig:
         ("confirm_hits", 2.5, "confirm_hits must be an integer, got 2.5"),
         ("max_age", "10", "max_age must be an integer, got '10'"),
         ("hist_window", np.float64(3.0), "hist_window must be an integer, got np.float64(3.0)"),
+        ("xi", "1", "xi must be a real number, got '1'"),
+        ("tau_asc", None, "tau_asc must be a real number, got None"),
+        ("beta", 0.5j, "beta must be a real number, got 0.5j"),
+        ("rho", np.True_, "rho must be a real number, got np.True_"),
+        ("alpha_mode", None, 'alpha_mode must be "affinity" or a number in [0,1]'),
     ])
     def test_fields_of_the_wrong_type(self, name, value, message):
         assert validate_config(TrackerConfig(**{name: value})) == [message]
@@ -208,6 +213,11 @@ class TestValidateConfig:
     def test_fixed_alpha_mode_accepted(self):
         assert validate_config(TrackerConfig(alpha_mode="0.3")) == []
         assert validate_config(TrackerConfig(alpha_mode="1.5")) != []
+
+    def test_real_numbers_of_any_kind_pass_as_floats(self):
+        cfg = TrackerConfig(xi=True, eta=1, tau_asc=np.float32(0.1), tau_conf=np.int8(1),
+                            tau_const=np.float64(25.0), rho=0.9, alpha_mode=0.5)
+        assert validate_config(cfg) == []
 
 
 class TestKvText:

@@ -330,6 +330,17 @@ class TestEmbeddingFile:
         with pytest.raises(ValueError, match="dim="):
             embeddings("1,0,1,0\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty embedding file"),
+        ("\n \n\t\n", "empty embedding file"),
+        ("dim=x\n1,0,1\n", "line 1: bad dimension in header 'dim=x'"),
+        ("dim=0\n", "line 1: dimension must be >= 1"),
+        ("dim=-2\n1,0\n", "line 1: dimension must be >= 1"),
+    ])
+    def test_header_faults(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            embeddings(text)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             embeddings("dim=2\n1,0,0,0\n")

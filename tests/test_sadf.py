@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from hamtrack.core import BBox, Detection, TrackerConfig
-from hamtrack.sadf import (SadfState, adaptive_cutoff, all_moments, observe_frame,
-                           solve_tau_sa, threshold)
+from hamtrack.sadf import SadfState, adaptive_cutoff, observe_frame, solve_tau_sa, threshold
 from hamtrack.tracker import Tracker
 
 
@@ -60,12 +59,12 @@ class TestNormalCdf:
 class TestObserveFrame:
     def test_ring_keeps_last_ten_frames(self):
         state = observe_stream([[float(t)] for t in range(1, 12)])
-        assert state.recent_values() == [float(t) for t in range(2, 12)]
+        assert state.recent == tuple((float(t),) for t in range(2, 12))
         assert state.t == 11
 
     def test_constant_stream_zero_variance(self):
         state = observe_stream([[30.0, 30.0, 30.0]] * 5)
-        mean, sd = all_moments(state)
+        mean, sd = state.all_mean, math.sqrt(state.all_m2 / state.all_count)
         assert mean == pytest.approx(30.0)
         assert sd == pytest.approx(0.0, abs=1e-12)
 
@@ -74,7 +73,7 @@ class TestObserveFrame:
         values = rng.normal(40.0, 12.0, size=10_000)
         frames = np.array_split(values, 500)
         state = observe_stream([list(chunk) for chunk in frames])
-        mean, sd = all_moments(state)
+        mean, sd = state.all_mean, math.sqrt(state.all_m2 / state.all_count)
         assert mean == pytest.approx(float(values.mean()), abs=1e-9)
         assert sd == pytest.approx(float(values.std()), abs=1e-9)
 
@@ -220,7 +219,7 @@ class TestThreshold:
     def test_empty_recent_window_falls_back_to_global(self):
         cfg = TrackerConfig()
         state = observe_stream([[40.0, 42.0]] + [[]] * 10)
-        assert state.recent_values() == []
+        assert state.recent == ((),) * 10
         assert adaptive_cutoff(state, cfg) is not None
 
     def test_precomputed_cutoff_gives_the_same_threshold(self):

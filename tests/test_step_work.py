@@ -26,9 +26,9 @@ CROWD = ScenarioSpec(
     events=(OcclusionEvent(obj=1, start=8, end=11, by=6), OcclusionEvent(obj=7, start=18, end=20)),
     regimes=(ConfidenceRegime(1, 40.0, 5.0),))
 
-# The calls CROWD's 30 steps made when this bound was set, about 476 a step (numpy 2.4.6,
+# The calls CROWD's 30 steps made when this bound was set, about 474 a step (numpy 2.4.6,
 # Python 3.11.7).
-CALLS = 14_281
+CALLS = 14_221
 
 # The same with no filtering and HAM on embeddings, about 561 a step.
 APPEARANCE_CALLS = 16_833

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamtrack import synthgen
+from hamtrack.core import BBox
 from hamtrack.io_mot import MAX_FRAME, write_embedding_file, write_mot_rows, write_ppm
 from hamtrack.synthgen import (MAX_CANVAS_PIXELS, MAX_DRAWS, MAX_EMBED_DIM, MAX_FP_RATE,
                                SPEC_GROUPS, ConfidenceRegime, ObjectSpec, OcclusionEvent,
@@ -193,6 +194,10 @@ class TestGenerate:
         expected = set(range(1, 31)) - {10, 11, 12}
         assert gt_frames == expected
         assert det_frames == expected
+
+    def test_a_single_waypoint_object_has_one_gt_row_on_its_frame(self):
+        spec = ScenarioSpec(n_frames=10, objects=(ObjectSpec(((4, 100.0, 200.0),), 20.0, 40.0),))
+        assert generate(spec).gt_rows == [(4, 1, BBox(90.0, 180.0, 20.0, 40.0), 1.0)]
 
     def test_gt_internally_consistent(self):
         out = generate(crossing_spec(2))

@@ -218,7 +218,8 @@ def _state(tracker):
         return [x for v in value for x in leaves(v)] if isinstance(value, tuple) else [value]
     arrays = [x for value in vars(tracker.table).values() for x in leaves(value)]
     return arrays, (tracker.sadf_state, tracker._next_id, tracker._last_frame,
-                    tracker._frame_count, tracker._kind, tracker._dim)
+                    tracker._frame_count, tracker._kind,
+                    tracker.table.memory.recent.shape[1])
 
 
 def _assert_same_state(a, b):
@@ -366,15 +367,22 @@ class TestTallestBox:
         _assert_same_state(tracker, clean)
         assert tracker.step(1, dets[:1]) == clean.step(1, dets[:1])
 
+    # "h" and "w" make a side twice tallest; "s" makes the height half shortest, which is above 0
+    # only without process noise.
     @pytest.mark.parametrize("over, k, side", [
         (("h", "w"), 0, "tall"), (("w", "h"), 0, "wide"), (("wh", ""), 0, "tall"),
-        (("", "wh"), 1, "tall")], ids=["tall_then_wide", "wide_then_tall", "both", "second"])
+        (("", "wh"), 1, "tall"), (("s", "w"), 0, "short"), (("w", "s"), 0, "wide"),
+        (("sw", ""), 0, "short")],
+        ids=["tall_then_wide", "wide_then_tall", "both", "second", "short_then_wide",
+             "wide_then_short", "short_and_wide"])
     def test_the_first_box_over_on_either_side_is_named(self, over, k, side):
-        tracker = Tracker(self.CFG, use_appearance=False)
-        big = 2.0 * tracker.tallest
-        dets = [det(1, 300.0 * j, **dict.fromkeys(sides, big)) for j, sides in enumerate(over)]
-        with pytest.raises(ValueError, match=f"^frame 1: detection {k} is {re.escape(repr(big))} "
-                                             f"px {side}, above "):
+        short = any("s" in sides for sides in over)
+        tracker = Tracker(self.NO_PROCESS_NOISE if short else self.CFG, use_appearance=False)
+        big, small = 2.0 * tracker.tallest, tracker.shortest / 2.0
+        size = {"h": ("h", big), "w": ("w", big), "s": ("h", small)}
+        dets = [det(1, 300.0 * j, **dict(size[c] for c in sides)) for j, sides in enumerate(over)]
+        named = f"{small!r} px tall, below " if side == "short" else f"{big!r} px {side}, above "
+        with pytest.raises(ValueError, match=f"^frame 1: detection {k} is {re.escape(named)}"):
             tracker.step(1, dets)
 
     def test_a_too_wide_box_the_filter_drops_is_not_checked(self):
@@ -564,7 +572,8 @@ class RejectedInputs(RuleBasedStateMachine):
     @rule(lanes=LANE_SETS.filter(bool), bad=st.sampled_from(sorted(BAD_ROWS)))
     def bad_descriptor_rows(self, lanes, bad):
         answer, match = BAD_ROWS[bad]
-        assume(bad != "row length" or self.tracker._dim)  # the first rows set the length
+        # the first rows set the length
+        assume(bad != "row length" or self.tracker.table.memory.recent.shape[1])
         self.bad = answer
         try:
             self.rejects(self.frame + 1,
